@@ -23,35 +23,23 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from cubacode import build_catalog_code, normalize_energy  # noqa: E402
 from cubacode.bench import (  # noqa: E402
     DEFAULT_BASE_CUTOFF,
+    PairPoint,
     optimal_scale_adaptive,
-    pair_bench,
     sweep_alpha,
     sweep_gamma,
 )
-
-
-def fmt(x) -> str:
-    return format(float(x), ".12g")
+from cubacode.cli import (  # noqa: E402
+    _BENCH_HEADER,
+    _PAIR_HEADER,
+    _bench_rows,
+    _pair_rows,
+    _write_csv,
+)
 
 
 def write_csv(path: Path, header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    _write_csv(path, header, rows)
     print(f"  wrote {path}")
-
-
-def bench_points_rows(points):
-    return [
-        [p.code, fmt(p.gamma), fmt(p.scale), fmt(p.nbar), fmt(p.fidelity),
-         fmt(p.infidelity), str(p.cutoff), fmt(p.tail_mass), str(p.kraus_lmax)]
-        for p in points
-    ]
-
-
-BENCH_HEADER = ["code", "gamma", "scale", "nbar", "fidelity", "infidelity",
-                "cutoff", "tail_mass", "kraus_lmax"]
 
 
 def main() -> int:
@@ -81,9 +69,7 @@ def main() -> int:
         if ell == 24 and not args.big:
             print(f"skipping the two-mode pair {ell} (rerun with --big)")
             continue
-        base_cutoff = args.cutoff if ell != 24 else max(24, args.cutoff // 2 * 1)
-        if ell == 24:
-            base_cutoff = 24  # two modes: dimension = cutoff^2
+        base_cutoff = args.cutoff if ell != 24 else 24  # two modes: dimension = cutoff^2
         qcc = normalize_energy(build_catalog_code(f"qcc{ell}"), 1.0)[0]
         qsc = normalize_energy(build_catalog_code(f"qsc{ell}"), 1.0)[0]
         this_grid = grid if ell != 24 else np.linspace(0.9, 2.1, 7)
@@ -92,7 +78,7 @@ def main() -> int:
         for label, code in ((f"qcc{ell}", qcc), (f"qsc{ell}", qsc)):
             points += sweep_alpha(code, label, 0.1, this_grid,
                                   base_cutoff=base_cutoff, jobs=args.jobs)
-        write_csv(outdir / f"sweep_alpha_{ell}.csv", BENCH_HEADER, bench_points_rows(points))
+        write_csv(outdir / f"sweep_alpha_{ell}.csv", _BENCH_HEADER, _bench_rows(points))
 
         print(f"pair {ell}: loss-rate sweeps at the gamma = 0.1 optima")
         points = []
@@ -104,17 +90,16 @@ def main() -> int:
             print(f"  {label}: alpha_op = {s_op:.4f}, F_op = {f_op:.6f}")
             points += sweep_gamma(code, label, gamma_axis, scale=s_op,
                                   base_cutoff=base_cutoff, jobs=args.jobs)
-        write_csv(outdir / f"sweep_gamma_{ell}.csv", BENCH_HEADER, bench_points_rows(points))
+        write_csv(outdir / f"sweep_gamma_{ell}.csv", _BENCH_HEADER, _bench_rows(points))
 
-        print(f"pair {ell}: relative infidelity")
-        _, _, rows = pair_bench(qcc, qsc, args.gammas,
-                                grid=[optima[f"qcc{ell}"], optima[f"qsc{ell}"]],
-                                base_cutoff=base_cutoff, jobs=args.jobs)
-        write_csv(
-            outdir / f"pair_{ell}.csv",
-            ["gamma", "f_qsc", "f_qcc", "r_infidelity"],
-            [[fmt(r.gamma), fmt(r.f_single), fmt(r.f_multi), fmt(r.r_infidelity)] for r in rows],
-        )
+        print(f"pair {ell}: relative infidelity at the gamma = 0.1 optima")
+        multi = sweep_gamma(qcc, "", args.gammas, scale=optima[f"qcc{ell}"],
+                            base_cutoff=base_cutoff, jobs=args.jobs)
+        single = sweep_gamma(qsc, "", args.gammas, scale=optima[f"qsc{ell}"],
+                             base_cutoff=base_cutoff, jobs=args.jobs)
+        rows = [PairPoint(gamma=m.gamma, f_single=s.fidelity, f_multi=m.fidelity)
+                for m, s in zip(multi, single)]
+        write_csv(outdir / f"pair_{ell}.csv", _PAIR_HEADER, _pair_rows(rows))
     print("done")
     return 0
 

@@ -23,7 +23,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constellation import CodeSpec, normalize_energy
+from .constellation import CodeSpec, grid_golden_max, normalize_energy
 from .errors import CutoffError, ValidationError
 from .fock import FockSpace, dim_budget, fidelity_details
 
@@ -146,35 +146,10 @@ def optimal_scale_adaptive(
 ) -> Tuple[float, float]:
     """Grid scan plus golden-section refinement with per-point cutoffs."""
     points = sweep_alpha(code, "", gamma, grid, base_cutoff, jobs)
-    best = max(points, key=lambda p: p.fidelity)
-    best_s, best_f = best.scale, best.fidelity
-    scales = [p.scale for p in points]
-    idx = scales.index(best_s)
-    a = scales[max(idx - 1, 0)]
-    b = scales[min(idx + 1, len(scales) - 1)]
-
-    def f(s: float) -> float:
-        return _evaluate(code, "", gamma, s, base_cutoff).fidelity
-
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - golden * (b - a)
-    x2 = a + golden * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(40):
-        if b - a < 1e-4:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + golden * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - golden * (b - a)
-            f1 = f(x1)
-        for s, fv in ((x1, f1), (x2, f2)):
-            if fv > best_f:
-                best_s, best_f = s, fv
-    return best_s, best_f
+    return grid_golden_max(
+        lambda s: _evaluate(code, "", gamma, s, base_cutoff).fidelity,
+        [p.scale for p in points], [p.fidelity for p in points], tol=1e-4, max_iter=40,
+    )
 
 
 def sweep_gamma(
@@ -203,7 +178,12 @@ class PairPoint:
     gamma: float
     f_single: float
     f_multi: float
-    r_infidelity: float
+
+    @property
+    def r_infidelity(self) -> float:
+        """R = (1 - F_single) / (1 - F_multi); infinite when F_multi = 1."""
+        denom = 1.0 - self.f_multi
+        return (1.0 - self.f_single) / denom if denom > 1e-15 else float("inf")
 
 
 def pair_bench(
@@ -229,7 +209,5 @@ def pair_bench(
     for g in gammas:
         fm = _evaluate(multi_shell, "", float(g), opt_multi[0], base_cutoff).fidelity
         fs = _evaluate(single_shell, "", float(g), opt_single[0], base_cutoff).fidelity
-        denom = 1.0 - fm
-        r = (1.0 - fs) / denom if denom > 1e-15 else float("inf")
-        rows.append(PairPoint(gamma=float(g), f_single=fs, f_multi=fm, r_infidelity=r))
+        rows.append(PairPoint(gamma=float(g), f_single=fs, f_multi=fm))
     return opt_multi, opt_single, rows

@@ -86,7 +86,7 @@ def _header(args, extra: Optional[dict] = None) -> List[str]:
     """Report header: every numeric option in effect, for auditability."""
     opts = dict(extra or {})
     for key in ("gamma", "scale", "cutoff", "ceiling", "tol", "max_degree", "max_loss",
-                "normalize", "grid", "gammas", "jobs", "seed"):
+                "normalize", "grid", "gammas", "jobs"):
         if hasattr(args, key) and getattr(args, key) is not None:
             opts.setdefault(key, getattr(args, key))
     lines = [f"# cubacode {args.command}"]
@@ -169,20 +169,22 @@ def cmd_moments(args) -> int:
         print(line)
     t = moment_match_degree(code, args.max_degree, tol=args.tol)
     print(f"moment match degree: {t} (searched to {args.max_degree}, tol {_fmt(args.tol)})")
-    rows = []
-    worst = (0.0, None)
-    for pq in multi_indices_upto(2 * n, args.max_degree):
-        p, q = pq[:n], pq[n:]
-        moms = [weighted_moment(c, p, q) for c in code.logicals]
-        dev = max(abs(m - moms[0]) for m in moms)
-        if dev > worst[0]:
-            worst = (dev, (p, q))
-        row = [" ".join(map(str, p)), " ".join(map(str, q))]
-        for m in moms:
-            row += [_fmt(m.real), _fmt(m.imag)]
-        row.append(_fmt(dev))
-        rows.append(row)
-    print(f"largest deviation {_fmt(worst[0])} at (p, q) = {worst[1]}")
+    # Moments on the box |p|, |q| <= max_degree, read out in multi-index order.
+    box = list(multi_indices_upto(n, args.max_degree))
+    pos = {u: i for i, u in enumerate(box)}
+    pairs = [(pq[:n], pq[n:]) for pq in multi_indices_upto(2 * n, args.max_degree)]
+    at = ([pos[p] for p, _ in pairs], [pos[q] for _, q in pairs])
+    moms = np.array([weighted_moment(c, box, box)[at] for c in code.logicals])
+    devs = np.abs(moms - moms[0]).max(axis=0)
+    worst = int(devs.argmax())
+    where = pairs[worst] if devs[worst] > 0 else None
+    print(f"largest deviation {_fmt(devs[worst])} at (p, q) = {where}")
+    rows = [
+        [" ".join(map(str, p)), " ".join(map(str, q))]
+        + [_fmt(x) for m in moms[:, i] for x in (m.real, m.imag)]
+        + [_fmt(devs[i])]
+        for i, (p, q) in enumerate(pairs)
+    ]
     if args.out:
         header = ["p", "q"]
         for k in range(code.dim):
@@ -315,6 +317,13 @@ def _bench_rows(points) -> List[List[str]]:
     ]
 
 
+_PAIR_HEADER = ["gamma", "f_qsc", "f_qcc", "r_infidelity"]
+
+
+def _pair_rows(rows) -> List[List[str]]:
+    return [[_fmt(r.gamma), _fmt(r.f_single), _fmt(r.f_multi), _fmt(r.r_infidelity)] for r in rows]
+
+
 def cmd_bench(args) -> int:
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     if args.bench_command == "sweep-alpha":
@@ -359,12 +368,7 @@ def cmd_bench(args) -> int:
         )
         for line in _header(args, {"qcc_alpha_op": _fmt(opt_multi[0]), "qsc_alpha_op": _fmt(opt_single[0])}):
             print(line)
-        header = ["gamma", "f_qsc", "f_qcc", "r_infidelity"]
-        out_rows = [
-            [_fmt(r.gamma), _fmt(r.f_single), _fmt(r.f_multi), _fmt(r.r_infidelity)]
-            for r in rows
-        ]
-        _write_csv(args.out, header, out_rows)
+        _write_csv(args.out, _PAIR_HEADER, _pair_rows(rows))
         if args.out:
             print(f"wrote {args.out}")
         return 0
@@ -429,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="base per-mode cutoff (raised adaptively per point)")
         p.add_argument("--grid", default="0.8:3.3:14", help="scale grid a:b:n")
         p.add_argument("--jobs", type=int, default=None, help="parallel evaluations")
-        p.add_argument("--seed", type=int, default=None, help="recorded in the header")
         p.add_argument("--big", action="store_true",
                        help="allow two-mode codes (larger dimension budget)")
         p.add_argument("--out", help="CSV output path (default: stdout)")

@@ -413,6 +413,64 @@ def _pair_resolution(base: np.ndarray, rotated: np.ndarray) -> float:
     return min_squared_distance(np.vstack([base, rotated]))
 
 
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _rank(value: Optional[float]) -> float:
+    return -np.inf if value is None else value
+
+
+def golden_section_max(
+    f: Callable[[float], Optional[float]], a: float, b: float, tol: float, max_iter: int
+) -> tuple:
+    """Golden-section search for a maximum of f on [a, b].
+
+    The bracket shrinks until it is shorter than tol or max_iter steps have
+    run.  f may return None for a point it cannot evaluate; None ranks
+    below every value.  Returns the best (x, f(x)) over every point
+    evaluated, the earliest one on ties.
+    """
+    seen = []
+
+    def probe(x: float) -> Optional[float]:
+        seen.append((x, f(x)))
+        return seen[-1][1]
+
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = probe(x1), probe(x2)
+    for _ in range(max_iter):
+        if b - a < tol:
+            break
+        if _rank(f1) < _rank(f2):
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = probe(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = probe(x1)
+    return max(seen, key=lambda t: _rank(t[1]))
+
+
+def grid_golden_max(
+    f: Callable[[float], Optional[float]],
+    xs: Sequence[float],
+    values: Sequence[Optional[float]],
+    tol: float,
+    max_iter: int,
+) -> tuple:
+    """Refine a grid scan: values[i] = f(xs[i]) on an ascending grid.
+
+    Golden-section search runs between the neighbours of the best grid
+    point (see golden_section_max, whose None ranking applies).  Returns
+    the best (x, f(x)) found; the grid point wins ties.
+    """
+    i = max(range(len(xs)), key=lambda k: _rank(values[k]))
+    a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+    x, fx = golden_section_max(f, a, b, tol, max_iter)
+    return (x, fx) if _rank(fx) > _rank(values[i]) else (xs[i], values[i])
+
+
 def optimize_codeword_rotation(
     code: CodeSpec, family: RotationFamily, steps: int = 200
 ) -> tuple:
@@ -446,32 +504,21 @@ def optimize_codeword_rotation(
     best_val = float(values.max())
 
     # Golden-section refinement, one coordinate at a time.
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
     for _ in range(3):
         for i in range(d):
             span = (hi[i] - lo[i]) / max(per_dim - 1, 1)
             if span == 0:
                 continue
-            a = max(lo[i], best[i] - span)
-            b = min(hi[i], best[i] + span)
-            x1 = b - golden * (b - a)
-            x2 = a + golden * (b - a)
-            p1, p2 = best.copy(), best.copy()
-            p1[i], p2[i] = x1, x2
-            f1, f2 = objective(p1), objective(p2)
-            for _ in range(60):
-                if f1 < f2:
-                    a, x1, f1 = x1, x2, f2
-                    x2 = a + golden * (b - a)
-                    p2[i] = x2
-                    f2 = objective(p2)
-                else:
-                    b, x2, f2 = x2, x1, f1
-                    x1 = b - golden * (b - a)
-                    p1[i] = x1
-                    f1 = objective(p1)
-            for p, f in ((p1, f1), (p2, f2)):
-                if f > best_val:
-                    best, best_val = p.copy(), float(f)
+
+            def along(x: float) -> float:
+                p = best.copy()
+                p[i] = x
+                return objective(p)
+
+            x, f = golden_section_max(
+                along, max(lo[i], best[i] - span), min(hi[i], best[i] + span), tol=0.0, max_iter=60
+            )
+            if f > best_val:
+                best[i], best_val = x, float(f)
 
     return family.build(best), best_val

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constellation import CodeSpec, as_amplitude, mean_photon_number, scale_code
+from .constellation import CodeSpec, as_amplitude, grid_golden_max, mean_photon_number, scale_code
 from .errors import CutoffError, DegenerateCodewordsError, NumericalFailure, ValidationError
 from .klcheck import lowdin_inverse_sqrt
 
@@ -503,42 +503,13 @@ def optimal_scale(
     if not scales or any(s <= 0 for s in scales):
         raise ValidationError("scale grid must be a nonempty list of positive values")
 
-    cache = {}
-
     def fid(s: float) -> Optional[float]:
-        if s not in cache:
-            try:
-                cache[s] = entanglement_fidelity(code, gamma, s, space)
-            except (CutoffError, DegenerateCodewordsError):
-                cache[s] = None
-        return cache[s]
+        try:
+            return entanglement_fidelity(code, gamma, s, space)
+        except (CutoffError, DegenerateCodewordsError):
+            return None
 
-    values = [(s, fid(s)) for s in scales]
-    feasible = [(s, f) for s, f in values if f is not None]
-    if not feasible:
+    values = [fid(s) for s in scales]
+    if all(v is None for v in values):
         raise CutoffError("all grid points fail cutoff checks")
-    best_s, best_f = max(feasible, key=lambda t: t[1])
-
-    idx = scales.index(best_s)
-    lo = scales[max(idx - 1, 0)]
-    hi = scales[min(idx + 1, len(scales) - 1)]
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - golden * (b - a)
-    x2 = a + golden * (b - a)
-    f1, f2 = fid(x1), fid(x2)
-    for _ in range(40):
-        if b - a < 1e-4:
-            break
-        if (f1 or -1.0) < (f2 or -1.0):
-            a, x1, f1 = x1, x2, f2
-            x2 = a + golden * (b - a)
-            f2 = fid(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - golden * (b - a)
-            f1 = fid(x1)
-    for s, f in cache.items():
-        if f is not None and f > best_f:
-            best_s, best_f = s, f
-    return best_s, best_f
+    return grid_golden_max(fid, scales, values, tol=1e-4, max_iter=40)

@@ -7,20 +7,33 @@ Coherent states have analytic overlaps and ladder-operator matrix elements:
 
 so every block <C_k| E_mu^+ E_nu |C_l> of the correction condition for the
 pure-loss error set is a finite weighted sum of such terms, with no Fock
-truncation involved.  The asymptotic (large-energy) parameters reduce to
-weighted-moment matching and are computed by exhaustive enumeration.
+truncation involved.  All blocks are formed at once: with monomial tables
+F_k (one row per loss pattern, one column per point of codeword k),
+
+    raw[mu, nu, k, l] = ((sqrt(w_k) conj(F_k)) @ <a|b>_kl @ (sqrt(w_l) F_l).T)[mu, nu].
+
+The asymptotic (large-energy) parameters reduce to weighted-moment
+matching and are computed by exhaustive enumeration over stacks of
+multi-indices, stopping at the first degree that fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .constellation import CodeSpec, as_amplitude
 from .errors import DegenerateCodewordsError, ValidationError
-from .moments import multi_indices, multi_indices_upto, weighted_moment
+from .moments import (
+    _monomials,
+    moment_match_degree,
+    multi_indices,
+    multi_indices_upto,
+    weighted_moment,
+)
 
 
 def coherent_overlap(a, b) -> complex:
@@ -114,42 +127,29 @@ def kl_report(code: CodeSpec, max_loss: int, scale: float) -> KLReport:
     ginv = lowdin_inverse_sqrt(gram)
 
     qs = list(multi_indices_upto(n, int(max_loss)))
-    # Precompute weighted point data per codeword at the working scale.
+    # raw[mu, nu, k, l] = <C_k| prod (a^+)^mu a^nu |C_l>, expanded over point
+    # pairs: (sqrt(w_k) conj(F_k)) @ overlaps_kl @ (sqrt(w_l) F_l).T.
     pts = [scale * c.points for c in code.logicals]
-    sqw = [np.sqrt(c.weights) for c in code.logicals]
-    overlaps = [[_pairwise_overlaps(pts[k], pts[l]) for l in range(K)] for k in range(K)]
+    left = [np.conj(_monomials(z, qs)) * np.sqrt(c.weights) for z, c in zip(pts, code.logicals)]
+    right = [_monomials(z, qs) * np.sqrt(c.weights) for z, c in zip(pts, code.logicals)]
+    raw = np.empty((len(qs), len(qs), K, K), dtype=complex)
+    for k in range(K):
+        for l in range(K):
+            raw[:, :, k, l] = left[k] @ _pairwise_overlaps(pts[k], pts[l]) @ right[l].T
+    blocks = ginv @ raw @ ginv
 
-    matrices: Dict[Tuple[tuple, tuple], np.ndarray] = {}
-    off_diag_max = 0.0
-    off_rel_max = 0.0
-    spread_raw_max = 0.0
-    spread_norm_max = 0.0
-    for mu in qs:
-        for nu in qs:
-            raw = np.empty((K, K), dtype=complex)
-            for k in range(K):
-                for l in range(K):
-                    # <C_k| prod (a^+)^mu a^nu |C_l> expands over point pairs.
-                    fa = np.prod(np.conj(pts[k]) ** np.asarray(mu), axis=1)
-                    fb = np.prod(pts[l] ** np.asarray(nu), axis=1)
-                    raw[k, l] = (sqw[k] * fa) @ overlaps[k][l] @ (sqw[l] * fb)
-            block = ginv @ raw @ ginv
-            matrices[(mu, nu)] = block
-            off = float(np.abs(block - np.diag(np.diag(block))).max())
-            diag = np.diag(block)
-            unit = max(float(np.abs(diag).max()), 1.0)
-            spread = float(np.abs(diag[:, None] - diag[None, :]).max())
-            off_diag_max = max(off_diag_max, off)
-            off_rel_max = max(off_rel_max, off / unit)
-            spread_raw_max = max(spread_raw_max, spread)
-            spread_norm_max = max(spread_norm_max, spread / unit)
+    diag = np.diagonal(blocks, axis1=2, axis2=3)
+    off = np.abs(blocks - diag[..., None] * np.eye(K)).max(axis=(2, 3))
+    unit = np.maximum(np.abs(diag).max(axis=2), 1.0)
+    spread = np.abs(diag[..., :, None] - diag[..., None, :]).max(axis=(2, 3))
+    matrices = {(mu, nu): blocks[i, j] for i, mu in enumerate(qs) for j, nu in enumerate(qs)}
     return KLReport(
         error_set_label=f"loss<={max_loss}",
         matrices=matrices,
-        off_diag_max=off_diag_max,
-        off_diag_rel=off_rel_max,
-        diag_spread_max=spread_norm_max,
-        diag_spread_raw=spread_raw_max,
+        off_diag_max=float(off.max()),
+        off_diag_rel=float((off / unit).max()),
+        diag_spread_max=float((spread / unit).max()),
+        diag_spread_raw=float(spread.max()),
         scale=float(scale),
     )
 
@@ -197,49 +197,24 @@ def code_parameters(code: CodeSpec, ceiling: int, tol: float = 1e-9) -> ParamTri
         raise ValidationError("search ceiling must be >= 1")
     n = code.modes
     ceiling = int(ceiling)
+    d_updown = moment_match_degree(code, ceiling - 1, tol) + 1
+    levels = [list(multi_indices(n, k)) for k in range(ceiling)]
 
-    def matches(p, q) -> bool:
-        m = np.array([weighted_moment(c, p, q) for c in code.logicals])
-        return bool(np.abs(m - m[0]).max() <= tol)
+    def spread(p, q) -> np.ndarray:
+        moms = np.array([weighted_moment(c, p, q) for c in code.logicals])
+        return np.abs(moms - moms[0]).max(axis=0)
 
-    zero = (0,) * n
+    box = [u for level in levels for u in level]  # |u| <= ceiling - 1, by degree
+    # Pure-loss row p = 0: the first mismatched q of degree >= 1 sets d_down.
+    bad = np.flatnonzero(spread(levels[0], box)[0, 1:] > tol)
+    d_down = sum(box[bad[0] + 1]) if bad.size else ceiling
 
-    d_down = ceiling
-    for degree in range(1, ceiling):
-        if not all(matches(zero, q) for q in multi_indices(n, degree)):
-            d_down = degree
-            break
-
-    d_updown = ceiling
-    for degree in range(1, ceiling):
-        ok = all(
-            matches(pq[:n], pq[n:]) for pq in multi_indices(2 * n, degree)
-        )
-        if not ok:
-            d_updown = degree
-            break
-
+    # Box |p|, |q| <= r grown one level at a time.  Its new pairs have
+    # |p| = r or |q| = r, and M(q, p) = conj M(p, q) covers the latter.
     t_down = ceiling
-    for k in range(2, ceiling + 1):
-        # New pairs at level k have |p| = k-1 or |q| = k-1 (box growth).
-        ok = True
-        for dp in range(k):
-            for dq in range(k):
-                if dp != k - 1 and dq != k - 1:
-                    continue
-                for p in multi_indices(n, dp):
-                    for q in multi_indices(n, dq):
-                        if not matches(p, q):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            t_down = k - 1
+    for r in range(1, ceiling):
+        if spread(levels[r], box[: comb(n + r, r)]).max() > tol:
+            t_down = r
             break
 
     return ParamTriple(t_down=t_down, d_updown=d_updown, d_down=d_down, search_ceiling=ceiling)

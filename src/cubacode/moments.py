@@ -5,10 +5,17 @@ The central object is the weighted monomial moment
     M(p, q) = sum_alpha w_alpha * prod_j conj(alpha_j)^p_j alpha_j^q_j,
 
 whose agreement across logical constellations (up to a total degree t)
-is exactly the asymptotic error-correction requirement.  The module also
-provides the exact rotation-invariant sphere integral of real monomials
-(the right-hand side a spherical design must reproduce), a design checker,
-and counting bounds on how many points a degree-t formula can or must use.
+is exactly the asymptotic error-correction requirement.  Moments are
+evaluated in stacks: for multi-index stacks p (A x n) and q (B x n),
+``weighted_moment`` returns the A x B matrix (conj(F_p) * w) @ F_q.T,
+where F_u holds one monomial row per multi-index, built from per-mode
+power tables z**k.  The parameter search, the CLI moment table, the KL
+blocks and the design check all read their monomials from these tables.
+
+The module also provides the exact rotation-invariant sphere integral of
+real monomials (the right-hand side a spherical design must reproduce), a
+design checker, and counting bounds on how many points a degree-t formula
+can or must use.
 """
 
 from __future__ import annotations
@@ -41,39 +48,53 @@ def multi_indices_upto(n: int, max_total: int) -> Iterator[MultiIndex]:
         yield from multi_indices(n, total)
 
 
-def weighted_moment(c: WeightedConstellation, p: Sequence[int], q: Sequence[int]) -> complex:
-    """The weighted monomial moment M(p, q) of a constellation."""
+def _monomials(z: np.ndarray, u) -> np.ndarray:
+    """Monomial table F[i, a] = prod_j z[a, j]**u[i, j] for a stack of
+    multi-indices u (one per row), built from per-mode power tables z**k."""
+    u = np.asarray(u, dtype=int).reshape(-1, z.shape[1])
+    powers = z.T[:, None, :] ** np.arange(u.max(initial=0) + 1)[None, :, None]
+    table = powers[0, u[:, 0]]
+    for j in range(1, z.shape[1]):
+        table = table * powers[j, u[:, j]]
+    return table
+
+
+def weighted_moment(c: WeightedConstellation, p, q):
+    """The weighted monomial moment M(p, q) of a constellation.
+
+    With single multi-indices p, q (length = mode count) the moment is a
+    complex number.  With stacks p (A x n) and q (B x n) it is the A x B
+    matrix M[i, j] = M(p_i, q_j) = (conj(F_p) * w) @ F_q.T, where F_u is
+    the monomial table of the points (one row per multi-index); a single
+    index next to a stack counts as a stack of one.
+    """
     p = np.asarray(p, dtype=int)
     q = np.asarray(q, dtype=int)
-    if p.shape != (c.modes,) or q.shape != (c.modes,):
+    if any(u.ndim not in (1, 2) or u.shape[-1] != c.modes for u in (p, q)):
         raise ValidationError(
             f"multi-index length must equal the mode count {c.modes} (got {p.shape}, {q.shape})"
         )
-    vals = np.prod(np.conj(c.points) ** p * c.points**q, axis=1)
-    return complex(c.weights @ vals)
-
-
-def _code_moments(code: CodeSpec, p, q) -> np.ndarray:
-    return np.array([weighted_moment(c, p, q) for c in code.logicals])
-
-
-def _max_deviation(code: CodeSpec, p, q) -> float:
-    m = _code_moments(code, p, q)
-    return float(np.abs(m - m[0]).max())
+    m = (np.conj(_monomials(c.points, p)) * c.weights) @ _monomials(c.points, q).T
+    return complex(m[0, 0]) if p.ndim == q.ndim == 1 else m
 
 
 def moment_match_degree(code: CodeSpec, t_max: int, tol: float = 1e-9) -> int:
     """Largest t <= t_max such that every moment pair (p, q) with total
     degree |p|+|q| <= t agrees across all logical constellations within tol.
 
-    Enumerates multi-index pairs exhaustively; degree 0 always matches.
+    Enumerates multi-index pairs exhaustively, one degree at a time in
+    blocks of fixed |p|, and stops at the first block that fails; degree 0
+    always matches.  Blocks with |p| <= |q| suffice, as M(q, p) is the
+    conjugate of M(p, q).
     """
     if code.dim < 2:
         raise ValidationError("moment matching needs at least two codewords")
-    n = code.modes
+    levels = [list(multi_indices(code.modes, k)) for k in range(int(t_max) + 1)]
     for degree in range(1, int(t_max) + 1):
-        for pq in multi_indices(2 * n, degree):
-            if _max_deviation(code, pq[:n], pq[n:]) > tol:
+        for dp in range(degree // 2 + 1):
+            moms = np.array([weighted_moment(c, levels[dp], levels[degree - dp])
+                             for c in code.logicals])
+            if np.abs(moms - moms[0]).max() > tol:
                 return degree - 1
     return int(t_max)
 
@@ -119,11 +140,9 @@ def design_moment_deviation(
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     w = np.asarray(weights, dtype=float)
     D = pts.shape[1]
-    worst = 0.0
-    for u in multi_indices_upto(D, int(t)):
-        mom = float(w @ np.prod(pts ** np.asarray(u), axis=1))
-        worst = max(worst, abs(mom - sphere_monomial_integral(D, u)))
-    return worst
+    us = list(multi_indices_upto(D, int(t)))
+    exact = np.array([sphere_monomial_integral(D, u) for u in us])
+    return float(np.abs(_monomials(pts, us) @ w - exact).max())
 
 
 def is_spherical_design(c: WeightedConstellation, t: int, tol: float = 1e-9) -> bool:

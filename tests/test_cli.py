@@ -1,8 +1,21 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from cubacode.cli import main
+
+
+def readme_commands():
+    """The `cubacode ...` lines of the README's "Command line" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("cubacode ")
+    ]
 
 
 def run_cli(capsys, *argv):
@@ -150,3 +163,13 @@ def test_header_reports_options(capsys):
     assert status == 0
     assert "# ceiling = 6" in out
     assert "# tol = 1e-09" in out
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_exits_0(argv, tmp_path, capsys):
+    argv = list(argv)
+    if "--out" in argv:
+        i = argv.index("--out") + 1
+        argv[i] = str(tmp_path / argv[i])
+    status, _, err = run_cli(capsys, *argv)
+    assert status == 0, err

@@ -24,7 +24,12 @@ from cubacode import (
     scale_code,
     two_shell_24cell_code,
 )
-from cubacode.constellation import RotationFamily, min_squared_distance
+from cubacode.constellation import (
+    RotationFamily,
+    golden_section_max,
+    grid_golden_max,
+    min_squared_distance,
+)
 
 
 def random_orthogonal(dim, seed):
@@ -311,3 +316,57 @@ def test_catalog_resolution_regression():
     assert abs(d_e_at_unit_energy(polygon_shell_code(6, 2, (1.0, 2.0))) - 0.26) < 0.01
     assert abs(d_e_at_unit_energy(polygon_shell_code(4, 3, (1.0, 2.0, 3.0))) - 0.44) < 0.01
     assert abs(d_e_at_unit_energy(two_shell_24cell_code(2.0)) - 0.56) < 0.01
+
+
+# ---------------------------------------------------------------------------
+# Golden-section search
+# ---------------------------------------------------------------------------
+
+
+def recording(f):
+    seen = []
+
+    def g(x):
+        seen.append((x, f(x)))
+        return seen[-1][1]
+
+    return g, seen
+
+
+def test_golden_section_stops_on_tol_and_max_iter():
+    # The bracket shrinks by the golden ratio per step: 0.618**5 < 0.1.
+    f, seen = recording(lambda x: -(x - 0.3) ** 2)
+    golden_section_max(f, 0.0, 1.0, tol=0.1, max_iter=100)
+    assert len(seen) == 2 + 5
+    f, seen = recording(lambda x: -(x - 0.3) ** 2)
+    x, fx = golden_section_max(f, 0.0, 1.0, tol=0.0, max_iter=10)
+    assert len(seen) == 2 + 10
+    f, seen = recording(lambda x: -(x - 0.3) ** 2)
+    x, fx = golden_section_max(f, 0.0, 1.0, tol=0.0, max_iter=60)
+    assert abs(x - 0.3) < 1e-9 and fx == -((x - 0.3) ** 2)
+
+
+def test_golden_section_returns_best_evaluated_point():
+    # Not unimodal: the bracket may close in on a worse local maximum.
+    f, seen = recording(lambda x: np.sin(9.0 * x) + 0.3 * x)
+    best = golden_section_max(f, 0.0, 2.0, tol=1e-6, max_iter=40)
+    assert best == max(seen, key=lambda t: t[1])
+    f, seen = recording(lambda x: 1.0)
+    assert golden_section_max(f, 0.0, 1.0, tol=0.0, max_iter=5) == seen[0]
+
+
+def test_golden_section_ranks_none_lowest():
+    f, seen = recording(lambda x: None if x < 0.5 else -(x - 0.7) ** 2)
+    x, fx = golden_section_max(f, 0.0, 1.0, tol=1e-8, max_iter=100)
+    assert any(v is None for _, v in seen)
+    assert abs(x - 0.7) < 1e-6 and fx is not None
+    assert golden_section_max(lambda x: None, 0.0, 1.0, tol=0.0, max_iter=3)[1] is None
+
+
+def test_grid_golden_max_refines_between_grid_neighbours():
+    xs = [0.0, 0.5, 1.0, 1.5]
+    f = lambda x: None if x > 1.2 else -(x - 0.6) ** 2  # noqa: E731
+    x, fx = grid_golden_max(f, xs, [f(x) for x in xs], tol=1e-9, max_iter=100)
+    assert abs(x - 0.6) < 1e-6
+    # The grid point wins ties.
+    assert grid_golden_max(lambda x: 2.0, xs, [1.0, 2.0, 2.0, 1.0], 1e-3, 10) == (0.5, 2.0)

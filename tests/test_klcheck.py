@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cubacode import (
+    CodeSpec,
     DegenerateCodewordsError,
     FockSpace,
     ValidationError,
@@ -12,10 +15,13 @@ from cubacode import (
     code_parameters,
     kl_report,
     ladder_matrix_element,
+    moment_match_degree,
     polygon_shell_code,
+    WeightedConstellation,
 )
 from cubacode.fock import annihilation
-from cubacode.klcheck import ParamTriple, codeword_gram
+from cubacode.klcheck import ParamTriple, codeword_gram, lowdin_inverse_sqrt
+from cubacode.moments import multi_indices, multi_indices_upto
 
 
 def fock_ladder_element(a, b, p, q, cutoff=40):
@@ -186,3 +192,153 @@ def test_param_triple_invariants():
         ParamTriple(t_down=3, d_updown=5, d_down=4, search_ceiling=10)
     with pytest.raises(ValidationError):
         ParamTriple(t_down=3, d_updown=4, d_down=11, search_ceiling=10)
+
+
+# ---------------------------------------------------------------------------
+# Loop references for the stacked moment and block evaluations
+# ---------------------------------------------------------------------------
+
+
+def scalar_moment(c, p, q) -> complex:
+    return complex(sum(
+        w * np.prod(np.conj(a) ** np.asarray(p) * a ** np.asarray(q))
+        for a, w in zip(c.points, c.weights)
+    ))
+
+
+def pair_matches(code, p, q, tol) -> bool:
+    m = [scalar_moment(c, p, q) for c in code.logicals]
+    return max(abs(x - m[0]) for x in m) <= tol
+
+
+def reference_match_degree(code, t_max, tol=1e-9) -> int:
+    n = code.modes
+    for degree in range(1, t_max + 1):
+        for pq in multi_indices(2 * n, degree):
+            if not pair_matches(code, pq[:n], pq[n:], tol):
+                return degree - 1
+    return t_max
+
+
+def reference_code_parameters(code, ceiling, tol=1e-9) -> tuple:
+    n = code.modes
+    zero = (0,) * n
+    d_down = ceiling
+    for degree in range(1, ceiling):
+        if not all(pair_matches(code, zero, q, tol) for q in multi_indices(n, degree)):
+            d_down = degree
+            break
+    d_updown = reference_match_degree(code, ceiling - 1, tol) + 1
+    t_down = ceiling
+    for k in range(2, ceiling + 1):
+        # Pairs new at level k have |p| = k-1 or |q| = k-1.
+        new = [
+            (p, q)
+            for dp in range(k)
+            for dq in range(k)
+            if k - 1 in (dp, dq)
+            for p in multi_indices(n, dp)
+            for q in multi_indices(n, dq)
+        ]
+        if not all(pair_matches(code, p, q, tol) for p, q in new):
+            t_down = k - 1
+            break
+    return (t_down, d_updown, d_down)
+
+
+REFERENCE_CODES = [
+    (cat_code(2, 2), 8),
+    (cat_code(6, 2), 10),
+    (cat_code(8, 3), 10),
+    (polygon_shell_code(6, 2, (1.0, 2.0)), 20),
+    (polygon_shell_code(4, 3, (1.0, 2.0, 3.0)), 14),
+    (build_catalog_code("cell16_qutrit"), 8),
+    (build_catalog_code("cell8_cell16_qubit"), 8),
+    (build_catalog_code("cube_orthoplex", {"D": 4}), 9),
+    (build_catalog_code("twoshell_24cell", {"tau": 2.0}), 8),
+    (build_catalog_code("twoshell_8_16", {"r1": 1.0, "r2": 2.0}), 8),
+]
+
+
+@pytest.mark.parametrize("code, ceiling", REFERENCE_CODES, ids=lambda v: getattr(v, "name", str(v)))
+def test_parameters_and_degree_match_loop_reference(code, ceiling):
+    assert code_parameters(code, ceiling).astuple() == reference_code_parameters(code, ceiling)
+    assert moment_match_degree(code, ceiling) == reference_match_degree(code, ceiling)
+
+
+def test_identical_codewords_reach_the_ceiling():
+    c = build_catalog_code("orthoplex", {"D": 4}).logicals[0]
+    code = CodeSpec(name="twin", logicals=(c, c))
+    assert code_parameters(code, 7).astuple() == reference_code_parameters(code, 7) == (7, 7, 7)
+    assert code_parameters(code, 1).astuple() == (1, 1, 1)
+
+
+@st.composite
+def symmetrized_codes(draw):
+    """K = 2 codes from a random base set: codeword k holds the base set
+    rotated by the even (k = 0) or odd (k = 1) powers of exp(2 pi i / 2M)
+    on every mode, so moments match up to a degree set by M and the base."""
+    modes = draw(st.integers(1, 2))
+    size = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 4))
+    radius = st.floats(0.5, 2.0)
+    angle = st.floats(0.0, 2 * np.pi)
+    base = np.array([
+        [r * np.exp(1j * phi) for r, phi in draw(st.lists(st.tuples(radius, angle),
+                                                          min_size=modes, max_size=modes))]
+        for _ in range(size)
+    ])
+    weights = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=size, max_size=size)))
+    omega = np.exp(1j * np.pi / order)
+    if modes == 1 and draw(st.booleans()):
+        # A second shell cancelling the degree-`order` pure-loss moments,
+        # as interpolatory shell weights do: then d_down exceeds d_updown.
+        ratio = draw(st.floats(1.3, 2.0))
+        base = np.vstack([base, base * ratio * omega])
+        weights = np.append(weights, weights * ratio ** -order)
+    logicals = []
+    for k in range(2):
+        pts = np.vstack([base * omega ** (2 * j + k) for j in range(order)])
+        w = np.tile(weights, order)
+        try:
+            logicals.append(WeightedConstellation(points=pts, weights=w / w.sum()))
+        except ValidationError:
+            assume(False)  # coincident points
+    return CodeSpec(name="symmetrized", logicals=tuple(logicals))
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetrized_codes())
+def test_random_codes_match_loop_reference(code):
+    assert code_parameters(code, 7).astuple() == reference_code_parameters(code, 7)
+    assert moment_match_degree(code, 7) == reference_match_degree(code, 7)
+
+
+def reference_kl_block(code, mu, nu, scale) -> np.ndarray:
+    ginv = lowdin_inverse_sqrt(codeword_gram(code, scale))
+    raw = np.array([
+        [
+            sum(
+                np.sqrt(wa * wb) * ladder_matrix_element(scale * a, scale * b, mu, nu)
+                for a, wa in zip(ck.points, ck.weights)
+                for b, wb in zip(cl.points, cl.weights)
+            )
+            for cl in code.logicals
+        ]
+        for ck in code.logicals
+    ])
+    return ginv @ raw @ ginv
+
+
+@pytest.mark.parametrize("code, max_loss, scale", [
+    (cat_code(4, 2), 3, 2.0),
+    (polygon_shell_code(4, 2, (1.0, 2.0)), 2, 1.5),
+    (build_catalog_code("orthoplex", {"D": 4}), 2, 2.5),
+], ids=["cat4", "square_shells", "orthoplex4"])
+def test_kl_blocks_match_per_entry_reference(code, max_loss, scale):
+    rep = kl_report(code, max_loss=max_loss, scale=scale)
+    qs = list(multi_indices_upto(code.modes, max_loss))
+    assert set(rep.matrices) == {(mu, nu) for mu in qs for nu in qs}
+    for (mu, nu), block in rep.matrices.items():
+        ref = reference_kl_block(code, mu, nu, scale)
+        assert np.abs(block - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())

@@ -101,6 +101,34 @@ def test_moment_conjugation_symmetry(p1, q1, p2, q2):
     assert m1 == pytest.approx(np.conj(m2), abs=1e-13)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("cat", {"m": 6}),
+    ("polygon_shells", {"m": 4, "p": 3, "radii": [1.0, 2.0, 3.0]}),
+    ("twoshell_8_16", {"r1": 1.0, "r2": 2.0}),
+    ("cube_orthoplex", {"D": 6}),
+], ids=["cat6", "square_shells", "twoshell_8_16", "cube_orthoplex6"])
+def test_stacked_moments_match_scalar_loop(name, params):
+    c = build_catalog_code(name, params).logicals[0]
+    ps = list(multi_indices_upto(c.modes, 2))
+    qs = list(multi_indices_upto(c.modes, 3))
+    stacked = weighted_moment(c, ps, qs)
+    assert stacked.shape == (len(ps), len(qs))
+    for i, p in enumerate(ps):
+        for j, q in enumerate(qs):
+            loop = sum(w * np.prod(np.conj(a) ** np.asarray(p) * a ** np.asarray(q))
+                       for a, w in zip(c.points, c.weights))
+            scalar = weighted_moment(c, p, q)
+            assert isinstance(scalar, complex)
+            for ref in (loop, scalar):
+                assert abs(stacked[i, j] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_stacked_moment_index_length_checked():
+    c = cat_code(2, 1).logicals[0]
+    with pytest.raises(ValidationError, match="multi-index"):
+        weighted_moment(c, [(0,), (1,)], [(0, 1)])
+
+
 # ---------------------------------------------------------------------------
 # moment_match_degree
 # ---------------------------------------------------------------------------
