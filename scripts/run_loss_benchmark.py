@@ -3,9 +3,8 @@
 pairwise relative-infidelity curves for the single- vs multi-shell code
 pairs with 8, 12 and (optionally) 24 coherent states per codeword.
 
-Writes CSV artifacts into results/ (or --outdir).  The two-mode 24-point
-pair is gated behind --big because its truncated spaces are much larger;
-expect a few minutes of runtime with it enabled.
+Writes CSV artifacts into results/ (or --outdir).  --big adds the
+two-mode 24-point pair, which runs on the same grid as the others.
 
 Usage:
     python scripts/run_loss_benchmark.py [--outdir results] [--big]
@@ -22,7 +21,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cubacode import build_catalog_code, normalize_energy  # noqa: E402
 from cubacode.bench import (  # noqa: E402
-    DEFAULT_BASE_CUTOFF,
     PairPoint,
     optimal_scale_adaptive,
     sweep_alpha,
@@ -50,7 +48,6 @@ def main() -> int:
                         default=[0.02, 0.05, 0.08, 0.1, 0.12, 0.15, 0.18, 0.2])
     parser.add_argument("--grid", type=float, nargs=3, default=[0.8, 3.3, 14],
                         metavar=("LO", "HI", "N"))
-    parser.add_argument("--cutoff", type=int, default=DEFAULT_BASE_CUTOFF)
     parser.add_argument("--jobs", type=int, default=None)
     parser.add_argument("--big", action="store_true",
                         help="include the two-mode 24-point pair")
@@ -66,37 +63,27 @@ def main() -> int:
     gamma_axis = np.round(np.arange(0.0, 0.2001, 0.02), 4)
 
     for ell in pairs:
-        if ell == 24 and not args.big:
-            print(f"skipping the two-mode pair {ell} (rerun with --big)")
-            continue
-        base_cutoff = args.cutoff if ell != 24 else 24  # two modes: dimension = cutoff^2
         qcc = normalize_energy(build_catalog_code(f"qcc{ell}"), 1.0)[0]
         qsc = normalize_energy(build_catalog_code(f"qsc{ell}"), 1.0)[0]
-        this_grid = grid if ell != 24 else np.linspace(0.9, 2.1, 7)
         print(f"pair {ell}: amplitude sweeps at gamma = 0.1")
         points = []
         for label, code in ((f"qcc{ell}", qcc), (f"qsc{ell}", qsc)):
-            points += sweep_alpha(code, label, 0.1, this_grid,
-                                  base_cutoff=base_cutoff, jobs=args.jobs)
+            points += sweep_alpha(code, label, 0.1, grid, jobs=args.jobs)
         write_csv(outdir / f"sweep_alpha_{ell}.csv", _BENCH_HEADER, _bench_rows(points))
 
         print(f"pair {ell}: loss-rate sweeps at the gamma = 0.1 optima")
         points = []
         optima = {}
         for label, code in ((f"qcc{ell}", qcc), (f"qsc{ell}", qsc)):
-            s_op, f_op = optimal_scale_adaptive(code, 0.1, this_grid,
-                                                base_cutoff=base_cutoff, jobs=args.jobs)
+            s_op, f_op = optimal_scale_adaptive(code, 0.1, grid, jobs=args.jobs)
             optima[label] = s_op
             print(f"  {label}: alpha_op = {s_op:.4f}, F_op = {f_op:.6f}")
-            points += sweep_gamma(code, label, gamma_axis, scale=s_op,
-                                  base_cutoff=base_cutoff, jobs=args.jobs)
+            points += sweep_gamma(code, label, gamma_axis, scale=s_op, jobs=args.jobs)
         write_csv(outdir / f"sweep_gamma_{ell}.csv", _BENCH_HEADER, _bench_rows(points))
 
         print(f"pair {ell}: relative infidelity at the gamma = 0.1 optima")
-        multi = sweep_gamma(qcc, "", args.gammas, scale=optima[f"qcc{ell}"],
-                            base_cutoff=base_cutoff, jobs=args.jobs)
-        single = sweep_gamma(qsc, "", args.gammas, scale=optima[f"qsc{ell}"],
-                             base_cutoff=base_cutoff, jobs=args.jobs)
+        multi = sweep_gamma(qcc, "", args.gammas, scale=optima[f"qcc{ell}"], jobs=args.jobs)
+        single = sweep_gamma(qsc, "", args.gammas, scale=optima[f"qsc{ell}"], jobs=args.jobs)
         rows = [PairPoint(gamma=m.gamma, f_single=s.fidelity, f_multi=m.fidelity)
                 for m, s in zip(multi, single)]
         write_csv(outdir / f"pair_{ell}.csv", _PAIR_HEADER, _pair_rows(rows))

@@ -2,8 +2,8 @@
 
 Construction of weighted coherent-state constellation codes, closed-form
 verification of their error-correction conditions, design-degree and
-point-count analysis, and pure-loss channel benchmarking on a truncated
-Fock space.
+point-count analysis, and pure-loss channel benchmarking in the span of
+the coherent states (with a truncated-Fock-space reference).
 """
 
 from .catalog import (
@@ -62,11 +62,13 @@ from .fock import (
 )
 from .klcheck import (
     KLReport,
+    LossFidelity,
     ParamTriple,
     code_parameters,
     coherent_overlap,
     kl_report,
     ladder_matrix_element,
+    loss_fidelity,
 )
 from .moments import (
     BoundsReport,

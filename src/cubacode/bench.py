@@ -1,13 +1,12 @@
 """Pure-loss benchmark protocol.
 
-Codes are energy-normalized to mean photon number 1, an amplitude scale
-sweeps the mean photon number, and each code is always simulated at a
-per-mode cutoff adequate for its own components: the base cutoff acts as
-a floor and is raised (in steps of 8, within the dimension budget) until
-the worst weighted codeword tail clears a margin below the encoding
-tolerance.  Without this, codes with energetic outer shells would have
-their sweeps truncated asymmetrically relative to single-shell codes at
-the same mean photon number.
+Codes are energy-normalized to mean photon number 1, and an amplitude
+scale sweeps the mean photon number.  Every point's transpose-recovery
+fidelity comes from ``klcheck.loss_fidelity``, which works in the span of
+the coherent states: nothing is truncated in Fock space, so codes with
+energetic outer shells, two- and three-mode codes and large scales are
+all evaluated the same way.  The only truncation is the total loss order,
+chosen per point so that the codeword weight it drops stays below 1e-10.
 
 The pair comparison optimizes each code's scale at gamma = 0.1 and then
 reports the relative infidelity R = (1 - F_single) / (1 - F_multi) across
@@ -16,91 +15,45 @@ a list of loss rates with the scales held fixed.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constellation import CodeSpec, grid_golden_max, normalize_energy
-from .errors import CutoffError, ValidationError
-from .fock import FockSpace, dim_budget, fidelity_details
+from .constellation import CodeSpec, grid_golden_max, mean_photon_number, normalize_energy
+from .errors import ValidationError
+from .klcheck import loss_fidelity
 
 DEFAULT_GRID = (0.8, 3.3, 14)
-DEFAULT_BASE_CUTOFF = 40
-# Margin below the 1e-10 encoding tail tolerance when sizing the cutoff.
-_CUTOFF_TAIL_TOL = 1e-11
-
-
-def poisson_sf(k: int, lam: float) -> float:
-    """P(Poisson(lam) >= k)."""
-    if lam <= 0.0:
-        return 0.0
-    log_term = -lam
-    cdf = 0.0
-    for i in range(k):
-        cdf += math.exp(log_term)
-        log_term += math.log(lam) - math.log(i + 1)
-    return max(0.0, 1.0 - cdf)
-
-
-def suggest_cutoff(
-    code: CodeSpec,
-    scale: float,
-    base: int = DEFAULT_BASE_CUTOFF,
-    tail_tol: float = _CUTOFF_TAIL_TOL,
-    step: int = 8,
-) -> int:
-    """Smallest per-mode cutoff >= base keeping every codeword's weighted
-    Poisson tail below tail_tol, within the dimension budget."""
-    cap = int(dim_budget() ** (1.0 / code.modes))
-    nc = int(base)
-    if nc > cap:
-        raise CutoffError(f"base cutoff {nc} exceeds the dimension budget for {code.modes} modes")
-    while True:
-        worst = 0.0
-        for c in code.logicals:
-            tail = 0.0
-            for w, pt in zip(c.weights, c.points):
-                tail += w * sum(poisson_sf(nc, abs(scale * z) ** 2) for z in pt)
-            worst = max(worst, tail)
-        if worst <= tail_tol:
-            return nc
-        if nc + step > cap:
-            raise CutoffError(
-                f"no cutoff within the dimension budget fits scale {scale:g} "
-                f"(weighted tail {worst:.3e} at cutoff {nc})"
-            )
-        nc += step
 
 
 @dataclass(frozen=True)
 class BenchPoint:
+    """One benchmark row.  ``loss_order`` is the total loss order L kept and
+    ``dropped_weight`` the bound on the codeword weight beyond it."""
+
     code: str
     gamma: float
     scale: float
     nbar: float
     fidelity: float
     infidelity: float
-    cutoff: int
-    tail_mass: float
-    kraus_lmax: int
+    loss_order: int
+    dropped_weight: float
 
 
-def _evaluate(code: CodeSpec, label: str, gamma: float, scale: float, base_cutoff: int) -> BenchPoint:
-    nc = suggest_cutoff(code, scale, base=base_cutoff)
-    det = fidelity_details(code, gamma, scale, FockSpace(code.modes, nc))
+def _evaluate(code: CodeSpec, label: str, gamma: float, scale: float) -> BenchPoint:
+    res = loss_fidelity(code, gamma, scale)
     return BenchPoint(
         code=label,
         gamma=gamma,
         scale=scale,
-        nbar=det.nbar,
-        fidelity=det.fidelity,
-        infidelity=1.0 - det.fidelity,
-        cutoff=nc,
-        tail_mass=det.tail_mass,
-        kraus_lmax=det.kraus_l_max,
+        nbar=float(scale**2 * np.mean([mean_photon_number(c) for c in code.logicals])),
+        fidelity=res.fidelity,
+        infidelity=1.0 - res.fidelity,
+        loss_order=res.loss_order,
+        dropped_weight=res.dropped_weight,
     )
 
 
@@ -124,16 +77,13 @@ def sweep_alpha(
     label: str,
     gamma: float,
     grid: Sequence[float],
-    base_cutoff: int = DEFAULT_BASE_CUTOFF,
     jobs: Optional[int] = None,
 ) -> List[BenchPoint]:
     """Fidelity at each amplitude scale in the grid (fixed loss rate)."""
     scales = [float(s) for s in grid]
     if not scales or any(s <= 0 for s in scales):
         raise ValidationError("scale grid must be a nonempty list of positive values")
-    tasks = [
-        (lambda s=s: _evaluate(code, label, gamma, s, base_cutoff)) for s in sorted(scales)
-    ]
+    tasks = [(lambda s=s: _evaluate(code, label, gamma, s)) for s in sorted(scales)]
     return _parallel(tasks, jobs)
 
 
@@ -141,13 +91,12 @@ def optimal_scale_adaptive(
     code: CodeSpec,
     gamma: float,
     grid: Sequence[float],
-    base_cutoff: int = DEFAULT_BASE_CUTOFF,
     jobs: Optional[int] = None,
 ) -> Tuple[float, float]:
-    """Grid scan plus golden-section refinement with per-point cutoffs."""
-    points = sweep_alpha(code, "", gamma, grid, base_cutoff, jobs)
+    """Grid scan plus golden-section refinement of the fidelity."""
+    points = sweep_alpha(code, "", gamma, grid, jobs)
     return grid_golden_max(
-        lambda s: _evaluate(code, "", gamma, s, base_cutoff).fidelity,
+        lambda s: _evaluate(code, "", gamma, s).fidelity,
         [p.scale for p in points], [p.fidelity for p in points], tol=1e-4, max_iter=40,
     )
 
@@ -158,18 +107,14 @@ def sweep_gamma(
     gammas: Sequence[float],
     scale: Optional[float] = None,
     grid: Optional[Sequence[float]] = None,
-    base_cutoff: int = DEFAULT_BASE_CUTOFF,
     jobs: Optional[int] = None,
 ) -> List[BenchPoint]:
     """Fidelity across loss rates at a fixed scale; when no scale is given
     it is optimized at gamma = 0.1 over the grid first."""
     if scale is None:
         grid = grid if grid is not None else np.linspace(*DEFAULT_GRID)
-        scale, _ = optimal_scale_adaptive(code, 0.1, grid, base_cutoff, jobs)
-    tasks = [
-        (lambda g=g: _evaluate(code, label, float(g), float(scale), base_cutoff))
-        for g in gammas
-    ]
+        scale, _ = optimal_scale_adaptive(code, 0.1, grid, jobs)
+    tasks = [(lambda g=g: _evaluate(code, label, float(g), float(scale))) for g in gammas]
     return _parallel(tasks, jobs)
 
 
@@ -191,7 +136,6 @@ def pair_bench(
     single_shell: CodeSpec,
     gammas: Sequence[float],
     grid: Optional[Sequence[float]] = None,
-    base_cutoff: int = DEFAULT_BASE_CUTOFF,
     jobs: Optional[int] = None,
 ) -> Tuple[Tuple[float, float], Tuple[float, float], List[PairPoint]]:
     """Optimize both codes' scales at gamma = 0.1 and report the relative
@@ -203,11 +147,11 @@ def pair_bench(
     if multi_shell.dim != single_shell.dim:
         raise ValidationError("paired codes must encode the same number of logical states")
     grid = grid if grid is not None else np.linspace(*DEFAULT_GRID)
-    opt_multi = optimal_scale_adaptive(multi_shell, 0.1, grid, base_cutoff, jobs)
-    opt_single = optimal_scale_adaptive(single_shell, 0.1, grid, base_cutoff, jobs)
+    opt_multi = optimal_scale_adaptive(multi_shell, 0.1, grid, jobs)
+    opt_single = optimal_scale_adaptive(single_shell, 0.1, grid, jobs)
     rows = []
     for g in gammas:
-        fm = _evaluate(multi_shell, "", float(g), opt_multi[0], base_cutoff).fidelity
-        fs = _evaluate(single_shell, "", float(g), opt_single[0], base_cutoff).fidelity
+        fm = _evaluate(multi_shell, "", float(g), opt_multi[0]).fidelity
+        fs = _evaluate(single_shell, "", float(g), opt_single[0]).fidelity
         rows.append(PairPoint(gamma=float(g), f_single=fs, f_multi=fm))
     return opt_multi, opt_single, rows

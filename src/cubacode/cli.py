@@ -293,14 +293,9 @@ def _bench_pair_codes(args):
     return build_catalog_code(args.qcc), build_catalog_code(args.qsc)
 
 
-def _check_budget(code: CodeSpec, args):
-    if code.modes > 1 and not args.big:
-        raise ValidationError(
-            "two-mode benchmarks are gated behind --big (dimension budget); "
-            "rerun with --big to allow them"
-        )
-
-
+# The last three columns keep their names from the truncated-Fock engine:
+# "cutoff" is 0 (no Fock cutoff), "tail_mass" is the bound on the codeword
+# weight beyond the loss order kept, and "kraus_lmax" is that total order L.
 _BENCH_HEADER = [
     "code", "gamma", "scale", "nbar", "fidelity", "infidelity",
     "cutoff", "tail_mass", "kraus_lmax",
@@ -311,7 +306,7 @@ def _bench_rows(points) -> List[List[str]]:
     return [
         [
             p.code, _fmt(p.gamma), _fmt(p.scale), _fmt(p.nbar), _fmt(p.fidelity),
-            _fmt(p.infidelity), str(p.cutoff), _fmt(p.tail_mass), str(p.kraus_lmax),
+            _fmt(p.infidelity), "0", _fmt(p.dropped_weight), str(p.loss_order),
         ]
         for p in points
     ]
@@ -328,12 +323,10 @@ def cmd_bench(args) -> int:
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     if args.bench_command == "sweep-alpha":
         code = _load_code(args)
-        _check_budget(code, args)
         label = args.catalog or os.path.basename(args.code_file)
         norm = bench_mod.normalized(code)
         points = bench_mod.sweep_alpha(
-            norm, label, args.gamma, _parse_grid(args.grid),
-            base_cutoff=args.cutoff, jobs=jobs,
+            norm, label, args.gamma, _parse_grid(args.grid), jobs=jobs,
         )
         for line in _header(args):
             print(line)
@@ -343,13 +336,12 @@ def cmd_bench(args) -> int:
         return 0
     if args.bench_command == "sweep-gamma":
         code = _load_code(args)
-        _check_budget(code, args)
         label = args.catalog or os.path.basename(args.code_file)
         norm = bench_mod.normalized(code)
         scale = None if args.alpha_op == "auto" else float(args.alpha_op)
         points = bench_mod.sweep_gamma(
             norm, label, _parse_floats(args.gammas), scale=scale,
-            grid=_parse_grid(args.grid), base_cutoff=args.cutoff, jobs=jobs,
+            grid=_parse_grid(args.grid), jobs=jobs,
         )
         for line in _header(args):
             print(line)
@@ -359,12 +351,9 @@ def cmd_bench(args) -> int:
         return 0
     if args.bench_command == "pair":
         qcc, qsc = _bench_pair_codes(args)
-        _check_budget(qcc, args)
-        _check_budget(qsc, args)
         opt_multi, opt_single, rows = bench_mod.pair_bench(
             bench_mod.normalized(qcc), bench_mod.normalized(qsc),
-            _parse_floats(args.gammas), grid=_parse_grid(args.grid),
-            base_cutoff=args.cutoff, jobs=jobs,
+            _parse_floats(args.gammas), grid=_parse_grid(args.grid), jobs=jobs,
         )
         for line in _header(args, {"qcc_alpha_op": _fmt(opt_multi[0]), "qsc_alpha_op": _fmt(opt_single[0])}):
             print(line)
@@ -429,12 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     def _common_bench(p, code_source=True):
         if code_source:
             _add_code_source(p)
-        p.add_argument("--cutoff", type=int, default=bench_mod.DEFAULT_BASE_CUTOFF,
-                       help="base per-mode cutoff (raised adaptively per point)")
         p.add_argument("--grid", default="0.8:3.3:14", help="scale grid a:b:n")
         p.add_argument("--jobs", type=int, default=None, help="parallel evaluations")
         p.add_argument("--big", action="store_true",
-                       help="allow two-mode codes (larger dimension budget)")
+                       help="accepted for compatibility; has no effect (every code runs)")
         p.add_argument("--out", help="CSV output path (default: stdout)")
 
     p_sa = bench_sub.add_parser("sweep-alpha", help="fidelity vs amplitude scale")

@@ -426,7 +426,9 @@ def fidelity_details(
     tail_tol: float = 1e-10,
 ) -> FidelityResult:
     """Entanglement fidelity of recovery . loss . encode on the logical
-    space, with bookkeeping used by the benchmark CSV output.
+    space, with its truncation bookkeeping (cutoff, tail mass, loss order).
+    The benchmark computes the same fidelity without truncation
+    (``klcheck.loss_fidelity``); this path is its test reference.
 
     The composite logical Kraus family is {V^+ R_j K_l V}; the fidelity is
     (1/K^2) sum |tr A|^2.  The transpose-recovery path works with the

@@ -18,7 +18,6 @@ from cubacode import (
     code_parameters,
     cube_orthoplex_code,
     encode,
-    entanglement_fidelity,
     hypercube_code,
     is_spherical_design,
     kl_report,
@@ -36,7 +35,7 @@ from cubacode import (
     verify_ztype,
     ztype_polynomials,
 )
-from cubacode.bench import optimal_scale_adaptive, pair_bench, suggest_cutoff
+from cubacode.bench import optimal_scale_adaptive, pair_bench, sweep_gamma
 from cubacode.fock import annihilation, mode_operator
 from cubacode.klcheck import codeword_gram, lowdin_inverse_sqrt
 from cubacode.moments import code_size_bounds, multi_indices_upto, sphere_monomial_integral
@@ -224,14 +223,13 @@ def test_criterion_5_oracle_equivalence():
 
 def test_criterion_6_benchmark_structure():
     started = time.perf_counter()
-    base_cutoff = 40
     grid = np.linspace(0.8, 3.3, 14)
     gammas = (0.05, 0.1, 0.15, 0.2)
 
     optima = {}
     for name in ("qsc8", "qcc8", "qsc12", "qcc12"):
         code = normalize_energy(build_catalog_code(name), 1.0)[0]
-        s_op, f_op = optimal_scale_adaptive(code, 0.1, grid, base_cutoff=base_cutoff)
+        s_op, f_op = optimal_scale_adaptive(code, 0.1, grid)
         optima[name] = (code, s_op, f_op)
 
     # (a) multi-shell codes reach their optimum at lower amplitude.
@@ -243,15 +241,14 @@ def test_criterion_6_benchmark_structure():
     for ell in (8, 12):
         qcc, s_qcc, _ = optima[f"qcc{ell}"]
         qsc, s_qsc, _ = optima[f"qsc{ell}"]
-        _, _, rows = pair_bench(qcc, qsc, gammas, grid=[s_qcc, s_qsc], base_cutoff=base_cutoff)
+        _, _, rows = pair_bench(qcc, qsc, gammas, grid=[s_qcc, s_qsc])
         for row in rows:
             assert row.r_infidelity > 1.0, f"pair {ell} at gamma {row.gamma}: R={row.r_infidelity}"
 
     # (c) and (d): unit fidelity at zero loss; monotone decrease in gamma.
     for name, (code, s_op, _) in optima.items():
-        cutoff = suggest_cutoff(code, s_op, base=base_cutoff)
-        space = FockSpace(1, cutoff)
-        fids = [entanglement_fidelity(code, g, s_op, space) for g in np.arange(0.0, 0.2001, 0.02)]
+        points = sweep_gamma(code, name, np.arange(0.0, 0.2001, 0.02), scale=s_op, jobs=1)
+        fids = [p.fidelity for p in points]
         assert abs(fids[0] - 1.0) < 1e-8, name
         assert all(b < a + 1e-12 for a, b in zip(fids, fids[1:])), name
         assert all(b < a for a, b in zip(fids[1:], fids[2:])), name

@@ -148,12 +148,25 @@ def test_bench_pair_identical_codes_gives_unit_ratio(tmp_path, capsys):
     assert abs(ratio - 1.0) < 1e-9
 
 
-def test_bench_two_mode_requires_big_flag(capsys):
-    status, _, err = run_cli(
-        capsys, "bench", "sweep-alpha", "--catalog", "qsc24", "--grid", "1.0:1.5:2"
+def test_bench_two_mode_runs_without_big_flag(capsys):
+    status, out, err = run_cli(
+        capsys, "bench", "sweep-alpha", "--catalog", "qsc24", "--grid", "1.0:1.5:2", "--jobs", "1"
     )
-    assert status == 2
-    assert "--big" in err
+    assert status == 0, err
+    rows = [line.split(",") for line in out.splitlines() if line.startswith("qsc24,")]
+    assert len(rows) == 2
+    # No Fock cutoff; the loss order and its dropped-weight bound are reported.
+    assert all(r[6] == "0" and float(r[7]) < 1e-10 and int(r[8]) > 0 for r in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ("bench", "pair", "--pair", "24", "--big"),
+    ("bench", "sweep-alpha", "--catalog", "cube_orthoplex", "--D", "6", "--big"),
+], ids=" ".join)
+def test_bench_large_codes_exit_0(argv, capsys):
+    status, out, err = run_cli(capsys, *argv, "--jobs", "1")
+    assert status == 0, err
+    assert "nan" not in out
 
 
 def test_header_reports_options(capsys):
