@@ -84,7 +84,8 @@ def main() -> int:
         print(f"pair {ell}: relative infidelity at the gamma = 0.1 optima")
         multi = sweep_gamma(qcc, "", args.gammas, scale=optima[f"qcc{ell}"], jobs=args.jobs)
         single = sweep_gamma(qsc, "", args.gammas, scale=optima[f"qsc{ell}"], jobs=args.jobs)
-        rows = [PairPoint(gamma=m.gamma, f_single=s.fidelity, f_multi=m.fidelity)
+        rows = [PairPoint(gamma=m.gamma, f_single=s.fidelity, f_multi=m.fidelity,
+                          gram_ratio=min(m.gram_ratio, s.gram_ratio))
                 for m, s in zip(multi, single)]
         write_csv(outdir / f"pair_{ell}.csv", _PAIR_HEADER, _pair_rows(rows))
     print("done")

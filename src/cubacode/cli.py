@@ -33,21 +33,33 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
+def _parse_number(text: str, option: str) -> float:
+    """A finite float from command-line text; anything else is a
+    ValidationError naming the option."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise ValidationError(f"{option}: expected a finite number, got {text.strip()!r}")
+    return value
+
+
 def _parse_grid(text: str) -> List[float]:
     """a:b:n -> n evenly spaced values; or a comma-separated list."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValidationError(f"grid must be a:b:n or a comma list (got {text!r})")
-        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-        if n < 1:
-            raise ValidationError("grid needs at least one point")
-        return [float(v) for v in np.linspace(a, b, n)]
-    return [float(v) for v in text.split(",") if v.strip()]
+        a, b, n = (_parse_number(v, "--grid") for v in parts)
+        if n < 1 or n != int(n):
+            raise ValidationError(f"--grid: the point count must be a positive integer ({text!r})")
+        return [float(v) for v in np.linspace(a, b, int(n))]
+    return _parse_floats(text, "--grid")
 
 
-def _parse_floats(text: str) -> List[float]:
-    return [float(v) for v in text.replace(":", ",").split(",") if v.strip()]
+def _parse_floats(text: str, option: str) -> List[float]:
+    return [_parse_number(v, option) for v in text.replace(":", ",").split(",") if v.strip()]
 
 
 def _add_code_source(parser: argparse.ArgumentParser):
@@ -78,7 +90,7 @@ def _load_code(args) -> CodeSpec:
         val = getattr(args, flag, None)
         if val is None:
             continue
-        params[flag] = _parse_floats(val) if flag == "radii" else val
+        params[flag] = _parse_floats(val, "--radii") if flag == "radii" else val
     return build_catalog_code(args.catalog, params)
 
 
@@ -133,7 +145,7 @@ def cmd_show(args) -> int:
     for flag in _CATALOG_FLAGS:
         val = getattr(args, flag, None)
         if val is not None:
-            params[flag] = _parse_floats(val) if flag == "radii" else val
+            params[flag] = _parse_floats(val, "--radii") if flag == "radii" else val
     print(describe(args.catalog, params))
     return 0
 
@@ -319,6 +331,12 @@ def _pair_rows(rows) -> List[List[str]]:
     return [[_fmt(r.gamma), _fmt(r.f_single), _fmt(r.f_multi), _fmt(r.r_infidelity)] for r in rows]
 
 
+def _gram_line(rows) -> dict:
+    """Header entry for the worst-conditioned row: roundoff puts an error of
+    up to about 0.42 eps / ratio on a fidelity (none when there are no rows)."""
+    return {"min_gram_ratio": _fmt(min(r.gram_ratio for r in rows))} if rows else {}
+
+
 def cmd_bench(args) -> int:
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     if args.bench_command == "sweep-alpha":
@@ -328,7 +346,7 @@ def cmd_bench(args) -> int:
         points = bench_mod.sweep_alpha(
             norm, label, args.gamma, _parse_grid(args.grid), jobs=jobs,
         )
-        for line in _header(args):
+        for line in _header(args, _gram_line(points)):
             print(line)
         _write_csv(args.out, _BENCH_HEADER, _bench_rows(points))
         if args.out:
@@ -338,12 +356,12 @@ def cmd_bench(args) -> int:
         code = _load_code(args)
         label = args.catalog or os.path.basename(args.code_file)
         norm = bench_mod.normalized(code)
-        scale = None if args.alpha_op == "auto" else float(args.alpha_op)
+        scale = None if args.alpha_op == "auto" else _parse_number(args.alpha_op, "--alpha-op")
         points = bench_mod.sweep_gamma(
-            norm, label, _parse_floats(args.gammas), scale=scale,
+            norm, label, _parse_floats(args.gammas, "--gammas"), scale=scale,
             grid=_parse_grid(args.grid), jobs=jobs,
         )
-        for line in _header(args):
+        for line in _header(args, _gram_line(points)):
             print(line)
         _write_csv(args.out, _BENCH_HEADER, _bench_rows(points))
         if args.out:
@@ -353,9 +371,10 @@ def cmd_bench(args) -> int:
         qcc, qsc = _bench_pair_codes(args)
         opt_multi, opt_single, rows = bench_mod.pair_bench(
             bench_mod.normalized(qcc), bench_mod.normalized(qsc),
-            _parse_floats(args.gammas), grid=_parse_grid(args.grid), jobs=jobs,
+            _parse_floats(args.gammas, "--gammas"), grid=_parse_grid(args.grid), jobs=jobs,
         )
-        for line in _header(args, {"qcc_alpha_op": _fmt(opt_multi[0]), "qsc_alpha_op": _fmt(opt_single[0])}):
+        extra = {"qcc_alpha_op": _fmt(opt_multi[0]), "qsc_alpha_op": _fmt(opt_single[0])}
+        for line in _header(args, {**extra, **_gram_line(rows)}):
             print(line)
         _write_csv(args.out, _PAIR_HEADER, _pair_rows(rows))
         if args.out:

@@ -11,6 +11,7 @@ construction and all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import copysign
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -413,46 +414,96 @@ def _pair_resolution(base: np.ndarray, rotated: np.ndarray) -> float:
     return min_squared_distance(np.vstack([base, rotated]))
 
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# Brent's golden-section fraction, and the shortest bracket the search
+# resolves relative to 1 + |x|: its smallest step, a third of that, stays a
+# few units in the last place, so every probe is a new float.
+_GOLDEN = (3.0 - np.sqrt(5.0)) / 2.0
+_XTOL_FLOOR = 9.0 * np.finfo(float).eps
 
 
 def _rank(value: Optional[float]) -> float:
     return -np.inf if value is None else value
 
 
-def golden_section_max(
-    f: Callable[[float], Optional[float]], a: float, b: float, tol: float, max_iter: int
+def _parabola_step(x: float, fx: float, w: float, fw: float, v: float, fv: float) -> float:
+    """Offset from x to the vertex of the parabola through three points
+    (NaN when they are collinear or two of them coincide)."""
+    r = (x - w) * (fx - fv)
+    q = (x - v) * (fx - fw)
+    denom = 2.0 * (q - r)
+    return ((x - w) * r - (x - v) * q) / denom if denom != 0.0 else np.nan
+
+
+def brent_max(
+    f: Callable[[float], Optional[float]],
+    a: float,
+    b: float,
+    tol: float,
+    max_iter: int,
+    seeds: Sequence[tuple] = (),
 ) -> tuple:
-    """Golden-section search for a maximum of f on [a, b].
+    """Brent's method for a maximum of f on [a, b] (R. P. Brent, Algorithms
+    for Minimization without Derivatives, 1973, ch. 5): parabolic
+    interpolation through the three best points, with a golden-section step
+    wherever the parabola is not trusted.
 
-    The bracket shrinks until it is shorter than tol or max_iter steps have
-    run.  f may return None for a point it cannot evaluate; None ranks
-    below every value.  Returns the best (x, f(x)) over every point
-    evaluated, the earliest one on ties.
+    seeds are (x, f(x)) pairs already evaluated in [a, b]; without them the
+    search starts from one golden-section point.  f may return None for a
+    point it cannot evaluate: None ranks below every value, and no parabola
+    is fitted through it.  The best point moves only on a strict
+    improvement.  The search stops once the bracket around the best point
+    is shorter than tol (or than a few units in the last place of x) or
+    after max_iter evaluations of f; no point is evaluated twice.  Returns
+    the best (x, f(x)) over the seeds and every point evaluated, the
+    earliest one on ties.
     """
-    seen = []
-
-    def probe(x: float) -> Optional[float]:
-        seen.append((x, f(x)))
-        return seen[-1][1]
-
-    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    f1, f2 = probe(x1), probe(x2)
-    for _ in range(max_iter):
-        if b - a < tol:
+    points = list(seeds)
+    if not points:
+        x0 = a + _GOLDEN * (b - a)
+        points.append((x0, f(x0)))
+    evals = len(points) - len(seeds)
+    # x is the best point, w the second best, v the third (repeating the
+    # last one when fewer are known).
+    ranked = sorted(points, key=lambda t: -_rank(t[1]))
+    (x, fx), (w, fw), (v, fv) = (ranked + ranked[-1:] * 2)[:3]
+    d = e = b - a  # the last two steps: a full bracket lets a first parabola through
+    while evals < max_iter:
+        t = max(tol, _XTOL_FLOOR * (1.0 + abs(x)))
+        if b - a < t:
             break
-        if _rank(f1) < _rank(f2):
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = probe(x2)
+        step_min, mid = t / 3.0, 0.5 * (a + b)
+        step = np.nan
+        if abs(e) > step_min and None not in (fx, fw, fv):
+            step = _parabola_step(x, fx, w, fw, v, fv)
+        if abs(step) < 0.5 * abs(e) and a < x + step < b:
+            e, d = d, step
+            if min(x + d - a, b - x - d) < 2.0 * step_min:
+                d = copysign(step_min, mid - x)
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = probe(x1)
-    return max(seen, key=lambda t: _rank(t[1]))
+            e = (a if x >= mid else b) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= step_min else copysign(step_min, d))
+        fu = f(u)
+        evals += 1
+        if _rank(fu) > _rank(fx):
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if _rank(fu) >= _rank(fw) or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif _rank(fu) >= _rank(fv) or v in (x, w):
+                v, fv = u, fu
+    return x, fx
 
 
-def grid_golden_max(
+def grid_brent_max(
     f: Callable[[float], Optional[float]],
     xs: Sequence[float],
     values: Sequence[Optional[float]],
@@ -461,14 +512,17 @@ def grid_golden_max(
 ) -> tuple:
     """Refine a grid scan: values[i] = f(xs[i]) on an ascending grid.
 
-    Golden-section search runs between the neighbours of the best grid
-    point (see golden_section_max, whose None ranking applies).  Returns
-    the best (x, f(x)) found; the grid point wins ties.
+    Brent's method (brent_max, whose None ranking applies) runs between the
+    neighbours of the best grid point, seeded with that point and the two
+    neighbours, so no grid point is evaluated again.  Returns the best
+    (x, f(x)) found; the grid point wins ties.
     """
     i = max(range(len(xs)), key=lambda k: _rank(values[k]))
-    a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-    x, fx = golden_section_max(f, a, b, tol, max_iter)
-    return (x, fx) if _rank(fx) > _rank(values[i]) else (xs[i], values[i])
+    near = [k for k in (i, i - 1, i + 1) if 0 <= k < len(xs)]
+    return brent_max(
+        f, xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], tol, max_iter,
+        seeds=[(xs[k], values[k]) for k in near],
+    )
 
 
 def optimize_codeword_rotation(
@@ -478,7 +532,7 @@ def optimize_codeword_rotation(
     the two-codeword code [C0, R(C0)] built from the first logical.
 
     Deterministic: a uniform grid scan over the family box followed by
-    coordinate-wise golden-section refinement around the best grid point.
+    coordinate-wise Brent refinement around the best grid point.
     Returns (best rotation, achieved resolution).
     """
     if code.dim != 2:
@@ -503,7 +557,7 @@ def optimize_codeword_rotation(
     best = candidates[int(values.argmax())].copy()
     best_val = float(values.max())
 
-    # Golden-section refinement, one coordinate at a time.
+    # Brent refinement, one coordinate at a time.
     for _ in range(3):
         for i in range(d):
             span = (hi[i] - lo[i]) / max(per_dim - 1, 1)
@@ -515,10 +569,9 @@ def optimize_codeword_rotation(
                 p[i] = x
                 return objective(p)
 
-            x, f = golden_section_max(
-                along, max(lo[i], best[i] - span), min(hi[i], best[i] + span), tol=0.0, max_iter=60
+            best[i], best_val = brent_max(
+                along, max(lo[i], best[i] - span), min(hi[i], best[i] + span), tol=0.0,
+                max_iter=60, seeds=[(best[i], best_val)],
             )
-            if f > best_val:
-                best[i], best_val = x, float(f)
 
     return family.build(best), best_val

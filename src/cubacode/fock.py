@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constellation import CodeSpec, as_amplitude, grid_golden_max, mean_photon_number, scale_code
+from .constellation import CodeSpec, as_amplitude, grid_brent_max, mean_photon_number, scale_code
 from .errors import CutoffError, DegenerateCodewordsError, NumericalFailure, ValidationError
 from .klcheck import lowdin_inverse_sqrt
 
@@ -498,8 +498,8 @@ def entanglement_fidelity(
 def optimal_scale(
     code: CodeSpec, gamma: float, space: FockSpace, grid: Iterable[float]
 ) -> Tuple[float, float]:
-    """Coarse grid scan plus golden-section refinement of the fidelity over
-    the amplitude scale.  Grid points whose codewords do not fit the cutoff
+    """Coarse grid scan plus Brent refinement of the fidelity over the
+    amplitude scale.  Grid points whose codewords do not fit the cutoff
     are skipped; if none fit, the search fails.  Deterministic."""
     scales = sorted(float(s) for s in grid)
     if not scales or any(s <= 0 for s in scales):
@@ -514,4 +514,4 @@ def optimal_scale(
     values = [fid(s) for s in scales]
     if all(v is None for v in values):
         raise CutoffError("all grid points fail cutoff checks")
-    return grid_golden_max(fid, scales, values, tol=1e-4, max_iter=40)
+    return grid_brent_max(fid, scales, values, tol=1e-4, max_iter=40)

@@ -123,8 +123,8 @@ def kl_report(code: CodeSpec, max_loss: int, scale: float) -> KLReport:
     """Evaluate the correction-condition blocks for all loss errors with at
     most ``max_loss`` total lost photons, exactly from coherent-state
     matrix elements."""
-    if scale <= 0:
-        raise ValidationError("scale must be positive")
+    if not 0.0 < scale < np.inf:
+        raise ValidationError("scale must be positive and finite")
     if max_loss < 0:
         raise ValidationError("max_loss must be nonnegative")
     K, n = code.dim, code.modes
@@ -186,11 +186,14 @@ LOSS_TAIL_TOL = 1e-10
 @dataclass(frozen=True)
 class LossFidelity:
     """Transpose-recovery fidelity under pure loss, with the total loss
-    order L kept and the bound on the codeword weight beyond it."""
+    order L kept, the bound on the codeword weight beyond it, and the
+    codeword Gram's min/max eigenvalue ratio (roundoff puts an error of up
+    to about 0.42 eps / gram_ratio on the fidelity)."""
 
     fidelity: float
     loss_order: int
     dropped_weight: float
+    gram_ratio: float
 
 
 def loss_fidelity(code: CodeSpec, gamma: float, scale: float) -> LossFidelity:
@@ -221,8 +224,8 @@ def loss_fidelity(code: CodeSpec, gamma: float, scale: float) -> LossFidelity:
     """
     if not 0.0 <= gamma < 1.0:
         raise ValidationError("loss probability gamma must satisfy 0 <= gamma < 1")
-    if scale <= 0:
-        raise ValidationError("scale must be positive")
+    if not 0.0 < scale < np.inf:
+        raise ValidationError("scale must be positive and finite")
     K = code.dim
     gram = codeword_gram(code, scale)
     ginv = lowdin_inverse_sqrt(gram)
@@ -262,10 +265,12 @@ def loss_fidelity(code: CodeSpec, gamma: float, scale: float) -> LossFidelity:
     # eigenvalue ratio; F was measured up to 0.42 eps/ratio above 1 (at
     # gamma = 0).  A larger excess is a breakdown, not roundoff.
     ev = np.linalg.eigvalsh(gram)
-    if fid > 1.0 + 1e-9 + 10.0 * np.finfo(float).eps * ev[-1] / ev[0]:
+    ratio = float(ev[0] / ev[-1])
+    if fid > 1.0 + 1e-9 + 10.0 * np.finfo(float).eps / ratio:
         raise NumericalFailure(f"fidelity {fid!r} exceeds 1 beyond tolerance")
     return LossFidelity(
-        fidelity=min(fid, 1.0), loss_order=order, dropped_weight=float(dropped[order])
+        fidelity=min(fid, 1.0), loss_order=order, dropped_weight=float(dropped[order]),
+        gram_ratio=ratio,
     )
 
 

@@ -2,9 +2,12 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cubacode import build_catalog_code, normalize_energy
 from cubacode.cli import main
+from cubacode.klcheck import codeword_gram
 
 
 def readme_commands():
@@ -167,6 +170,61 @@ def test_bench_large_codes_exit_0(argv, capsys):
     status, out, err = run_cli(capsys, *argv, "--jobs", "1")
     assert status == 0, err
     assert "nan" not in out
+
+
+def header_values(out):
+    """The ``# key = value`` lines of a report."""
+    return dict(line[2:].split(" = ", 1) for line in out.splitlines()
+                if line.startswith("# ") and " = " in line)
+
+
+def test_bench_pair_skips_degenerate_grid_points(capsys):
+    # The qsc24 codewords are degenerate at scale 0.75, the first grid point.
+    status, out, err = run_cli(capsys, "bench", "pair", "--pair", "24", "--jobs", "1")
+    assert status == 0, err
+    status, low, err = run_cli(
+        capsys, "bench", "pair", "--pair", "24", "--grid", "0.75:3.3:14", "--jobs", "1"
+    )
+    assert status == 0, err
+    want, got = header_values(out), header_values(low)
+    for key in ("qcc_alpha_op", "qsc_alpha_op"):
+        assert abs(float(got[key]) - float(want[key])) <= 5e-4, key
+
+
+@pytest.mark.parametrize("argv", [
+    ("bench", "sweep-alpha", "--catalog", "qsc8", "--grid", "0.8,2.0"),
+    ("bench", "sweep-gamma", "--catalog", "qsc8", "--alpha-op", "0.8", "--gammas", "0,0.1"),
+    ("bench", "pair", "--pair", "8", "--grid", "0.8:2.0:3", "--gammas", "0.1,0.2"),
+], ids=" ".join)
+def test_bench_reports_min_gram_ratio(argv, capsys):
+    status, out, err = run_cli(capsys, *argv, "--jobs", "1")
+    assert status == 0, err
+    lines = [line for line in out.splitlines() if line.startswith("# min_gram_ratio = ")]
+    assert len(lines) == 1
+    ratio = float(header_values(out)["min_gram_ratio"])
+    assert 0.0 < ratio <= 1.0
+    if argv[1] != "pair":
+        # The worst row is qsc8 at scale 0.8.
+        code = normalize_energy(build_catalog_code("qsc8"), 1.0)[0]
+        ev = np.linalg.eigvalsh(codeword_gram(code, 0.8))
+        assert abs(ratio / (ev[0] / ev[-1]) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ("bench", "sweep-alpha", "--catalog", "qsc8", "--grid", "x"),
+    ("bench", "sweep-alpha", "--catalog", "qsc8", "--grid", "nan:2:3"),
+    ("bench", "sweep-alpha", "--catalog", "qsc8", "--grid", "1:2:x"),
+    ("bench", "sweep-alpha", "--catalog", "qsc8", "--grid", "0.8,inf"),
+    ("bench", "pair", "--pair", "8", "--gammas", "x"),
+    ("bench", "sweep-gamma", "--catalog", "qsc8", "--alpha-op", "abc"),
+    ("bench", "sweep-gamma", "--catalog", "qsc8", "--alpha-op", "nan"),
+    ("bounds", "--catalog", "polygon_shells", "--m", "6", "--p", "2", "--radii", "1,x"),
+    ("kl", "--catalog", "cat", "--m", "2", "--scale", "nan"),
+], ids=" ".join)
+def test_bad_numeric_input_exits_2(argv, capsys):
+    status, _, err = run_cli(capsys, *argv)
+    assert status == 2
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_header_reports_options(capsys):

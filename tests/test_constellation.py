@@ -26,8 +26,8 @@ from cubacode import (
 )
 from cubacode.constellation import (
     RotationFamily,
-    golden_section_max,
-    grid_golden_max,
+    brent_max,
+    grid_brent_max,
     min_squared_distance,
 )
 
@@ -319,7 +319,7 @@ def test_catalog_resolution_regression():
 
 
 # ---------------------------------------------------------------------------
-# Golden-section search
+# One-dimensional search (Brent's method)
 # ---------------------------------------------------------------------------
 
 
@@ -333,40 +333,79 @@ def recording(f):
     return g, seen
 
 
-def test_golden_section_stops_on_tol_and_max_iter():
-    # The bracket shrinks by the golden ratio per step: 0.618**5 < 0.1.
-    f, seen = recording(lambda x: -(x - 0.3) ** 2)
-    golden_section_max(f, 0.0, 1.0, tol=0.1, max_iter=100)
-    assert len(seen) == 2 + 5
-    f, seen = recording(lambda x: -(x - 0.3) ** 2)
-    x, fx = golden_section_max(f, 0.0, 1.0, tol=0.0, max_iter=10)
-    assert len(seen) == 2 + 10
-    f, seen = recording(lambda x: -(x - 0.3) ** 2)
-    x, fx = golden_section_max(f, 0.0, 1.0, tol=0.0, max_iter=60)
-    assert abs(x - 0.3) < 1e-9 and fx == -((x - 0.3) ** 2)
+def bracket(seen, a, b):
+    """Length of the bracket around the best recorded point: its nearest
+    evaluated neighbours, or the interval ends."""
+    x = max(seen, key=lambda t: t[1])[0]
+    return min([b] + [u for u, _ in seen if u > x]) - max([a] + [u for u, _ in seen if u < x])
+
+
+def test_brent_stops_on_tol_and_max_iter():
+    for tol in (0.1, 1e-3, 1e-6):
+        f, seen = recording(lambda x: -(x - 0.3) ** 2)
+        brent_max(f, 0.0, 1.0, tol=tol, max_iter=100)
+        # It stops at the first evaluation that brings the bracket below tol.
+        assert bracket(seen, 0.0, 1.0) < tol <= bracket(seen[:-1], 0.0, 1.0)
+    for max_iter in (1, 4, 10):
+        # On a kink with tol = 0 only the evaluation budget ends the search.
+        f, seen = recording(lambda x: -abs(x - 0.3))
+        brent_max(f, 0.0, 1.0, tol=0.0, max_iter=max_iter)
+        assert len(seen) == max_iter
+        # Seeds are not evaluations.
+        f, seen = recording(lambda x: -abs(x - 0.3))
+        brent_max(f, 0.0, 1.0, tol=0.0, max_iter=max_iter, seeds=[(0.5, -0.2), (0.2, -0.1)])
+        assert len(seen) == max_iter
+
+
+def test_brent_hits_a_seeded_parabola():
+    vertex = 0.4123
+    parabola = lambda x: 1.0 - 3.0 * (x - vertex) ** 2  # noqa: E731
+    f, seen = recording(parabola)
+    x, fx = brent_max(f, 0.2, 0.8, tol=1e-4, max_iter=40,
+                      seeds=[(x, parabola(x)) for x in (0.5, 0.2, 0.8)])
+    assert min(abs(u - vertex) for u, _ in seen[:2]) < 1e-9
+    assert len(seen) <= 4
+    assert abs(x - vertex) < 1e-9 and fx == parabola(x)
+
+
+def test_brent_converges_on_a_kink():
+    f, seen = recording(lambda x: -abs(x - 0.3))
+    x, fx = brent_max(f, 0.0, 1.0, tol=1e-8, max_iter=200)
+    assert abs(x - 0.3) < 1e-6 and len(seen) < 200
 
 
 def test_golden_section_returns_best_evaluated_point():
     # Not unimodal: the bracket may close in on a worse local maximum.
     f, seen = recording(lambda x: np.sin(9.0 * x) + 0.3 * x)
-    best = golden_section_max(f, 0.0, 2.0, tol=1e-6, max_iter=40)
+    best = brent_max(f, 0.0, 2.0, tol=1e-6, max_iter=40)
     assert best == max(seen, key=lambda t: t[1])
     f, seen = recording(lambda x: 1.0)
-    assert golden_section_max(f, 0.0, 1.0, tol=0.0, max_iter=5) == seen[0]
+    assert brent_max(f, 0.0, 1.0, tol=0.0, max_iter=5) == seen[0]
 
 
 def test_golden_section_ranks_none_lowest():
     f, seen = recording(lambda x: None if x < 0.5 else -(x - 0.7) ** 2)
-    x, fx = golden_section_max(f, 0.0, 1.0, tol=1e-8, max_iter=100)
+    x, fx = brent_max(f, 0.0, 1.0, tol=1e-8, max_iter=100)
     assert any(v is None for _, v in seen)
     assert abs(x - 0.7) < 1e-6 and fx is not None
-    assert golden_section_max(lambda x: None, 0.0, 1.0, tol=0.0, max_iter=3)[1] is None
+    assert brent_max(lambda x: None, 0.0, 1.0, tol=0.0, max_iter=3)[1] is None
 
 
 def test_grid_golden_max_refines_between_grid_neighbours():
     xs = [0.0, 0.5, 1.0, 1.5]
     f = lambda x: None if x > 1.2 else -(x - 0.6) ** 2  # noqa: E731
-    x, fx = grid_golden_max(f, xs, [f(x) for x in xs], tol=1e-9, max_iter=100)
+    x, fx = grid_brent_max(f, xs, [f(x) for x in xs], tol=1e-9, max_iter=100)
     assert abs(x - 0.6) < 1e-6
     # The grid point wins ties.
-    assert grid_golden_max(lambda x: 2.0, xs, [1.0, 2.0, 2.0, 1.0], 1e-3, 10) == (0.5, 2.0)
+    assert grid_brent_max(lambda x: 2.0, xs, [1.0, 2.0, 2.0, 1.0], 1e-3, 10) == (0.5, 2.0)
+
+
+def test_grid_brent_max_never_reevaluates_grid_points():
+    xs = [float(x) for x in np.linspace(0.0, 2.0, 9)]
+    for fn in (lambda x: np.sin(3.0 * x), lambda x: x, lambda x: -x, lambda x: -abs(x - 1.1)):
+        f, seen = recording(fn)
+        x, fx = grid_brent_max(f, xs, [fn(x) for x in xs], tol=1e-9, max_iter=40)
+        assert seen and not {u for u, _ in seen} & set(xs)
+        assert fx == max([fn(x) for x in xs] + [v for _, v in seen])
+    f, seen = recording(lambda x: x)
+    assert grid_brent_max(f, [1.5], [1.5], tol=1e-9, max_iter=40) == (1.5, 1.5) and not seen
