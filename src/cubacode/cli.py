@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
@@ -62,6 +63,20 @@ def _parse_floats(text: str, option: str) -> List[float]:
     return [_parse_number(v, option) for v in text.replace(":", ",").split(",") if v.strip()]
 
 
+# Single-number options: argparse keeps their text, and main parses it
+# before any command runs, so a bad value prints nothing but the error.
+_FLOAT_OPTIONS = ("tol", "scale", "normalize", "gamma", "radius", "tau", "r1", "r2")
+
+
+def _parse_float_options(args):
+    for key in _FLOAT_OPTIONS:
+        text = getattr(args, key, None)
+        if text is not None:
+            setattr(args, key, _parse_number(text, f"--{key}"))
+    if getattr(args, "tol", 0.0) < 0:
+        raise ValidationError(f"--tol: must be nonnegative, got {args.tol!r}")
+
+
 def _add_code_source(parser: argparse.ArgumentParser):
     parser.add_argument("--catalog", help="catalog code name (see `cubacode catalog`)")
     parser.add_argument("--code-file", help="JSON code definition file")
@@ -69,11 +84,11 @@ def _add_code_source(parser: argparse.ArgumentParser):
     parser.add_argument("--K", type=int, help="number of logical codewords")
     parser.add_argument("--p", type=int, help="number of shells (polygon codes)")
     parser.add_argument("--radii", help="shell radii, e.g. 1,2 or 1:2:3-style list")
-    parser.add_argument("--radius", type=float, help="single-shell radius (cat code)")
+    parser.add_argument("--radius", help="single-shell radius (cat code)")
     parser.add_argument("--D", type=int, help="real dimension (polytope codes)")
-    parser.add_argument("--tau", type=float, help="radius ratio (twoshell_24cell)")
-    parser.add_argument("--r1", type=float, help="inner radius (twoshell_8_16)")
-    parser.add_argument("--r2", type=float, help="outer radius (twoshell_8_16)")
+    parser.add_argument("--tau", help="radius ratio (twoshell_24cell)")
+    parser.add_argument("--r1", help="inner radius (twoshell_8_16)")
+    parser.add_argument("--r2", help="outer radius (twoshell_8_16)")
 
 
 _CATALOG_FLAGS = ("m", "K", "p", "radii", "radius", "D", "tau", "r1", "r2")
@@ -177,9 +192,9 @@ def cmd_moments(args) -> int:
     if code.dim < 2:
         raise ValidationError("moment comparison needs at least two codewords")
     n = code.modes
+    t = moment_match_degree(code, args.max_degree, tol=args.tol)
     for line in _header(args):
         print(line)
-    t = moment_match_degree(code, args.max_degree, tol=args.tol)
     print(f"moment match degree: {t} (searched to {args.max_degree}, tol {_fmt(args.tol)})")
     # Moments on the box |p|, |q| <= max_degree, read out in multi-index order.
     box = list(multi_indices_upto(n, args.max_degree))
@@ -191,13 +206,13 @@ def cmd_moments(args) -> int:
     worst = int(devs.argmax())
     where = pairs[worst] if devs[worst] > 0 else None
     print(f"largest deviation {_fmt(devs[worst])} at (p, q) = {where}")
-    rows = [
-        [" ".join(map(str, p)), " ".join(map(str, q))]
-        + [_fmt(x) for m in moms[:, i] for x in (m.real, m.imag)]
-        + [_fmt(devs[i])]
-        for i, (p, q) in enumerate(pairs)
-    ]
     if args.out:
+        rows = [
+            [" ".join(map(str, p)), " ".join(map(str, q))]
+            + [_fmt(x) for m in moms[:, i] for x in (m.real, m.imag)]
+            + [_fmt(devs[i])]
+            for i, (p, q) in enumerate(pairs)
+        ]
         header = ["p", "q"]
         for k in range(code.dim):
             header += [f"moment{k}_re", f"moment{k}_im"]
@@ -388,7 +403,10 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it
+    unchanged)."""
     parser = argparse.ArgumentParser(
         prog="cubacode",
         description="coherent-state constellation codes: construction, verification, benchmarking",
@@ -403,14 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_params = sub.add_parser("params", help="print (( n, K, d_E, <t,d,d> ))")
     _add_code_source(p_params)
     p_params.add_argument("--ceiling", type=int, default=14, help="parameter search ceiling")
-    p_params.add_argument("--tol", type=float, default=1e-9, help="moment matching tolerance")
-    p_params.add_argument("--normalize", type=float, default=None,
+    p_params.add_argument("--tol", default="1e-9", help="moment matching tolerance")
+    p_params.add_argument("--normalize", default=None,
                           help="normalize mean photon number to this value first")
 
     p_mom = sub.add_parser("moments", help="weighted-moment comparison across codewords")
     _add_code_source(p_mom)
     p_mom.add_argument("--max-degree", type=int, default=8, dest="max_degree")
-    p_mom.add_argument("--tol", type=float, default=1e-9)
+    p_mom.add_argument("--tol", default="1e-9")
     p_mom.add_argument("--out", help="CSV output path")
 
     p_bounds = sub.add_parser("bounds", help="constellation-size bounds")
@@ -420,13 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_kl = sub.add_parser("kl", help="closed-form error-correction condition report")
     _add_code_source(p_kl)
-    p_kl.add_argument("--scale", type=float, default=2.0)
+    p_kl.add_argument("--scale", default="2.0")
     p_kl.add_argument("--max-loss", type=int, default=2, dest="max_loss")
     p_kl.add_argument("--out", help="CSV output path")
 
     p_stab = sub.add_parser("stab", help="stabilizer residual tables")
     _add_code_source(p_stab)
-    p_stab.add_argument("--scale", type=float, default=2.0)
+    p_stab.add_argument("--scale", default="2.0")
     p_stab.add_argument("--cutoff", type=int, default=64)
     p_stab.add_argument("--poly-file", dest="poly_file",
                         help="JSON file with user polynomials for the scaled code")
@@ -445,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sa = bench_sub.add_parser("sweep-alpha", help="fidelity vs amplitude scale")
     _common_bench(p_sa)
-    p_sa.add_argument("--gamma", type=float, default=0.1)
+    p_sa.add_argument("--gamma", default="0.1")
 
     p_sg = bench_sub.add_parser("sweep-gamma", help="fidelity vs loss rate")
     _common_bench(p_sg)
@@ -477,9 +495,9 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _parse_float_options(args)
         return _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

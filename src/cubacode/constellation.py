@@ -138,6 +138,11 @@ class CodeSpec:
         """Stacked points of every logical constellation, shape (total, modes)."""
         return np.vstack([c.points for c in self.logicals])
 
+    def codeword_rows(self) -> list:
+        """Row slice of :meth:`all_points` holding each logical constellation."""
+        ends = np.cumsum([c.size for c in self.logicals])
+        return [slice(int(end) - c.size, int(end)) for end, c in zip(ends, self.logicals)]
+
 
 @dataclass(frozen=True)
 class CodeParams:
@@ -288,13 +293,27 @@ def rotate_code(code: CodeSpec, r: Rotation) -> CodeSpec:
     )
 
 
+def _squared_distance_range(points: np.ndarray) -> tuple:
+    """(min, max) squared Euclidean distance over index pairs i != j.
+
+    The N x N distances are accumulated one real coordinate at a time, so
+    no N x N x modes temporary is formed; the diagonal is masked, not
+    indexed away.
+    """
+    x = embed_complex_to_real(points)
+    d2 = np.zeros((x.shape[0], x.shape[0]))
+    diff = np.empty_like(d2)
+    for col in x.T:
+        np.subtract.outer(col, col, out=diff)
+        d2 += np.square(diff, out=diff)
+    largest = float(d2.max())  # the zero diagonal never exceeds a pair
+    np.fill_diagonal(d2, np.inf)
+    return float(d2.min()), largest
+
+
 def min_squared_distance(points: np.ndarray) -> float:
     """Minimum squared Euclidean distance over all index pairs i < j."""
-    pts = np.atleast_2d(np.asarray(points))
-    diff = pts[:, None, :] - pts[None, :, :]
-    d2 = np.abs(diff * diff.conj()).sum(axis=-1).real
-    iu = np.triu_indices(pts.shape[0], k=1)
-    return float(d2[iu].min())
+    return _squared_distance_range(points)[0]
 
 
 def resolution(code: CodeSpec) -> float:
@@ -303,12 +322,10 @@ def resolution(code: CodeSpec) -> float:
     pts = code.all_points()
     if pts.shape[0] < 2:
         raise ValidationError("resolution needs at least 2 points")
-    diff = pts[:, None, :] - pts[None, :, :]
-    d2 = np.abs(diff * diff.conj()).sum(axis=-1).real
-    iu = np.triu_indices(pts.shape[0], k=1)
-    if d2[iu].max() <= DISTINCT_TOL:
+    nearest, farthest = _squared_distance_range(pts)
+    if farthest <= DISTINCT_TOL:
         raise ValidationError("resolution needs at least 2 distinct points")
-    return float(d2[iu].min())
+    return nearest
 
 
 def mean_photon_number(c: WeightedConstellation) -> float:

@@ -33,11 +33,13 @@ import numpy as np
 from .constellation import CodeSpec, as_amplitude
 from .errors import DegenerateCodewordsError, NumericalFailure, ValidationError
 from .moments import (
+    _box_spread,
+    _check_tol,
+    _index_box,
+    _level,
+    _match_degree,
     _monomials,
-    moment_match_degree,
-    multi_indices,
     multi_indices_upto,
-    weighted_moment,
 )
 
 
@@ -71,17 +73,29 @@ def _pairwise_overlaps(pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * na[:, None] - 0.5 * nb[None, :] + cross)
 
 
-def codeword_gram(code: CodeSpec, scale: float = 1.0) -> np.ndarray:
-    """Gram matrix of the raw codeword vectors sum_a sqrt(w_a) |scale*a>."""
-    K = code.dim
+def _stacked(code: CodeSpec, scale: float) -> tuple:
+    """Every point times scale (N x n, codeword by codeword) and the square
+    roots of their weights."""
+    return scale * code.all_points(), np.sqrt(np.concatenate([c.weights for c in code.logicals]))
+
+
+def _gram_from_overlaps(overlaps: np.ndarray, sqrt_w: np.ndarray, rows: list) -> np.ndarray:
+    # G[k, l] = sqrt(w_k) . overlaps[rows_k, rows_l] . sqrt(w_l) for k <= l,
+    # with the lower triangle the conjugate of the upper, so G is exactly
+    # Hermitian (ill-conditioned Grams amplify any roundoff asymmetry).
+    K = len(rows)
     g = np.empty((K, K), dtype=complex)
     for k in range(K):
         for l in range(k, K):
-            ck, cl = code.logicals[k], code.logicals[l]
-            ov = _pairwise_overlaps(scale * ck.points, scale * cl.points)
-            g[k, l] = np.sqrt(ck.weights) @ ov @ np.sqrt(cl.weights)
+            g[k, l] = sqrt_w[rows[k]] @ overlaps[rows[k], rows[l]] @ sqrt_w[rows[l]]
             g[l, k] = np.conj(g[k, l])
     return g
+
+
+def codeword_gram(code: CodeSpec, scale: float = 1.0) -> np.ndarray:
+    """Gram matrix of the raw codeword vectors sum_a sqrt(w_a) |scale*a>."""
+    pts, sqrt_w = _stacked(code, scale)
+    return _gram_from_overlaps(_pairwise_overlaps(pts, pts), sqrt_w, code.codeword_rows())
 
 
 def lowdin_inverse_sqrt(gram: np.ndarray, rel_floor: float = 1e-12) -> np.ndarray:
@@ -128,19 +142,20 @@ def kl_report(code: CodeSpec, max_loss: int, scale: float) -> KLReport:
     if max_loss < 0:
         raise ValidationError("max_loss must be nonnegative")
     K, n = code.dim, code.modes
-    gram = codeword_gram(code, scale)
-    ginv = lowdin_inverse_sqrt(gram)
-
     qs = list(multi_indices_upto(n, int(max_loss)))
     # raw[mu, nu, k, l] = <C_k| prod (a^+)^mu a^nu |C_l>, expanded over point
-    # pairs: (sqrt(w_k) conj(F_k)) @ overlaps_kl @ (sqrt(w_l) F_l).T.
-    pts = [scale * c.points for c in code.logicals]
-    left = [np.conj(_monomials(z, qs)) * np.sqrt(c.weights) for z, c in zip(pts, code.logicals)]
-    right = [_monomials(z, qs) * np.sqrt(c.weights) for z, c in zip(pts, code.logicals)]
+    # pairs: (sqrt(w_k) conj(F_k)) @ overlaps_kl @ (sqrt(w_l) F_l).T, each
+    # block sliced from one overlap matrix of all points.
+    pts, sqrt_w = _stacked(code, scale)
+    overlaps = _pairwise_overlaps(pts, pts)
+    cw = code.codeword_rows()
+    ginv = lowdin_inverse_sqrt(_gram_from_overlaps(overlaps, sqrt_w, cw))
+    right = _monomials(pts, int(max_loss)) * sqrt_w
+    left = np.conj(right)
     raw = np.empty((len(qs), len(qs), K, K), dtype=complex)
     for k in range(K):
         for l in range(K):
-            raw[:, :, k, l] = left[k] @ _pairwise_overlaps(pts[k], pts[l]) @ right[l].T
+            raw[:, :, k, l] = left[:, cw[k]] @ overlaps[cw[k], cw[l]] @ right[:, cw[l]].T
     blocks = ginv @ raw @ ginv
 
     diag = np.diagonal(blocks, axis1=2, axis2=3)
@@ -229,8 +244,7 @@ def loss_fidelity(code: CodeSpec, gamma: float, scale: float) -> LossFidelity:
     K = code.dim
     gram = codeword_gram(code, scale)
     ginv = lowdin_inverse_sqrt(gram)
-    pts = scale * np.vstack([c.points for c in code.logicals])
-    sqrt_w = np.sqrt(np.concatenate([c.weights for c in code.logicals]))
+    pts, sqrt_w = _stacked(code, scale)
     owner = np.repeat(np.arange(K), [c.size for c in code.logicals])
     energy = (np.abs(pts) ** 2).sum(axis=1)
 
@@ -246,10 +260,10 @@ def loss_fidelity(code: CodeSpec, gamma: float, scale: float) -> LossFidelity:
         )
     order = int(fits[0])
 
-    mus = list(multi_indices_upto(code.modes, order))
+    mus = _index_box(code.modes, order)
     root_fact = np.cumprod(np.sqrt(np.arange(order + 1.0)).clip(1.0))  # sqrt(m!)
-    norms = root_fact[np.asarray(mus)].prod(axis=1)
-    coef = (_monomials(sqrt(gamma) * pts, mus) / norms[:, None]) * (
+    norms = root_fact[mus].prod(axis=1)
+    coef = (_monomials(sqrt(gamma) * pts, order) / norms[:, None]) * (
         sqrt_w * np.exp(-0.5 * gamma * energy)
     )
     # M[a, (mu, k)] = coef[mu, a] * ginv[owner(a), k], branch-major columns.
@@ -315,25 +329,22 @@ def code_parameters(code: CodeSpec, ceiling: int, tol: float = 1e-9) -> ParamTri
         raise ValidationError("code parameters need at least two codewords")
     if ceiling < 1:
         raise ValidationError("search ceiling must be >= 1")
+    _check_tol(tol)
     n = code.modes
     ceiling = int(ceiling)
-    d_updown = moment_match_degree(code, ceiling - 1, tol) + 1
-    levels = [list(multi_indices(n, k)) for k in range(ceiling)]
+    # One moment table over the box |u| <= ceiling - 1 serves all three.
+    spread = _box_spread(code, ceiling - 1)
+    d_updown = _match_degree(n, spread, ceiling - 1, tol) + 1
 
-    def spread(p, q) -> np.ndarray:
-        moms = np.array([weighted_moment(c, p, q) for c in code.logicals])
-        return np.abs(moms - moms[0]).max(axis=0)
-
-    box = [u for level in levels for u in level]  # |u| <= ceiling - 1, by degree
     # Pure-loss row p = 0: the first mismatched q of degree >= 1 sets d_down.
-    bad = np.flatnonzero(spread(levels[0], box)[0, 1:] > tol)
-    d_down = sum(box[bad[0] + 1]) if bad.size else ceiling
+    bad = np.flatnonzero(spread(_level(n, 0), slice(1, None))[0] > tol)
+    d_down = int(_index_box(n, ceiling - 1)[bad[0] + 1].sum()) if bad.size else ceiling
 
     # Box |p|, |q| <= r grown one level at a time.  Its new pairs have
     # |p| = r or |q| = r, and M(q, p) = conj M(p, q) covers the latter.
     t_down = ceiling
     for r in range(1, ceiling):
-        if spread(levels[r], box[: comb(n + r, r)]).max() > tol:
+        if spread(_level(n, r), slice(0, comb(n + r, r))).max() > tol:
             t_down = r
             break
 

@@ -8,9 +8,11 @@ whose agreement across logical constellations (up to a total degree t)
 is exactly the asymptotic error-correction requirement.  Moments are
 evaluated in stacks: for multi-index stacks p (A x n) and q (B x n),
 ``weighted_moment`` returns the A x B matrix (conj(F_p) * w) @ F_q.T,
-where F_u holds one monomial row per multi-index, built from per-mode
-power tables z**k.  The parameter search, the CLI moment table, the KL
-blocks and the design check all read their monomials from these tables.
+where F_u holds one monomial row per multi-index.  Multi-indices are
+enumerated once per (modes, degree) as a box |u| <= degree, and monomial
+tables are built over such a box, each row from an earlier one times one
+coordinate.  The parameter search, the CLI moment table, the KL blocks
+and the design check all read their monomials from these tables.
 
 The module also provides the exact rotation-invariant sphere integral of
 real monomials (the right-hand side a spherical design must reproduce), a
@@ -22,8 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,29 +37,69 @@ from .errors import ValidationError
 MultiIndex = Tuple[int, ...]
 
 
+def _compositions(n: int, total: int) -> np.ndarray:
+    """Every length-n multi-index with |u| == total, one per row, in
+    lexicographic order (no rows when total < 0)."""
+    if total < 0:
+        return np.empty((0, n), dtype=int)
+    # Stars and bars: bar positions c_0 < ... < c_{n-2} among total + n - 1
+    # slots give u_j = c_j - c_{j-1} - 1 with c_{-1} = -1 and
+    # c_{n-1} = total + n - 1; lexicographic bars give lexicographic u.
+    bars = np.array(list(combinations(range(total + n - 1), n - 1)), dtype=int)
+    edges = np.empty((bars.shape[0], n + 1), dtype=int)
+    edges[:, 0], edges[:, -1] = -1, total + n - 1
+    edges[:, 1:-1] = bars
+    return np.diff(edges, axis=1) - 1
+
+
+@lru_cache(maxsize=64)
+def _index_box(n: int, degree: int) -> np.ndarray:
+    """Every length-n multi-index with |u| <= degree, one per row, ordered
+    by |u| and lexicographically within each |u| (read-only, shared by
+    every caller).  The rows with |u| == k are ``_level(n, k)``."""
+    box = np.concatenate([np.empty((0, n), dtype=int)]
+                         + [_compositions(n, k) for k in range(degree + 1)])
+    box.setflags(write=False)
+    return box
+
+
+def _level(n: int, k: int) -> slice:
+    """Rows of ``_index_box(n, degree)`` (any degree >= k) with |u| == k."""
+    return slice(comb(n + k - 1, n), comb(n + k, n))
+
+
 def multi_indices(n: int, total: int) -> Iterator[MultiIndex]:
     """All length-n multi-indices with |u| == total, lexicographic order."""
-    if n == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in multi_indices(n - 1, total - head):
-            yield (head,) + rest
+    return map(tuple, _compositions(n, total).tolist())
 
 
 def multi_indices_upto(n: int, max_total: int) -> Iterator[MultiIndex]:
-    for total in range(max_total + 1):
-        yield from multi_indices(n, total)
+    """All length-n multi-indices with |u| <= max_total, by |u| and then
+    lexicographically."""
+    return map(tuple, _index_box(n, max_total).tolist())
 
 
-def _monomials(z: np.ndarray, u) -> np.ndarray:
-    """Monomial table F[i, a] = prod_j z[a, j]**u[i, j] for a stack of
-    multi-indices u (one per row), built from per-mode power tables z**k."""
-    u = np.asarray(u, dtype=int).reshape(-1, z.shape[1])
-    powers = z.T[:, None, :] ** np.arange(u.max(initial=0) + 1)[None, :, None]
-    table = powers[0, u[:, 0]]
-    for j in range(1, z.shape[1]):
-        table = table * powers[j, u[:, j]]
+def _monomials(z: np.ndarray, degree: int) -> np.ndarray:
+    """Monomial table F[i, a] = prod_j z[a, j]**u_i[j] over the rows u_i of
+    ``_index_box(modes, degree)``, one multiplication per entry.
+
+    A row u of degree k >= 1 whose first nonzero entry is u_j is its
+    parent u - e_j times z[:, j].  In the box order, the rows of level k
+    with u_0 = ... = u_{j-1} = 0 < u_j form one block, and their parents,
+    in the same order, are the first rows of level k - 1.
+    """
+    size, n = z.shape
+    table = np.empty((comb(n + degree, n), size), dtype=np.result_type(z, float))
+    table[:1] = 1.0
+    for k in range(1, degree + 1):
+        here, prev = comb(n + k - 1, n), comb(n + k - 2, n)
+        for j in range(n):
+            # Level-k rows with u_0 = ... = u_{j-1} = 0 number comb(k + m - 1, m - 1)
+            # (m = n - j free modes); the first comb(k + m - 2, m - 2) have u_j = 0.
+            m = n - j
+            lo = comb(k + m - 2, m - 2) if m > 1 else 0
+            hi = comb(k + m - 1, m - 1)
+            np.multiply(table[prev:prev + hi - lo], z[:, j], out=table[here + lo:here + hi])
     return table
 
 
@@ -74,8 +118,42 @@ def weighted_moment(c: WeightedConstellation, p, q):
         raise ValidationError(
             f"multi-index length must equal the mode count {c.modes} (got {p.shape}, {q.shape})"
         )
-    m = (np.conj(_monomials(c.points, p)) * c.weights) @ _monomials(c.points, q).T
+    if p.min(initial=0) < 0 or q.min(initial=0) < 0:
+        raise ValidationError("multi-index entries must be nonnegative")
+    degree = int(max(p.sum(axis=-1).max(initial=0), q.sum(axis=-1).max(initial=0)))
+    table = _monomials(c.points, degree)
+    row = {u: i for i, u in enumerate(multi_indices_upto(c.modes, degree))}
+    fp, fq = (table[[row[u] for u in map(tuple, s.reshape(-1, c.modes).tolist())]] for s in (p, q))
+    m = (np.conj(fp) * c.weights) @ fq.T
     return complex(m[0, 0]) if p.ndim == q.ndim == 1 else m
+
+
+def _check_tol(tol: float):
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError(f"tol must be finite and nonnegative (got {tol!r})")
+
+
+def _box_spread(code: CodeSpec, degree: int) -> Callable[[slice, slice], np.ndarray]:
+    """spread(ps, qs)[i, j] = max_k |M_k(p_i, q_j) - M_0(p_i, q_j)| over the
+    logical constellations k, for row ranges ps, qs of the box |u| <=
+    degree.  One monomial table of every point serves all calls."""
+    table = _monomials(code.all_points(), degree)
+    parts = list(zip(code.codeword_rows(), (c.weights for c in code.logicals)))
+
+    def spread(ps: slice, qs: slice) -> np.ndarray:
+        moms = np.array([(np.conj(table[ps, cw]) * w) @ table[qs, cw].T for cw, w in parts])
+        return np.abs(moms - moms[0]).max(axis=0)
+
+    return spread
+
+
+def _match_degree(n: int, spread, t_max: int, tol: float) -> int:
+    # Blocks of fixed |p| <= |q|, one degree at a time, up to t_max.
+    for degree in range(1, t_max + 1):
+        for dp in range(degree // 2 + 1):
+            if spread(_level(n, dp), _level(n, degree - dp)).max() > tol:
+                return degree - 1
+    return t_max
 
 
 def moment_match_degree(code: CodeSpec, t_max: int, tol: float = 1e-9) -> int:
@@ -89,14 +167,11 @@ def moment_match_degree(code: CodeSpec, t_max: int, tol: float = 1e-9) -> int:
     """
     if code.dim < 2:
         raise ValidationError("moment matching needs at least two codewords")
-    levels = [list(multi_indices(code.modes, k)) for k in range(int(t_max) + 1)]
-    for degree in range(1, int(t_max) + 1):
-        for dp in range(degree // 2 + 1):
-            moms = np.array([weighted_moment(c, levels[dp], levels[degree - dp])
-                             for c in code.logicals])
-            if np.abs(moms - moms[0]).max() > tol:
-                return degree - 1
-    return int(t_max)
+    if t_max < 0:
+        raise ValidationError(f"maximum degree must be nonnegative (got {t_max})")
+    _check_tol(tol)
+    t_max = int(t_max)
+    return _match_degree(code.modes, _box_spread(code, t_max), t_max, tol)
 
 
 def sphere_monomial_integral_exact(D: int, u: Sequence[int]) -> Fraction:
@@ -140,9 +215,9 @@ def design_moment_deviation(
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     w = np.asarray(weights, dtype=float)
     D = pts.shape[1]
-    us = list(multi_indices_upto(D, int(t)))
-    exact = np.array([sphere_monomial_integral(D, u) for u in us])
-    return float(np.abs(_monomials(pts, us) @ w - exact).max())
+    us = _index_box(D, int(t))
+    exact = np.array([sphere_monomial_integral(D, u) for u in us.tolist()])
+    return float(np.abs(_monomials(pts, int(t)) @ w - exact).max())
 
 
 def is_spherical_design(c: WeightedConstellation, t: int, tol: float = 1e-9) -> bool:

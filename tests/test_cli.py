@@ -1,12 +1,15 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cubacode import build_catalog_code, normalize_energy
-from cubacode.cli import main
+from cubacode.cli import build_parser, main
 from cubacode.klcheck import codeword_gram
 
 
@@ -225,6 +228,47 @@ def test_bad_numeric_input_exits_2(argv, capsys):
     status, _, err = run_cli(capsys, *argv)
     assert status == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("named, argv", [
+    ("--tol", ("params", "--catalog", "cat", "--m", "4", "--tol", "nan")),
+    ("--tol", ("params", "--catalog", "cat", "--m", "4", "--tol", "-1")),
+    ("--tol", ("moments", "--catalog", "cat", "--m", "4", "--tol", "nan")),
+    ("--tol", ("moments", "--catalog", "cat", "--m", "4", "--tol", "-1")),
+    ("maximum degree", ("moments", "--catalog", "cat", "--m", "4", "--max-degree", "-1")),
+    ("--scale", ("kl", "--catalog", "cat", "--m", "2", "--scale", "x")),
+    ("--scale", ("stab", "--catalog", "cat", "--m", "2", "--scale", "inf")),
+    ("--normalize", ("params", "--catalog", "cat", "--m", "4", "--normalize", "nan")),
+    ("--gamma", ("bench", "sweep-alpha", "--catalog", "qsc8", "--gamma", "nan")),
+    ("--radius", ("show", "--catalog", "cat", "--m", "4", "--radius", "inf")),
+    ("--tau", ("params", "--catalog", "twoshell_24cell", "--tau", "nan")),
+    ("--r1", ("params", "--catalog", "twoshell_8_16", "--r1", "x", "--r2", "2")),
+    ("--r2", ("params", "--catalog", "twoshell_8_16", "--r1", "1", "--r2=-inf")),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+def test_bad_option_value_exits_2_before_output(named, argv, capsys):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error:") and named in err and "Traceback" not in err
+
+
+def test_commands_in_one_process_print_what_they_print_alone(tmp_path, capsys):
+    commands = [
+        ("bench", "sweep-alpha", "--catalog", "qsc8", "--grid", "0.8,2.0", "--jobs", "1"),
+        ("params", "--catalog", "twoshell_24cell", "--tau", "2", "--normalize", "1"),
+        ("kl", "--catalog", "cat", "--m", "4", "--scale", "2.5", "--out", str(tmp_path / "kl.csv")),
+    ]
+    together = []
+    for argv in commands:
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 0, err
+        together.append(out)
+    assert build_parser() is build_parser()
+    for argv, out in zip(commands, together):
+        alone = subprocess.run([sys.executable, "-m", "cubacode.cli", *argv], env=os.environ,
+                               capture_output=True, text=True, timeout=120)
+        assert alone.returncode == 0, alone.stderr
+        assert alone.stdout == out
 
 
 def test_header_reports_options(capsys):

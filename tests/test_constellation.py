@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cubacode import (
@@ -25,6 +25,7 @@ from cubacode import (
     two_shell_24cell_code,
 )
 from cubacode.constellation import (
+    DISTINCT_TOL,
     RotationFamily,
     brent_max,
     grid_brent_max,
@@ -217,10 +218,64 @@ def test_resolution_cell16_qutrit():
     assert abs(resolution(build_catalog_code("cell16_qutrit")) - 1.0) < 1e-9
 
 
+def loop_squared_distances(points) -> list:
+    """|a - b|^2 over every index pair a < b, one pair at a time."""
+    return [
+        float(sum(abs(complex(x) - complex(y)) ** 2 for x, y in zip(points[i], points[j])))
+        for i in range(len(points))
+        for j in range(i + 1, len(points))
+    ]
+
+
+@st.composite
+def multimode_points(draw):
+    modes = draw(st.integers(1, 3))
+    size = draw(st.integers(2, 7))
+    coord = st.floats(-3.0, 3.0)
+    pts = np.array(draw(st.lists(st.lists(st.tuples(coord, coord), min_size=modes,
+                                          max_size=modes), min_size=size, max_size=size)))
+    pts = pts[..., 0] + 1j * pts[..., 1]
+    if draw(st.booleans()):
+        # A pair just above the distinctness threshold.
+        step = np.zeros(modes, dtype=complex)
+        step[draw(st.integers(0, modes - 1))] = np.sqrt(2.0 * DISTINCT_TOL) * draw(
+            st.sampled_from([1.0, 1j, -1.0]))
+        pts = np.vstack([pts, pts[0] + step])
+    return pts
+
+
+@given(multimode_points(), st.integers(1, 3))
+def test_distance_kernels_match_pair_loop(points, split):
+    loop = loop_squared_distances(points)
+    assert min_squared_distance(points) == pytest.approx(min(loop), rel=1e-12, abs=0.0)
+    assume(min(loop) > DISTINCT_TOL)
+    split = min(split, len(points) - 1)
+    parts = [points[:split], points[split:]]
+    code = CodeSpec(name="split", logicals=tuple(
+        WeightedConstellation(z, np.full(len(z), 1.0 / len(z))) for z in parts))
+    assert resolution(code) == pytest.approx(min(loop), rel=1e-12, abs=0.0)
+
+
+def test_distinct_check_on_every_construction():
+    base = WeightedConstellation(np.array([[1.0 + 0j], [1.0 + 2e-6j]]), np.array([0.5, 0.5]))
+    with pytest.raises(ValidationError, match="pairwise distinct"):
+        base.scaled(1e-200)
+    with pytest.raises(ValidationError, match="pairwise distinct"):
+        base.scaled(0.1)  # squared distance 4e-14
+    with pytest.raises(ValidationError, match="pairwise distinct"):
+        scale_code(CodeSpec(name="close", logicals=(base,)), 0.1)
+
+
 def test_resolution_needs_two_distinct_points():
     c = WeightedConstellation(np.array([[1.0 + 0j]]), np.array([1.0]))
     with pytest.raises(ValidationError, match="2"):
         resolution(CodeSpec(name="single", logicals=(c,)))
+
+
+def test_resolution_rejects_coincident_codewords():
+    c = WeightedConstellation(np.array([[1.0 + 0j, 2.0j]]), np.array([1.0]))
+    with pytest.raises(ValidationError, match="2 distinct points"):
+        resolution(CodeSpec(name="twin", logicals=(c, c)))
 
 
 @given(st.floats(0.2, 4.0))

@@ -154,6 +154,49 @@ def test_kl_gram_matches_overlap_sum():
     assert g[0, 1] == pytest.approx(expected, abs=1e-14)
 
 
+def uneven_code() -> CodeSpec:
+    """Three two-mode codewords of 3, 4 and 5 random points with random
+    weights, so no two codewords share a size or a weight vector."""
+    gen = np.random.default_rng(11)
+    logicals = []
+    for size in (3, 4, 5):
+        w = gen.uniform(0.2, 1.0, size)
+        logicals.append(WeightedConstellation(gen.normal(size=(size, 2)) + 1j * gen.normal(
+            size=(size, 2)), w / w.sum()))
+    return CodeSpec(name="uneven", logicals=tuple(logicals))
+
+
+@pytest.mark.parametrize("code", [
+    uneven_code(),
+    cat_code(4, 2),
+    cat_code(3, 3),
+    polygon_shell_code(4, 2, (1.0, 2.0)),
+    build_catalog_code("cell16_qutrit"),
+    build_catalog_code("twoshell_24cell", {"tau": 2.0}),
+], ids=lambda c: c.name)
+@pytest.mark.parametrize("scale", [0.5, 1.0, 2.5])
+def test_codeword_gram_matches_pair_loop(code, scale):
+    g = codeword_gram(code, scale)
+    for k, ck in enumerate(code.logicals):
+        for l, cl in enumerate(code.logicals):
+            loop = sum(
+                np.sqrt(wa * wb) * coherent_overlap(scale * a, scale * b)
+                for a, wa in zip(ck.points, ck.weights)
+                for b, wb in zip(cl.points, cl.weights)
+            )
+            assert abs(g[k, l] - loop) <= 1e-13 * max(1.0, abs(loop))
+
+
+def test_tolerance_must_be_finite_and_nonnegative():
+    code = cat_code(4, 2)
+    for tol in (np.nan, -1e-9, np.inf):
+        with pytest.raises(ValidationError, match="tol"):
+            code_parameters(code, ceiling=5, tol=tol)
+        with pytest.raises(ValidationError, match="tol"):
+            moment_match_degree(code, 5, tol=tol)
+    code_parameters(code, ceiling=5, tol=0.0)  # zero is allowed
+
+
 # ---------------------------------------------------------------------------
 # Code parameters
 # ---------------------------------------------------------------------------

@@ -22,8 +22,12 @@ from cubacode import (
 from cubacode.catalog import cell24_vertices, orthoplex_vertices
 from cubacode.constellation import Rotation, rotate_code
 from cubacode.moments import (
+    _index_box,
+    _level,
+    _monomials,
     code_size_bounds,
     design_moment_deviation,
+    multi_indices,
     multi_indices_upto,
     sphere_monomial_integral_exact,
 )
@@ -123,6 +127,33 @@ def test_stacked_moments_match_scalar_loop(name, params):
                 assert abs(stacked[i, j] - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
+@pytest.mark.parametrize("n, degree", [(1, 0), (1, 6), (2, 5), (3, 4), (4, 6), (6, 3)])
+def test_index_box_matches_sorted_product(n, degree):
+    ref = sorted((u for u in itertools.product(range(degree + 1), repeat=n) if sum(u) <= degree),
+                 key=lambda u: (sum(u), u))
+    box = _index_box(n, degree)
+    assert box.tolist() == [list(u) for u in ref]
+    assert not box.flags.writeable
+    for k in range(degree + 1):
+        assert list(multi_indices(n, k)) == [u for u in ref if sum(u) == k]
+        assert box[_level(n, k)].sum(axis=1).tolist() == [k] * len(list(multi_indices(n, k)))
+    assert list(multi_indices_upto(n, degree)) == ref
+
+
+@pytest.mark.parametrize("n, degree", [(1, 9), (2, 6), (3, 5), (4, 4)])
+@pytest.mark.parametrize("real", [False, True])
+def test_monomials_match_power_reference(n, degree, real):
+    gen = np.random.default_rng(7 + n)
+    z = gen.uniform(-1.5, 1.5, size=(5, n))
+    if not real:
+        z = z + 1j * gen.uniform(-1.5, 1.5, size=(5, n))
+    table = _monomials(z, degree)
+    box = _index_box(n, degree)
+    assert table.shape == (len(box), 5)
+    ref = np.array([[np.prod(a ** np.asarray(u)) for a in z] for u in box])
+    assert np.abs(table - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_stacked_moment_index_length_checked():
     c = cat_code(2, 1).logicals[0]
     with pytest.raises(ValidationError, match="multi-index"):
@@ -146,6 +177,12 @@ def test_match_degree_identical_constellations():
     c = cat_code(4, 1).logicals[0]
     code = CodeSpec(name="twin", logicals=(c, c))
     assert moment_match_degree(code, t_max=7) == 7
+
+
+def test_match_degree_rejects_negative_degree():
+    with pytest.raises(ValidationError, match="nonnegative"):
+        moment_match_degree(cat_code(4, 2), t_max=-1)
+    assert moment_match_degree(cat_code(4, 2), t_max=0) == 0
 
 
 def test_match_degree_invariant_under_common_rotation():
