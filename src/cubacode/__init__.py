@@ -57,7 +57,6 @@ from .fock import (
     entanglement_fidelity,
     fidelity_details,
     loss_kraus,
-    optimal_scale,
     transpose_recovery,
 )
 from .klcheck import (

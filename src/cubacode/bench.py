@@ -3,10 +3,9 @@
 Codes are energy-normalized to mean photon number 1, and an amplitude
 scale sweeps the mean photon number.  Every point's transpose-recovery
 fidelity comes from ``klcheck.loss_fidelity``, which works in the span of
-the coherent states: nothing is truncated in Fock space, so codes with
-energetic outer shells, two- and three-mode codes and large scales are
-all evaluated the same way.  The only truncation is the total loss order,
-chosen per point so that the codeword weight it drops stays below 1e-10.
+the coherent states and keeps every loss order: nothing is truncated, so
+codes with energetic outer shells, two- and three-mode codes and large
+scales are all evaluated the same way.
 
 The pair comparison optimizes each code's scale at gamma = 0.1 and then
 reports the relative infidelity R = (1 - F_single) / (1 - F_multi) across
@@ -34,9 +33,8 @@ DEFAULT_GRID = (0.8, 3.3, 14)
 
 @dataclass(frozen=True)
 class BenchPoint:
-    """One benchmark row.  ``loss_order`` is the total loss order L kept,
-    ``dropped_weight`` the bound on the codeword weight beyond it and
-    ``gram_ratio`` the codeword Gram's min/max eigenvalue ratio."""
+    """One benchmark row.  ``gram_ratio`` is the codeword Gram's min/max
+    eigenvalue ratio."""
 
     code: str
     gamma: float
@@ -44,8 +42,6 @@ class BenchPoint:
     nbar: float
     fidelity: float
     infidelity: float
-    loss_order: int
-    dropped_weight: float
     gram_ratio: float
 
 
@@ -58,8 +54,6 @@ def _evaluate(code: CodeSpec, label: str, gamma: float, scale: float) -> BenchPo
         nbar=float(scale**2 * np.mean([mean_photon_number(c) for c in code.logicals])),
         fidelity=res.fidelity,
         infidelity=1.0 - res.fidelity,
-        loss_order=res.loss_order,
-        dropped_weight=res.dropped_weight,
         gram_ratio=res.gram_ratio,
     )
 

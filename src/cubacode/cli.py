@@ -26,7 +26,7 @@ from .constellation import CodeParams, CodeSpec, normalize_energy, resolution, s
 from .errors import NumericalFailure, ValidationError
 from .fock import FockSpace
 from .klcheck import code_parameters, kl_report
-from .moments import code_size_bounds, moment_match_degree, multi_indices_upto, weighted_moment
+from .moments import code_size_bounds, moment_match_degree, pair_moments
 from .stabilizer import AnnihilationPolynomial, verify_ztype, ztype_polynomials
 
 
@@ -94,19 +94,23 @@ def _add_code_source(parser: argparse.ArgumentParser):
 _CATALOG_FLAGS = ("m", "K", "p", "radii", "radius", "D", "tau", "r1", "r2")
 
 
+def _catalog_params(args) -> dict:
+    """The catalog flags given on the command line, by name."""
+    params = {}
+    for flag in _CATALOG_FLAGS:
+        val = getattr(args, flag, None)
+        if val is not None:
+            params[flag] = _parse_floats(val, "--radii") if flag == "radii" else val
+    return params
+
+
 def _load_code(args) -> CodeSpec:
     sources = [s for s in (args.catalog, args.code_file) if s]
     if len(sources) != 1:
         raise ValidationError("give exactly one code source: --catalog NAME or --code-file PATH")
     if args.code_file:
         return load_code(args.code_file)
-    params = {}
-    for flag in _CATALOG_FLAGS:
-        val = getattr(args, flag, None)
-        if val is None:
-            continue
-        params[flag] = _parse_floats(val, "--radii") if flag == "radii" else val
-    return build_catalog_code(args.catalog, params)
+    return build_catalog_code(args.catalog, _catalog_params(args))
 
 
 def _header(args, extra: Optional[dict] = None) -> List[str]:
@@ -156,12 +160,7 @@ def cmd_show(args) -> int:
         print(f"  shells: {', '.join(_fmt(r) for r in code.shells) or '(none declared)'}")
         print(f"  claimed degree: {code.claimed_degree}")
         return 0
-    params = {}
-    for flag in _CATALOG_FLAGS:
-        val = getattr(args, flag, None)
-        if val is not None:
-            params[flag] = _parse_floats(val, "--radii") if flag == "radii" else val
-    print(describe(args.catalog, params))
+    print(describe(args.catalog, _catalog_params(args)))
     return 0
 
 
@@ -196,22 +195,18 @@ def cmd_moments(args) -> int:
     for line in _header(args):
         print(line)
     print(f"moment match degree: {t} (searched to {args.max_degree}, tol {_fmt(args.tol)})")
-    # Moments on the box |p|, |q| <= max_degree, read out in multi-index order.
-    box = list(multi_indices_upto(n, args.max_degree))
-    pos = {u: i for i, u in enumerate(box)}
-    pairs = [(pq[:n], pq[n:]) for pq in multi_indices_upto(2 * n, args.max_degree)]
-    at = ([pos[p] for p, _ in pairs], [pos[q] for _, q in pairs])
-    moms = np.array([weighted_moment(c, box, box)[at] for c in code.logicals])
+    pairs, moms = pair_moments(code, args.max_degree)
     devs = np.abs(moms - moms[0]).max(axis=0)
     worst = int(devs.argmax())
-    where = pairs[worst] if devs[worst] > 0 else None
-    print(f"largest deviation {_fmt(devs[worst])} at (p, q) = {where}")
+    where = (tuple(pairs[worst, :n].tolist()), tuple(pairs[worst, n:].tolist()))
+    print(f"largest deviation {_fmt(devs[worst])} at (p, q) = "
+          f"{where if devs[worst] > 0 else None}")
     if args.out:
         rows = [
-            [" ".join(map(str, p)), " ".join(map(str, q))]
+            [" ".join(map(str, pq[:n])), " ".join(map(str, pq[n:]))]
             + [_fmt(x) for m in moms[:, i] for x in (m.real, m.imag)]
             + [_fmt(devs[i])]
-            for i, (p, q) in enumerate(pairs)
+            for i, pq in enumerate(pairs.tolist())
         ]
         header = ["p", "q"]
         for k in range(code.dim):
@@ -320,9 +315,9 @@ def _bench_pair_codes(args):
     return build_catalog_code(args.qcc), build_catalog_code(args.qsc)
 
 
-# The last three columns keep their names from the truncated-Fock engine:
-# "cutoff" is 0 (no Fock cutoff), "tail_mass" is the bound on the codeword
-# weight beyond the loss order kept, and "kraus_lmax" is that total order L.
+# The last three columns keep their names from the truncated-Fock engine
+# and are always 0: there is no Fock cutoff, no dropped weight and no loss
+# order, since every loss order is kept.
 _BENCH_HEADER = [
     "code", "gamma", "scale", "nbar", "fidelity", "infidelity",
     "cutoff", "tail_mass", "kraus_lmax",
@@ -333,7 +328,7 @@ def _bench_rows(points) -> List[List[str]]:
     return [
         [
             p.code, _fmt(p.gamma), _fmt(p.scale), _fmt(p.nbar), _fmt(p.fidelity),
-            _fmt(p.infidelity), "0", _fmt(p.dropped_weight), str(p.loss_order),
+            _fmt(p.infidelity), "0", "0", "0",
         ]
         for p in points
     ]
@@ -354,34 +349,6 @@ def _gram_line(rows) -> dict:
 
 def cmd_bench(args) -> int:
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    if args.bench_command == "sweep-alpha":
-        code = _load_code(args)
-        label = args.catalog or os.path.basename(args.code_file)
-        norm = bench_mod.normalized(code)
-        points = bench_mod.sweep_alpha(
-            norm, label, args.gamma, _parse_grid(args.grid), jobs=jobs,
-        )
-        for line in _header(args, _gram_line(points)):
-            print(line)
-        _write_csv(args.out, _BENCH_HEADER, _bench_rows(points))
-        if args.out:
-            print(f"wrote {args.out}")
-        return 0
-    if args.bench_command == "sweep-gamma":
-        code = _load_code(args)
-        label = args.catalog or os.path.basename(args.code_file)
-        norm = bench_mod.normalized(code)
-        scale = None if args.alpha_op == "auto" else _parse_number(args.alpha_op, "--alpha-op")
-        points = bench_mod.sweep_gamma(
-            norm, label, _parse_floats(args.gammas, "--gammas"), scale=scale,
-            grid=_parse_grid(args.grid), jobs=jobs,
-        )
-        for line in _header(args, _gram_line(points)):
-            print(line)
-        _write_csv(args.out, _BENCH_HEADER, _bench_rows(points))
-        if args.out:
-            print(f"wrote {args.out}")
-        return 0
     if args.bench_command == "pair":
         qcc, qsc = _bench_pair_codes(args)
         opt_multi, opt_single, rows = bench_mod.pair_bench(
@@ -389,13 +356,28 @@ def cmd_bench(args) -> int:
             _parse_floats(args.gammas, "--gammas"), grid=_parse_grid(args.grid), jobs=jobs,
         )
         extra = {"qcc_alpha_op": _fmt(opt_multi[0]), "qsc_alpha_op": _fmt(opt_single[0])}
-        for line in _header(args, {**extra, **_gram_line(rows)}):
-            print(line)
-        _write_csv(args.out, _PAIR_HEADER, _pair_rows(rows))
-        if args.out:
-            print(f"wrote {args.out}")
-        return 0
-    raise ValidationError(f"unknown bench command {args.bench_command!r}")
+        header, table = _PAIR_HEADER, _pair_rows(rows)
+    elif args.bench_command in ("sweep-alpha", "sweep-gamma"):
+        code = _load_code(args)
+        label = args.catalog or os.path.basename(args.code_file)
+        norm = bench_mod.normalized(code)
+        if args.bench_command == "sweep-alpha":
+            rows = bench_mod.sweep_alpha(norm, label, args.gamma, _parse_grid(args.grid), jobs=jobs)
+        else:
+            scale = None if args.alpha_op == "auto" else _parse_number(args.alpha_op, "--alpha-op")
+            rows = bench_mod.sweep_gamma(
+                norm, label, _parse_floats(args.gammas, "--gammas"), scale=scale,
+                grid=_parse_grid(args.grid), jobs=jobs,
+            )
+        extra, header, table = {}, _BENCH_HEADER, _bench_rows(rows)
+    else:
+        raise ValidationError(f"unknown bench command {args.bench_command!r}")
+    for line in _header(args, {**extra, **_gram_line(rows)}):
+        print(line)
+    _write_csv(args.out, header, table)
+    if args.out:
+        print(f"wrote {args.out}")
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,12 @@ import itertools
 import os
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constellation import CodeSpec, as_amplitude, grid_brent_max, mean_photon_number, scale_code
-from .errors import CutoffError, DegenerateCodewordsError, NumericalFailure, ValidationError
+from .constellation import CodeSpec, as_amplitude, mean_photon_number, scale_code
+from .errors import CutoffError, NumericalFailure, ValidationError
 from .klcheck import lowdin_inverse_sqrt
 
 DEFAULT_DIM_BUDGET = 4096
@@ -494,24 +494,3 @@ def entanglement_fidelity(
 ) -> float:
     return fidelity_details(code, gamma, scale, space, recovery=recovery).fidelity
 
-
-def optimal_scale(
-    code: CodeSpec, gamma: float, space: FockSpace, grid: Iterable[float]
-) -> Tuple[float, float]:
-    """Coarse grid scan plus Brent refinement of the fidelity over the
-    amplitude scale.  Grid points whose codewords do not fit the cutoff
-    are skipped; if none fit, the search fails.  Deterministic."""
-    scales = sorted(float(s) for s in grid)
-    if not scales or any(s <= 0 for s in scales):
-        raise ValidationError("scale grid must be a nonempty list of positive values")
-
-    def fid(s: float) -> Optional[float]:
-        try:
-            return entanglement_fidelity(code, gamma, s, space)
-        except (CutoffError, DegenerateCodewordsError):
-            return None
-
-    values = [fid(s) for s in scales]
-    if all(v is None for v in values):
-        raise CutoffError("all grid points fail cutoff checks")
-    return grid_brent_max(fid, scales, values, tol=1e-4, max_iter=40)

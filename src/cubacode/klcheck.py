@@ -13,9 +13,10 @@ F_k (one row per loss pattern, one column per point of codeword k),
     raw[mu, nu, k, l] = ((sqrt(w_k) conj(F_k)) @ <a|b>_kl @ (sqrt(w_l) F_l).T)[mu, nu].
 
 The same algebra gives the benchmark's transpose-recovery fidelity under
-pure loss (``loss_fidelity``): loss maps coherent states to coherent
-states, so the Gram of the loss-branch images is again monomials times
-overlaps, and only an N x N eigenproblem (N points) is solved.
+pure loss (``loss_fidelity``): loss maps each coherent state to a product
+of a damped coherent state and a coherent environment state, so indexing
+the loss branches by an eigenbasis of the environment states' Gram keeps
+every loss order, and only N x N eigenproblems (N points) are solved.
 
 The asymptotic (large-energy) parameters reduce to weighted-moment
 matching and are computed by exhaustive enumeration over stacks of
@@ -174,68 +175,40 @@ def kl_report(code: CodeSpec, max_loss: int, scale: float) -> KLReport:
     )
 
 
-def _poisson_tails(lam: np.ndarray) -> np.ndarray:
-    """tails[L, a] = P(Poisson(lam[a]) > L) for L = 0, 1, ...
-
-    Each tail is summed upward from L + 1 (a reversed cumulative sum of the
-    probability mass), so tails far below 1e-16 keep their relative
-    accuracy; a 1 - cdf tail would stall at roundoff.  The table runs
-    twelve standard deviations plus 60 terms past the largest mean, where
-    the remaining mass is negligible at any tolerance used here.
-    """
-    lam_max = float(lam.max(initial=0.0))
-    n = np.arange(int(lam_max + 12.0 * sqrt(lam_max)) + 61)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # n log(lam), with 0 log 0 = 0: lam = 0 puts all mass at n = 0.
-        n_log_lam = np.where(n[:, None] > 0, n[:, None] * np.log(lam)[None, :], 0.0)
-    pmf = np.exp(n_log_lam - lam[None, :] - log_fact[:, None])
-    return np.cumsum(pmf[::-1], axis=0)[::-1][1:]
-
-
-# Loss orders are kept until the weight they drop from every orthonormalized
-# codeword is provably below this, the Fock path's encoding tolerance.
-LOSS_TAIL_TOL = 1e-10
-
-
 @dataclass(frozen=True)
 class LossFidelity:
-    """Transpose-recovery fidelity under pure loss, with the total loss
-    order L kept, the bound on the codeword weight beyond it, and the
-    codeword Gram's min/max eigenvalue ratio (roundoff puts an error of up
-    to about 0.42 eps / gram_ratio on the fidelity)."""
+    """Transpose-recovery fidelity under pure loss, with the codeword
+    Gram's min/max eigenvalue ratio (roundoff puts an error of up to about
+    0.42 eps / gram_ratio on the fidelity)."""
 
     fidelity: float
-    loss_order: int
-    dropped_weight: float
     gram_ratio: float
 
 
 def loss_fidelity(code: CodeSpec, gamma: float, scale: float) -> LossFidelity:
     """Entanglement fidelity of transpose (Petz) recovery after pure loss,
-    from coherent-state algebra alone (no Fock truncation).
+    from coherent-state algebra alone, with every loss order kept.
 
-    Loss maps coherent states to coherent states,
+    Pure loss is a beam splitter onto an environment mode per mode:
+    |a> -> |sqrt(1 - gamma) a> |sqrt(gamma) a>.  Its Kraus operators can be
+    indexed by any orthonormal basis |j> of the span of the environment
+    states |e_a> = |sqrt(gamma) a>, since the fidelity does not depend on
+    the Kraus representation.  Here the basis diagonalizes the environment
+    Gram E_ab = <e_a|e_b> = V diag(lam) V^+: with g = conj(V) lam^{1/2},
+    g[a, j] = <j|e_a> and g g^+ = conj(E), so the branch images of the
+    orthonormalized codewords have Gram G[(j,k),(j',l)] = M^+ S M with
+    M[a, (j, k)] = g[a, j] sqrt(w_a) [G_c^{-1/2}]_{owner(a), k} (one row per
+    point, G_c the codeword Gram) and S the overlap of the damped points
+    |sqrt(1 - gamma) a>.  With branch images B_j, the composite logical
+    Kraus operators B_j'^+ N(P)^{-1/2} B_j of recovery after loss are the
+    blocks of (B^+ B)^{1/2} = G^{1/2}, giving
 
-        E_mu|a> = exp(-gamma |a|^2 / 2) prod_j (sqrt(gamma) a_j)^mu_j / sqrt(mu_j!)
-                  |sqrt(1 - gamma) a>,
+        F = (1/K^2) sum_{j,j'} |sum_k [G^{1/2}]_{(j,k),(j',k)}|^2.
 
-    so the Gram G[(mu,k),(nu,l)] = <C_k|E_mu^+ E_nu|C_l> of the branch
-    images of the orthonormalized codewords is M^+ S M: M holds those
-    coefficients times the Lowdin factors (one row per point), S is the
-    overlap of the damped points.  With branch images B_mu = E_mu V, the
-    composite logical Kraus operators B_nu^+ N(P)^{-1/2} B_mu of recovery
-    after loss are the blocks of (B^+ B)^{1/2} = G^{1/2}, giving
-
-        F = (1/K^2) sum_{mu,nu} |sum_k [G^{1/2}]_{(mu,k),(nu,k)}|^2.
-
-    With M^+ = Q T (thin QR), G^{1/2} = Q (T S T^+)^{1/2} Q^+, so only an
-    N x N eigenproblem is solved (N points in total); negative eigenvalues
-    are clipped to 0 and no relative floor is applied.  The loss multi-
-    indices mu run over total order |mu| <= L, the smallest L for which the
-    triangle-inequality bound on each codeword's dropped weight,
-    (sum_j |G_c^{-1/2}|_jk sum_{a in j} sqrt(w_a P(Poisson(gamma |a|^2) > L)))^2,
-    is below LOSS_TAIL_TOL.
+    With M^+ = Q T (thin QR), G^{1/2} = Q (T S T^+)^{1/2} Q^+, so only
+    N x N eigenproblems are solved (N points in total).  Negative
+    eigenvalues of E and of T S T^+ are clipped to 0 and no relative floor
+    is applied.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValidationError("loss probability gamma must satisfy 0 <= gamma < 1")
@@ -246,34 +219,18 @@ def loss_fidelity(code: CodeSpec, gamma: float, scale: float) -> LossFidelity:
     ginv = lowdin_inverse_sqrt(gram)
     pts, sqrt_w = _stacked(code, scale)
     owner = np.repeat(np.arange(K), [c.size for c in code.logicals])
-    energy = (np.abs(pts) ** 2).sum(axis=1)
 
-    per_codeword = (np.sqrt(_poisson_tails(gamma * energy)) * sqrt_w) @ (
-        owner[:, None] == np.arange(K)
-    )
-    dropped = ((per_codeword @ np.abs(ginv)) ** 2).max(axis=1)
-    fits = np.flatnonzero(dropped < LOSS_TAIL_TOL)
-    if not fits.size:
-        raise NumericalFailure(
-            f"no loss order up to {dropped.size - 1} drops less than {LOSS_TAIL_TOL:g} "
-            f"of the codeword weight (best {dropped.min():.3e})"
-        )
-    order = int(fits[0])
-
-    mus = _index_box(code.modes, order)
-    root_fact = np.cumprod(np.sqrt(np.arange(order + 1.0)).clip(1.0))  # sqrt(m!)
-    norms = root_fact[mus].prod(axis=1)
-    coef = (_monomials(sqrt(gamma) * pts, order) / norms[:, None]) * (
-        sqrt_w * np.exp(-0.5 * gamma * energy)
-    )
-    # M[a, (mu, k)] = coef[mu, a] * ginv[owner(a), k], branch-major columns.
-    m = (coef.T[:, :, None] * ginv[owner][:, None, :]).reshape(len(pts), -1)
+    env = sqrt(gamma) * pts
+    lam_e, v_e = np.linalg.eigh(_pairwise_overlaps(env, env))
+    g = np.conj(v_e) * np.sqrt(np.clip(lam_e, 0.0, None))  # conj(E) = g g^+
+    # M[a, (j, k)] = g[a, j] * sqrt(w_a) ginv[owner(a), k], branch-major columns.
+    m = (g[:, :, None] * (sqrt_w[:, None] * ginv[owner])[:, None, :]).reshape(len(pts), -1)
     q, t = np.linalg.qr(np.conj(m.T))
     damped = sqrt(1.0 - gamma) * pts
     lam, w = np.linalg.eigh(t @ _pairwise_overlaps(damped, damped) @ np.conj(t.T))
-    # G^{1/2} = y y^+; row (mu, k) of y, flattened per mu, gives the traces.
+    # G^{1/2} = y y^+; row (j, k) of y, flattened per j, gives the traces.
     y = (q @ w) * np.clip(lam, 0.0, None) ** 0.25
-    z = y.reshape(len(mus), -1)
+    z = y.reshape(len(pts), -1)
     fid = float(np.linalg.norm(z @ np.conj(z.T)) ** 2) / K**2
     # Roundoff in the Lowdin factors grows like eps over the codeword Gram's
     # eigenvalue ratio; F was measured up to 0.42 eps/ratio above 1 (at
@@ -282,10 +239,7 @@ def loss_fidelity(code: CodeSpec, gamma: float, scale: float) -> LossFidelity:
     ratio = float(ev[0] / ev[-1])
     if fid > 1.0 + 1e-9 + 10.0 * np.finfo(float).eps / ratio:
         raise NumericalFailure(f"fidelity {fid!r} exceeds 1 beyond tolerance")
-    return LossFidelity(
-        fidelity=min(fid, 1.0), loss_order=order, dropped_weight=float(dropped[order]),
-        gram_ratio=ratio,
-    )
+    return LossFidelity(fidelity=min(fid, 1.0), gram_ratio=ratio)
 
 
 @dataclass(frozen=True)

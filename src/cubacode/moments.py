@@ -133,18 +133,57 @@ def _check_tol(tol: float):
         raise ValidationError(f"tol must be finite and nonnegative (got {tol!r})")
 
 
-def _box_spread(code: CodeSpec, degree: int) -> Callable[[slice, slice], np.ndarray]:
-    """spread(ps, qs)[i, j] = max_k |M_k(p_i, q_j) - M_0(p_i, q_j)| over the
-    logical constellations k, for row ranges ps, qs of the box |u| <=
-    degree.  One monomial table of every point serves all calls."""
+def _box_moments(code: CodeSpec, degree: int) -> Callable[[slice, slice], np.ndarray]:
+    """moments(ps, qs)[k, i, j] = M_k(p_i, q_j) for every logical
+    constellation k and row ranges ps, qs of the box |u| <= degree.  One
+    monomial table of every point serves all calls."""
     table = _monomials(code.all_points(), degree)
     parts = list(zip(code.codeword_rows(), (c.weights for c in code.logicals)))
 
+    def moments(ps: slice, qs: slice) -> np.ndarray:
+        return np.array([(np.conj(table[ps, cw]) * w) @ table[qs, cw].T for cw, w in parts])
+
+    return moments
+
+
+def _box_spread(code: CodeSpec, degree: int) -> Callable[[slice, slice], np.ndarray]:
+    """spread(ps, qs)[i, j] = max_k |M_k(p_i, q_j) - M_0(p_i, q_j)| over the
+    logical constellations k, for row ranges ps, qs of the box |u| <=
+    degree."""
+    moments = _box_moments(code, degree)
+
     def spread(ps: slice, qs: slice) -> np.ndarray:
-        moms = np.array([(np.conj(table[ps, cw]) * w) @ table[qs, cw].T for cw, w in parts])
+        moms = moments(ps, qs)
         return np.abs(moms - moms[0]).max(axis=0)
 
     return spread
+
+
+def pair_moments(code: CodeSpec, degree: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every moment pair (p, q) with |p| + |q| <= degree, for every logical
+    constellation.
+
+    Returns the pairs as rows [p, q] (in the order of
+    ``multi_indices_upto(2 * modes, degree)``) and the K x pairs matrix of
+    moments M_k(p, q).  Each |p| level is one block against the box
+    |q| <= degree - |p|, so exactly these pairs are evaluated.
+    """
+    if degree < 0:
+        raise ValidationError(f"maximum degree must be nonnegative (got {degree})")
+    n, degree = code.modes, int(degree)
+    box = _index_box(n, degree)
+    moments = _box_moments(code, degree)
+    blocks, rows_p, rows_q = [], [], []
+    for dp in range(degree + 1):
+        ps, qs = _level(n, dp), slice(0, comb(n + degree - dp, n))
+        blocks.append(moments(ps, qs).reshape(code.dim, -1))
+        p, q = np.arange(ps.start, ps.stop), np.arange(qs.stop)
+        rows_p.append(np.repeat(p, q.size))
+        rows_q.append(np.tile(q, p.size))
+    pairs = np.hstack([box[np.concatenate(rows_p)], box[np.concatenate(rows_q)]])
+    # By total degree, then lexicographically (lexsort's last key is primary).
+    order = np.lexsort(np.vstack([pairs.T[::-1], pairs.sum(axis=1)]))
+    return pairs[order], np.concatenate(blocks, axis=1)[:, order]
 
 
 def _match_degree(n: int, spread, t_max: int, tol: float) -> int:

@@ -16,7 +16,6 @@ from cubacode import (
     fidelity_details,
     loss_kraus,
     normalize_energy,
-    optimal_scale,
     transpose_recovery,
 )
 from cubacode.fock import annihilation, auto_loss_l_max, single_mode_loss_kraus
@@ -262,29 +261,6 @@ def test_truncation_robustness(cat2_unit):
     f40 = entanglement_fidelity(cat2_unit, 0.1, 2.0, FockSpace(1, 40))
     f48 = entanglement_fidelity(cat2_unit, 0.1, 2.0, FockSpace(1, 48))
     assert abs(f40 - f48) < 1e-6
-
-
-# ---------------------------------------------------------------------------
-# Scale optimization
-# ---------------------------------------------------------------------------
-
-
-def test_optimal_scale_noiseless(space40, cat2_unit):
-    s_op, f_op = optimal_scale(cat2_unit, 0.0, space40, np.linspace(1.0, 2.5, 6))
-    assert f_op >= 1.0 - 1e-6
-
-
-def test_optimal_scale_dominates_grid(space40, cat2_unit):
-    grid = np.linspace(0.9, 2.8, 8)
-    s_op, f_op = optimal_scale(cat2_unit, 0.1, space40, grid)
-    for s in grid:
-        assert f_op >= entanglement_fidelity(cat2_unit, 0.1, s, space40) - 1e-12
-
-
-def test_optimal_scale_all_points_fail():
-    code, _ = normalize_energy(cat_code(2, 2), 1.0)
-    with pytest.raises(CutoffError, match="grid"):
-        optimal_scale(code, 0.1, FockSpace(1, 8), [4.0, 5.0])
 
 
 def test_auto_lmax_zero_without_loss(space40):

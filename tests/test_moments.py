@@ -29,6 +29,7 @@ from cubacode.moments import (
     design_moment_deviation,
     multi_indices,
     multi_indices_upto,
+    pair_moments,
     sphere_monomial_integral_exact,
 )
 
@@ -125,6 +126,29 @@ def test_stacked_moments_match_scalar_loop(name, params):
             assert isinstance(scalar, complex)
             for ref in (loop, scalar):
                 assert abs(stacked[i, j] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("name, params, degree", [
+    ("cat", {"m": 6}, 7),
+    ("twoshell_8_16", {"r1": 1.0, "r2": 2.0}, 5),
+    ("cube_orthoplex", {"D": 6}, 4),
+], ids=["cat6", "twoshell_8_16", "cube_orthoplex6"])
+def test_pair_moments_match_full_box(name, params, degree):
+    # Every pair with |p| + |q| <= degree, in multi_indices_upto(2n) order,
+    # read out of the full box |p|, |q| <= degree.
+    code = build_catalog_code(name, params)
+    n = code.modes
+    pairs, moms = pair_moments(code, degree)
+    assert pairs.tolist() == [list(u) for u in multi_indices_upto(2 * n, degree)]
+    box = list(multi_indices_upto(n, degree))
+    pos = {u: i for i, u in enumerate(box)}
+    at = ([pos[tuple(pq[:n])] for pq in pairs.tolist()],
+          [pos[tuple(pq[n:])] for pq in pairs.tolist()])
+    for k, c in enumerate(code.logicals):
+        ref = weighted_moment(c, box, box)[at]
+        assert np.abs(moms[k] - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    with pytest.raises(ValidationError, match="nonnegative"):
+        pair_moments(code, -1)
 
 
 @pytest.mark.parametrize("n, degree", [(1, 0), (1, 6), (2, 5), (3, 4), (4, 6), (6, 3)])
