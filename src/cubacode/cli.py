@@ -19,15 +19,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import bench as bench_mod
-from .catalog import BENCH_ALIASES, CATALOG, build_catalog_code, catalog_names, describe
-from .codefile import load_code
+# Imported here: what parsing, error handling and building a catalog code
+# need.  Each command imports the rest of what it runs when it runs, so a
+# process loads only the modules its command uses.
+from .catalog import BENCH_ALIASES, CATALOG, build_catalog_code, describe
 from .constellation import CodeParams, CodeSpec, normalize_energy, resolution, scale_code
 from .errors import NumericalFailure, ValidationError
-from .fock import FockSpace
-from .klcheck import code_parameters, kl_report
-from .moments import code_size_bounds, moment_match_degree, pair_moments
-from .stabilizer import AnnihilationPolynomial, verify_ztype, ztype_polynomials
 
 
 def _fmt(x) -> str:
@@ -61,6 +58,14 @@ def _parse_grid(text: str) -> List[float]:
 
 def _parse_floats(text: str, option: str) -> List[float]:
     return [_parse_number(v, option) for v in text.replace(":", ",").split(",") if v.strip()]
+
+
+def _parse_gammas(text: str) -> List[float]:
+    """The --gammas loss rates: at least one, or a ValidationError."""
+    gammas = _parse_floats(text, "--gammas")
+    if not gammas:
+        raise ValidationError(f"--gammas: expected at least one loss rate, got {text!r}")
+    return gammas
 
 
 # Single-number options: argparse keeps their text, and main parses it
@@ -109,6 +114,8 @@ def _load_code(args) -> CodeSpec:
     if len(sources) != 1:
         raise ValidationError("give exactly one code source: --catalog NAME or --code-file PATH")
     if args.code_file:
+        from .codefile import load_code
+
         return load_code(args.code_file)
     return build_catalog_code(args.catalog, _catalog_params(args))
 
@@ -165,6 +172,8 @@ def cmd_show(args) -> int:
 
 
 def cmd_params(args) -> int:
+    from .klcheck import code_parameters
+
     code = _load_code(args)
     if args.normalize is not None:
         code, _ = normalize_energy(code, args.normalize)
@@ -187,6 +196,8 @@ def cmd_params(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    from .moments import moment_match_degree, pair_moments
+
     code = _load_code(args)
     if code.dim < 2:
         raise ValidationError("moment comparison needs at least two codewords")
@@ -218,6 +229,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .moments import code_size_bounds
+
     code = _load_code(args)
     for line in _header(args):
         print(line)
@@ -235,6 +248,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_kl(args) -> int:
+    from .klcheck import kl_report
+
     code = _load_code(args)
     report = kl_report(code, max_loss=args.max_loss, scale=args.scale)
     for line in _header(args):
@@ -265,8 +280,11 @@ def cmd_kl(args) -> int:
     return 0
 
 
-def _read_poly_file(path: str, modes: int) -> List[AnnihilationPolynomial]:
+def _read_poly_file(path: str, modes: int) -> list:
+    """The AnnihilationPolynomial list of a --poly-file document."""
     import json
+
+    from .stabilizer import AnnihilationPolynomial
 
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -288,6 +306,9 @@ def _read_poly_file(path: str, modes: int) -> List[AnnihilationPolynomial]:
 
 
 def cmd_stab(args) -> int:
+    from .fock import FockSpace
+    from .stabilizer import verify_ztype, ztype_polynomials
+
     code = _load_code(args)
     space = FockSpace(code.modes, args.cutoff)
     for line in _header(args):
@@ -348,12 +369,16 @@ def _gram_line(rows) -> dict:
 
 
 def cmd_bench(args) -> int:
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+    from . import bench as bench_mod
+
+    if args.jobs is not None and args.jobs < 1:
+        raise ValidationError(f"--jobs: must be a positive integer, got {args.jobs}")
+    jobs = args.jobs or os.cpu_count() or 1
     if args.bench_command == "pair":
         qcc, qsc = _bench_pair_codes(args)
         opt_multi, opt_single, rows = bench_mod.pair_bench(
             bench_mod.normalized(qcc), bench_mod.normalized(qsc),
-            _parse_floats(args.gammas, "--gammas"), grid=_parse_grid(args.grid), jobs=jobs,
+            _parse_gammas(args.gammas), grid=_parse_grid(args.grid), jobs=jobs,
         )
         extra = {"qcc_alpha_op": _fmt(opt_multi[0]), "qsc_alpha_op": _fmt(opt_single[0])}
         header, table = _PAIR_HEADER, _pair_rows(rows)
@@ -366,7 +391,7 @@ def cmd_bench(args) -> int:
         else:
             scale = None if args.alpha_op == "auto" else _parse_number(args.alpha_op, "--alpha-op")
             rows = bench_mod.sweep_gamma(
-                norm, label, _parse_floats(args.gammas, "--gammas"), scale=scale,
+                norm, label, _parse_gammas(args.gammas), scale=scale,
                 grid=_parse_grid(args.grid), jobs=jobs,
             )
         extra, header, table = {}, _BENCH_HEADER, _bench_rows(rows)
@@ -438,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
         if code_source:
             _add_code_source(p)
         p.add_argument("--grid", default="0.8:3.3:14", help="scale grid a:b:n")
-        p.add_argument("--jobs", type=int, default=None, help="parallel evaluations")
+        p.add_argument("--jobs", type=int, default=None,
+                       help="parallel evaluations, at least 1 (default: the CPU count)")
         p.add_argument("--big", action="store_true",
                        help="accepted for compatibility; has no effect (every code runs)")
         p.add_argument("--out", help="CSV output path (default: stdout)")

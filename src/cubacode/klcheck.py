@@ -145,18 +145,22 @@ def kl_report(code: CodeSpec, max_loss: int, scale: float) -> KLReport:
     K, n = code.dim, code.modes
     qs = list(multi_indices_upto(n, int(max_loss)))
     # raw[mu, nu, k, l] = <C_k| prod (a^+)^mu a^nu |C_l>, expanded over point
-    # pairs: (sqrt(w_k) conj(F_k)) @ overlaps_kl @ (sqrt(w_l) F_l).T, each
-    # block sliced from one overlap matrix of all points.
+    # pairs: (sqrt(w_k) conj(F_k)) @ overlaps_kl @ (sqrt(w_l) F_l).T.  Only
+    # the overlap blocks with k <= l are formed: the rest follow from
+    # raw[nu, mu, l, k] = conj(raw[mu, nu, k, l]).
     pts, sqrt_w = _stacked(code, scale)
-    overlaps = _pairwise_overlaps(pts, pts)
     cw = code.codeword_rows()
-    ginv = lowdin_inverse_sqrt(_gram_from_overlaps(overlaps, sqrt_w, cw))
     right = _monomials(pts, int(max_loss)) * sqrt_w
     left = np.conj(right)
     raw = np.empty((len(qs), len(qs), K, K), dtype=complex)
     for k in range(K):
-        for l in range(K):
-            raw[:, :, k, l] = left[:, cw[k]] @ overlaps[cw[k], cw[l]] @ right[:, cw[l]].T
+        for l in range(k, K):
+            overlaps = _pairwise_overlaps(pts[cw[k]], pts[cw[l]])
+            raw[:, :, k, l] = left[:, cw[k]] @ overlaps @ right[:, cw[l]].T
+            if l > k:
+                raw[:, :, l, k] = raw[:, :, k, l].conj().T
+    # qs[0] is the zero multi-index, so raw[0, 0] is the codeword Gram.
+    ginv = lowdin_inverse_sqrt(raw[0, 0])
     blocks = ginv @ raw @ ginv
 
     diag = np.diagonal(blocks, axis1=2, axis2=3)

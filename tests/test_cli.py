@@ -1,8 +1,5 @@
 import json
-import os
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -252,7 +249,7 @@ def test_bad_option_value_exits_2_before_output(named, argv, capsys):
     assert err.startswith("error:") and named in err and "Traceback" not in err
 
 
-def test_commands_in_one_process_print_what_they_print_alone(tmp_path, capsys):
+def test_commands_in_one_process_print_what_they_print_alone(tmp_path, capsys, fresh_python):
     commands = [
         ("bench", "sweep-alpha", "--catalog", "qsc8", "--grid", "0.8,2.0", "--jobs", "1"),
         ("params", "--catalog", "twoshell_24cell", "--tau", "2", "--normalize", "1"),
@@ -265,8 +262,7 @@ def test_commands_in_one_process_print_what_they_print_alone(tmp_path, capsys):
         together.append(out)
     assert build_parser() is build_parser()
     for argv, out in zip(commands, together):
-        alone = subprocess.run([sys.executable, "-m", "cubacode.cli", *argv], env=os.environ,
-                               capture_output=True, text=True, timeout=120)
+        alone = fresh_python("-m", "cubacode.cli", *argv)
         assert alone.returncode == 0, alone.stderr
         assert alone.stdout == out
 

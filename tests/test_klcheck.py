@@ -385,3 +385,37 @@ def test_kl_blocks_match_per_entry_reference(code, max_loss, scale):
     for (mu, nu), block in rep.matrices.items():
         ref = reference_kl_block(code, mu, nu, scale)
         assert np.abs(block - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def reference_kl_blocks_all_pairs(code, max_loss, scale) -> dict:
+    """Every block from all K^2 codeword pairs of one full overlap matrix,
+    the way kl_report formed them before it used the block symmetry."""
+    qs = list(multi_indices_upto(code.modes, max_loss))
+    pts = scale * code.all_points()
+    sqrt_w = np.sqrt(np.concatenate([c.weights for c in code.logicals]))
+    norms = (np.abs(pts) ** 2).sum(axis=1)
+    overlaps = np.exp(-0.5 * norms[:, None] - 0.5 * norms[None, :] + np.conj(pts) @ pts.T)
+    right = np.prod(pts[None, :, :] ** np.array(qs)[:, None, :], axis=2) * sqrt_w
+    left = np.conj(right)
+    cw = code.codeword_rows()
+    raw = np.empty((len(qs), len(qs), code.dim, code.dim), dtype=complex)
+    for k in range(code.dim):
+        for l in range(code.dim):
+            raw[:, :, k, l] = left[:, cw[k]] @ overlaps[cw[k], cw[l]] @ right[:, cw[l]].T
+    ginv = lowdin_inverse_sqrt(codeword_gram(code, scale))
+    blocks = ginv @ raw @ ginv
+    return {(mu, nu): blocks[i, j] for i, mu in enumerate(qs) for j, nu in enumerate(qs)}
+
+
+@pytest.mark.parametrize("code, max_loss, scale", [
+    (cat_code(4, 2), 3, 2.0),
+    (build_catalog_code("cube_orthoplex", {"D": 6}), 4, 3.0),
+    (build_catalog_code("cell16_qutrit"), 3, 2.0),
+    (uneven_code(), 2, 1.0),
+], ids=["cat4", "cube_orthoplex6", "cell16_qutrit", "uneven"])
+def test_kl_blocks_match_all_pairs_reference(code, max_loss, scale):
+    rep = kl_report(code, max_loss=max_loss, scale=scale)
+    ref = reference_kl_blocks_all_pairs(code, max_loss, scale)
+    assert rep.matrices.keys() == ref.keys()
+    for key, block in rep.matrices.items():
+        assert np.abs(block - ref[key]).max() <= 1e-12 * max(1.0, np.abs(ref[key]).max())
