@@ -48,7 +48,6 @@ def main() -> int:
                         default=[0.02, 0.05, 0.08, 0.1, 0.12, 0.15, 0.18, 0.2])
     parser.add_argument("--grid", type=float, nargs=3, default=[0.8, 3.3, 14],
                         metavar=("LO", "HI", "N"))
-    parser.add_argument("--jobs", type=int, default=None)
     parser.add_argument("--big", action="store_true",
                         help="include the two-mode 24-point pair")
     args = parser.parse_args()
@@ -68,22 +67,22 @@ def main() -> int:
         print(f"pair {ell}: amplitude sweeps at gamma = 0.1")
         points = []
         for label, code in ((f"qcc{ell}", qcc), (f"qsc{ell}", qsc)):
-            points += sweep_alpha(code, label, 0.1, grid, jobs=args.jobs)
+            points += sweep_alpha(code, label, 0.1, grid)
         write_csv(outdir / f"sweep_alpha_{ell}.csv", _BENCH_HEADER, _bench_rows(points))
 
         print(f"pair {ell}: loss-rate sweeps at the gamma = 0.1 optima")
         points = []
         optima = {}
         for label, code in ((f"qcc{ell}", qcc), (f"qsc{ell}", qsc)):
-            s_op, f_op = optimal_scale_adaptive(code, 0.1, grid, jobs=args.jobs)
+            s_op, f_op = optimal_scale_adaptive(code, 0.1, grid)
             optima[label] = s_op
             print(f"  {label}: alpha_op = {s_op:.4f}, F_op = {f_op:.6f}")
-            points += sweep_gamma(code, label, gamma_axis, scale=s_op, jobs=args.jobs)
+            points += sweep_gamma(code, label, gamma_axis, scale=s_op)
         write_csv(outdir / f"sweep_gamma_{ell}.csv", _BENCH_HEADER, _bench_rows(points))
 
         print(f"pair {ell}: relative infidelity at the gamma = 0.1 optima")
-        multi = sweep_gamma(qcc, "", args.gammas, scale=optima[f"qcc{ell}"], jobs=args.jobs)
-        single = sweep_gamma(qsc, "", args.gammas, scale=optima[f"qsc{ell}"], jobs=args.jobs)
+        multi = sweep_gamma(qcc, "", args.gammas, scale=optima[f"qcc{ell}"])
+        single = sweep_gamma(qsc, "", args.gammas, scale=optima[f"qsc{ell}"])
         rows = [PairPoint(gamma=m.gamma, f_single=s.fidelity, f_multi=m.fidelity,
                           gram_ratio=min(m.gram_ratio, s.gram_ratio))
                 for m, s in zip(multi, single)]

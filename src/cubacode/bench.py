@@ -14,11 +14,14 @@ a list of loss rates with the scales held fixed.
 Every row carries the codeword Gram's eigenvalue ratio at its scale:
 roundoff in the orthonormalized codewords puts an error of up to about
 0.42 eps / ratio on the fidelity.
+
+Each sweep, the rows of a pair comparison and the grid scan of a scale
+search make one batched ``klcheck.loss_fidelities`` call per code; only
+the search's refinement probes are evaluated one at a time.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -26,7 +29,7 @@ import numpy as np
 
 from .constellation import CodeSpec, grid_brent_max, mean_photon_number, normalize_energy
 from .errors import DegenerateCodewordsError, NumericalFailure, ValidationError
-from .klcheck import loss_fidelity
+from .klcheck import loss_fidelities
 
 DEFAULT_GRID = (0.8, 3.3, 14)
 
@@ -45,26 +48,24 @@ class BenchPoint:
     gram_ratio: float
 
 
-def _evaluate(code: CodeSpec, label: str, gamma: float, scale: float) -> BenchPoint:
-    res = loss_fidelity(code, gamma, scale)
-    return BenchPoint(
-        code=label,
-        gamma=gamma,
-        scale=scale,
-        nbar=float(scale**2 * np.mean([mean_photon_number(c) for c in code.logicals])),
-        fidelity=res.fidelity,
-        infidelity=1.0 - res.fidelity,
-        gram_ratio=res.gram_ratio,
-    )
-
-
-def _parallel(tasks, jobs: Optional[int]):
-    items = list(tasks)
-    if jobs is not None and jobs <= 1:
-        return [fn() for fn in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(fn) for fn in items]
-        return [f.result() for f in futures]
+def _evaluate(code: CodeSpec, label: str, points: Sequence[Tuple[float, float]]) -> List[BenchPoint]:
+    """One row per (gamma, scale) point, from one batched call; the first
+    point that fails raises its NumericalFailure."""
+    energy = float(np.mean([mean_photon_number(c) for c in code.logicals]))
+    rows = []
+    for (gamma, scale), res in zip(points, loss_fidelities(code, points)):
+        if isinstance(res, NumericalFailure):
+            raise res
+        rows.append(BenchPoint(
+            code=label,
+            gamma=gamma,
+            scale=scale,
+            nbar=float(scale**2 * energy),
+            fidelity=res.fidelity,
+            infidelity=1.0 - res.fidelity,
+            gram_ratio=res.gram_ratio,
+        ))
+    return rows
 
 
 def normalized(code: CodeSpec) -> CodeSpec:
@@ -73,16 +74,9 @@ def normalized(code: CodeSpec) -> CodeSpec:
     return out
 
 
-def sweep_alpha(
-    code: CodeSpec,
-    label: str,
-    gamma: float,
-    grid: Sequence[float],
-    jobs: Optional[int] = None,
-) -> List[BenchPoint]:
+def sweep_alpha(code: CodeSpec, label: str, gamma: float, grid: Sequence[float]) -> List[BenchPoint]:
     """Fidelity at each amplitude scale in the grid (fixed loss rate)."""
-    tasks = [(lambda s=s: _evaluate(code, label, gamma, s)) for s in _scales(grid)]
-    return _parallel(tasks, jobs)
+    return _evaluate(code, label, [(float(gamma), s) for s in _scales(grid)])
 
 
 def _scales(grid: Sequence[float]) -> List[float]:
@@ -92,12 +86,7 @@ def _scales(grid: Sequence[float]) -> List[float]:
     return scales
 
 
-def optimal_scale_adaptive(
-    code: CodeSpec,
-    gamma: float,
-    grid: Sequence[float],
-    jobs: Optional[int] = None,
-) -> Tuple[float, float]:
+def optimal_scale_adaptive(code: CodeSpec, gamma: float, grid: Sequence[float]) -> Tuple[float, float]:
     """The scale of highest fidelity at loss rate gamma, and that fidelity.
 
     The grid is scanned first; Brent's method then refines between the
@@ -106,14 +95,18 @@ def optimal_scale_adaptive(
     (codeword Gram below the Lowdin floor) are skipped; the search fails
     with NumericalFailure only when every grid point is degenerate.
     """
-    def fidelity(s: float) -> Optional[float]:
-        try:
-            return loss_fidelity(code, gamma, s).fidelity
-        except DegenerateCodewordsError:
+    def value(res) -> Optional[float]:
+        if isinstance(res, DegenerateCodewordsError):
             return None
+        if isinstance(res, NumericalFailure):
+            raise res
+        return res.fidelity
+
+    def fidelity(s: float) -> Optional[float]:  # one refinement probe
+        return value(loss_fidelities(code, [(gamma, s)])[0])
 
     scales = _scales(grid)
-    values = _parallel([(lambda s=s: fidelity(s)) for s in scales], jobs)
+    values = [value(res) for res in loss_fidelities(code, [(gamma, s) for s in scales])]
     if all(v is None for v in values):
         raise NumericalFailure("codewords are degenerate at every grid scale")
     return grid_brent_max(fidelity, scales, values, tol=1e-4, max_iter=40)
@@ -125,15 +118,13 @@ def sweep_gamma(
     gammas: Sequence[float],
     scale: Optional[float] = None,
     grid: Optional[Sequence[float]] = None,
-    jobs: Optional[int] = None,
 ) -> List[BenchPoint]:
     """Fidelity across loss rates at a fixed scale; when no scale is given
     it is optimized at gamma = 0.1 over the grid first."""
     if scale is None:
         grid = grid if grid is not None else np.linspace(*DEFAULT_GRID)
-        scale, _ = optimal_scale_adaptive(code, 0.1, grid, jobs)
-    tasks = [(lambda g=g: _evaluate(code, label, float(g), float(scale))) for g in gammas]
-    return _parallel(tasks, jobs)
+        scale, _ = optimal_scale_adaptive(code, 0.1, grid)
+    return _evaluate(code, label, [(float(g), float(scale)) for g in gammas])
 
 
 @dataclass(frozen=True)
@@ -158,7 +149,6 @@ def pair_bench(
     single_shell: CodeSpec,
     gammas: Sequence[float],
     grid: Optional[Sequence[float]] = None,
-    jobs: Optional[int] = None,
 ) -> Tuple[Tuple[float, float], Tuple[float, float], List[PairPoint]]:
     """Optimize both codes' scales at gamma = 0.1 and report the relative
     infidelity R = (1 - F_single)/(1 - F_multi) with scales held fixed.
@@ -169,12 +159,11 @@ def pair_bench(
     if multi_shell.dim != single_shell.dim:
         raise ValidationError("paired codes must encode the same number of logical states")
     grid = grid if grid is not None else np.linspace(*DEFAULT_GRID)
-    opt_multi = optimal_scale_adaptive(multi_shell, 0.1, grid, jobs)
-    opt_single = optimal_scale_adaptive(single_shell, 0.1, grid, jobs)
-    rows = []
-    for g in gammas:
-        pm = _evaluate(multi_shell, "", float(g), opt_multi[0])
-        ps = _evaluate(single_shell, "", float(g), opt_single[0])
-        rows.append(PairPoint(gamma=float(g), f_single=ps.fidelity, f_multi=pm.fidelity,
-                              gram_ratio=min(pm.gram_ratio, ps.gram_ratio)))
+    opt_multi = optimal_scale_adaptive(multi_shell, 0.1, grid)
+    opt_single = optimal_scale_adaptive(single_shell, 0.1, grid)
+    multi = sweep_gamma(multi_shell, "", gammas, scale=opt_multi[0])
+    single = sweep_gamma(single_shell, "", gammas, scale=opt_single[0])
+    rows = [PairPoint(gamma=pm.gamma, f_single=ps.fidelity, f_multi=pm.fidelity,
+                      gram_ratio=min(pm.gram_ratio, ps.gram_ratio))
+            for pm, ps in zip(multi, single)]
     return opt_multi, opt_single, rows

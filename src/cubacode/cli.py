@@ -213,12 +213,15 @@ def cmd_moments(args) -> int:
     print(f"largest deviation {_fmt(devs[worst])} at (p, q) = "
           f"{where if devs[worst] > 0 else None}")
     if args.out:
-        rows = [
-            [" ".join(map(str, pq[:n])), " ".join(map(str, pq[n:]))]
-            + [_fmt(x) for m in moms[:, i] for x in (m.real, m.imag)]
-            + [_fmt(devs[i])]
-            for i, pq in enumerate(pairs.tolist())
-        ]
+        # One format string per row, giving what str and _fmt give per cell:
+        # p and q, then re and im of each codeword's moment, then the deviation.
+        values = np.empty((len(devs), 2 * code.dim + 1))
+        values[:, :-1:2] = moms.real.T
+        values[:, 1:-1:2] = moms.imag.T
+        values[:, -1] = devs
+        index = " ".join(["%d"] * n)
+        line = ",".join([index, index] + ["%.12g"] * values.shape[1])
+        rows = [[line % (*pq, *v)] for pq, v in zip(pairs.tolist(), values.tolist())]
         header = ["p", "q"]
         for k in range(code.dim):
             header += [f"moment{k}_re", f"moment{k}_im"]
@@ -373,12 +376,11 @@ def cmd_bench(args) -> int:
 
     if args.jobs is not None and args.jobs < 1:
         raise ValidationError(f"--jobs: must be a positive integer, got {args.jobs}")
-    jobs = args.jobs or os.cpu_count() or 1
     if args.bench_command == "pair":
         qcc, qsc = _bench_pair_codes(args)
         opt_multi, opt_single, rows = bench_mod.pair_bench(
             bench_mod.normalized(qcc), bench_mod.normalized(qsc),
-            _parse_gammas(args.gammas), grid=_parse_grid(args.grid), jobs=jobs,
+            _parse_gammas(args.gammas), grid=_parse_grid(args.grid),
         )
         extra = {"qcc_alpha_op": _fmt(opt_multi[0]), "qsc_alpha_op": _fmt(opt_single[0])}
         header, table = _PAIR_HEADER, _pair_rows(rows)
@@ -387,12 +389,12 @@ def cmd_bench(args) -> int:
         label = args.catalog or os.path.basename(args.code_file)
         norm = bench_mod.normalized(code)
         if args.bench_command == "sweep-alpha":
-            rows = bench_mod.sweep_alpha(norm, label, args.gamma, _parse_grid(args.grid), jobs=jobs)
+            rows = bench_mod.sweep_alpha(norm, label, args.gamma, _parse_grid(args.grid))
         else:
             scale = None if args.alpha_op == "auto" else _parse_number(args.alpha_op, "--alpha-op")
             rows = bench_mod.sweep_gamma(
                 norm, label, _parse_gammas(args.gammas), scale=scale,
-                grid=_parse_grid(args.grid), jobs=jobs,
+                grid=_parse_grid(args.grid),
             )
         extra, header, table = {}, _BENCH_HEADER, _bench_rows(rows)
     else:
@@ -464,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
             _add_code_source(p)
         p.add_argument("--grid", default="0.8:3.3:14", help="scale grid a:b:n")
         p.add_argument("--jobs", type=int, default=None,
-                       help="parallel evaluations, at least 1 (default: the CPU count)")
+                       help="accepted for compatibility (at least 1); has no effect")
         p.add_argument("--big", action="store_true",
                        help="accepted for compatibility; has no effect (every code runs)")
         p.add_argument("--out", help="CSV output path (default: stdout)")

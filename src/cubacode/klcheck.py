@@ -13,10 +13,13 @@ F_k (one row per loss pattern, one column per point of codeword k),
     raw[mu, nu, k, l] = ((sqrt(w_k) conj(F_k)) @ <a|b>_kl @ (sqrt(w_l) F_l).T)[mu, nu].
 
 The same algebra gives the benchmark's transpose-recovery fidelity under
-pure loss (``loss_fidelity``): loss maps each coherent state to a product
-of a damped coherent state and a coherent environment state, so indexing
-the loss branches by an eigenbasis of the environment states' Gram keeps
-every loss order, and only N x N eigenproblems (N points) are solved.
+pure loss (``loss_fidelity``, batched as ``loss_fidelities``): loss maps
+each coherent state to a product of a damped coherent state and a coherent
+environment state, so indexing the loss branches by an eigenbasis of the
+environment states' Gram keeps every loss order.  When a phase rotation
+e^{2 pi i/d} permutes a code's points and its codewords, the work splits
+into d sectors of photon number mod d, each with N/d x N/d eigenproblems
+(N points); d = 1 is a single sector holding every point.
 
 The asymptotic (large-energy) parameters reduce to weighted-moment
 matching and are computed by exhaustive enumeration over stacks of
@@ -26,8 +29,8 @@ multi-indices, stopping at the first degree that fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, sqrt
-from typing import Dict, Sequence, Tuple
+from math import comb, lgamma
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -189,6 +192,173 @@ class LossFidelity:
     gram_ratio: float
 
 
+# Points match under a rotation when every orbit agrees with the rotated
+# copies of its first point to this many ulps of the largest amplitude, and
+# weights to this many ulps of the largest weight: the size of the rounding
+# in the catalog's coordinates (3.2 ulps at most, on qsc12).  The sector
+# Grams are those of the rotated first points, so a looser match would
+# evaluate a slightly different code, a difference the inverse Gram ratio
+# amplifies like roundoff in the inputs; a missed match only costs speed.
+_ORBIT_ULPS = 8.0
+# A batch's largest arrays (the branch factors M, Q and y, 16 N^2 K bytes per
+# point) stay under this many bytes, and so does each point's share of a
+# group of series terms; longer batches are split.  Batches only form for
+# small codes (at most 32 points at K = 2): they carry the per-call cost of
+# the pair-8/12 searches, which one point per call made a third slower.
+# Larger batches ran no faster and raised the peak RSS.
+_BATCH_BYTES = 1 << 16
+
+
+@dataclass(frozen=True)
+class _Orbits:
+    """The largest phase rotation e^{2 pi i/d} that permutes a code's
+    points, keeps their weights and maps each codeword's points onto one
+    codeword, and the code's points arranged in its orbits.
+
+    ``rows[o, t]`` is the row of e^{2 pi i t/d} r_o in ``code.all_points()``
+    (r_o is the point in row ``rows[o, 0]``); ``sqrt_w`` and ``owner`` hold
+    each point's square-root weight and codeword in the same layout.  The
+    unit-scale log-overlaps log <r_o|e^{2 pi i t/d} r_o'> =
+    e^{2 pi i t/d} x[o, o'] - half[o, o'] are kept as ``x[o, o']`` =
+    r_o^* . r_o' and ``half[o, o']`` = (|r_o|^2 + |r_o'|^2)/2.
+    """
+
+    d: int
+    rows: np.ndarray
+    sqrt_w: np.ndarray
+    owner: np.ndarray
+    half: np.ndarray
+    x: np.ndarray
+    abs_max: float
+
+
+def _rotation_orbits(pts: np.ndarray, w: np.ndarray, owner: np.ndarray, d: int):
+    """The orbit table (see _Orbits.rows) of the rotation e^{2 pi i/d} when
+    it permutes the points, keeps their weights and maps every codeword
+    onto one codeword; None otherwise."""
+    eps = _ORBIT_ULPS * np.finfo(float).eps
+    tol = eps * max(1.0, float(np.abs(pts).max()))
+    rot = np.exp(2j * np.pi / d) * pts
+    if np.abs(pts - rot[0]).max(axis=1).min() > tol:  # cheap test on one point
+        return None
+    # Nearest neighbours from |b|^2 - 2 Re <a, b>, then checked directly.
+    dist = (np.abs(pts) ** 2).sum(axis=1)[None, :] - 2.0 * (np.conj(rot) @ pts.T).real
+    perm = dist.argmin(axis=1)
+    if (np.abs(rot - pts[perm]).max() > tol
+            or np.bincount(perm).max() > 1
+            or np.abs(w[perm] - w).max() > eps * w.max()):
+        return None
+    # Each codeword must land inside one codeword, by a permutation of the
+    # codewords; perm being a bijection then makes each image a whole
+    # codeword.
+    image = owner[perm]
+    first = image[np.searchsorted(owner, np.arange(owner[-1] + 1))]
+    if np.any(image != first[owner]) or np.bincount(first).max() > 1:
+        return None
+    seen = np.zeros(len(pts), dtype=bool)
+    rows = []
+    for a in range(len(pts)):
+        if not seen[a]:
+            orbit = [a]
+            for _ in range(d - 1):
+                orbit.append(int(perm[orbit[-1]]))
+            seen[orbit] = True
+            rows.append(orbit)
+    rows = np.array(rows)
+    if rows.size != len(pts):  # a point (near) the origin is its own image
+        return None
+    # Steps that each match within tol can drift by up to d tol along an
+    # orbit; the sector Grams use the rotated first points, so check those.
+    turns = np.exp(2j * np.pi * np.arange(d) / d)[None, :, None]
+    if np.abs(turns * pts[rows[:, :1]] - pts[rows]).max() > tol:
+        return None
+    return rows
+
+
+def _find_orbits(code: CodeSpec) -> _Orbits:
+    pts = code.all_points()
+    w = np.concatenate([c.weights for c in code.logicals])
+    owner = np.repeat(np.arange(code.dim), [c.size for c in code.logicals])
+    N = len(pts)
+    d, rows = 1, np.arange(N)[:, None]
+    # A point at the origin is fixed by every rotation, so no d > 1 acts
+    # freely; otherwise every orbit has d points and d divides N.
+    if np.abs(pts).max(axis=1).min() > 0.0:
+        for cand in range(N, 1, -1):
+            if N % cand == 0:
+                found = _rotation_orbits(pts, w, owner, cand)
+                if found is not None:
+                    d, rows = cand, found
+                    break
+    reps = pts[rows[:, 0]]
+    norms = (np.abs(reps) ** 2).sum(axis=1)
+    x = np.conj(reps) @ reps.T
+    return _Orbits(
+        d=d, rows=rows, sqrt_w=np.sqrt(w)[rows], owner=owner[rows],
+        half=0.5 * (norms[:, None] + norms[None, :]), x=x, abs_max=float(np.abs(x).max()),
+    )
+
+
+def _sector_grams(orbits: _Orbits, kappa: np.ndarray) -> np.ndarray:
+    """[p, s, o, o'] = <Pi_s f_o|Pi_s f_o'> for f_o = |sqrt(kappa_p) r_o>,
+    Pi_s the projector onto photon number s mod d.
+
+    That is exp(-kappa half) sum_{m = s mod d} (kappa x)^m / m!, summed term
+    by term in the log domain, so no term overflows.  The DFT over t of
+    <f_o|e^{2 pi i t/d} f_o'> gives the same sums with an absolute error of
+    eps, which swamps the sectors that are small at low amplitude: those
+    carry the codeword differences that the Lowdin factors amplify by the
+    inverse Gram ratio.
+
+    Each point sums blocks of d terms until the Poisson tail of its largest
+    kappa |x| is below 1e-20 (past the mean plus 10 standard deviations plus
+    25).  Terms past a point's own blocks are zeroed and groups of blocks
+    have a fixed size, so a point's sums are formed in the same order
+    whatever else is in the batch.
+
+    With d = 1 the one sector holds the whole overlap, whose series sums to
+    exp(kappa (x - half)); that closed form is used instead, so a code
+    without symmetry costs one exponential per entry.
+    """
+    d = orbits.d
+    if d == 1:
+        return np.exp(kappa[:, None, None, None] * (orbits.x - orbits.half))
+    lam = kappa * orbits.abs_max
+    blocks = -(-(lam + 10.0 * np.sqrt(lam) + 25.0).astype(int) // d)
+    stop = int(blocks.max())
+    log_fact = np.array([lgamma(m + 1.0) for m in range(stop * d)])  # log m!
+    kappa = kappa[:, None, None]
+    tiny = np.finfo(float).tiny
+    log_abs = np.log(np.maximum(kappa, tiny)) + np.log(np.maximum(np.abs(orbits.x), tiny))
+    phase = np.angle(orbits.x)
+    base = -kappa * orbits.half
+    out = np.zeros((d,) + base.shape, dtype=complex)
+    group = max(1, _BATCH_BYTES // (16 * orbits.half.size * d))  # blocks summed at once
+    for j in range(0, stop, group):
+        m = np.arange(j * d, min(j + group, stop) * d)
+        fact = log_fact[m][:, None, None, None]
+        m = m.astype(float)[:, None, None, None]
+        terms = np.exp(base + m * log_abs - fact + 1j * (m * phase))
+        if blocks.min() < stop:
+            terms[m[:, 0, 0, 0, None] >= d * blocks] = 0.0
+        out += terms.reshape((-1, d) + base.shape).sum(axis=0)
+    return out.transpose(1, 0, 2, 3)
+
+
+# Orbit tables by code identity; an entry holds its code, so an id is not
+# reused while cached.
+_ORBIT_CACHE: Dict[int, Tuple[CodeSpec, _Orbits]] = {}
+
+
+def _orbits(code: CodeSpec) -> _Orbits:
+    hit = _ORBIT_CACHE.get(id(code))
+    if hit is None:
+        if len(_ORBIT_CACHE) >= 8:
+            _ORBIT_CACHE.pop(next(iter(_ORBIT_CACHE)))
+        hit = _ORBIT_CACHE[id(code)] = (code, _find_orbits(code))
+    return hit[1]
+
+
 def loss_fidelity(code: CodeSpec, gamma: float, scale: float) -> LossFidelity:
     """Entanglement fidelity of transpose (Petz) recovery after pure loss,
     from coherent-state algebra alone, with every loss order kept.
@@ -209,41 +379,116 @@ def loss_fidelity(code: CodeSpec, gamma: float, scale: float) -> LossFidelity:
 
         F = (1/K^2) sum_{j,j'} |sum_k [G^{1/2}]_{(j,k),(j',k)}|^2.
 
-    With M^+ = Q T (thin QR), G^{1/2} = Q (T S T^+)^{1/2} Q^+, so only
-    N x N eigenproblems are solved (N points in total).  Negative
-    eigenvalues of E and of T S T^+ are clipped to 0 and no relative floor
-    is applied.
-    """
-    if not 0.0 <= gamma < 1.0:
-        raise ValidationError("loss probability gamma must satisfy 0 <= gamma < 1")
-    if not 0.0 < scale < np.inf:
-        raise ValidationError("scale must be positive and finite")
-    K = code.dim
-    gram = codeword_gram(code, scale)
-    ginv = lowdin_inverse_sqrt(gram)
-    pts, sqrt_w = _stacked(code, scale)
-    owner = np.repeat(np.arange(K), [c.size for c in code.logicals])
+    The formula holds for any Parseval frame of the code space in place of
+    the orthonormal codewords, which is what lets it work one photon-number
+    sector at a time.  Let U = exp(2 pi i n/d) (n the total photon number)
+    be the largest phase rotation that permutes the points, keeps their
+    weights and maps codewords onto codewords, and Pi_c the projector onto
+    n = c mod d.  U commutes with the code projector and with loss, so the
+    Pi_c|L_k> form a Parseval frame of the code space; with environment
+    bases of definite photon number q mod d, G is block diagonal in the
+    output sector s = c - q.  Per orbit o (the points e^{2 pi i t/d} r_o):
 
-    env = sqrt(gamma) * pts
-    lam_e, v_e = np.linalg.eigh(_pairwise_overlaps(env, env))
-    g = np.conj(v_e) * np.sqrt(np.clip(lam_e, 0.0, None))  # conj(E) = g g^+
-    # M[a, (j, k)] = g[a, j] * sqrt(w_a) ginv[owner(a), k], branch-major columns.
-    m = (g[:, :, None] * (sqrt_w[:, None] * ginv[owner])[:, None, :]).reshape(len(pts), -1)
-    q, t = np.linalg.qr(np.conj(m.T))
-    damped = sqrt(1.0 - gamma) * pts
-    lam, w = np.linalg.eigh(t @ _pairwise_overlaps(damped, damped) @ np.conj(t.T))
-    # G^{1/2} = y y^+; row (j, k) of y, flattened per j, gives the traces.
-    y = (q @ w) * np.clip(lam, 0.0, None) ** 0.25
-    z = y.reshape(len(pts), -1)
-    fid = float(np.linalg.norm(z @ np.conj(z.T)) ** 2) / K**2
-    # Roundoff in the Lowdin factors grows like eps over the codeword Gram's
-    # eigenvalue ratio; F was measured up to 0.42 eps/ratio above 1 (at
-    # gamma = 0).  A larger excess is a breakdown, not roundoff.
-    ev = np.linalg.eigvalsh(gram)
-    ratio = float(ev[0] / ev[-1])
-    if fid > 1.0 + 1e-9 + 10.0 * np.finfo(float).eps / ratio:
-        raise NumericalFailure(f"fidelity {fid!r} exceeds 1 beyond tolerance")
-    return LossFidelity(fidelity=min(fid, 1.0), gram_ratio=ratio)
+        E^[q], S^[s]  = sector Grams <Pi f_o|Pi f_o'> of the environment
+                        states |sqrt(gamma) r_o> and damped states
+                        |sqrt(1 - gamma) r_o>, i.e. the DFTs over t of
+                        <f_o|e^{2 pi i t/d} f_o'> divided by d (summed as
+                        series, see _sector_grams);
+        g_q           = conj(V_q) lam_q^{1/2} from E^[q] = V_q diag(lam_q) V_q^+;
+        a^[c, o, k]   = sum_t e^{2 pi i c t/d} sqrt(w) [G_c^{-1/2}]_{owner, k}
+                        at point (o, t), a DFT along the orbit;
+        M_s[o, (q, j, k)] = a^[(s + q) mod d, o, k] g_q[o, j],
+        G_s           = M_s^+ S^[s] M_s,
+
+    and F = sum_q ||Z_q||^2 / K^2 with Z_q[j, j'] = sum_{s,k}
+    [G_s^{1/2}]_{(q,j,k),(q,j',k)}.  With M_s^+ = Q T (thin QR),
+    G_s^{1/2} = Q (T S^[s] T^+)^{1/2} Q^+, so the eigenproblems are
+    N/d x N/d (N points in total).  A code with no such rotation, or with a
+    point at the origin, has d = 1: one sector holding every point, whose
+    Grams E and S are the plain coherent-state overlaps, so this is the
+    formula above.  Negative eigenvalues of E^[q] and of T S^[s] T^+ are
+    clipped to 0 and no relative floor is applied.
+    """
+    res = loss_fidelities(code, [(gamma, scale)])[0]
+    if isinstance(res, NumericalFailure):
+        raise res
+    return res
+
+
+def loss_fidelities(
+    code: CodeSpec, points: Sequence[Tuple[float, float]]
+) -> List[Union[LossFidelity, NumericalFailure]]:
+    """``loss_fidelity`` at each (gamma, scale) point, evaluated in batches.
+
+    Each entry is the point's LossFidelity, or the NumericalFailure that
+    point raises (DegenerateCodewordsError where the codewords are
+    degenerate at its scale).  Entries equal per-point calls bit for bit.
+    """
+    points = [(float(g), float(s)) for g, s in points]
+    for gamma, scale in points:
+        if not 0.0 <= gamma < 1.0:
+            raise ValidationError("loss probability gamma must satisfy 0 <= gamma < 1")
+        if not 0.0 < scale < np.inf:
+            raise ValidationError("scale must be positive and finite")
+    orbits = _orbits(code)
+    step = max(1, _BATCH_BYTES // (16 * orbits.rows.size**2 * code.dim))
+    out = []
+    for i in range(0, len(points), step):
+        out += _fidelity_batch(code, orbits, points[i:i + step])
+    return out
+
+
+def _fidelity_batch(code: CodeSpec, orbits: _Orbits, points: list) -> list:
+    K, d = code.dim, orbits.d
+    n = len(orbits.rows)
+    out: list = [None] * len(points)
+    live, ginvs, ratios = [], [], []
+    for i, (_, scale) in enumerate(points):
+        gram = codeword_gram(code, scale)
+        try:
+            ginvs.append(lowdin_inverse_sqrt(gram))
+        except DegenerateCodewordsError as exc:
+            out[i] = exc
+            continue
+        ev = np.linalg.eigvalsh(gram)
+        live.append(i)
+        ratios.append(float(ev[0] / ev[-1]))
+    if not live:
+        return out
+    P = len(live)
+    gamma = np.array([points[i][0] for i in live])
+    s2 = np.array([points[i][1] for i in live]) ** 2
+    # Environment sector Grams E^[p, q], then damped ones S^[p, s].
+    grams = _sector_grams(orbits, np.concatenate([gamma * s2, (1.0 - gamma) * s2]))
+    lam_e, v_e = np.linalg.eigh(grams[:P])
+    # conj(g)[p, q, j, o], g[p, q, o, j] = <j_q|Pi_q e_o> (environment basis j_q).
+    g_h = (v_e * np.sqrt(np.clip(lam_e, 0.0, None))[..., None, :]).swapaxes(-1, -2)
+    # a^[p, c, k, o]: the orthonormalized codewords' coefficients per sector.
+    coef = orbits.sqrt_w[..., None] * np.stack(ginvs)[:, orbits.owner]
+    a_h = np.conj(np.fft.ifft(coef, axis=2, norm="forward")).transpose(0, 2, 3, 1)
+    shift = (np.arange(d)[:, None] + np.arange(d)) % d  # [s, q] -> (s + q) mod d
+    # M_s^+[p, s, (q, j, k), o] = conj(a^[p, (s + q) mod d, k, o] g[p, q, o, j]).
+    m_h = (a_h[:, shift][:, :, :, None, :, :] * g_h[:, None, :, :, None, :]).reshape(P, d, -1, n)
+    q, t = np.linalg.qr(m_h)
+    del m_h
+    lam, w = np.linalg.eigh(t @ grams[P:] @ np.conj(t.swapaxes(-1, -2)))
+    # G_s^{1/2} = y y^+; rows (q, j, k) of y, regrouped per (q, j), give Z_q.
+    y = q @ w
+    del q
+    y *= np.clip(lam, 0.0, None)[..., None, :] ** 0.25
+    z = y.reshape(P, d, d, n, K * n).transpose(0, 2, 3, 1, 4).reshape(P, d, n, d * K * n)
+    del y
+    zz = z @ np.conj(z.swapaxes(-1, -2))
+    fids = (np.abs(zz) ** 2).reshape(P, -1).sum(axis=1) / K**2
+    for i, fid, ratio in zip(live, fids.tolist(), ratios):
+        # Roundoff in the Lowdin factors grows like eps over the codeword
+        # Gram's eigenvalue ratio; F was measured up to 0.42 eps/ratio above
+        # 1 (at gamma = 0).  A larger excess is a breakdown, not roundoff.
+        if fid > 1.0 + 1e-9 + 10.0 * np.finfo(float).eps / ratio:
+            out[i] = NumericalFailure(f"fidelity {fid!r} exceeds 1 beyond tolerance")
+        else:
+            out[i] = LossFidelity(fidelity=min(fid, 1.0), gram_ratio=ratio)
+    return out
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from cubacode import bench
 from cubacode.catalog import build_catalog_code
 from cubacode.constellation import grid_brent_max
 from cubacode.errors import DegenerateCodewordsError, NumericalFailure
-from cubacode.klcheck import loss_fidelity
+from cubacode.klcheck import loss_fidelities, loss_fidelity
 
 GRID = [float(s) for s in np.linspace(*bench.DEFAULT_GRID)]
 
@@ -26,26 +26,26 @@ def test_optimal_scale_matches_tight_search(name, monkeypatch):
         return loss_fidelity(code, 0.1, s).fidelity
 
     want = grid_brent_max(fidelity, GRID, [fidelity(s) for s in GRID], tol=1e-8, max_iter=200)
-    calls = []
+    points = []
 
-    def counted(*args):
-        calls.append(args)
-        return loss_fidelity(*args)
+    def counted(code, batch):  # every point bench evaluates
+        points.extend(batch)
+        return loss_fidelities(code, batch)
 
-    monkeypatch.setattr(bench, "loss_fidelity", counted)
-    scale, fid = bench.optimal_scale_adaptive(code, 0.1, GRID, jobs=1)
+    monkeypatch.setattr(bench, "loss_fidelities", counted)
+    scale, fid = bench.optimal_scale_adaptive(code, 0.1, GRID)
     assert abs(scale - want[0]) <= 1e-4
     assert abs(fid - want[1]) <= 1e-9
     # The grid, then at most 12 refinement probes (measured: 5-9; the
     # golden-section search this replaced needed 18-20).
-    assert len(calls) <= len(GRID) + 12
+    assert len(points) <= len(GRID) + 12
 
 
 def test_all_degenerate_grid_raises():
     # qsc24's codeword Gram is singular to double precision below scale 0.75.
     code = unit_code("qsc24")
     with pytest.raises(NumericalFailure, match="every grid scale"):
-        bench.optimal_scale_adaptive(code, 0.1, [0.1, 0.3, 0.5], jobs=1)
+        bench.optimal_scale_adaptive(code, 0.1, [0.1, 0.3, 0.5])
     # A row at an explicit degenerate scale still fails.
     with pytest.raises(DegenerateCodewordsError):
-        bench.sweep_alpha(code, "qsc24", 0.1, [0.5], jobs=1)
+        bench.sweep_alpha(code, "qsc24", 0.1, [0.5])

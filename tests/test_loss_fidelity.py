@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from cubacode import ValidationError, build_catalog_code, normalize_energy
+from cubacode.constellation import CodeSpec, WeightedConstellation
+from cubacode.errors import DegenerateCodewordsError
 from cubacode.fock import FockSpace, fidelity_details
-from cubacode.klcheck import codeword_gram, loss_fidelity
+from cubacode.klcheck import _orbits, codeword_gram, loss_fidelities, loss_fidelity
 
 
 def gram_ratio(code, scale):
@@ -39,11 +41,13 @@ def tolerance(table, ratio):
 FOCK_TOL = ((1e-2, 1e-8), (0.0, 1e-6))
 
 # |F_engine - F_exact| against the mpmath reference.  Largest differences
-# measured on the single-mode codes at scales 0.8-3, gamma 0.05-0.2:
-# 6.8e-15 (ratio >= 0.5), 7.1e-12 (ratio >= 1e-4), 3.9e-10 (1e-8 <= ratio
-# < 1e-4), 5.0e-9 at ratio 2.1e-9 and 3.5e-6 at ratio 9.9e-12 (qsc12 at
-# scales 1 and 0.8); qsc24 at scale 1 (ratio 3.3e-10): 8.1e-8;
-# cell16_qutrit at scale 3.3 (ratio 0.97): 4.4e-16.
+# measured on the single-mode codes at scales 0.8-3, gamma 0.05-0.2, with
+# the engine before photon-number sectors: 6.8e-15 (ratio >= 0.5), 7.1e-12
+# (ratio >= 1e-4), 3.9e-10 (1e-8 <= ratio < 1e-4), 5.0e-9 at ratio 2.1e-9
+# and 3.5e-6 at ratio 9.9e-12 (qsc12 at scales 1 and 0.8); qsc24 at scale 1
+# (ratio 3.3e-10): 8.1e-8; cell16_qutrit at scale 3.3 (ratio 0.97):
+# 4.4e-16.  With sectors: qsc8 at 0.8 (ratio 7e-7) 7.1e-13 (was 1.8e-10),
+# qsc12 at 1 6.9e-10, qsc12 at 0.8 1.2e-6, qsc24 at 1 5.0e-8.
 EXACT_TOL = ((0.5, 1e-13), (1e-4, 1e-10), (0.0, 1e-8))
 
 ORACLE_CASES = (
@@ -174,3 +178,116 @@ def test_matches_extended_precision(name, gamma, scale, frozen):
         assert abs(exact - frozen) < 1e-13
     got = loss_fidelity(code, gamma, scale).fidelity
     assert abs(got - exact) <= tolerance(EXACT_TOL, gram_ratio(code, scale)), got - exact
+
+
+# ---------------------------------------------------------------------------
+# Photon-number sectors and batches
+# ---------------------------------------------------------------------------
+
+
+def single_mode_code(*codewords):
+    """A one-mode code from (points, weights) pairs."""
+    return CodeSpec(name="test", logicals=tuple(
+        WeightedConstellation(np.asarray(pts, dtype=complex)[:, None], np.asarray(w, dtype=float))
+        for pts, w in codewords))
+
+
+def random_code():
+    # Two codewords of three points in general position: no rotation maps
+    # the points onto themselves.
+    rng = np.random.default_rng(11)
+    pts = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    w = rng.uniform(0.5, 1.5, size=(2, 3))
+    return single_mode_code(*((pts[k], w[k] / w[k].sum()) for k in range(2)))
+
+
+def squares_code():
+    # 4-gons at radii 1 and 2: e^{2 pi i n/4} fixes each codeword.
+    square = np.exp(0.5j * np.pi * np.arange(4))
+    return single_mode_code((square, np.full(4, 0.25)), (2 * square, np.full(4, 0.25)))
+
+
+def cycled_code():
+    # Two triangles, one turned and scaled, with their vertices dealt to
+    # three codewords with an offset of one: e^{2 pi i n/3} cycles the
+    # codewords, and no reflection maps the code onto itself.
+    w = np.exp(2j * np.pi * np.arange(3) / 3)
+    inner, outer = w, 1.6 * np.exp(0.4j) * np.roll(w, 1)
+    return single_mode_code(*(([inner[k], outer[k]], [0.3, 0.7]) for k in range(3)))
+
+
+@pytest.mark.parametrize("name,params,d", [
+    ("qsc8", {}, 16), ("qcc8", {}, 8), ("qsc12", {}, 24), ("qcc12", {}, 8),
+    ("qsc24", {}, 8), ("qcc24", {}, 8), ("cell16_qutrit", {}, 4),
+    ("cube_orthoplex", {"D": 6}, 8), ("cube_orthoplex", {"D": 8}, 8),
+], ids=lambda v: str(v))
+def test_sector_count_of_catalog_codes(name, params, d):
+    assert _orbits(unit_code(name, **params)).d == d
+
+
+def test_sector_count_without_symmetry():
+    assert _orbits(random_code()).d == 1
+    # A point at the origin is fixed by every rotation.
+    origin = single_mode_code(([0, 2, -2], [0.5, 0.25, 0.25]), ([0, 3j, -3j], [0.5, 0.25, 0.25]))
+    assert _orbits(origin).d == 1
+
+
+def test_sector_count_needs_codewords_mapped_onto_codewords():
+    # Multiplying by i permutes the four points but sends {1, i} to
+    # {i, -1}, which is no codeword; multiplying by -1 swaps the codewords.
+    code = single_mode_code(([1, 1j], [0.5, 0.5]), ([-1, -1j], [0.5, 0.5]))
+    assert _orbits(code).d == 2
+    assert _orbits(squares_code()).d == 4
+    assert _orbits(cycled_code()).d == 3
+
+
+@pytest.mark.parametrize("make", [random_code, squares_code, cycled_code],
+                         ids=["random", "squares", "cycled"])
+@pytest.mark.parametrize("gamma,scale", [(0.1, 1.0), (0.2, 1.7)])
+def test_sectors_match_extended_precision(make, gamma, scale):
+    code = make()
+    exact = exact_fidelity(code, gamma, scale)
+    got = loss_fidelity(code, gamma, scale).fidelity
+    assert abs(got - exact) <= tolerance(EXACT_TOL, gram_ratio(code, scale)), got - exact
+
+
+def test_nearly_symmetric_code_gets_one_sector():
+    # qsc12 with every point moved by 3e-14 in a random direction: its
+    # points match the rotations to some 250 ulps, beyond the rounding of
+    # their coordinates, so it is not symmetric: sector Grams built from
+    # rotated points would belong to a slightly different code, a
+    # difference the inverse Gram ratio (2e-9 at scale 1) amplifies.
+    code = unit_code("qsc12")
+    rng = np.random.default_rng(7)
+    code = CodeSpec(name="test", logicals=tuple(
+        WeightedConstellation(c.points + 3e-14 * np.exp(2j * np.pi * rng.random(c.points.shape)),
+                              c.weights)
+        for c in code.logicals))
+    assert _orbits(code).d == 1
+    ratio = gram_ratio(code, 1.0)
+    assert ratio < 1e-8
+    exact = exact_fidelity(code, 0.1, 1.0)
+    got = loss_fidelity(code, 0.1, 1.0).fidelity
+    assert abs(got - exact) <= tolerance(EXACT_TOL, ratio), got - exact
+
+
+@pytest.mark.parametrize("make,points,degenerate", [
+    (lambda: unit_code("qcc24"), [(0.05, 1.2), (0.1, 1.6), (0.2, 2.0), (0.0, 2.5)], False),
+    # Several points per batch, in more than one batch, with series of
+    # different lengths and a degenerate scale among them.
+    (lambda: unit_code("qsc8"),
+     [(g, s) for g in (0.0, 0.1, 0.3) for s in (0.3, 0.9, 1.7, 2.6, 3.3, 4.5)], True),
+    # One sector (d = 1), several points per batch.
+    (random_code, [(0.0, 1.0), (0.1, 0.7), (0.2, 1.7), (0.05, 3.0)], False),
+], ids=["qcc24", "qsc8", "random"])
+def test_batch_equals_single_points_bit_for_bit(make, points, degenerate):
+    code = make()
+    batch = loss_fidelities(code, points)
+    for (gamma, scale), got in zip(points, batch):
+        try:
+            want = loss_fidelity(code, gamma, scale)
+        except DegenerateCodewordsError as exc:
+            assert isinstance(got, DegenerateCodewordsError) and str(got) == str(exc)
+        else:
+            assert got == want
+    assert any(isinstance(got, DegenerateCodewordsError) for got in batch) == degenerate
