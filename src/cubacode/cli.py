@@ -235,10 +235,10 @@ def cmd_bounds(args) -> int:
     from .moments import code_size_bounds
 
     code = _load_code(args)
-    for line in _header(args):
-        print(line)
     degree = args.degree if args.degree is not None else code.claimed_degree
     reports = code_size_bounds(code, t=degree)
+    for line in _header(args):
+        print(line)
     for k, rep in enumerate(reports):
         tag = " (conservative: multi-shell support widened to full space)" if rep.conservative else ""
         moller = str(rep.moller_min) if rep.moller_min is not None else "n/a (even degree)"
@@ -314,15 +314,14 @@ def cmd_stab(args) -> int:
 
     code = _load_code(args)
     space = FockSpace(code.modes, args.cutoff)
-    for line in _header(args):
-        print(line)
-    polys = None
     if args.poly_file:
         polys = _read_poly_file(args.poly_file, code.modes)
     else:
         polys = ztype_polynomials(scale_code(code, args.scale))
-    print(f"z-type generators: {len(polys)} (degrees {[p.degree() for p in polys]})")
     residual = verify_ztype(code, args.scale, space, polys=polys)
+    for line in _header(args):
+        print(line)
+    print(f"z-type generators: {len(polys)} (degrees {[p.degree() for p in polys]})")
     print(f"z-type max residual ||F|C_k>||: {_fmt(residual)}")
     return 0
 

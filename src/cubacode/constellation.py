@@ -293,22 +293,36 @@ def rotate_code(code: CodeSpec, r: Rotation) -> CodeSpec:
     )
 
 
+# Distances are formed in blocks of rows of at most this many bytes, so a
+# constellation of up to 256 points is one block.
+_DISTANCE_BYTES = 1 << 19
+
+
 def _squared_distance_range(points: np.ndarray) -> tuple:
     """(min, max) squared Euclidean distance over index pairs i != j.
 
-    The N x N distances are accumulated one real coordinate at a time, so
-    no N x N x modes temporary is formed; the diagonal is masked, not
-    indexed away.
+    Each block of rows i gets its distances to the points j >= its first
+    row, which covers every pair once the blocks are done (the distances
+    are exactly symmetric).  They are accumulated one real coordinate at a
+    time, so no N x N x modes temporary is formed and no block exceeds
+    ``_DISTANCE_BYTES``; the diagonal is masked, not indexed away.
     """
-    x = embed_complex_to_real(points)
-    d2 = np.zeros((x.shape[0], x.shape[0]))
-    diff = np.empty_like(d2)
-    for col in x.T:
-        np.subtract.outer(col, col, out=diff)
-        d2 += np.square(diff, out=diff)
-    largest = float(d2.max())  # the zero diagonal never exceeds a pair
-    np.fill_diagonal(d2, np.inf)
-    return float(d2.min()), largest
+    cols = embed_complex_to_real(points).T.copy()
+    size = cols.shape[1]
+    step = max(1, _DISTANCE_BYTES // (cols.itemsize * size))
+    nearest, largest = np.inf, 0.0
+    buffers = np.empty((2, min(step, size) * size))
+    for lo in range(0, size, step):
+        rows = min(step, size - lo)
+        d2, diff = (b[:rows * (size - lo)].reshape(rows, size - lo) for b in buffers)
+        d2.fill(0.0)
+        for col in cols[:, lo:]:
+            np.subtract.outer(col[:rows], col, out=diff)
+            d2 += np.square(diff, out=diff)
+        largest = max(largest, float(d2.max()))  # the zero diagonal never exceeds a pair
+        np.fill_diagonal(d2, np.inf)
+        nearest = min(nearest, float(d2.min()))
+    return nearest, largest
 
 
 def min_squared_distance(points: np.ndarray) -> float:

@@ -37,9 +37,8 @@ import numpy as np
 from .constellation import CodeSpec, as_amplitude
 from .errors import DegenerateCodewordsError, NumericalFailure, ValidationError
 from .moments import (
-    _box_spread,
+    _BoxMoments,
     _check_tol,
-    _index_box,
     _level,
     _match_degree,
     _monomials,
@@ -70,11 +69,13 @@ def ladder_matrix_element(a, b, p: Sequence[int], q: Sequence[int]) -> complex:
 
 
 def _pairwise_overlaps(pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
-    # Gram of coherent states: exp(-|a|^2/2 - |b|^2/2 + a* . b), vectorized.
+    # Gram of coherent states: exp(-|a|^2/2 - |b|^2/2 + a* . b), vectorized,
+    # with the exponent formed and exponentiated in place.
     na = (np.abs(pts_a) ** 2).sum(axis=1)
     nb = (np.abs(pts_b) ** 2).sum(axis=1)
-    cross = np.conj(pts_a) @ pts_b.T
-    return np.exp(-0.5 * na[:, None] - 0.5 * nb[None, :] + cross)
+    out = np.conj(pts_a) @ pts_b.T
+    out += -0.5 * na[:, None] - 0.5 * nb[None, :]
+    return np.exp(out, out=out)
 
 
 def _stacked(code: CodeSpec, scale: float) -> tuple:
@@ -102,15 +103,21 @@ def codeword_gram(code: CodeSpec, scale: float = 1.0) -> np.ndarray:
     return _gram_from_overlaps(_pairwise_overlaps(pts, pts), sqrt_w, code.codeword_rows())
 
 
+def _lowdin(gram: np.ndarray, rel_floor: float = 1e-12) -> Tuple[np.ndarray, float]:
+    """The Hermitian inverse square root of a Gram matrix and its min/max
+    eigenvalue ratio, from one eigendecomposition.  Raises when the Gram is
+    numerically singular."""
+    vals, vecs = np.linalg.eigh(gram)
+    ratio = float(vals[0] / vals[-1])
+    if vals[0] <= rel_floor * vals[-1]:
+        raise DegenerateCodewordsError(f"degenerate codewords: Gram eigenvalue ratio {ratio:.3e}")
+    return (vecs * (1.0 / np.sqrt(vals))) @ np.conj(vecs.T), ratio
+
+
 def lowdin_inverse_sqrt(gram: np.ndarray, rel_floor: float = 1e-12) -> np.ndarray:
     """Hermitian inverse square root of a Gram matrix (symmetric
     orthogonalization).  Raises when the Gram is numerically singular."""
-    vals, vecs = np.linalg.eigh(gram)
-    if vals.min() <= rel_floor * vals.max():
-        raise DegenerateCodewordsError(
-            f"degenerate codewords: Gram eigenvalue ratio {vals.min() / vals.max():.3e}"
-        )
-    return (vecs * (1.0 / np.sqrt(vals))) @ np.conj(vecs.T)
+    return _lowdin(gram, rel_floor)[0]
 
 
 @dataclass(frozen=True)
@@ -299,6 +306,18 @@ def _find_orbits(code: CodeSpec) -> _Orbits:
     )
 
 
+# log m! = lgamma(m + 1) for m < len(_LOG_FACT), grown as longer series need.
+_LOG_FACT = np.zeros(0)
+
+
+def _log_factorials(count: int) -> np.ndarray:
+    """log m! for (at least) m < count."""
+    global _LOG_FACT
+    if len(_LOG_FACT) < count:
+        _LOG_FACT = np.array([lgamma(m + 1.0) for m in range(max(count, 2 * len(_LOG_FACT)))])
+    return _LOG_FACT
+
+
 def _sector_grams(orbits: _Orbits, kappa: np.ndarray) -> np.ndarray:
     """[p, s, o, o'] = <Pi_s f_o|Pi_s f_o'> for f_o = |sqrt(kappa_p) r_o>,
     Pi_s the projector onto photon number s mod d.
@@ -326,7 +345,7 @@ def _sector_grams(orbits: _Orbits, kappa: np.ndarray) -> np.ndarray:
     lam = kappa * orbits.abs_max
     blocks = -(-(lam + 10.0 * np.sqrt(lam) + 25.0).astype(int) // d)
     stop = int(blocks.max())
-    log_fact = np.array([lgamma(m + 1.0) for m in range(stop * d)])  # log m!
+    log_fact = _log_factorials(stop * d)
     kappa = kappa[:, None, None]
     tiny = np.finfo(float).tiny
     log_abs = np.log(np.maximum(kappa, tiny)) + np.log(np.maximum(np.abs(orbits.x), tiny))
@@ -444,15 +463,14 @@ def _fidelity_batch(code: CodeSpec, orbits: _Orbits, points: list) -> list:
     out: list = [None] * len(points)
     live, ginvs, ratios = [], [], []
     for i, (_, scale) in enumerate(points):
-        gram = codeword_gram(code, scale)
         try:
-            ginvs.append(lowdin_inverse_sqrt(gram))
+            ginv, ratio = _lowdin(codeword_gram(code, scale))
         except DegenerateCodewordsError as exc:
             out[i] = exc
             continue
-        ev = np.linalg.eigvalsh(gram)
         live.append(i)
-        ratios.append(float(ev[0] / ev[-1]))
+        ginvs.append(ginv)
+        ratios.append(ratio)
     if not live:
         return out
     P = len(live)
@@ -535,20 +553,21 @@ def code_parameters(code: CodeSpec, ceiling: int, tol: float = 1e-9) -> ParamTri
     _check_tol(tol)
     n = code.modes
     ceiling = int(ceiling)
-    # One moment table over the box |u| <= ceiling - 1 serves all three.
-    spread = _box_spread(code, ceiling - 1)
-    d_updown = _match_degree(n, spread, ceiling - 1, tol) + 1
-
-    # Pure-loss row p = 0: the first mismatched q of degree >= 1 sets d_down.
-    bad = np.flatnonzero(spread(_level(n, 0), slice(1, None))[0] > tol)
-    d_down = int(_index_box(n, ceiling - 1)[bad[0] + 1].sum()) if bad.size else ceiling
+    # One moment table serves d_updown and t_down; it grows only as far as
+    # the d_updown search reaches, and t_down <= d_updown stays inside it.
+    box = _BoxMoments(code)
+    d_updown = _match_degree(n, box.spread, ceiling - 1, tol) + 1
 
     # Box |p|, |q| <= r grown one level at a time.  Its new pairs have
     # |p| = r or |q| = r, and M(q, p) = conj M(p, q) covers the latter.
     t_down = ceiling
     for r in range(1, ceiling):
-        if spread(_level(n, r), slice(0, comb(n + r, r))).max() > tol:
+        if box.spread(_level(n, r), slice(0, comb(n + r, r))).max() > tol:
             t_down = r
             break
+
+    # Pure-loss row p = 0: every degree below d_updown matches, so the first
+    # mismatch is at d_updown or above, streamed from that level up.
+    d_down = box.pure_loss_degree(d_updown, ceiling, tol) if d_updown < ceiling else ceiling
 
     return ParamTriple(t_down=t_down, d_updown=d_updown, d_down=d_down, search_ceiling=ceiling)

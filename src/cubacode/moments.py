@@ -10,9 +10,11 @@ evaluated in stacks: for multi-index stacks p (A x n) and q (B x n),
 ``weighted_moment`` returns the A x B matrix (conj(F_p) * w) @ F_q.T,
 where F_u holds one monomial row per multi-index.  Multi-indices are
 enumerated once per (modes, degree) as a box |u| <= degree, and monomial
-tables are built over such a box, each row from an earlier one times one
-coordinate.  The parameter search, the CLI moment table, the KL blocks
-and the design check all read their monomials from these tables.
+tables are built over such a box one level |u| = k at a time, each row
+from a row of the level below times one coordinate.  The parameter
+search, the CLI moment table, the KL blocks and the design check all read
+their monomials from these tables; the searches grow theirs only as far
+as they reach, and the pure-loss search streams its levels.
 
 The module also provides the exact rotation-invariant sphere integral of
 real monomials (the right-hand side a spherical design must reproduce), a
@@ -27,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,27 +81,54 @@ def multi_indices_upto(n: int, max_total: int) -> Iterator[MultiIndex]:
     return map(tuple, _index_box(n, max_total).tolist())
 
 
-def _monomials(z: np.ndarray, degree: int) -> np.ndarray:
-    """Monomial table F[i, a] = prod_j z[a, j]**u_i[j] over the rows u_i of
-    ``_index_box(modes, degree)``, one multiplication per entry.
+def _next_level(
+    prev: np.ndarray, z: np.ndarray, k: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Level k >= 1 of a monomial table (the rows u with |u| == k, in box
+    order, one column per point of z) from level k - 1, one multiplication
+    per entry.
 
-    A row u of degree k >= 1 whose first nonzero entry is u_j is its
-    parent u - e_j times z[:, j].  In the box order, the rows of level k
-    with u_0 = ... = u_{j-1} = 0 < u_j form one block, and their parents,
-    in the same order, are the first rows of level k - 1.
+    A row u whose first nonzero entry is u_j is its parent u - e_j times
+    z[:, j].  The level-k rows with u_0 = ... = u_{j-1} = 0 < u_j form one
+    block, and their parents, in the same order, are the first rows of
+    level k - 1.
+    """
+    size, n = z.shape
+    if out is None:
+        out = np.empty((comb(n + k - 1, n - 1), size), dtype=np.result_type(z, float))
+    for j in range(n):
+        # Level-k rows with u_0 = ... = u_{j-1} = 0 number comb(k + m - 1, m - 1)
+        # (m = n - j free modes); the first comb(k + m - 2, m - 2) have u_j = 0.
+        m = n - j
+        lo = comb(k + m - 2, m - 2) if m > 1 else 0
+        hi = comb(k + m - 1, m - 1)
+        np.multiply(prev[:hi - lo], z[:, j], out=out[lo:hi])
+    return out
+
+
+def _box_degree(n: int, rows: int) -> int:
+    """The smallest degree whose box |u| <= degree has at least ``rows`` rows."""
+    degree = 0
+    while comb(n + degree, n) < rows:
+        degree += 1
+    return degree
+
+
+def _monomials(z: np.ndarray, degree: int, low: Optional[np.ndarray] = None) -> np.ndarray:
+    """Monomial table F[i, a] = prod_j z[a, j]**u_i[j] over the rows u_i of
+    ``_index_box(modes, degree)``, built level by level (``_next_level``).
+
+    ``low``, the same table to a lower degree, is copied in, and only the
+    levels above it are computed.
     """
     size, n = z.shape
     table = np.empty((comb(n + degree, n), size), dtype=np.result_type(z, float))
-    table[:1] = 1.0
-    for k in range(1, degree + 1):
-        here, prev = comb(n + k - 1, n), comb(n + k - 2, n)
-        for j in range(n):
-            # Level-k rows with u_0 = ... = u_{j-1} = 0 number comb(k + m - 1, m - 1)
-            # (m = n - j free modes); the first comb(k + m - 2, m - 2) have u_j = 0.
-            m = n - j
-            lo = comb(k + m - 2, m - 2) if m > 1 else 0
-            hi = comb(k + m - 1, m - 1)
-            np.multiply(table[prev:prev + hi - lo], z[:, j], out=table[here + lo:here + hi])
+    if low is None:
+        table[:1], done = 1.0, 0
+    else:
+        table[:len(low)], done = low, _box_degree(n, len(low))
+    for k in range(done + 1, degree + 1):
+        _next_level(table[_level(n, k - 1)], z, k, out=table[_level(n, k)])
     return table
 
 
@@ -133,30 +162,91 @@ def _check_tol(tol: float):
         raise ValidationError(f"tol must be finite and nonnegative (got {tol!r})")
 
 
-def _box_moments(code: CodeSpec, degree: int) -> Callable[[slice, slice], np.ndarray]:
-    """moments(ps, qs)[k, i, j] = M_k(p_i, q_j) for every logical
-    constellation k and row ranges ps, qs of the box |u| <= degree.  One
-    monomial table of every point serves all calls."""
-    table = _monomials(code.all_points(), degree)
-    parts = list(zip(code.codeword_rows(), (c.weights for c in code.logicals)))
-
-    def moments(ps: slice, qs: slice) -> np.ndarray:
-        return np.array([(np.conj(table[ps, cw]) * w) @ table[qs, cw].T for cw, w in parts])
-
-    return moments
+# The pure-loss row streams its levels in blocks of points, each block's
+# level under this many bytes, so one level of every point is held at a time.
+_STREAM_BYTES = 1 << 20
 
 
-def _box_spread(code: CodeSpec, degree: int) -> Callable[[slice, slice], np.ndarray]:
-    """spread(ps, qs)[i, j] = max_k |M_k(p_i, q_j) - M_0(p_i, q_j)| over the
-    logical constellations k, for row ranges ps, qs of the box |u| <=
-    degree."""
-    moments = _box_moments(code, degree)
+class _BoxMoments:
+    """Weighted moments of every logical constellation over row ranges of
+    the box |u| <= degree (rows as in ``_index_box``).
 
-    def spread(ps: slice, qs: slice) -> np.ndarray:
-        moms = moments(ps, qs)
+    One monomial table of every point serves all calls.  It starts at
+    degree 0 and grows to the highest level a request reaches, so a search
+    that stops early never builds the levels above where it stopped.
+    """
+
+    def __init__(self, code: CodeSpec):
+        self.points = code.all_points()
+        self.weights = np.concatenate([c.weights for c in code.logicals])
+        self.codeword_rows = code.codeword_rows()
+        self._empty()
+
+    def _empty(self):
+        self.table = np.ones((1, len(self.points)), dtype=np.result_type(self.points, float))
+
+    def _reach(self, rows: int):
+        if rows > len(self.table):
+            degree = _box_degree(self.points.shape[1], rows)
+            self.table = _monomials(self.points, degree, self.table)
+
+    def level(self, k: int) -> np.ndarray:
+        """The table's rows u with |u| == k (a view)."""
+        n = self.points.shape[1]
+        self._reach(comb(n + k, n))
+        return self.table[_level(n, k)]
+
+    def moments(self, ps: slice, qs: slice) -> np.ndarray:
+        """moments(ps, qs)[k, i, j] = M_k(p_i, q_j) for box row ranges ps, qs
+        (each with an explicit stop)."""
+        self._reach(max(ps.stop, qs.stop))
+        table = self.table
+        return np.array([
+            (np.conj(table[ps, cw]) * self.weights[cw]) @ table[qs, cw].T
+            for cw in self.codeword_rows
+        ])
+
+    def spread(self, ps: slice, qs: slice) -> np.ndarray:
+        """spread(ps, qs)[i, j] = max_k |M_k(p_i, q_j) - M_0(p_i, q_j)| over the
+        logical constellations k."""
+        moms = self.moments(ps, qs)
         return np.abs(moms - moms[0]).max(axis=0)
 
-    return spread
+    def pure_loss_degree(self, k: int, stop: int, tol: float) -> int:
+        """The first degree in [k, stop) at which some pure-loss moment
+        M(0, q) = sum_a w_a z_a^q, |q| = degree, differs across the logical
+        constellations by more than tol; stop when none does.
+
+        The search takes the table's level k and empties the table.  Each
+        higher level is computed from the one below in blocks of points
+        that never straddle a codeword, and the level below is dropped block
+        by block, so the search holds about one level whatever its degree.
+        """
+        z, w, n = self.points, self.weights, self.points.shape[1]
+        top = self.level(k)
+        # (codeword, first point, the block's level) for each block of points.
+        blocks = [(c, cw.start, top[:, cw]) for c, cw in enumerate(self.codeword_rows)]
+        itemsize = top.itemsize
+        del top
+        self._empty()
+        while True:
+            sums = np.zeros((len(self.codeword_rows), blocks[0][2].shape[0]), dtype=complex)
+            for c, start, level in blocks:
+                sums[c] += level @ w[start:start + level.shape[1]]
+            if np.abs(sums - sums[0]).max() > tol:
+                return k
+            k += 1
+            if k >= stop:
+                return stop
+            width = max(1, _STREAM_BYTES // (itemsize * comb(n + k - 1, n - 1)))
+            grown = []
+            while blocks:
+                c, start, prev = blocks.pop()
+                for lo in range(0, prev.shape[1], width):
+                    part = prev[:, lo:lo + width]
+                    a = start + lo
+                    grown.append((c, a, _next_level(part, z[a:a + part.shape[1]], k)))
+            blocks = grown
 
 
 def pair_moments(code: CodeSpec, degree: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -172,7 +262,7 @@ def pair_moments(code: CodeSpec, degree: int) -> Tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"maximum degree must be nonnegative (got {degree})")
     n, degree = code.modes, int(degree)
     box = _index_box(n, degree)
-    moments = _box_moments(code, degree)
+    moments = _BoxMoments(code).moments
     blocks, rows_p, rows_q = [], [], []
     for dp in range(degree + 1):
         ps, qs = _level(n, dp), slice(0, comb(n + degree - dp, n))
@@ -210,7 +300,7 @@ def moment_match_degree(code: CodeSpec, t_max: int, tol: float = 1e-9) -> int:
         raise ValidationError(f"maximum degree must be nonnegative (got {t_max})")
     _check_tol(tol)
     t_max = int(t_max)
-    return _match_degree(code.modes, _box_spread(code, t_max), t_max, tol)
+    return _match_degree(code.modes, _BoxMoments(code).spread, t_max, tol)
 
 
 def sphere_monomial_integral_exact(D: int, u: Sequence[int]) -> Fraction:

@@ -249,6 +249,19 @@ def test_bad_option_value_exits_2_before_output(named, argv, capsys):
     assert err.startswith("error:") and named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("stab", "--catalog", "cat", "--m", "4", "--scale", "0"),
+    ("stab", "--catalog", "cat", "--m", "4", "--poly-file", "{missing}"),
+    ("bounds", "--catalog", "cat", "--m", "4", "--degree", "-1"),
+], ids=" ".join)
+def test_rejected_input_leaves_stdout_empty(argv, tmp_path, capsys):
+    argv = [a.format(missing=tmp_path / "missing.json") for a in argv]
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_commands_in_one_process_print_what_they_print_alone(tmp_path, capsys, fresh_python):
     commands = [
         ("bench", "sweep-alpha", "--catalog", "qsc8", "--grid", "0.8,2.0", "--jobs", "1"),

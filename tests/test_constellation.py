@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -25,8 +27,10 @@ from cubacode import (
     two_shell_24cell_code,
 )
 from cubacode.constellation import (
+    _DISTANCE_BYTES,
     DISTINCT_TOL,
     RotationFamily,
+    _squared_distance_range,
     brent_max,
     grid_brent_max,
     min_squared_distance,
@@ -254,6 +258,53 @@ def test_distance_kernels_match_pair_loop(points, split):
     code = CodeSpec(name="split", logicals=tuple(
         WeightedConstellation(z, np.full(len(z), 1.0 / len(z))) for z in parts))
     assert resolution(code) == pytest.approx(min(loop), rel=1e-12, abs=0.0)
+
+
+def pair_loop_row(x, i):
+    """Squared distances from point i to every point j, coordinate by
+    coordinate as the kernel sums them."""
+    return [sum((a - b) ** 2 for a, b in zip(x[i], x[j])) for j in range(len(x))]
+
+
+@pytest.mark.parametrize("near, far", [
+    ("last_two", "first"),    # closest pair inside the last block only
+    ("boundary", "boundary"),  # a block's last row against the next block's first
+    ("ends", "middle"),        # the first row against the last
+], ids=lambda v: v)
+def test_row_blocked_distances_match_pair_loop_exactly(near, far):
+    # Enough points for several row blocks.  One pair is moved close
+    # together and one point far away, so the extremes sit where the
+    # parameters say; each distance is summed coordinate by coordinate, as
+    # the pair loop does, so the results agree to the bit.
+    gen = np.random.default_rng(7)
+    points = gen.normal(size=(600, 4)) + 1j * gen.normal(size=(600, 4))
+    block = _DISTANCE_BYTES // (8 * len(points))
+    assert len(points) >= 4 * block
+    i, j = {"last_two": (598, 599), "boundary": (block - 1, block), "ends": (0, 599)}[near]
+    points[j] = points[i] + 1e-3
+    points[{"first": 0, "boundary": 2 * block, "middle": 300}[far]] = 50.0
+    x = embed_complex_to_real(points).tolist()
+    loop = [d for k in range(len(x)) for d in pair_loop_row(x, k)[k + 1:]]
+    nearest, farthest = min(loop), max(loop)
+    assert nearest == pair_loop_row(x, i)[j]
+    assert min_squared_distance(points) == nearest
+    assert _squared_distance_range(points) == (nearest, farthest)
+    code = CodeSpec(name="blocks", logicals=tuple(
+        WeightedConstellation(z, np.full(len(z), 1.0 / len(z))) for z in (points[:250], points[250:])))
+    assert resolution(code) == nearest
+
+
+def test_resolution_memory_is_row_blocked():
+    # The full 544 x 544 distance and difference arrays took 4.7 MiB.
+    code = normalize_energy(build_catalog_code("cube_orthoplex", {"D": 8}), 1.0)[0]
+    tracemalloc.start()
+    try:
+        value = resolution(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(0.5, rel=1e-12)
+    assert peak < 2 * 2**20
 
 
 def test_distinct_check_on_every_construction():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +18,7 @@ from cubacode import (
     kl_report,
     ladder_matrix_element,
     moment_match_degree,
+    normalize_energy,
     polygon_shell_code,
     WeightedConstellation,
 )
@@ -243,10 +246,10 @@ def test_param_triple_invariants():
 
 
 def scalar_moment(c, p, q) -> complex:
-    return complex(sum(
-        w * np.prod(np.conj(a) ** np.asarray(p) * a ** np.asarray(q))
-        for a, w in zip(c.points, c.weights)
-    ))
+    # One pair (p, q) at a time: its monomial at every point, then the
+    # weighted sum over the points.
+    terms = np.prod(np.conj(c.points) ** np.asarray(p) * c.points ** np.asarray(q), axis=1)
+    return complex(c.weights @ terms)
 
 
 def pair_matches(code, p, q, tol) -> bool:
@@ -314,6 +317,36 @@ def test_identical_codewords_reach_the_ceiling():
     code = CodeSpec(name="twin", logicals=(c, c))
     assert code_parameters(code, 7).astuple() == reference_code_parameters(code, 7) == (7, 7, 7)
     assert code_parameters(code, 1).astuple() == (1, 1, 1)
+
+
+# 544 points in 4 modes, two codewords of 272.
+CO8 = normalize_energy(build_catalog_code("cube_orthoplex", {"D": 8}), 1.0)[0]
+
+
+@pytest.mark.parametrize("code, ceiling, want", [
+    (CO8, 14, (5, 6, 12)),
+    # d_down reaches the ceiling: the pure-loss row is streamed to the end,
+    # in several blocks of points per codeword at the top levels.
+    (CO8, 12, (5, 6, 12)),
+    (polygon_shell_code(6, 2, (1.0, 2.0)), 18, (7, 8, 18)),
+    (CO8, 1, (1, 1, 1)),
+], ids=["co8-14", "co8-12", "hexagon-shells-18", "co8-1"])
+def test_streamed_parameters_match_loop_reference(code, ceiling, want):
+    assert code_parameters(code, ceiling).astuple() == want
+    assert reference_code_parameters(code, ceiling) == want
+
+
+@pytest.mark.parametrize("ceiling", [14, 30])
+def test_parameter_search_memory_does_not_grow_with_the_ceiling(ceiling):
+    # The whole box |u| <= 13 took 20.6 MiB here, and |u| <= 29 about 356 MB.
+    tracemalloc.start()
+    try:
+        triple = code_parameters(CO8, ceiling)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert triple.astuple() == (5, 6, 12)
+    assert peak < 8 * 2**20
 
 
 @st.composite

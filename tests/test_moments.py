@@ -176,6 +176,9 @@ def test_monomials_match_power_reference(n, degree, real):
     assert table.shape == (len(box), 5)
     ref = np.array([[np.prod(a ** np.asarray(u)) for a in z] for u in box])
     assert np.abs(table - ref).max() <= 1e-13 * np.abs(ref).max()
+    # Grown from a lower degree, level by level, the table is the same.
+    for low in range(degree):
+        assert np.array_equal(_monomials(z, degree, _monomials(z, low)), table)
 
 
 def test_stacked_moment_index_length_checked():
