@@ -3,7 +3,7 @@
 Construction of weighted coherent-state constellation codes, closed-form
 verification of their error-correction conditions, design-degree and
 point-count analysis, and pure-loss channel benchmarking in the span of
-the coherent states (with a truncated-Fock-space reference).
+the coherent states.
 
 The package is a lazy namespace (PEP 562): ``import cubacode`` loads no
 submodule, and each public name or submodule is imported on its first
@@ -53,18 +53,7 @@ _EXPORTS = {
         "scale_code",
     ),
     "errors": ("CutoffError", "DegenerateCodewordsError", "NumericalFailure", "ValidationError"),
-    "fock": (
-        "FockOperator",
-        "FockSpace",
-        "FockState",
-        "KrausChannel",
-        "coherent_fock",
-        "encode",
-        "entanglement_fidelity",
-        "fidelity_details",
-        "loss_kraus",
-        "transpose_recovery",
-    ),
+    "fock": ("FockSpace", "FockState", "coherent_fock", "encode"),
     "klcheck": (
         "KLReport",
         "LossFidelity",

@@ -142,6 +142,22 @@ def _write_csv(path: Optional[str], header: List[str], rows: List[List[str]]):
         sys.stdout.write(text)
 
 
+def _emit(lines: List[str], out: Optional[str], table: Optional[tuple]):
+    """Print a report's lines, then its CSV ``table`` (header, rows) if it
+    has one: to stdout, or to the file ``out``, which is written before any
+    line is printed so that a path that cannot be written leaves stdout
+    empty."""
+    if table is not None and out:
+        _write_csv(out, *table)
+    for line in lines:
+        print(line)
+    if table is not None:
+        if out:
+            print(f"wrote {out}")
+        else:
+            _write_csv(None, *table)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -203,15 +219,15 @@ def cmd_moments(args) -> int:
         raise ValidationError("moment comparison needs at least two codewords")
     n = code.modes
     t = moment_match_degree(code, args.max_degree, tol=args.tol)
-    for line in _header(args):
-        print(line)
-    print(f"moment match degree: {t} (searched to {args.max_degree}, tol {_fmt(args.tol)})")
     pairs, moms = pair_moments(code, args.max_degree)
     devs = np.abs(moms - moms[0]).max(axis=0)
     worst = int(devs.argmax())
     where = (tuple(pairs[worst, :n].tolist()), tuple(pairs[worst, n:].tolist()))
-    print(f"largest deviation {_fmt(devs[worst])} at (p, q) = "
-          f"{where if devs[worst] > 0 else None}")
+    lines = _header(args) + [
+        f"moment match degree: {t} (searched to {args.max_degree}, tol {_fmt(args.tol)})",
+        f"largest deviation {_fmt(devs[worst])} at (p, q) = {where if devs[worst] > 0 else None}",
+    ]
+    table = None
     if args.out:
         # One format string per row, giving what str and _fmt give per cell:
         # p and q, then re and im of each codeword's moment, then the deviation.
@@ -226,8 +242,8 @@ def cmd_moments(args) -> int:
         for k in range(code.dim):
             header += [f"moment{k}_re", f"moment{k}_im"]
         header.append("max_deviation")
-        _write_csv(args.out, header, rows)
-        print(f"wrote {args.out}")
+        table = (header, rows)
+    _emit(lines, args.out, table)
     return 0
 
 
@@ -255,13 +271,14 @@ def cmd_kl(args) -> int:
 
     code = _load_code(args)
     report = kl_report(code, max_loss=args.max_loss, scale=args.scale)
-    for line in _header(args):
-        print(line)
-    print(f"error set: {report.error_set_label} at scale {_fmt(report.scale)}")
-    print(f"off-diagonal max |<C_k|E+E|C_l>|: {_fmt(report.off_diag_max)}")
-    print(f"off-diagonal max (normalized):   {_fmt(report.off_diag_rel)}")
-    print(f"diagonal spread (normalized):    {_fmt(report.diag_spread_max)}")
-    print(f"diagonal spread (raw):           {_fmt(report.diag_spread_raw)}")
+    lines = _header(args) + [
+        f"error set: {report.error_set_label} at scale {_fmt(report.scale)}",
+        f"off-diagonal max |<C_k|E+E|C_l>|: {_fmt(report.off_diag_max)}",
+        f"off-diagonal max (normalized):   {_fmt(report.off_diag_rel)}",
+        f"diagonal spread (normalized):    {_fmt(report.diag_spread_max)}",
+        f"diagonal spread (raw):           {_fmt(report.diag_spread_raw)}",
+    ]
+    table = None
     if args.out:
         header = ["q_mu", "q_nu", "k", "l", "re", "im"]
         rows = []
@@ -278,8 +295,8 @@ def cmd_kl(args) -> int:
                             _fmt(block[k, l].imag),
                         ]
                     )
-        _write_csv(args.out, header, rows)
-        print(f"wrote {args.out}")
+        table = (header, rows)
+    _emit(lines, args.out, table)
     return 0
 
 
@@ -398,11 +415,7 @@ def cmd_bench(args) -> int:
         extra, header, table = {}, _BENCH_HEADER, _bench_rows(rows)
     else:
         raise ValidationError(f"unknown bench command {args.bench_command!r}")
-    for line in _header(args, {**extra, **_gram_line(rows)}):
-        print(line)
-    _write_csv(args.out, header, table)
-    if args.out:
-        print(f"wrote {args.out}")
+    _emit(_header(args, {**extra, **_gram_line(rows)}), args.out, (header, table))
     return 0
 
 

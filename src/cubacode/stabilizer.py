@@ -28,7 +28,7 @@ from .constellation import (
     scale_code,
 )
 from .errors import ValidationError
-from .fock import FockSpace, annihilation, coherent_fock, mode_operator
+from .fock import FockSpace, _raw_codeword_vectors, annihilation
 from .klcheck import _pairwise_overlaps
 
 
@@ -185,13 +185,9 @@ def _lift_single_mode(
 
 
 def _encoded_states(code: CodeSpec, scale: float, space: FockSpace) -> List[np.ndarray]:
-    states = []
-    for c in code.logicals:
-        vec = np.zeros(space.dim, dtype=complex)
-        for w, point in zip(c.weights, c.points):
-            vec += np.sqrt(w) * coherent_fock(scale * point, space).amplitudes
-        states.append(vec / np.linalg.norm(vec))
-    return states
+    """The normalized codeword vectors, truncated without a tail check."""
+    raw, _ = _raw_codeword_vectors(code, scale, space)
+    return [vec / np.linalg.norm(vec) for vec in raw.T]
 
 
 def ztype_residual_states(

@@ -293,7 +293,7 @@ def test_criterion_7_stabilizers():
     for pt, r in zip(c0.points, c0.radii()):
         if np.isclose(r, 2.0):
             shell2 += coherent_fock(scale * pt, space).amplitudes
-    v = encode(code, scale, space).matrix
+    v = encode(code, scale, space)
     psi = shell2 - v[:, 0] * np.vdot(v[:, 0], shell2)
     psi /= np.linalg.norm(psi)
     assert ztype_residual_states(polys, [psi], space) < 1e-8

@@ -253,13 +253,27 @@ def test_bad_option_value_exits_2_before_output(named, argv, capsys):
     ("stab", "--catalog", "cat", "--m", "4", "--scale", "0"),
     ("stab", "--catalog", "cat", "--m", "4", "--poly-file", "{missing}"),
     ("bounds", "--catalog", "cat", "--m", "4", "--degree", "-1"),
+    # An --out file that cannot be written.
+    ("moments", "--catalog", "cat", "--m", "4", "--max-degree", "4", "--out", "{nodir}/m.csv"),
+    ("kl", "--catalog", "cat", "--m", "2", "--scale", "2", "--out", "{nodir}/kl.csv"),
+    ("bench", "sweep-alpha", "--catalog", "qsc8", "--grid", "1:1.2:2", "--out", "{nodir}/b.csv"),
 ], ids=" ".join)
 def test_rejected_input_leaves_stdout_empty(argv, tmp_path, capsys):
-    argv = [a.format(missing=tmp_path / "missing.json") for a in argv]
+    argv = [a.format(missing=tmp_path / "missing.json", nodir=tmp_path / "missing") for a in argv]
     status, out, err = run_cli(capsys, *argv)
     assert status == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_malformed_dim_budget_exits_2(value, monkeypatch, capsys):
+    monkeypatch.setenv("CUBACODE_DIM_BUDGET", value)
+    status, out, err = run_cli(capsys, "stab", "--catalog", "cat", "--m", "2", "--scale", "1",
+                               "--cutoff", "40")
+    assert status == 2
+    assert out == ""
+    assert err == f"error: CUBACODE_DIM_BUDGET must be a positive integer, got {value!r}\n"
 
 
 def test_commands_in_one_process_print_what_they_print_alone(tmp_path, capsys, fresh_python):

@@ -1,13 +1,15 @@
 """The coherent-span fidelity engine (klcheck.loss_fidelity) against two
-independent references: the truncated-Fock transpose recovery
-(fock.fidelity_details) and an extended-precision mpmath evaluation of the
-same closed-form algebra with every loss order kept.
+independent references: transpose recovery computed from Fock coefficients
+(``fock_fidelity``), and an extended-precision mpmath evaluation of the
+closed-form algebra with every loss order kept (``exact_fidelity``).
 
 Tolerances are keyed on the conditioning of the code at the given scale:
 the ratio of the smallest to the largest eigenvalue of the codeword Gram.
-Roundoff in the Lowdin factors grows like the inverse of that ratio, in
-both engines, so low amplitudes get wider bounds.
+Roundoff in the engine's Lowdin factors grows like the inverse of that
+ratio, so low amplitudes get wider bounds.
 """
+
+from math import comb
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import pytest
 from cubacode import ValidationError, build_catalog_code, normalize_energy
 from cubacode.constellation import CodeSpec, WeightedConstellation
 from cubacode.errors import DegenerateCodewordsError
-from cubacode.fock import FockSpace, fidelity_details
+from cubacode.fock import FockSpace, coherent_fock
 from cubacode.klcheck import _orbits, codeword_gram, loss_fidelities, loss_fidelity
 
 
@@ -33,27 +35,28 @@ def tolerance(table, ratio):
     return max(bound, np.finfo(float).eps / ratio)
 
 
-# |F_engine - F_fock|.  The Fock path has errors of its own (a 1e-12
-# relative eigenvalue floor, pruned branches), so these are wider than the
-# engine's own error.  Largest differences measured on the grid below:
-# 1.1e-9 (ratio >= 1e-2), 8.4e-8 (1e-9 <= ratio < 1e-2), 2.8e-6 at ratio
-# 9.9e-12 (qsc12 at scale 0.8, where eps / ratio is 2.2e-5).
-FOCK_TOL = ((1e-2, 1e-8), (0.0, 1e-6))
-
-# |F_engine - F_exact| against the mpmath reference.  Largest differences
+# |F_engine - F_exact| against either reference.  Largest differences
 # measured on the single-mode codes at scales 0.8-3, gamma 0.05-0.2, with
 # the engine before photon-number sectors: 6.8e-15 (ratio >= 0.5), 7.1e-12
 # (ratio >= 1e-4), 3.9e-10 (1e-8 <= ratio < 1e-4), 5.0e-9 at ratio 2.1e-9
 # and 3.5e-6 at ratio 9.9e-12 (qsc12 at scales 1 and 0.8); qsc24 at scale 1
 # (ratio 3.3e-10): 8.1e-8; cell16_qutrit at scale 3.3 (ratio 0.97):
 # 4.4e-16.  With sectors: qsc8 at 0.8 (ratio 7e-7) 7.1e-13 (was 1.8e-10),
-# qsc12 at 1 6.9e-10, qsc12 at 0.8 1.2e-6, qsc24 at 1 5.0e-8.
+# qsc12 at 1 6.9e-10, qsc12 at 0.8 1.2e-6, qsc24 at 1 5.0e-8.  Against
+# fock_fidelity on ORACLE_CASES: 2.7e-15 (ratio >= 0.5), 2.4e-13
+# (ratio >= 1e-4), 5.2e-9 at ratio 2.6e-8 (qsc24 at 1.2) and 1.4e-6 at
+# ratio 9.9e-12 (qsc12 at 0.8); cube_orthoplex D=6 at 0.8 (ratio 1.0e-5):
+# 8.6e-12.
 EXACT_TOL = ((0.5, 1e-13), (1e-4, 1e-10), (0.0, 1e-8))
 
+# (code, scale).  The ids end in the per-mode cutoff of the truncated-Fock
+# reference these cases were first checked against, so that each case keeps
+# its name.
 ORACLE_CASES = (
-    [(name, scale, 80) for name in ("qsc8", "qcc8", "qsc12", "qcc12") for scale in (0.8, 1.0, 2.0)]
-    + [(name, scale, 40) for name in ("qsc24", "qcc24", "cell16_qutrit")
-       for scale in (0.9, 1.2, 1.6)]
+    [pytest.param(name, scale, id=f"{name}-{scale}-80")
+     for name in ("qsc8", "qcc8", "qsc12", "qcc12") for scale in (0.8, 1.0, 2.0)]
+    + [pytest.param(name, scale, id=f"{name}-{scale}-40")
+       for name in ("qsc24", "qcc24", "cell16_qutrit") for scale in (0.9, 1.2, 1.6)]
 )
 
 
@@ -61,22 +64,82 @@ def unit_code(name, **params):
     return normalize_energy(build_catalog_code(name, params or None), 1.0)[0]
 
 
-@pytest.mark.parametrize("name,scale,cutoff", ORACLE_CASES, ids=lambda v: str(v))
-def test_matches_fock_oracle(name, scale, cutoff):
+def poisson_level(mean, tail):
+    """Smallest n with P(X >= n) <= tail for X ~ Poisson(mean)."""
+    if mean == 0:
+        return 1
+    m = np.arange(int(mean + 20 * np.sqrt(mean) + 40))
+    log_pmf = m * np.log(mean) - mean - np.concatenate(([0.0], np.cumsum(np.log(m[1:]))))
+    return int(np.argmax(np.cumsum(np.exp(log_pmf)[::-1])[::-1] <= tail))
+
+
+def fock_fidelity(code, gamma, scale):
+    """Transpose-recovery entanglement fidelity under pure loss, from Fock
+    coefficients.
+
+    The codewords sum_a sqrt(w_a)|scale*a> are kept on the Fock states of
+    total photon number below T and orthonormalized by QR into the columns
+    of V.  Loss acts on each mode by binomial thinning,
+    (E_l c)_m = sqrt(C(m+l, l) gamma^l (1-gamma)^m) c_(m+l); the branches
+    losing fewer than L photons in all are stacked into B = [E_l V]_l.
+    With G = B^+ B, the logical Kraus operators of recovery after loss are
+    blocks of G^(1/2) (taken from the SVD of B's R factor), so
+    F = sum_(l,l') |tr [G^(1/2)]_(l,l')|^2 / K^2.  T and L are where the
+    Poisson tails of the photon number and of the photons lost by every
+    scaled point fall below 1e-20 times the codeword Gram ratio: a
+    truncation errs by more where the codewords are nearly parallel.
+    """
+    n, K = code.modes, code.dim
+    energy = max(float((np.abs(scale * c.points) ** 2).sum(axis=1).max()) for c in code.logicals)
+
+    def codewords(tail):
+        T = poisson_level(energy, tail)
+        space = FockSpace(n, T, budget=T**n)
+        kept = np.indices(space.shape()).sum(axis=0) < T
+        raw = np.column_stack([
+            sum(np.sqrt(w) * coherent_fock(scale * p, space).amplitudes
+                for w, p in zip(c.weights, c.points)) for c in code.logicals])
+        return T, kept, raw[kept.reshape(-1)]
+
+    _, _, raw = codewords(1e-20)
+    sv = np.linalg.svd(raw, compute_uv=False)
+    tail = 1e-20 * min(1.0, (sv[-1] / sv[0]) ** 2)
+    T, kept, raw = codewords(tail)
+    v = np.zeros(kept.shape + (K,), dtype=complex)
+    v[kept] = np.linalg.qr(raw)[0]
+    L = poisson_level(gamma * energy, tail)
+    thin = [np.sqrt([comb(m + l, l) * gamma**l * (1 - gamma) ** m for m in range(T - l)])
+            for l in range(L)]
+    losses = [l for l in np.ndindex((L,) * n) if sum(l) < L]
+    b = np.empty((int(kept.sum()), len(losses), K), dtype=complex)
+    for i, l in enumerate(losses):
+        coef = thin[l[0]]
+        for lj in l[1:]:
+            coef = np.multiply.outer(coef, thin[lj])
+        image = np.zeros_like(v)
+        image[tuple(slice(T - lj) for lj in l)] = coef[..., None] * v[tuple(slice(lj, T) for lj in l)]
+        b[:, i] = image[kept]
+    _, s, wh = np.linalg.svd(np.linalg.qr(b.reshape(len(b), -1), mode="r"), full_matrices=False)
+    root = (wh.conj().T * s) @ wh
+    traces = np.einsum("ikjk->ij", root.reshape(len(losses), K, len(losses), K))
+    return float((np.abs(traces) ** 2).sum()) / K**2
+
+
+@pytest.mark.parametrize("name,scale", ORACLE_CASES)
+def test_matches_fock_oracle(name, scale):
     code = unit_code(name)
-    tol = tolerance(FOCK_TOL, gram_ratio(code, scale))
-    space = FockSpace(code.modes, cutoff)
+    tol = tolerance(EXACT_TOL, gram_ratio(code, scale))
     for gamma in (0.05, 0.2):
-        got = loss_fidelity(code, gamma, scale)
-        want = fidelity_details(code, gamma, scale, space).fidelity
-        assert abs(got.fidelity - want) <= tol, (gamma, got.fidelity - want, tol)
+        got = loss_fidelity(code, gamma, scale).fidelity
+        want = fock_fidelity(code, gamma, scale)
+        assert abs(got - want) <= tol, (gamma, got - want, tol)
 
 
 def test_three_mode_code_matches_fock_oracle():
     code = unit_code("cube_orthoplex", D=6)
     got = loss_fidelity(code, 0.1, 0.8).fidelity
-    want = fidelity_details(code, 0.1, 0.8, FockSpace(3, 16)).fidelity
-    assert abs(got - want) <= tolerance(FOCK_TOL, gram_ratio(code, 0.8))
+    want = fock_fidelity(code, 0.1, 0.8)
+    assert abs(got - want) <= tolerance(EXACT_TOL, gram_ratio(code, 0.8))
 
 
 @pytest.mark.parametrize("name", ["qsc8", "qsc12", "qcc12", "qsc24", "qcc24", "cell16_qutrit"])
@@ -159,12 +222,22 @@ def exact_fidelity(code, gamma, scale, dps=30):
         return float(mp.re(mp.fsum(EZ[a, b] * EZ[b, a] for a in range(n) for b in range(n))) / K**2)
 
 
+@pytest.mark.parametrize("name,gamma,scale", [
+    # Ill-conditioned: codeword Gram eigenvalue ratios 7e-7 and 9.9e-12.
+    ("qsc8", 0.2, 0.8),
+    ("qsc12", 0.05, 0.8),
+])
+def test_fock_oracle_matches_extended_precision(name, gamma, scale):
+    # The Fock-coefficient reference's own error: 4e-16 and 1.9e-15.
+    code = unit_code(name)
+    assert abs(fock_fidelity(code, gamma, scale) - exact_fidelity(code, gamma, scale)) <= 1e-13
+
+
 @pytest.mark.parametrize("name,gamma,scale,frozen", [
     ("qsc8", 0.1, 1.0, 0.82805006372882),
     ("qsc24", 0.1, 1.0, 0.76575651421848),
     # High amplitude and loss, where a truncated total loss order would
-    # have to reach 27, 37 and 18 and the truncated-Fock path drifts by up
-    # to 9e-8 at cutoff 110; cell16_qutrit is a two-mode, K = 3 code.
+    # have to reach 27, 37 and 18; cell16_qutrit is a two-mode, K = 3 code.
     ("qcc8", 0.2, 3.0, None),
     ("qcc12", 0.2, 3.0, None),
     ("cell16_qutrit", 0.2, 3.3, None),

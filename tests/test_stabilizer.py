@@ -154,7 +154,7 @@ def test_multi_shell_stabilized_space_is_larger():
     for pt, r in zip(c0.points, radii):
         target = shell1 if np.isclose(r, 1.0) else shell2
         target += coherent_fock(scale * pt, space).amplitudes
-    v = encode(code, scale, space).matrix
+    v = encode(code, scale, space)
     codeword = v[:, 0]
 
     # Orthogonalize the outer-shell component against the codeword while
