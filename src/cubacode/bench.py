@@ -11,9 +11,10 @@ The pair comparison optimizes each code's scale at gamma = 0.1 and then
 reports the relative infidelity R = (1 - F_single) / (1 - F_multi) across
 a list of loss rates with the scales held fixed.
 
-Every row carries the codeword Gram's eigenvalue ratio at its scale:
-roundoff in the orthonormalized codewords puts an error of up to about
-0.42 eps / ratio on the fidelity.
+Every row carries the codeword Gram's eigenvalue ratio at its scale.  On
+multi-mode codes (qcc24, qsc24, ...), roundoff in the photon-number
+sectors' frames puts an error of up to about 0.42 eps / ratio on the
+fidelity; the single-mode catalog codes are within 1e-12 at every ratio.
 
 Each sweep, the rows of a pair comparison and the grid scan of a scale
 search make one batched ``klcheck.loss_fidelities`` call per code; only
@@ -92,7 +93,7 @@ def optimal_scale_adaptive(code: CodeSpec, gamma: float, grid: Sequence[float]) 
     The grid is scanned first; Brent's method then refines between the
     best grid point's neighbours until the bracket is shorter than 1e-4
     (at most 40 more evaluations).  Scales whose codewords are degenerate
-    (codeword Gram below the Lowdin floor) are skipped; the search fails
+    (codeword Gram eigenvalue ratio at most 1e-12) are skipped; the search fails
     with NumericalFailure only when every grid point is degenerate.
     """
     def value(res) -> Optional[float]:

@@ -383,7 +383,8 @@ def _pair_rows(rows) -> List[List[str]]:
 
 def _gram_line(rows) -> dict:
     """Header entry for the worst-conditioned row: roundoff puts an error of
-    up to about 0.42 eps / ratio on a fidelity (none when there are no rows)."""
+    up to about 0.42 eps / ratio on a fidelity of a multi-mode code (none
+    when there are no rows)."""
     return {"min_gram_ratio": _fmt(min(r.gram_ratio for r in rows))} if rows else {}
 
 
