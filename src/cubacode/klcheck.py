@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, lgamma
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -280,26 +280,23 @@ class _Orbits:
     codeword, and the code's points arranged in its orbits.
 
     ``rows[o, t]`` is the row of e^{2 pi i t/d} r_o in ``code.all_points()``
-    (r_o is the point in row ``rows[o, 0]``); ``sqrt_w`` and ``owner`` hold
-    each point's square-root weight and codeword in the same layout.  The
-    unit-scale log-overlaps log <r_o|e^{2 pi i t/d} r_o'> =
-    e^{2 pi i t/d} x[o, o'] - half[o, o'] are kept as ``x[o, o']`` =
-    r_o^* . r_o' and ``half[o, o']`` = (|r_o|^2 + |r_o'|^2)/2.
-    ``b[c, o, k]`` = sum_t e^{2 pi i c t/d} sqrt_w[o, t] [owner[o, t] = k]
-    expands Pi_c|C_k> over the Pi_c|r_o> (C_k the raw codewords), and
-    ``powers`` is the kappa-independent part of the sector series (None
-    when d = 1).
+    (r_o is the point in row ``rows[o, 0]``).  The unit-scale log-overlaps
+    log <r_o|e^{2 pi i t/d} r_o'> = e^{2 pi i t/d} x[o, o'] - half[o, o']
+    are kept as ``x[o, o']`` = r_o^* . r_o' and ``half[o, o']`` =
+    (|r_o|^2 + |r_o'|^2)/2.  ``b[c, o, k]`` = sum_t e^{2 pi i c t/d}
+    sqrt(w) [owner = k], for the weight w and codeword ``owner`` of point
+    (o, t), expands Pi_c|C_k> over the Pi_c|r_o> (C_k the raw codewords),
+    and ``powers`` is the kappa-independent part of the sector series
+    (None when d = 1).
     """
 
     d: int
     rows: np.ndarray
-    sqrt_w: np.ndarray
-    owner: np.ndarray
     half: np.ndarray
     x: np.ndarray
     abs_max: float
     b: np.ndarray
-    powers: "_Powers | None"
+    powers: Optional[_Powers]
 
 
 def _rotation_orbits(pts: np.ndarray, w: np.ndarray, owner: np.ndarray, d: int):
@@ -366,11 +363,9 @@ def _find_orbits(code: CodeSpec) -> _Orbits:
     norms = (np.abs(reps) ** 2).sum(axis=1)
     x = np.conj(reps) @ reps.T
     half = 0.5 * (norms[:, None] + norms[None, :])
-    sqrt_w, owner = np.sqrt(w)[rows], owner[rows]
-    coef = sqrt_w[..., None] * (owner[..., None] == np.arange(code.dim))
+    coef = np.sqrt(w)[rows][..., None] * (owner[rows][..., None] == np.arange(code.dim))
     return _Orbits(
-        d=d, rows=rows, sqrt_w=sqrt_w, owner=owner, half=half, x=x,
-        abs_max=float(np.abs(x).max()),
+        d=d, rows=rows, half=half, x=x, abs_max=float(np.abs(x).max()),
         b=np.fft.ifft(coef, axis=1, norm="forward").transpose(1, 0, 2),
         powers=_power_table(x, half, d) if d > 1 else None,
     )
@@ -660,8 +655,8 @@ def _fidelity_batch(code: CodeSpec, orbits: _Orbits, points: list) -> list:
         # Roundoff in the frames of a sector holding several orbits grows like
         # eps over the codeword Gram's eigenvalue ratio.  At gamma = 0, F was
         # measured up to 0.42 eps/ratio above 1 with one global frame, and
-        # with sector frames 2.9e-9 above 1 for qsc24 at scale 0.9 (ratio
-        # 2.6e-11) and 1.2e-9 at 0.8 (ratio 1.5e-12), beyond a flat 1e-9.
+        # with sector frames 1.1e-8 above 1 for qsc24 at scale 0.8 (ratio
+        # 1.5e-12) and 2.6e-9 at 0.9 (ratio 2.6e-11), beyond a flat 1e-9.
         # A larger excess is a breakdown, not roundoff.
         if fid > 1.0 + 1e-9 + 10.0 * np.finfo(float).eps / ratio:
             out[i] = NumericalFailure(f"fidelity {fid!r} exceeds 1 beyond tolerance")
