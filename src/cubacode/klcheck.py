@@ -214,7 +214,10 @@ _BATCH_BYTES = 1 << 16
 # of d terms, at least one block).  Each point of a batch weights every
 # term of a chunk: 128 terms cover kappa |x| up to about 40 in one chunk,
 # and 1008-term chunks raised a 14-point qcc8 batch's peak memory from 0.9
-# to 2.3 MiB.
+# to 2.3 MiB.  The cap also keeps _sector_grams from overflowing: a chunk
+# of L terms has a first exponent up to L log 2, and this cap with d <= 1009
+# (_find_orbits) keeps L log 2 <= 700.  _BATCH_BYTES alone would not: it
+# allows qsc8 (d = 8, one overlap entry) 4096-term chunks.
 _CHUNK_TERMS = 128
 
 
@@ -381,7 +384,12 @@ def _log_poisson(m: np.ndarray, lam: np.ndarray) -> np.ndarray:
     ulps of lam at worst.
 
     The direct sum m log(lam) - lam - log(m!) cancels terms near 1e4 at
-    lam = 1500 down to a few units; the saddle-point form of Loader, "Fast
+    lam = 1500 down to a few units: with it (log m! from lgamma) the sector
+    Grams of qcc12 at scale 15 (kappa |x| = 1529) were 1.3e-12 off an
+    extended-precision sum per entry and those of qcc8 at scale 20
+    (kappa |x| = 1360) 7.9e-13, against 5.5e-14 and 4.9e-14 with this
+    form, and 1.1e-12 and 5.6e-13 with the log-domain series it replaced.
+    The saddle-point form of Loader, "Fast
     and accurate computation of binomial probabilities" (2000), is
     -log(2 pi m)/2 - stirlerr(m) - bd0(m, lam) with Stirling's error
     stirlerr and the deviance bd0 = m log(m/lam) + lam - m, the latter

@@ -3,12 +3,12 @@ independent references: transpose recovery computed from Fock coefficients
 (``fock_fidelity``), and an extended-precision mpmath evaluation of the
 closed-form algebra with every loss order kept (``exact_fidelity``).
 
-The single-mode catalog codes are held to one bound at every scale.
-Elsewhere tolerances are keyed on the conditioning of the code at the
-given scale: the ratio of the smallest to the largest eigenvalue of the
-codeword Gram.  Roundoff in the frames of a photon-number sector that
-holds several orbits grows like the inverse of that ratio, so low
-amplitudes get wider bounds.
+Tolerances are keyed on the conditioning of the code at the given scale:
+the ratio of the smallest to the largest eigenvalue of the codeword Gram.
+Roundoff in the frames of a photon-number sector that holds several
+orbits grows like the inverse of that ratio, so low amplitudes get wider
+bounds; the single-mode catalog codes, one orbit per sector, are held to
+1e-12 however small the ratio.
 """
 
 from math import comb
@@ -60,20 +60,24 @@ def tolerance(table, ratio):
 # twoshell_24cell at 0.8: -1.8e-10.
 EXACT_TOL = ((0.5, 1e-13), (1e-4, 1e-10), (0.0, 1e-8))
 
-# The single-mode catalog codes, whatever their ratio, with a frame per
-# photon-number sector: against fock_fidelity on ORACLE_CASES (and the
-# extended-precision cases) at most 1.7e-13 (qcc8 at scale 1, gamma 0.2);
-# qsc12 at 0.8 (ratio 9.9e-12) -1.8e-15 (was 1.4e-6), qsc12 at 1 -1.1e-15
-# (was 7e-10), qsc8 at 0.8 -1.4e-15 (was 9.1e-13).
-SINGLE_MODE_TOL = 1e-12
+# The single-mode catalog codes, with a frame per photon-number sector, in
+# tiers like EXACT_TOL's but without eps / ratio: against fock_fidelity on
+# ORACLE_CASES, |F - 1| at gamma 0 and exact_fidelity at most 4.8e-15 at
+# ratio >= 0.5 (qcc12 at scale 2) and 1.6e-13 below (qcc8 at scale 1,
+# gamma 0.2); qsc12 at 0.8 (ratio 9.9e-12) 1.8e-15 (was 1.4e-6), qsc12 at
+# 1 1.1e-15 (was 7e-10), qsc8 at 0.8 1.4e-15 (was 9.1e-13).
+SINGLE_MODE_TOL = ((0.5, 1e-13), (0.0, 1e-12))
 SINGLE_MODE = ("qsc8", "qcc8", "qsc12", "qcc12")
 
 
 def bound(name, code, scale):
-    """SINGLE_MODE_TOL for the single-mode catalog codes, else EXACT_TOL."""
+    """The tier of SINGLE_MODE_TOL the single-mode catalog codes reach at
+    this scale, else the tolerance from EXACT_TOL."""
+    ratio = gram_ratio(code, scale)
     if name in SINGLE_MODE:
-        return SINGLE_MODE_TOL
-    return tolerance(EXACT_TOL, gram_ratio(code, scale))
+        return next(bound for least, bound in SINGLE_MODE_TOL if ratio >= least)
+    return tolerance(EXACT_TOL, ratio)
+
 
 # (code, scale).  The ids end in the per-mode cutoff of the truncated-Fock
 # reference these cases were first checked against, so that each case keeps
