@@ -20,12 +20,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cubacode import build_catalog_code, normalize_energy  # noqa: E402
-from cubacode.bench import (  # noqa: E402
-    PairPoint,
-    optimal_scale_adaptive,
-    sweep_alpha,
-    sweep_gamma,
-)
+from cubacode.bench import pair_bench, sweep_alpha, sweep_gamma  # noqa: E402
 from cubacode.cli import (  # noqa: E402
     _BENCH_HEADER,
     _PAIR_HEADER,
@@ -71,21 +66,14 @@ def main() -> int:
         write_csv(outdir / f"sweep_alpha_{ell}.csv", _BENCH_HEADER, _bench_rows(points))
 
         print(f"pair {ell}: loss-rate sweeps at the gamma = 0.1 optima")
+        opt_qcc, opt_qsc, rows = pair_bench(qcc, qsc, args.gammas, grid)
         points = []
-        optima = {}
-        for label, code in ((f"qcc{ell}", qcc), (f"qsc{ell}", qsc)):
-            s_op, f_op = optimal_scale_adaptive(code, 0.1, grid)
-            optima[label] = s_op
+        for label, code, (s_op, f_op) in ((f"qcc{ell}", qcc, opt_qcc), (f"qsc{ell}", qsc, opt_qsc)):
             print(f"  {label}: alpha_op = {s_op:.4f}, F_op = {f_op:.6f}")
             points += sweep_gamma(code, label, gamma_axis, scale=s_op)
         write_csv(outdir / f"sweep_gamma_{ell}.csv", _BENCH_HEADER, _bench_rows(points))
 
         print(f"pair {ell}: relative infidelity at the gamma = 0.1 optima")
-        multi = sweep_gamma(qcc, "", args.gammas, scale=optima[f"qcc{ell}"])
-        single = sweep_gamma(qsc, "", args.gammas, scale=optima[f"qsc{ell}"])
-        rows = [PairPoint(gamma=m.gamma, f_single=s.fidelity, f_multi=m.fidelity,
-                          gram_ratio=min(m.gram_ratio, s.gram_ratio))
-                for m, s in zip(multi, single)]
         write_csv(outdir / f"pair_{ell}.csv", _PAIR_HEADER, _pair_rows(rows))
     print("done")
     return 0

@@ -34,7 +34,6 @@ _EXPORTS = {
     ),
     "codefile": ("CodeFileError", "load_code", "save_code"),
     "constellation": (
-        "CodeParams",
         "CodeSpec",
         "Rotation",
         "RotationFamily",

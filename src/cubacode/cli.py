@@ -23,7 +23,7 @@ import numpy as np
 # need.  Each command imports the rest of what it runs when it runs, so a
 # process loads only the modules its command uses.
 from .catalog import BENCH_ALIASES, CATALOG, build_catalog_code, describe
-from .constellation import CodeParams, CodeSpec, normalize_energy, resolution, scale_code
+from .constellation import CodeSpec, normalize_energy, resolution, scale_code
 from .errors import NumericalFailure, ValidationError
 
 
@@ -194,19 +194,12 @@ def cmd_params(args) -> int:
     if args.normalize is not None:
         code, _ = normalize_energy(code, args.normalize)
     triple = code_parameters(code, ceiling=args.ceiling, tol=args.tol)
-    params = CodeParams(
-        modes=code.modes,
-        dim=code.dim,
-        resolution=resolution(code),
-        t_down=triple.t_down,
-        d_updown=triple.d_updown,
-        d_down=triple.d_down,
-    )
+    res = resolution(code)
     for line in _header(args):
         print(line)
     print(
-        f"(( {params.modes}, {params.dim}, {_fmt(params.resolution)}, "
-        f"<{params.t_down},{params.d_updown},{params.d_down}> ))"
+        f"(( {code.modes}, {code.dim}, {_fmt(res)}, "
+        f"<{triple.t_down},{triple.d_updown},{triple.d_down}> ))"
     )
     return 0
 

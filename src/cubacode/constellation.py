@@ -87,13 +87,14 @@ class WeightedConstellation:
         return np.linalg.norm(self.points, axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeSpec:
     """K weighted constellations sharing a mode count, plus metadata.
 
     ``shells`` lists the nominal shell radii; when non-empty, every point's
     norm must match one of them within GEOM_TOL.  ``claimed_degree`` is the
     nominal cubature degree of each logical constellation (None if unknown).
+    Codes compare and hash by identity.
     """
 
     name: str
@@ -142,30 +143,6 @@ class CodeSpec:
         """Row slice of :meth:`all_points` holding each logical constellation."""
         ends = np.cumsum([c.size for c in self.logicals])
         return [slice(int(end) - c.size, int(end)) for end, c in zip(ends, self.logicals)]
-
-
-@dataclass(frozen=True)
-class CodeParams:
-    """Code parameter tuple (n, K, d_E, <t_down, d_updown, d_down>)."""
-
-    modes: int
-    dim: int
-    resolution: float
-    t_down: int
-    d_updown: int
-    d_down: int
-
-    def __post_init__(self):
-        if self.resolution < 0:
-            raise ValidationError("resolution must be nonnegative")
-        if self.t_down > self.d_updown:
-            raise ValidationError("t_down cannot exceed d_updown")
-
-    def __str__(self):
-        return (
-            f"(( {self.modes}, {self.dim}, {self.resolution:.6g}, "
-            f"<{self.t_down},{self.d_updown},{self.d_down}> ))"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +305,24 @@ def _squared_distance_range(points: np.ndarray) -> tuple:
 def min_squared_distance(points: np.ndarray) -> float:
     """Minimum squared Euclidean distance over all index pairs i < j."""
     return _squared_distance_range(points)[0]
+
+
+def _match_points(points: np.ndarray, images: np.ndarray, tol: float) -> Optional[np.ndarray]:
+    """The permutation perm with images[i] within Euclidean distance tol of
+    points[perm[i]] for every i, or None when the images are not the points.
+
+    Each image's nearest point comes from the Gram form |b|^2 - 2 Re <a, b>,
+    with no N x N x modes difference tensor.  That form cancels small
+    distances away, so the matched distances are then formed directly.
+    """
+    if np.linalg.norm(points - images[0], axis=1).min() > tol:  # cheap test on one image
+        return None
+    dist = (np.abs(points) ** 2).sum(axis=1)[None, :] - 2.0 * (np.conj(images) @ points.T).real
+    perm = dist.argmin(axis=1)
+    if (np.bincount(perm).max() > 1
+            or np.linalg.norm(images - points[perm], axis=1).max() > tol):
+        return None
+    return perm
 
 
 def resolution(code: CodeSpec) -> float:

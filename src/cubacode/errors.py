@@ -3,8 +3,10 @@
 Validation errors signal bad user input (unknown catalog name, malformed
 code file, out-of-range parameter) and map to CLI exit status 2.
 Numerical failures signal a computation that could not be carried out at
-the requested operating point (degenerate Gram matrix, cutoff overflow)
-and map to exit status 1.
+the requested operating point (degenerate Gram matrix) and map to exit
+status 1.  A Fock cutoff too small for the ``stab`` Z-check is not one:
+``stab`` warns that the cutoff is strained, reports the truncation-limited
+residual and exits 0.
 """
 
 

@@ -30,12 +30,13 @@ multi-indices, stopping at the first degree that fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, lgamma
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .constellation import CodeSpec, as_amplitude
+from .constellation import CodeSpec, _match_points, as_amplitude
 from .errors import DegenerateCodewordsError, NumericalFailure, ValidationError
 from .moments import (
     _BoxMoments,
@@ -216,7 +217,7 @@ _BATCH_BYTES = 1 << 16
 # and 1008-term chunks raised a 14-point qcc8 batch's peak memory from 0.9
 # to 2.3 MiB.  The cap also keeps _sector_grams from overflowing: a chunk
 # of L terms has a first exponent up to L log 2, and this cap with d <= 1009
-# (_find_orbits) keeps L log 2 <= 700.  _BATCH_BYTES alone would not: it
+# (_orbits) keeps L log 2 <= 700.  _BATCH_BYTES alone would not: it
 # allows qsc8 (d = 8, one overlap entry) 4096-term chunks.
 _CHUNK_TERMS = 128
 
@@ -308,15 +309,8 @@ def _rotation_orbits(pts: np.ndarray, w: np.ndarray, owner: np.ndarray, d: int):
     onto one codeword; None otherwise."""
     eps = _ORBIT_ULPS * np.finfo(float).eps
     tol = eps * max(1.0, float(np.abs(pts).max()))
-    rot = np.exp(2j * np.pi / d) * pts
-    if np.abs(pts - rot[0]).max(axis=1).min() > tol:  # cheap test on one point
-        return None
-    # Nearest neighbours from |b|^2 - 2 Re <a, b>, then checked directly.
-    dist = (np.abs(pts) ** 2).sum(axis=1)[None, :] - 2.0 * (np.conj(rot) @ pts.T).real
-    perm = dist.argmin(axis=1)
-    if (np.abs(rot - pts[perm]).max() > tol
-            or np.bincount(perm).max() > 1
-            or np.abs(w[perm] - w).max() > eps * w.max()):
+    perm = _match_points(pts, np.exp(2j * np.pi / d) * pts, tol)
+    if perm is None or np.abs(w[perm] - w).max() > eps * w.max():
         return None
     # Each codeword must land inside one codeword, by a permutation of the
     # codewords; perm being a bijection then makes each image a whole
@@ -340,12 +334,15 @@ def _rotation_orbits(pts: np.ndarray, w: np.ndarray, owner: np.ndarray, d: int):
     # Steps that each match within tol can drift by up to d tol along an
     # orbit; the sector Grams use the rotated first points, so check those.
     turns = np.exp(2j * np.pi * np.arange(d) / d)[None, :, None]
-    if np.abs(turns * pts[rows[:, :1]] - pts[rows]).max() > tol:
+    if np.linalg.norm(turns * pts[rows[:, :1]] - pts[rows], axis=2).max() > tol:
         return None
     return rows
 
 
-def _find_orbits(code: CodeSpec) -> _Orbits:
+# Codes hash by identity, so a table is found again for the same CodeSpec
+# object only.
+@lru_cache(maxsize=8)
+def _orbits(code: CodeSpec) -> _Orbits:
     pts = code.all_points()
     w = np.concatenate([c.weights for c in code.logicals])
     owner = np.repeat(np.arange(code.dim), [c.size for c in code.logicals])
@@ -500,20 +497,6 @@ def _sector_grams(orbits: _Orbits, kappa: np.ndarray) -> np.ndarray:
     grams[:, :, pw.order] = out
     n = len(orbits.x)
     return grams.reshape(P, d, n, n)
-
-
-# Orbit tables by code identity; an entry holds its code, so an id is not
-# reused while cached.
-_ORBIT_CACHE: Dict[int, Tuple[CodeSpec, _Orbits]] = {}
-
-
-def _orbits(code: CodeSpec) -> _Orbits:
-    hit = _ORBIT_CACHE.get(id(code))
-    if hit is None:
-        if len(_ORBIT_CACHE) >= 8:
-            _ORBIT_CACHE.pop(next(iter(_ORBIT_CACHE)))
-        hit = _ORBIT_CACHE[id(code)] = (code, _find_orbits(code))
-    return hit[1]
 
 
 def loss_fidelity(code: CodeSpec, gamma: float, scale: float) -> LossFidelity:
@@ -690,6 +673,8 @@ class ParamTriple:
     def __post_init__(self):
         if not (1 <= self.t_down and 1 <= self.d_updown and 1 <= self.d_down):
             raise ValidationError("parameters must be positive")
+        if self.t_down > self.d_updown:
+            raise ValidationError("correction cannot exceed loss-gain detection")
         if self.d_updown > self.d_down:
             raise ValidationError("loss-gain detection cannot exceed pure-loss detection")
         if max(self.t_down, self.d_updown, self.d_down) > self.search_ceiling:

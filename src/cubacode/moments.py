@@ -24,7 +24,7 @@ can or must use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -471,16 +471,6 @@ def code_size_bounds(code: CodeSpec, t: Optional[int] = None) -> list:
     for c in code.logicals:
         rep = size_bounds(domain, 2 * code.modes, degree, actual=c.size)
         if multi_shell:
-            rep = BoundsReport(
-                domain=rep.domain,
-                D=rep.D,
-                t=rep.t,
-                fisher_min=rep.fisher_min,
-                moller_min=rep.moller_min,
-                tchakaloff_max=rep.tchakaloff_max,
-                actual=rep.actual,
-                tight=rep.tight,
-                conservative=True,
-            )
+            rep = replace(rep, conservative=True)
         reports.append(rep)
     return reports

@@ -4,9 +4,9 @@ Two families of checks.  Z-type: polynomials P in the mode amplitudes that
 vanish on every constellation point induce annihilation-operator products
 F = P(a) with F|C_k> = 0, verified here by applying F to the encoded
 codewords in a truncated Fock space.  X-type: passive unitaries permuting
-each weighted constellation leave the codewords invariant; phase rotations
-are built exactly in Fock space, general passive symmetries are checked
-analytically through coherent-state overlaps (no Fock build).
+each weighted constellation leave the codewords invariant; every such
+check, phase rotation or not, is one closed-form sum over coherent-state
+overlaps with no Fock build and no cancellation.
 
 Only verification is performed; dissipative dynamics are out of scope.
 """
@@ -19,14 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .constellation import (
-    GEOM_TOL,
-    CodeSpec,
-    Rotation,
-    WeightedConstellation,
-    apply_rotation,
-    scale_code,
-)
+from .constellation import GEOM_TOL, CodeSpec, Rotation, _match_points, scale_code
 from .errors import ValidationError
 from .fock import FockSpace, _raw_codeword_vectors, annihilation
 from .klcheck import _pairwise_overlaps
@@ -232,65 +225,46 @@ def verify_ztype(
     return ztype_residual_states(polys, states, space)
 
 
-def _match_permutation(c: WeightedConstellation, rotated: WeightedConstellation):
-    """Index map pi with rotated.points[i] == c.points[pi(i)], or None."""
-    d2 = np.abs(rotated.points[:, None, :] - c.points[None, :, :]) ** 2
-    dist = d2.sum(axis=2)
-    perm = dist.argmin(axis=1)
-    if len(set(perm.tolist())) != c.size:
-        return None
-    if dist[np.arange(c.size), perm].max() > GEOM_TOL**2:
-        return None
-    if np.abs(rotated.weights - c.weights[perm]).max() > GEOM_TOL:
-        return None
-    return perm
-
-
-def verify_xtype(code: CodeSpec, symmetry: Rotation, scale: float, space: FockSpace) -> float:
-    """Invariance residual max_k || U|C_k> - |C_k> || for a passive symmetry.
+def verify_xtype(code: CodeSpec, symmetry: Rotation, scale: float) -> float:
+    """Invariance residual max_k ||U|C_k> - |C_k>|| / ||C_k|| for a passive
+    symmetry U.
 
     The rotation must be complex-linear (a passive optical unitary) and must
-    permute every weighted constellation; otherwise this raises.  Per-mode
-    phase rotations are built exactly in Fock space; other passive
-    symmetries are checked analytically by re-summing coherent components.
+    permute every weighted constellation, each image within GEOM_TOL of its
+    point and each weight within GEOM_TOL of its image's; otherwise this
+    raises.  With p_a = scale pi(a) the matched point of a, u_a = scale U a
+    and delta = u - p, the residual is summed in closed form as
+
+        ||sum_a sqrt(w_a) (|u_a> - |p_a>)||^2 = sum_ab sqrt(w_a w_b) <p_a|p_b>
+            [expm1(B_ab) expm1(C_ab) + e^{B_ab + C_ab} expm1(delta_a^* . delta_b)],
+
+    B_ab = delta_a^* . p_b - Re(delta_a^* . (u_a + p_a))/2 and C_ab =
+    conj(B_ba), so that <u_a|p_b> = <p_a|p_b> e^B and <p_a|u_b> =
+    <p_a|p_b> e^C.  Every term is of order |delta|^2 and nothing cancels:
+    a true symmetry reads at roundoff, where 2 - 2 Re <C|U|C> cannot go
+    below about sqrt(eps).
     """
     u = symmetry.complex_unitary()
     if u is None:
         raise ValidationError("symmetry is not complex-linear (not a passive unitary)")
     if symmetry.modes != code.modes:
         raise ValidationError("symmetry dimension does not match the code")
-    perms = []
+    worst = 0.0
     for k, c in enumerate(code.logicals):
-        perm = _match_permutation(c, apply_rotation(c, symmetry))
-        if perm is None:
+        images = c.points @ u.T
+        perm = _match_points(c.points, images, GEOM_TOL)
+        if perm is None or np.abs(c.weights[perm] - c.weights).max() > GEOM_TOL:
             raise ValidationError(
                 f"symmetry does not preserve weighted constellation {k} as a multiset"
             )
-        perms.append(perm)
-
-    off_diag = u - np.diag(np.diag(u))
-    if np.abs(off_diag).max() <= 1e-12:
-        # Exact Fock build: U = exp(i sum_j phi_j n_j) is diagonal.
-        phases = np.angle(np.diag(u))
-        levels = np.indices(space.shape()).reshape(space.modes, -1)
-        diag = np.exp(1j * (phases @ levels))
-        worst = 0.0
-        for psi in _encoded_states(code, scale, space):
-            worst = max(worst, float(np.linalg.norm(diag * psi - psi)))
-        return worst
-
-    # Analytic path: || sum_a sqrt(w_a)(|U a> - |pi(a)>) || via overlaps.
-    worst = 0.0
-    for c in code.logicals:
-        rotated = apply_rotation(c, symmetry)
-        perm = _match_permutation(c, rotated)
-        pts_u = scale * rotated.points
-        pts_p = scale * c.points[perm]
+        p, images = scale * c.points[perm], scale * images
+        delta = images - p
+        dc = np.conj(delta)
+        b = dc @ p.T - 0.5 * (dc * (images + p)).sum(axis=1).real[:, None]
+        cb = np.conj(b.T)
+        gram = _pairwise_overlaps(p, p)
+        terms = gram * (np.expm1(b) * np.expm1(cb) + np.exp(b + cb) * np.expm1(dc @ delta.T))
         sw = np.sqrt(c.weights)
-        guu = _pairwise_overlaps(pts_u, pts_u)
-        gup = _pairwise_overlaps(pts_u, pts_p)
-        gpp = _pairwise_overlaps(pts_p, pts_p)
-        norm_raw = float(np.real(sw @ gpp @ sw))
-        res2 = np.real(sw @ (guu - gup - np.conj(gup.T) + gpp) @ sw) / norm_raw
+        res2 = float(np.real(sw @ terms @ sw)) / float(np.real(sw @ gram @ sw))
         worst = max(worst, float(np.sqrt(max(res2, 0.0))))
     return worst

@@ -268,10 +268,8 @@ def test_criterion_7_stabilizers():
     assert verify_ztype(cat_code(12, 2), 2.0, FockSpace(1, 80)) < 1e-8
 
     # X residuals at scale 2.
-    assert verify_xtype(cat_code(2, 2), Rotation.global_phase(1, np.pi), 2.0, FockSpace(1, 64)) < 1e-10
-    assert verify_xtype(
-        cat_code(12, 2), Rotation.global_phase(1, np.pi / 6), 2.0, FockSpace(1, 80)
-    ) < 1e-10
+    assert verify_xtype(cat_code(2, 2), Rotation.global_phase(1, np.pi), 2.0) < 1e-10
+    assert verify_xtype(cat_code(12, 2), Rotation.global_phase(1, np.pi / 6), 2.0) < 1e-10
 
     # Negative controls: a polynomial missing one root, and a rotation that
     # does not preserve the constellation.
@@ -280,7 +278,7 @@ def test_criterion_7_stabilizers():
     ).normalized()
     assert verify_ztype(cat_code(2, 2), 2.0, FockSpace(1, 64), polys=[wrong]) > 1e-2
     with pytest.raises(ValidationError):
-        verify_xtype(cat_code(12, 2), Rotation.global_phase(1, np.pi / 12), 2.0, FockSpace(1, 80))
+        verify_xtype(cat_code(12, 2), Rotation.global_phase(1, np.pi / 12), 2.0)
 
     # Strict containment witness for a multi-shell code: a shell-perturbed
     # state passing all checks but far from the code space.

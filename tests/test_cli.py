@@ -114,6 +114,16 @@ def test_stab_command_reports_residual(capsys):
     assert "z-type max residual" in out
 
 
+def test_stab_strained_cutoff_warns_and_exits_0(fresh_python):
+    # A cutoff too small for the Z-check is no failure: the residual is
+    # truncation limited, and stderr says so.
+    proc = fresh_python("-m", "cubacode.cli", "stab", "--catalog", "cat", "--m", "12",
+                        "--scale", "5", "--cutoff", "10")
+    assert proc.returncode == 0, proc.stderr
+    assert "UserWarning: cutoff 10 is strained" in proc.stderr
+    assert "z-type max residual ||F|C_k>||: 1\n" in proc.stdout
+
+
 def test_bench_sweep_alpha_csv_contract(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     status, _, _ = run_cli(

@@ -15,7 +15,7 @@ PUBLIC = {
     ],
     "codefile": ["CodeFileError", "load_code", "save_code"],
     "constellation": [
-        "CodeParams", "CodeSpec", "Rotation", "RotationFamily", "WeightedConstellation",
+        "CodeSpec", "Rotation", "RotationFamily", "WeightedConstellation",
         "apply_rotation", "embed_complex_to_real", "embed_real_to_complex",
         "global_phase_family", "mean_photon_number", "mode_phase_family", "normalize_energy",
         "optimize_codeword_rotation", "plane_rotation_family", "resolution", "rotate_code",

@@ -30,6 +30,7 @@ from cubacode.constellation import (
     _DISTANCE_BYTES,
     DISTINCT_TOL,
     RotationFamily,
+    _match_points,
     _squared_distance_range,
     brent_max,
     grid_brent_max,
@@ -315,6 +316,27 @@ def test_distinct_check_on_every_construction():
         base.scaled(0.1)  # squared distance 4e-14
     with pytest.raises(ValidationError, match="pairwise distinct"):
         scale_code(CodeSpec(name="close", logicals=(base,)), 0.1)
+
+
+def test_match_points_finds_the_permutation():
+    gen = np.random.default_rng(3)
+    pts = gen.normal(size=(7, 2)) + 1j * gen.normal(size=(7, 2))
+    perm = gen.permutation(7)
+    assert np.array_equal(_match_points(pts, pts[perm] + 1e-12, 1e-9), perm)
+
+
+def test_match_points_needs_a_bijection():
+    pts = np.array([[0.0], [1.0], [3.0]], dtype=complex)
+    assert _match_points(pts, np.array([[0.0], [1.0], [1.0]], dtype=complex), 1e-9) is None
+
+
+def test_match_points_bounds_the_euclidean_distance():
+    pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    images = pts.copy()
+    images[-1] += 0.8e-9  # 0.8 tol in each mode, 1.13 tol in all
+    assert _match_points(pts, images, 1e-9) is None
+    images[-1] = pts[-1] + 0.7e-9 * np.array([1.0, 1.0j])  # 0.99 tol in all
+    assert np.array_equal(_match_points(pts, images, 1e-9), [0, 1, 2])
 
 
 def test_resolution_needs_two_distinct_points():

@@ -240,6 +240,12 @@ def test_param_triple_invariants():
         ParamTriple(t_down=3, d_updown=4, d_down=11, search_ceiling=10)
 
 
+def test_param_triple_correction_within_loss_gain_detection():
+    with pytest.raises(ValidationError, match="correction"):
+        ParamTriple(t_down=5, d_updown=4, d_down=6, search_ceiling=10)
+    assert ParamTriple(t_down=4, d_updown=4, d_down=6, search_ceiling=10).astuple() == (4, 4, 6)
+
+
 # ---------------------------------------------------------------------------
 # Loop references for the stacked moment and block evaluations
 # ---------------------------------------------------------------------------

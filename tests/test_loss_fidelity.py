@@ -328,6 +328,13 @@ def test_sector_count_of_catalog_codes(name, params, d):
     assert _orbits(unit_code(name, **params)).d == d
 
 
+def test_orbit_tables_are_cached_by_code_identity():
+    # Codes compare and hash by identity: equal fields would compare arrays.
+    code = unit_code("qcc8")
+    assert code == code and code != unit_code("qcc8")
+    assert _orbits(code) is _orbits(code)
+
+
 def test_sector_count_without_symmetry():
     assert _orbits(random_code()).d == 1
     # A point at the origin is fixed by every rotation.

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cubacode import (
+    CodeSpec,
     FockSpace,
     Rotation,
     ValidationError,
@@ -11,11 +12,12 @@ from cubacode import (
     encode,
     polygon_shell_code,
     scale_code,
+    WeightedConstellation,
     verify_xtype,
     verify_ztype,
     ztype_polynomials,
 )
-from cubacode.stabilizer import AnnihilationPolynomial, ztype_residual_states
+from cubacode.stabilizer import AnnihilationPolynomial, _encoded_states, ztype_residual_states
 
 
 # ---------------------------------------------------------------------------
@@ -101,36 +103,94 @@ def test_ztype_residual_shrinks_with_cutoff():
 
 
 def test_cat_parity_invariance():
-    residual = verify_xtype(cat_code(2, 2), Rotation.global_phase(1, np.pi), 2.0, FockSpace(1, 64))
+    residual = verify_xtype(cat_code(2, 2), Rotation.global_phase(1, np.pi), 2.0)
     assert residual < 1e-10
 
 
 def test_twelve_gon_rotation_invariance():
     code = cat_code(12, 2)
     rot = Rotation.global_phase(1, 2 * np.pi / 12)
-    assert verify_xtype(code, rot, 2.0, FockSpace(1, 80)) < 1e-10
+    assert verify_xtype(code, rot, 2.0) < 1e-10
 
 
 def test_half_step_rotation_rejected():
     code = cat_code(12, 2)
     rot = Rotation.global_phase(1, 2 * np.pi / 24)
     with pytest.raises(ValidationError, match="does not preserve"):
-        verify_xtype(code, rot, 2.0, FockSpace(1, 80))
+        verify_xtype(code, rot, 2.0)
 
 
 def test_non_passive_symmetry_rejected():
     code = cat_code(2, 2)
     conj = Rotation(np.diag([1.0, -1.0]))  # complex conjugation: not passive
     with pytest.raises(ValidationError, match="passive"):
-        verify_xtype(code, conj, 2.0, FockSpace(1, 40))
+        verify_xtype(code, conj, 2.0)
 
 
 def test_mode_swap_symmetry_analytic_path():
     # The 24-cell constellation is invariant under swapping the two modes;
-    # the swap is passive but not diagonal, exercising the analytic check.
+    # the swap is passive but not diagonal.
     code = build_catalog_code("cube_orthoplex", {"D": 4})
     swap = Rotation.from_complex_unitary(np.array([[0, 1], [1, 0]], dtype=complex))
-    assert verify_xtype(code, swap, 1.5, FockSpace(2, 24)) < 1e-10
+    assert verify_xtype(code, swap, 1.5) < 1e-10
+
+
+def test_mode_swap_times_phase_reads_at_roundoff():
+    # Swap times i is a symmetry of the 24-cell code; 2 - 2 Re <C|U|C>
+    # cancels to about sqrt(eps) on it (1.9e-9), the closed-form sum does
+    # not.
+    code = build_catalog_code("cube_orthoplex", {"D": 4})
+    u = np.array([[0, 1], [1, 0]]) @ np.diag(np.exp(1j * np.pi / 2 * np.ones(2)))
+    assert verify_xtype(code, Rotation.from_complex_unitary(u), 1.5) < 1e-10
+
+
+def fock_xtype_residual(code, phases, scale, space):
+    """max_k ||U|C_k> - |C_k>|| / ||C_k|| for U = exp(i sum_j phi_j n_j),
+    built on the truncated Fock space, where U is diagonal."""
+    levels = np.indices(space.shape()).reshape(space.modes, -1)
+    diag = np.exp(1j * (np.asarray(phases) @ levels))
+    return max(float(np.linalg.norm(diag * psi - psi))
+               for psi in _encoded_states(code, scale, space))
+
+
+def moved(code, size, seed):
+    """The code with every point moved by ``size`` in a random direction."""
+    rng = np.random.default_rng(seed)
+    return CodeSpec(name="moved", logicals=tuple(
+        WeightedConstellation(c.points + size * np.exp(2j * np.pi * rng.random(c.points.shape)),
+                              c.weights)
+        for c in code.logicals))
+
+
+@pytest.mark.parametrize("code,phases,scale,cutoff", [
+    (cat_code(12, 2), [np.pi / 6], 2.0, 80),
+    (cat_code(2, 2), [np.pi], 2.0, 64),
+    (build_catalog_code("polygon_shells", {"m": 4, "p": 3, "radii": [1.0, 2.0, 3.0]}),
+     [np.pi / 2], 2.0, 120),
+    (build_catalog_code("cube_orthoplex", {"D": 4}), [np.pi / 2, np.pi / 2], 1.5, 24),
+    (build_catalog_code("cube_orthoplex", {"D": 4}), [np.pi / 2, 0.0], 1.5, 24),
+    # Points moved by 1e-10, inside the matching tolerance: the residuals
+    # are 2e-10 to 1.4e-9, which 2 - 2 Re <C|U|C> could not resolve; the
+    # three shells' unequal weights pin the sqrt(w) weighting.
+    (moved(cat_code(12, 2), 1e-10, 3), [np.pi / 6], 2.0, 80),
+    (moved(build_catalog_code("polygon_shells", {"m": 4, "p": 3, "radii": [1.0, 2.0, 3.0]}),
+           1e-10, 4), [np.pi / 2], 2.0, 120),
+    (moved(build_catalog_code("cube_orthoplex", {"D": 4}), 1e-10, 5),
+     [np.pi / 2, 0.0], 1.5, 24),
+], ids=["cat12", "cat2", "polygon_shells", "24cell-global", "24cell-mode", "cat12-moved",
+        "polygon_shells-moved", "24cell-moved"])
+def test_phase_rotation_residual_matches_fock(code, phases, scale, cutoff):
+    space = FockSpace(code.modes, cutoff)
+    got = verify_xtype(code, Rotation.mode_phases(phases), scale)
+    assert abs(got - fock_xtype_residual(code, phases, scale, space)) <= 1e-14
+
+
+def test_symmetry_outside_matching_tolerance_rejected():
+    # GEOM_TOL bounds the Euclidean distance from each image to its point:
+    # moving every point by 1e-9 in each of two modes puts them beyond it.
+    code = moved(build_catalog_code("cube_orthoplex", {"D": 4}), 1e-9, 5)
+    with pytest.raises(ValidationError, match="does not preserve"):
+        verify_xtype(code, Rotation.mode_phases([np.pi / 2, 0.0]), 1.5)
 
 
 # ---------------------------------------------------------------------------
