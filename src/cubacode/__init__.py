@@ -51,8 +51,7 @@ _EXPORTS = {
         "rotate_code",
         "scale_code",
     ),
-    "errors": ("CutoffError", "DegenerateCodewordsError", "NumericalFailure", "ValidationError"),
-    "fock": ("FockSpace", "FockState", "coherent_fock", "encode"),
+    "errors": ("DegenerateCodewordsError", "NumericalFailure", "ValidationError"),
     "klcheck": (
         "KLReport",
         "LossFidelity",

@@ -378,7 +378,13 @@ def build_catalog_code(name: str, params: Optional[dict] = None) -> CodeSpec:
 
 def describe(name: str, params: Optional[dict] = None) -> str:
     """Human-readable summary of a catalog entry instantiated with params."""
-    code = build_catalog_code(name, params)
+    entry = CATALOG.get(name)
+    return describe_code(build_catalog_code(name, params), entry.nominal if entry else None)
+
+
+def describe_code(code: CodeSpec, nominal: Optional[str] = None) -> str:
+    """Human-readable summary of a code; ``nominal`` is a catalog entry's
+    nominal-parameters text, printed when given."""
     sizes = sorted({c.size for c in code.logicals})
     size_txt = (
         f"{sizes[0]} points each" if len(sizes) == 1 else f"{'/'.join(map(str, sizes))} points"
@@ -393,9 +399,8 @@ def describe(name: str, params: Optional[dict] = None) -> str:
     lines.append(f"  distinct point weights: {', '.join(f'{x:g}' for x in weights)}")
     if code.claimed_degree is not None:
         lines.append(f"  claimed cubature degree: {code.claimed_degree}")
-    key = name if name in CATALOG else None
-    if key and CATALOG[key].nominal:
-        lines.append(f"  nominal parameters: {CATALOG[key].nominal}")
+    if nominal:
+        lines.append(f"  nominal parameters: {nominal}")
     for w in code.warnings:
         lines.append(f"  warning: {w}")
     return "\n".join(lines)

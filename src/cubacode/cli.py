@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from functools import lru_cache
 from typing import List, Optional
 
@@ -22,7 +23,7 @@ import numpy as np
 # Imported here: what parsing, error handling and building a catalog code
 # need.  Each command imports the rest of what it runs when it runs, so a
 # process loads only the modules its command uses.
-from .catalog import BENCH_ALIASES, CATALOG, build_catalog_code, describe
+from .catalog import BENCH_ALIASES, CATALOG, build_catalog_code, describe, describe_code
 from .constellation import CodeSpec, normalize_energy, resolution, scale_code
 from .errors import NumericalFailure, ValidationError
 
@@ -177,13 +178,9 @@ def cmd_catalog(args) -> int:
 
 def cmd_show(args) -> int:
     if args.code_file:
-        code = _load_code(args)
-        sizes = "/".join(str(c.size) for c in code.logicals)
-        print(f"{code.name}: {code.modes} modes, {code.dim} codewords, {sizes} points")
-        print(f"  shells: {', '.join(_fmt(r) for r in code.shells) or '(none declared)'}")
-        print(f"  claimed degree: {code.claimed_degree}")
-        return 0
-    print(describe(args.catalog, _catalog_params(args)))
+        print(describe_code(_load_code(args)))
+    else:
+        print(describe(args.catalog, _catalog_params(args)))
     return 0
 
 
@@ -293,42 +290,17 @@ def cmd_kl(args) -> int:
     return 0
 
 
-def _read_poly_file(path: str, modes: int) -> list:
-    """The AnnihilationPolynomial list of a --poly-file document."""
-    import json
-
-    from .stabilizer import AnnihilationPolynomial
-
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "polynomials" not in doc:
-        raise ValidationError(f"{path}: expected an object with a 'polynomials' list")
-    polys = []
-    for i, spec in enumerate(doc["polynomials"]):
-        terms = {}
-        for term in spec.get("terms", []):
-            u = tuple(int(x) for x in term["u"])
-            terms[u] = complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
-        try:
-            polys.append(AnnihilationPolynomial.from_dict(terms, modes=modes))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: polynomials[{i}]: {exc}") from exc
-    if not polys:
-        raise ValidationError(f"{path}: no polynomials")
-    return polys
-
-
 def cmd_stab(args) -> int:
-    from .fock import FockSpace
     from .stabilizer import verify_ztype, ztype_polynomials
 
     code = _load_code(args)
-    space = FockSpace(code.modes, args.cutoff)
     if args.poly_file:
-        polys = _read_poly_file(args.poly_file, code.modes)
+        from .codefile import load_polynomials
+
+        polys = load_polynomials(args.poly_file, code.modes)
     else:
         polys = ztype_polynomials(scale_code(code, args.scale))
-    residual = verify_ztype(code, args.scale, space, polys=polys)
+    residual = verify_ztype(code, args.scale, args.cutoff, polys=polys)
     for line in _header(args):
         print(line)
     print(f"z-type generators: {len(polys)} (degrees {[p.degree() for p in polys]})")
@@ -510,11 +482,19 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """Print a warning as its category and message, without the source
+    location, which names the package's code rather than the user's input."""
+    print(f"{category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _parse_float_options(args)
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,6 @@
-"""JSON code-definition files.
+"""JSON code-definition and polynomial files.
 
-Schema::
+Code schema::
 
     {
       "name": "my-code",
@@ -14,7 +14,18 @@ Schema::
       ]
     }
 
-The reader validates every type invariant and reports the first violation
+Polynomial schema (``stab --poly-file``), each polynomial the sum of
+c_u prod_j a_j^{u_j} over its terms, ``re`` and ``im`` of c_u defaulting
+to 0::
+
+    {
+      "polynomials": [
+        {"terms": [{"u": [4], "re": 1.0}, {"u": [0], "re": -1.0}]},
+        ...
+      ]
+    }
+
+The readers validate every type invariant and report the first violation
 with the JSON path of the offending field.
 """
 
@@ -47,12 +58,22 @@ def _as_number(value, path: str) -> float:
     return float(value)
 
 
-def loads_code(text: str) -> CodeSpec:
+def _as_integer(value, path: str) -> int:
+    _require(isinstance(value, int) and not isinstance(value, bool), path, "expected an integer")
+    return value
+
+
+def _parse_json(text: str):
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CodeFileError("$", f"invalid JSON ({exc})") from exc
     _require(isinstance(doc, dict), "$", "top level must be an object")
+    return doc
+
+
+def loads_code(text: str) -> CodeSpec:
+    doc = _parse_json(text)
 
     _require("name" in doc, "$.name", "missing")
     _require(isinstance(doc["name"], str) and doc["name"], "$.name", "expected a nonempty string")
@@ -117,6 +138,44 @@ def loads_code(text: str) -> CodeSpec:
 def load_code(path) -> CodeSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_code(fh.read())
+
+
+def loads_polynomials(text: str, modes: int) -> list:
+    """The AnnihilationPolynomial list of a polynomial document on
+    ``modes`` modes."""
+    from .stabilizer import AnnihilationPolynomial
+
+    doc = _parse_json(text)
+    _require("polynomials" in doc, "$.polynomials", "missing")
+    specs = doc["polynomials"]
+    _require(isinstance(specs, list) and specs, "$.polynomials", "expected a nonempty list")
+    polys = []
+    for i, spec in enumerate(specs):
+        path_i = f"$.polynomials[{i}]"
+        _require(isinstance(spec, dict), path_i, "expected an object with terms")
+        _require("terms" in spec, f"{path_i}.terms", "missing")
+        _require(isinstance(spec["terms"], list), f"{path_i}.terms", "expected a list")
+        terms = {}
+        for t, term in enumerate(spec["terms"]):
+            path_t = f"{path_i}.terms[{t}]"
+            _require(isinstance(term, dict), path_t, "expected an object with u, re and im")
+            _require("u" in term, f"{path_t}.u", "missing")
+            u = term["u"]
+            _require(isinstance(u, list) and len(u) == modes, f"{path_t}.u",
+                     f"expected {modes} exponents")
+            u = tuple(_as_integer(e, f"{path_t}.u[{j}]") for j, e in enumerate(u))
+            re, im = (_as_number(term.get(key, 0.0), f"{path_t}.{key}") for key in ("re", "im"))
+            terms[u] = complex(re, im)
+        try:
+            polys.append(AnnihilationPolynomial.from_dict(terms, modes=modes))
+        except ValidationError as exc:
+            raise CodeFileError(path_i, str(exc)) from exc
+    return polys
+
+
+def load_polynomials(path, modes: int) -> list:
+    with open(path, "r", encoding="utf-8") as fh:
+        return loads_polynomials(fh.read(), modes)
 
 
 def dumps_code(code: CodeSpec, indent: int = 2) -> str:

@@ -4,9 +4,11 @@ Validation errors signal bad user input (unknown catalog name, malformed
 code file, out-of-range parameter) and map to CLI exit status 2.
 Numerical failures signal a computation that could not be carried out at
 the requested operating point (degenerate Gram matrix) and map to exit
-status 1.  A Fock cutoff too small for the ``stab`` Z-check is not one:
-``stab`` warns that the cutoff is strained, reports the truncation-limited
-residual and exits 0.
+status 1.  The truncated Fock space of the ``stab`` Z-check is input: a
+cutoff below 2, a dimension over ``CUBACODE_DIM_BUDGET`` or a malformed
+budget is a validation error.  A cutoff that is merely too small for an
+accurate Z-check is neither: ``stab`` warns that the cutoff is strained,
+reports the truncation-limited residual and exits 0.
 """
 
 
@@ -20,7 +22,3 @@ class NumericalFailure(RuntimeError):
 
 class DegenerateCodewordsError(NumericalFailure):
     """Codeword Gram matrix is numerically singular at this scale."""
-
-
-class CutoffError(NumericalFailure):
-    """Truncated Fock space too small for the requested states."""

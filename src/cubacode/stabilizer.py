@@ -3,26 +3,73 @@
 Two families of checks.  Z-type: polynomials P in the mode amplitudes that
 vanish on every constellation point induce annihilation-operator products
 F = P(a) with F|C_k> = 0, verified here by applying F to the encoded
-codewords in a truncated Fock space.  X-type: passive unitaries permuting
-each weighted constellation leave the codewords invariant; every such
-check, phase rotation or not, is one closed-form sum over coherent-state
-overlaps with no Fock build and no cancellation.
+codewords in a truncated Fock space: n modes, levels 0..cutoff-1 each,
+within a dimension budget.  This is the package's only truncated space;
+tests build their Fock-coefficient references from the same vectors.
+X-type: passive unitaries permuting each weighted constellation leave the
+codewords invariant; every such check, phase rotation or not, is one
+closed-form sum over coherent-state overlaps with no Fock build and no
+cancellation.
 
 Only verification is performed; dissipative dynamics are out of scope.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .constellation import GEOM_TOL, CodeSpec, Rotation, _match_points, scale_code
+from .constellation import GEOM_TOL, CodeSpec, Rotation, _match_points, as_amplitude, scale_code
 from .errors import ValidationError
-from .fock import FockSpace, _raw_codeword_vectors, annihilation
 from .klcheck import _pairwise_overlaps
+
+DEFAULT_DIM_BUDGET = 4096
+_BUDGET_ENV = "CUBACODE_DIM_BUDGET"
+
+
+def dim_budget() -> int:
+    """The largest Fock dimension cutoff**modes the Z-check may build:
+    CUBACODE_DIM_BUDGET, which must be a positive integer, or 4096 when it
+    is unset."""
+    text = os.environ.get(_BUDGET_ENV)
+    if text is None:
+        return DEFAULT_DIM_BUDGET
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValidationError(f"{_BUDGET_ENV} must be a positive integer, got {text!r}")
+    return budget
+
+
+def annihilation(cutoff: int) -> np.ndarray:
+    """Single-mode annihilation operator on levels 0..cutoff-1."""
+    a = np.zeros((cutoff, cutoff), dtype=complex)
+    ks = np.arange(1, cutoff)
+    a[ks - 1, ks] = np.sqrt(ks)
+    return a
+
+
+def coherent_fock(point, cutoff: int) -> np.ndarray:
+    """The tensor product of per-mode coherent states truncated to levels
+    0..cutoff-1, coefficients e^{-|a|^2/2} a^k / sqrt(k!), not renormalized.
+
+    The basis is C-order over the level tuple (mode 0 most significant),
+    matching np.kron with mode 0 as the left factor.
+    """
+    vec = np.ones(1, dtype=complex)
+    for alpha in as_amplitude(point):
+        mode_vec = np.empty(cutoff, dtype=complex)
+        mode_vec[0] = np.exp(-0.5 * abs(alpha) ** 2)
+        for k in range(1, cutoff):
+            mode_vec[k] = mode_vec[k - 1] * alpha / np.sqrt(k)
+        vec = np.kron(vec, mode_vec)
+    return vec
 
 
 @dataclass(frozen=True)
@@ -67,12 +114,11 @@ class AnnihilationPolynomial:
             out += c * np.prod(pts ** np.asarray(u), axis=1)
         return out
 
-    def fock_operator(self, space: FockSpace) -> np.ndarray:
-        """F = sum_u c_u prod_j a_j^{u_j} on the truncated space."""
-        if space.modes != self.modes:
-            raise ValidationError("space mode count does not match the polynomial")
-        a_single = annihilation(space.cutoff)
-        f = np.zeros((space.dim, space.dim), dtype=complex)
+    def fock_operator(self, cutoff: int) -> np.ndarray:
+        """F = sum_u c_u prod_j a_j^{u_j} on levels 0..cutoff-1 per mode."""
+        a_single = annihilation(cutoff)
+        dim = cutoff**self.modes
+        f = np.zeros((dim, dim), dtype=complex)
         for u, c in self.terms:
             singles = [np.linalg.matrix_power(a_single, e) for e in u]
             term = singles[0]
@@ -177,19 +223,25 @@ def _lift_single_mode(
 # ---------------------------------------------------------------------------
 
 
-def _encoded_states(code: CodeSpec, scale: float, space: FockSpace) -> List[np.ndarray]:
-    """The normalized codeword vectors, truncated without a tail check."""
-    raw, _ = _raw_codeword_vectors(code, scale, space)
-    return [vec / np.linalg.norm(vec) for vec in raw.T]
+def _encoded_states(code: CodeSpec, scale: float, cutoff: int) -> List[np.ndarray]:
+    """The truncated codeword vectors sum_a sqrt(w_a)|scale*a>, summed in
+    point order and normalized."""
+    states = []
+    for c in code.logicals:
+        vec = np.zeros(cutoff**code.modes, dtype=complex)
+        for w, point in zip(c.weights, c.points):
+            vec += np.sqrt(w) * coherent_fock(scale * point, cutoff)
+        states.append(vec / np.linalg.norm(vec))
+    return states
 
 
 def ztype_residual_states(
-    polys: Sequence[AnnihilationPolynomial], states: Sequence[np.ndarray], space: FockSpace
+    polys: Sequence[AnnihilationPolynomial], states: Sequence[np.ndarray], cutoff: int
 ) -> float:
     """Max ||F_i |psi>|| over the given unit vectors."""
     worst = 0.0
     for poly in polys:
-        f = poly.fock_operator(space)
+        f = poly.fock_operator(cutoff)
         for psi in states:
             worst = max(worst, float(np.linalg.norm(f @ psi)))
     return worst
@@ -198,31 +250,43 @@ def ztype_residual_states(
 def verify_ztype(
     code: CodeSpec,
     scale: float,
-    space: FockSpace,
+    cutoff: int,
     polys: Optional[Sequence[AnnihilationPolynomial]] = None,
 ) -> float:
-    """Max residual ||F_i |C_k>|| over generators and encoded codewords.
+    """Max residual ||F_i |C_k>|| over generators and encoded codewords,
+    on levels 0..cutoff-1 per mode.
 
-    When ``polys`` is omitted they are derived for the scale-multiplied
-    constellation; explicitly supplied polynomials must vanish on the
-    scaled points.  A cutoff comfortably above scale^2 * max shell^2 plus
-    the polynomial degree is needed for small residuals.
+    The cutoff must be at least 2, and cutoff**modes must not exceed
+    :func:`dim_budget`.  When ``polys`` is omitted they are derived for the
+    scale-multiplied constellation; explicitly supplied polynomials must
+    vanish on the scaled points.  A cutoff comfortably above scale^2 * max
+    shell^2 plus the polynomial degree is needed for small residuals.
     """
+    if cutoff < 2:
+        raise ValidationError("per-mode cutoff must be at least 2")
+    budget = dim_budget()
+    if cutoff**code.modes > budget:
+        raise ValidationError(
+            f"dimension {cutoff ** code.modes} exceeds budget {budget}; "
+            f"set {_BUDGET_ENV} to allow this"
+        )
     scaled = scale_code(code, scale)
     if polys is None:
         polys = ztype_polynomials(scaled)
+    if any(p.modes != code.modes for p in polys):
+        raise ValidationError("polynomial mode count does not match the code")
     degree = max(p.degree() for p in polys)
     # Applying a^d to a coherent state with mean occupation `reach` needs the
     # cutoff to clear the Poisson tail shifted by the polynomial degree.
     reach = float((np.abs(scaled.all_points()) ** 2).sum(axis=1).max())
-    if space.cutoff < degree + reach + 25:
+    if cutoff < degree + reach + 25:
         warnings.warn(
-            f"cutoff {space.cutoff} is strained by polynomial degree {degree} "
+            f"cutoff {cutoff} is strained by polynomial degree {degree} "
             f"at scale {scale:g}; residuals will be truncation limited",
             stacklevel=2,
         )
-    states = _encoded_states(code, scale, space)
-    return ztype_residual_states(polys, states, space)
+    states = _encoded_states(code, scale, cutoff)
+    return ztype_residual_states(polys, states, cutoff)
 
 
 def verify_xtype(code: CodeSpec, symmetry: Rotation, scale: float) -> float:

@@ -8,16 +8,13 @@ import numpy as np
 import pytest
 
 from cubacode import (
-    FockSpace,
     Rotation,
     ValidationError,
     build_catalog_code,
     cat_code,
-    coherent_fock,
     coherent_overlap,
     code_parameters,
     cube_orthoplex_code,
-    encode,
     hypercube_code,
     is_spherical_design,
     kl_report,
@@ -36,10 +33,15 @@ from cubacode import (
     ztype_polynomials,
 )
 from cubacode.bench import optimal_scale_adaptive, pair_bench, sweep_gamma
-from cubacode.fock import annihilation, mode_operator
 from cubacode.klcheck import codeword_gram, lowdin_inverse_sqrt
 from cubacode.moments import code_size_bounds, multi_indices_upto, sphere_monomial_integral
-from cubacode.stabilizer import AnnihilationPolynomial, ztype_residual_states
+from cubacode.stabilizer import (
+    AnnihilationPolynomial,
+    _encoded_states,
+    annihilation,
+    coherent_fock,
+    ztype_residual_states,
+)
 
 
 def report(number: int, name: str, started: float, limit: float):
@@ -166,14 +168,13 @@ def test_criterion_5_oracle_equivalence():
 
     # Single-mode overlaps and ladder elements at cutoff 40: coherent tails
     # for |alpha| <= 2 are below 1e-25, well under the 1e-12 gate.
-    space = FockSpace(1, 40)
     a_op = annihilation(40)
     for _ in range(40):
         a = complex(*gen.uniform(-1.4, 1.4, size=2))
         b = complex(*gen.uniform(-1.4, 1.4, size=2))
-        fa = coherent_fock([a], space).amplitudes
-        fb = coherent_fock([b], space).amplitudes
-        assert coherent_fock([a], space).tail_mass < 1e-12
+        fa = coherent_fock([a], 40)
+        fb = coherent_fock([b], 40)
+        assert 1.0 - np.vdot(fa, fa).real < 1e-12
         assert abs(np.vdot(fa, fb) - coherent_overlap([a], [b])) < 1e-8
         cases += 1
     for _ in range(40):
@@ -181,25 +182,26 @@ def test_criterion_5_oracle_equivalence():
         b = complex(*gen.uniform(-1.4, 1.4, size=2))
         p, q = int(gen.integers(0, 4)), int(gen.integers(0, 4))
         op = np.linalg.matrix_power(a_op.conj().T, p) @ np.linalg.matrix_power(a_op, q)
-        fa = coherent_fock([a], space).amplitudes
-        fb = coherent_fock([b], space).amplitudes
+        fa = coherent_fock([a], 40)
+        fb = coherent_fock([b], 40)
         assert abs(np.vdot(fa, op @ fb) - ladder_matrix_element([a], [b], (p,), (q,))) < 1e-8
         cases += 1
 
     # Every block of two KL reports against the Fock computation.
-    def check_blocks(code, scale, space, singles):
+    def check_blocks(code, scale, cutoff, singles):
         nonlocal cases
-        raw = np.zeros((space.dim, code.dim), dtype=complex)
+        dim = cutoff**code.modes
+        raw = np.zeros((dim, code.dim), dtype=complex)
         for k, c in enumerate(code.logicals):
             for w, pt in zip(c.weights, c.points):
-                st = coherent_fock(scale * pt, space)
-                assert st.tail_mass < 1e-12
-                raw[:, k] += np.sqrt(w) * st.amplitudes
+                st = coherent_fock(scale * pt, cutoff)
+                assert 1.0 - np.vdot(st, st).real < 1e-12
+                raw[:, k] += np.sqrt(w) * st
         v = raw @ lowdin_inverse_sqrt(np.conj(raw.T) @ raw)
         rep = kl_report(code, max_loss=2, scale=scale)
         for (mu, nu), blk in rep.matrices.items():
-            e_mu = np.eye(space.dim)
-            e_nu = np.eye(space.dim)
+            e_mu = np.eye(dim)
+            e_nu = np.eye(dim)
             for j in range(code.modes):
                 e_mu = e_mu @ np.linalg.matrix_power(singles[j], mu[j])
                 e_nu = e_nu @ np.linalg.matrix_power(singles[j], nu[j])
@@ -207,10 +209,11 @@ def test_criterion_5_oracle_equivalence():
             assert np.abs(fock_blk - blk).max() < 1e-8
             cases += 1
 
-    check_blocks(cat_code(2, 2), 2.0, space, [a_op])
-    space2 = FockSpace(2, 22)
-    singles2 = [mode_operator(space2, j, annihilation(22)) for j in range(2)]
-    check_blocks(build_catalog_code("cell16_qutrit"), 1.5, space2, singles2)
+    check_blocks(cat_code(2, 2), 2.0, 40, [a_op])
+    # a on mode 0 and on mode 1 of two modes at cutoff 22.
+    eye22 = np.eye(22)
+    singles2 = [np.kron(annihilation(22), eye22), np.kron(eye22, annihilation(22))]
+    check_blocks(build_catalog_code("cell16_qutrit"), 1.5, 22, singles2)
 
     assert cases >= 100, f"only {cases} randomized oracle cases"
     report(5, f"oracle equivalence ({cases} cases)", started, 30.0)
@@ -264,8 +267,8 @@ def test_criterion_7_stabilizers():
     started = time.perf_counter()
 
     # Z residuals at scale 2 for cat and 12-gon.
-    assert verify_ztype(cat_code(2, 2), 2.0, FockSpace(1, 64)) < 1e-8
-    assert verify_ztype(cat_code(12, 2), 2.0, FockSpace(1, 80)) < 1e-8
+    assert verify_ztype(cat_code(2, 2), 2.0, 64) < 1e-8
+    assert verify_ztype(cat_code(12, 2), 2.0, 80) < 1e-8
 
     # X residuals at scale 2.
     assert verify_xtype(cat_code(2, 2), Rotation.global_phase(1, np.pi), 2.0) < 1e-10
@@ -276,7 +279,7 @@ def test_criterion_7_stabilizers():
     wrong = AnnihilationPolynomial.from_dict(
         {(3,): 1.0, (2,): 2.0, (1,): 4.0, (0,): 8.0}, modes=1
     ).normalized()
-    assert verify_ztype(cat_code(2, 2), 2.0, FockSpace(1, 64), polys=[wrong]) > 1e-2
+    assert verify_ztype(cat_code(2, 2), 2.0, 64, polys=[wrong]) > 1e-2
     with pytest.raises(ValidationError):
         verify_xtype(cat_code(12, 2), Rotation.global_phase(1, np.pi / 12), 2.0)
 
@@ -284,18 +287,18 @@ def test_criterion_7_stabilizers():
     # state passing all checks but far from the code space.
     code = polygon_shell_code(6, 2, (1.0, 2.0))
     scale = 1.5
-    space = FockSpace(1, 80)
+    cutoff = 80
     polys = ztype_polynomials(scale_code(code, scale))
-    shell2 = np.zeros(space.dim, dtype=complex)
+    shell2 = np.zeros(cutoff, dtype=complex)
     c0 = code.logicals[0]
     for pt, r in zip(c0.points, c0.radii()):
         if np.isclose(r, 2.0):
-            shell2 += coherent_fock(scale * pt, space).amplitudes
-    v = encode(code, scale, space)
+            shell2 += coherent_fock(scale * pt, cutoff)
+    v = np.linalg.qr(np.column_stack(_encoded_states(code, scale, cutoff)))[0]
     psi = shell2 - v[:, 0] * np.vdot(v[:, 0], shell2)
     psi /= np.linalg.norm(psi)
-    assert ztype_residual_states(polys, [psi], space) < 1e-8
-    u_step = np.exp(1j * (np.pi / 3) * np.arange(space.dim))
+    assert ztype_residual_states(polys, [psi], cutoff) < 1e-8
+    u_step = np.exp(1j * (np.pi / 3) * np.arange(cutoff))
     assert np.linalg.norm(u_step * psi - psi) < 1e-10
     assert np.linalg.norm(psi - v @ (v.conj().T @ psi)) > 1e-3
     report(7, "stabilizer suite", started, 30.0)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cubacode import build_catalog_code, normalize_energy
+from cubacode import build_catalog_code, normalize_energy, save_code
 from cubacode.cli import build_parser, main
 from cubacode.klcheck import codeword_gram
 
@@ -56,6 +56,23 @@ def test_show_unknown_name_exits_2(capsys):
     status, _, err = run_cli(capsys, "show", "--catalog", "not-a-code")
     assert status == 2
     assert "available" in err
+
+
+@pytest.mark.parametrize("name, params", [("cat", {"m": 8}), ("cell16_qutrit", {})])
+def test_show_code_file_describes_like_the_catalog(name, params, tmp_path, capsys):
+    # One description for every code; only a catalog entry has nominal
+    # parameters.
+    path = tmp_path / "code.json"
+    save_code(build_catalog_code(name, params), path)
+    flags = [a for key, val in params.items() for a in (f"--{key}", str(val))]
+    status, from_catalog, _ = run_cli(capsys, "show", "--catalog", name, *flags)
+    assert status == 0
+    status, from_file, _ = run_cli(capsys, "show", "--code-file", str(path))
+    assert status == 0
+    assert from_file.splitlines() == [
+        line for line in from_catalog.splitlines() if "nominal parameters" not in line
+    ]
+    assert ("nominal parameters" in from_catalog) == (name == "cell16_qutrit")
 
 
 def test_requires_exactly_one_source(capsys):
@@ -122,6 +139,23 @@ def test_stab_strained_cutoff_warns_and_exits_0(fresh_python):
     assert proc.returncode == 0, proc.stderr
     assert "UserWarning: cutoff 10 is strained" in proc.stderr
     assert "z-type max residual ||F|C_k>||: 1\n" in proc.stdout
+    # The warning names the input's problem, not a source file.
+    assert ".py" not in proc.stderr
+    assert proc.stderr == ("UserWarning: cutoff 10 is strained by polynomial degree 24 at "
+                           "scale 5; residuals will be truncation limited\n")
+
+
+def test_stab_poly_file_matches_derived_generator(tmp_path, capsys):
+    # alpha^4 - 1 vanishes on the cat code's four points at scale 1.
+    path = tmp_path / "polys.json"
+    path.write_text(json.dumps({"polynomials": [
+        {"terms": [{"u": [4], "re": 1.0}, {"u": [0], "re": -1.0}]}]}))
+    argv = ("stab", "--catalog", "cat", "--m", "2", "--scale", "1", "--cutoff", "40")
+    status, derived, _ = run_cli(capsys, *argv)
+    assert status == 0
+    status, supplied, _ = run_cli(capsys, *argv, "--poly-file", str(path))
+    assert status == 0
+    assert supplied == derived
 
 
 def test_bench_sweep_alpha_csv_contract(tmp_path, capsys):
@@ -262,6 +296,7 @@ def test_bad_option_value_exits_2_before_output(named, argv, capsys):
 @pytest.mark.parametrize("argv", [
     ("stab", "--catalog", "cat", "--m", "4", "--scale", "0"),
     ("stab", "--catalog", "cat", "--m", "4", "--poly-file", "{missing}"),
+    ("stab", "--catalog", "cat", "--m", "2", "--scale", "1", "--cutoff", "1"),
     ("bounds", "--catalog", "cat", "--m", "4", "--degree", "-1"),
     # An --out file that cannot be written.
     ("moments", "--catalog", "cat", "--m", "4", "--max-degree", "4", "--out", "{nodir}/m.csv"),
@@ -284,6 +319,32 @@ def test_malformed_dim_budget_exits_2(value, monkeypatch, capsys):
     assert status == 2
     assert out == ""
     assert err == f"error: CUBACODE_DIM_BUDGET must be a positive integer, got {value!r}\n"
+
+
+def test_stab_over_budget_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("CUBACODE_DIM_BUDGET", "30")
+    status, out, err = run_cli(capsys, "stab", "--catalog", "cat", "--m", "2", "--scale", "1",
+                               "--cutoff", "40")
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: dimension 40 exceeds budget 30")
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"polynomials":[{"terms":[{"re":1}]}]}', "$.polynomials[0].terms[0].u: missing"),
+    ('{"polynomials":[{"terms":[{"u":[2],"re":"x"}]}]}',
+     "$.polynomials[0].terms[0].re: expected a number"),
+    ('{"polynomials":[3]}', "$.polynomials[0]: expected an object"),
+    ("[1", "$: invalid JSON"),
+])
+def test_malformed_poly_file_exits_2(text, field, tmp_path, capsys):
+    path = tmp_path / "polys.json"
+    path.write_text(text)
+    status, out, err = run_cli(capsys, "stab", "--catalog", "cat", "--m", "2", "--scale", "1",
+                               "--cutoff", "30", "--poly-file", str(path))
+    assert status == 2
+    assert out == ""
+    assert err.startswith(f"error: {field}") and "Traceback" not in err
 
 
 def test_commands_in_one_process_print_what_they_print_alone(tmp_path, capsys, fresh_python):

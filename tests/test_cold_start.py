@@ -21,8 +21,7 @@ PUBLIC = {
         "optimize_codeword_rotation", "plane_rotation_family", "resolution", "rotate_code",
         "scale_code",
     ],
-    "errors": ["CutoffError", "DegenerateCodewordsError", "NumericalFailure", "ValidationError"],
-    "fock": ["FockSpace", "FockState", "coherent_fock", "encode"],
+    "errors": ["DegenerateCodewordsError", "NumericalFailure", "ValidationError"],
     "klcheck": [
         "KLReport", "LossFidelity", "ParamTriple", "code_parameters", "coherent_overlap",
         "kl_report", "ladder_matrix_element", "loss_fidelity",
@@ -35,7 +34,7 @@ PUBLIC = {
 }
 NAMES = sorted(name for names in PUBLIC.values() for name in names)
 # Submodules that only some commands need.
-COMMAND_MODULES = {"bench", "klcheck", "moments", "fock", "stabilizer", "codefile"}
+COMMAND_MODULES = {"bench", "klcheck", "moments", "stabilizer", "codefile"}
 
 # Prints, as the last line of output, the loaded cubacode submodules.
 _LOADED = ("import json, sys\n"
@@ -89,16 +88,17 @@ def test_unknown_name_raises_attribute_error(fresh_python):
 
 
 def test_submodule_resolves_after_bare_import(fresh_python):
-    code = "import json, cubacode\nprint(json.dumps(cubacode.fock.FockSpace.__module__))"
-    assert _last_json(fresh_python("-c", code)) == "cubacode.fock"
+    code = ("import json, cubacode\n"
+            "print(json.dumps(cubacode.stabilizer.AnnihilationPolynomial.__module__))")
+    assert _last_json(fresh_python("-c", code)) == "cubacode.stabilizer"
 
 
 @pytest.mark.parametrize("argv, needs, skips", [
     (["catalog"], set(), COMMAND_MODULES),
     (["bench", "sweep-gamma", "--catalog", "qsc8", "--alpha-op", "1.6", "--gammas", "0.1",
-      "--jobs", "1"], {"bench", "klcheck"}, {"fock", "stabilizer", "codefile"}),
+      "--jobs", "1"], {"bench", "klcheck"}, {"stabilizer", "codefile"}),
     (["stab", "--catalog", "cat", "--m", "2", "--scale", "1", "--cutoff", "40"],
-     {"fock", "stabilizer"}, {"bench", "codefile"}),
+     {"stabilizer", "klcheck", "moments"}, {"bench", "codefile"}),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_command_loads_only_what_it_runs(fresh_python, argv, needs, skips):
     loaded = _loaded_after(fresh_python, f"from cubacode.cli import main\nassert main({argv!r}) == 0")

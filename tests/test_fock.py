@@ -4,23 +4,15 @@ import numpy as np
 import pytest
 
 from cubacode import (
-    CutoffError,
-    FockSpace,
     ValidationError,
     build_catalog_code,
     cat_code,
-    coherent_fock,
     coherent_overlap,
-    encode,
     loss_fidelity,
     normalize_energy,
+    verify_ztype,
 )
-from cubacode.fock import dim_budget
-
-
-@pytest.fixture(scope="module")
-def space40():
-    return FockSpace(1, 40)
+from cubacode.stabilizer import _encoded_states, coherent_fock, dim_budget
 
 
 @pytest.fixture(scope="module")
@@ -34,63 +26,62 @@ def cat2_unit():
 # ---------------------------------------------------------------------------
 
 
-def test_vacuum_state(space40):
-    st = coherent_fock([0.0], space40)
+def test_vacuum_state():
+    st = coherent_fock([0.0], 40)
     expected = np.zeros(40)
     expected[0] = 1.0
-    assert np.allclose(st.amplitudes, expected)
-    assert st.tail_mass == 0.0
+    assert np.allclose(st, expected)
+    assert np.vdot(st, st).real == 1.0
 
 
-def test_coherent_norm_at_adequate_cutoff(space40):
-    st = coherent_fock([2.0], space40)
-    assert abs(st.norm() - 1.0) < 1e-12
-    assert not st.truncation_warning
+def test_coherent_norm_at_adequate_cutoff():
+    st = coherent_fock([2.0], 40)
+    assert abs(np.linalg.norm(st) - 1.0) < 1e-12
+    assert 1.0 - np.vdot(st, st).real < 1e-12
 
 
-def test_coherent_truncation_warning():
-    st = coherent_fock([3.0], FockSpace(1, 8))
-    assert st.truncation_warning
-    assert st.tail_mass > 1e-6
-
-
-def test_fock_overlap_matches_closed_form(space40, rng):
+def test_fock_overlap_matches_closed_form(rng):
     for _ in range(10):
         a = rng.normal(size=1) + 1j * rng.normal(size=1)
         b = rng.normal(size=1) + 1j * rng.normal(size=1)
-        fa = coherent_fock(a, space40).amplitudes
-        fb = coherent_fock(b, space40).amplitudes
+        fa = coherent_fock(a, 40)
+        fb = coherent_fock(b, 40)
         assert np.vdot(fa, fb) == pytest.approx(coherent_overlap(a, b), abs=1e-10)
 
 
 def test_two_mode_coherent_state():
-    space = FockSpace(2, 12)
-    st = coherent_fock([0.5, -0.3j], space)
-    assert abs(st.norm() - 1.0) < 1e-12
-    tens = st.amplitudes.reshape(12, 12)
-    a0 = coherent_fock([0.5], FockSpace(1, 12)).amplitudes
-    a1 = coherent_fock([-0.3j], FockSpace(1, 12)).amplitudes
+    st = coherent_fock([0.5, -0.3j], 12)
+    assert abs(np.linalg.norm(st) - 1.0) < 1e-12
+    tens = st.reshape(12, 12)
+    a0 = coherent_fock([0.5], 12)
+    a1 = coherent_fock([-0.3j], 12)
     assert np.allclose(tens, np.outer(a0, a1))
 
 
 def test_space_budget_enforced():
+    # Two modes at cutoff 65: dimension 4225, over the default 4096.
     with pytest.raises(ValidationError, match="budget"):
-        FockSpace(3, 40)
+        verify_ztype(build_catalog_code("cell16_qutrit"), 1.0, 65)
+
+
+def test_cutoff_below_two_is_rejected():
+    with pytest.raises(ValidationError, match="at least 2"):
+        verify_ztype(cat_code(2, 2), 1.0, 1)
 
 
 @pytest.mark.parametrize("value", ["abc", "", "1.5", "0", "-3"])
 def test_malformed_budget_is_rejected(value, monkeypatch):
     monkeypatch.setenv("CUBACODE_DIM_BUDGET", value)
     with pytest.raises(ValidationError, match="CUBACODE_DIM_BUDGET"):
-        FockSpace(1, 8)
+        verify_ztype(cat_code(2, 2), 1.0, 40)
 
 
 def test_budget_from_environment(monkeypatch):
     monkeypatch.setenv("CUBACODE_DIM_BUDGET", "64")
     assert dim_budget() == 64
-    FockSpace(2, 8)
+    assert verify_ztype(cat_code(2, 2), 1.0, 64) < 1e-8
     with pytest.raises(ValidationError, match="budget 64"):
-        FockSpace(2, 9)
+        verify_ztype(cat_code(2, 2), 1.0, 65)
 
 
 # ---------------------------------------------------------------------------
@@ -98,28 +89,24 @@ def test_budget_from_environment(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_encode_is_isometry(space40, cat2_unit):
-    v = encode(cat2_unit, 2.0, space40)
-    assert np.abs(v.conj().T @ v - np.eye(2)).max() < 1e-10
-    assert np.allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-12)
+def code_basis(code, scale, cutoff):
+    """An orthonormal basis of the truncated code space: the QR factor of
+    the codeword vectors sum_a sqrt(w_a)|scale*a>.  Fidelities and the code
+    projector do not depend on which orthonormal basis is used."""
+    return np.linalg.qr(np.column_stack(_encoded_states(code, scale, cutoff)))[0]
 
 
-def test_encode_raw_overlap_matches_four_term_sum(space40):
+def test_encode_raw_overlap_matches_four_term_sum():
     code = cat_code(2, 2)
     scale = 2.0
     raw = np.zeros((40, 2), dtype=complex)
     for k, c in enumerate(code.logicals):
         for w, pt in zip(c.weights, c.points):
-            raw[:, k] += np.sqrt(w) * coherent_fock(scale * pt, space40).amplitudes
+            raw[:, k] += np.sqrt(w) * coherent_fock(scale * pt, 40)
     analytic = sum(
         0.5 * coherent_overlap([a], [b]) for a in (2.0, -2.0) for b in (2.0j, -2.0j)
     )
     assert np.vdot(raw[:, 0], raw[:, 1]) == pytest.approx(analytic, abs=1e-10)
-
-
-def test_encode_rejects_overflowing_scale(cat2_unit):
-    with pytest.raises(CutoffError, match="tail"):
-        encode(cat2_unit, 5.0, FockSpace(1, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +114,13 @@ def test_encode_rejects_overflowing_scale(cat2_unit):
 # ---------------------------------------------------------------------------
 
 
-def dense_loss_kraus(gamma, space, l_max=None):
-    """Pure-loss Kraus operators on ``space`` losing at most ``l_max`` photons
-    per mode (by default every loss order the cutoff allows), as dense
-    matrices: E_l|m> = sqrt(C(m, l) gamma^l (1-gamma)^(m-l)) |m-l> on each
-    mode, and their tensor products."""
-    n = space.cutoff
+def dense_loss_kraus(gamma, cutoff, modes=1, l_max=None):
+    """Pure-loss Kraus operators on ``modes`` modes with levels
+    0..cutoff-1, losing at most ``l_max`` photons per mode (by default
+    every loss order the cutoff allows), as dense matrices:
+    E_l|m> = sqrt(C(m, l) gamma^l (1-gamma)^(m-l)) |m-l> on each mode, and
+    their tensor products."""
+    n = cutoff
     singles = []
     for l in range(n if l_max is None else l_max + 1):
         e = np.zeros((n, n))
@@ -140,7 +128,7 @@ def dense_loss_kraus(gamma, space, l_max=None):
             e[m - l, m] = np.sqrt(math.comb(m, l) * gamma**l * (1 - gamma) ** (m - l))
         singles.append(e)
     ops = singles
-    for _ in range(space.modes - 1):
+    for _ in range(modes - 1):
         ops = [np.kron(a, b) for a in ops for b in singles]
     return ops
 
@@ -173,20 +161,20 @@ def choi_fidelity(logical):
     return float(np.real(phi @ rho @ phi)), float(defect)
 
 
-def test_loss_kraus_identity_at_zero(space40):
-    ops = dense_loss_kraus(0.0, space40)
+def test_loss_kraus_identity_at_zero():
+    ops = dense_loss_kraus(0.0, 40)
     assert np.array_equal(ops[0], np.eye(40))
     assert not any(np.any(e) for e in ops[1:])
 
 
-def test_loss_kraus_acts_as_attenuation(space40):
+def test_loss_kraus_acts_as_attenuation():
     # E_l |alpha> has squared norm e^{-g|a|^2}(g|a|^2)^l / l! and points
     # along |sqrt(1-gamma) alpha>.
     gamma, alpha = 0.15, 1.7 - 0.4j
-    st = coherent_fock([alpha], space40).amplitudes
-    attenuated = coherent_fock([np.sqrt(1 - gamma) * alpha], space40).amplitudes
+    st = coherent_fock([alpha], 40)
+    attenuated = coherent_fock([np.sqrt(1 - gamma) * alpha], 40)
     g_abs2 = gamma * abs(alpha) ** 2
-    for l, e in enumerate(dense_loss_kraus(gamma, space40, l_max=4)):
+    for l, e in enumerate(dense_loss_kraus(gamma, 40, l_max=4)):
         out = e @ st
         expected_norm2 = np.exp(-g_abs2) * g_abs2**l / math.factorial(l)
         assert np.vdot(out, out).real == pytest.approx(expected_norm2, abs=1e-9)
@@ -194,48 +182,49 @@ def test_loss_kraus_acts_as_attenuation(space40):
         assert overlap == pytest.approx(np.sqrt(expected_norm2), abs=1e-9)
 
 
-def test_loss_kraus_auto_completeness(space40):
+def test_loss_kraus_auto_completeness():
     # Every loss order the cutoff allows: complete on the whole space.
-    s = sum(e.T @ e for e in dense_loss_kraus(0.1, space40))
+    s = sum(e.T @ e for e in dense_loss_kraus(0.1, 40))
     assert np.abs(s - np.eye(40)).max() < 1e-12
 
 
-def test_noiseless_round_trip(space40, cat2_unit):
-    v = encode(cat2_unit, 2.0, space40)
-    composed = sum(petz_logical_kraus(v, dense_loss_kraus(0.0, space40)))
+def test_noiseless_round_trip(cat2_unit):
+    v = code_basis(cat2_unit, 2.0, 40)
+    composed = sum(petz_logical_kraus(v, dense_loss_kraus(0.0, 40)))
     assert np.abs(composed - np.eye(2)).max() < 1e-10
 
 
-def test_recovery_is_trace_preserving(space40, cat2_unit):
-    v = encode(cat2_unit, 2.0, space40)
-    _, defect = choi_fidelity(petz_logical_kraus(v, dense_loss_kraus(0.08, space40)))
+def test_recovery_is_trace_preserving(cat2_unit):
+    v = code_basis(cat2_unit, 2.0, 40)
+    _, defect = choi_fidelity(petz_logical_kraus(v, dense_loss_kraus(0.08, 40)))
     assert defect < 1e-10
 
 
-def test_transpose_beats_projector_decoding(space40, cat2_unit):
-    v = encode(cat2_unit, 2.0, space40)
-    projector = sum(abs(np.trace(v.conj().T @ k @ v)) ** 2 for k in dense_loss_kraus(0.05, space40)) / 4
+def test_transpose_beats_projector_decoding(cat2_unit):
+    v = code_basis(cat2_unit, 2.0, 40)
+    projector = sum(abs(np.trace(v.conj().T @ k @ v)) ** 2 for k in dense_loss_kraus(0.05, 40)) / 4
     assert loss_fidelity(cat2_unit, 0.05, 2.0).fidelity >= projector
 
 
-def test_fidelity_is_one_without_loss(space40, cat2_unit):
-    v = encode(cat2_unit, 2.0, space40)
-    fid, _ = choi_fidelity(petz_logical_kraus(v, dense_loss_kraus(0.0, space40)))
+def test_fidelity_is_one_without_loss(cat2_unit):
+    v = code_basis(cat2_unit, 2.0, 40)
+    fid, _ = choi_fidelity(petz_logical_kraus(v, dense_loss_kraus(0.0, 40)))
     assert fid == pytest.approx(1.0, abs=1e-12)
 
 
-def oracle_fidelity(code, gamma, scale, space, l_max=None):
+def oracle_fidelity(code, gamma, scale, cutoff, l_max=None):
     """The Choi fidelity of transpose recovery built from dense matrices,
     after checking that the composite channel is trace preserving."""
-    v = encode(code, scale, space)
-    fid, defect = choi_fidelity(petz_logical_kraus(v, dense_loss_kraus(gamma, space, l_max)))
+    v = code_basis(code, scale, cutoff)
+    kraus = dense_loss_kraus(gamma, cutoff, code.modes, l_max)
+    fid, defect = choi_fidelity(petz_logical_kraus(v, kraus))
     assert defect < 1e-10
     return fid
 
 
-def test_fidelity_matches_choi_oracle(space40, cat2_unit):
+def test_fidelity_matches_choi_oracle(cat2_unit):
     gamma, scale = 0.08, 1.8
-    want = oracle_fidelity(cat2_unit, gamma, scale, space40)
+    want = oracle_fidelity(cat2_unit, gamma, scale, 40)
     assert loss_fidelity(cat2_unit, gamma, scale).fidelity == pytest.approx(want, abs=1e-10)
 
 
@@ -245,18 +234,18 @@ def test_fidelity_two_mode_structured_path_matches_dense():
     # photons lost per mode leaves out a weight of about 1e-13.
     code, _ = normalize_energy(build_catalog_code("cell16_qutrit"), 1.0)
     gamma, scale = 0.06, 0.9
-    want = oracle_fidelity(code, gamma, scale, FockSpace(2, 14), l_max=6)
+    want = oracle_fidelity(code, gamma, scale, 14, l_max=6)
     assert loss_fidelity(code, gamma, scale).fidelity == pytest.approx(want, abs=1e-9)
 
 
-def test_fidelity_bounded(space40, cat2_unit, rng):
+def test_fidelity_bounded(cat2_unit, rng):
     for _ in range(5):
         g = float(rng.uniform(0.0, 0.25))
         s = float(rng.uniform(1.0, 2.6))
-        assert 0.0 <= oracle_fidelity(cat2_unit, g, s, space40) <= 1.0 + 1e-9
+        assert 0.0 <= oracle_fidelity(cat2_unit, g, s, 40) <= 1.0 + 1e-9
 
 
 def test_truncation_robustness(cat2_unit):
-    f40 = oracle_fidelity(cat2_unit, 0.1, 2.0, FockSpace(1, 40))
-    f48 = oracle_fidelity(cat2_unit, 0.1, 2.0, FockSpace(1, 48))
+    f40 = oracle_fidelity(cat2_unit, 0.1, 2.0, 40)
+    f48 = oracle_fidelity(cat2_unit, 0.1, 2.0, 48)
     assert abs(f40 - f48) < 1e-6

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from cubacode import (
     CodeSpec,
     DegenerateCodewordsError,
-    FockSpace,
     ValidationError,
     build_catalog_code,
     cat_code,
-    coherent_fock,
     coherent_overlap,
     code_parameters,
     kl_report,
@@ -22,15 +20,14 @@ from cubacode import (
     polygon_shell_code,
     WeightedConstellation,
 )
-from cubacode.fock import annihilation
+from cubacode.stabilizer import annihilation, coherent_fock
 from cubacode.klcheck import ParamTriple, codeword_gram, lowdin_inverse_sqrt
 from cubacode.moments import multi_indices, multi_indices_upto
 
 
 def fock_ladder_element(a, b, p, q, cutoff=40):
-    space = FockSpace(1, cutoff)
-    fa = coherent_fock(np.atleast_1d(a), space).amplitudes
-    fb = coherent_fock(np.atleast_1d(b), space).amplitudes
+    fa = coherent_fock(np.atleast_1d(a), cutoff)
+    fb = coherent_fock(np.atleast_1d(b), cutoff)
     op = np.linalg.matrix_power(annihilation(cutoff).conj().T, p) @ np.linalg.matrix_power(
         annihilation(cutoff), q
     )

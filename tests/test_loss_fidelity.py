@@ -19,7 +19,6 @@ import pytest
 from cubacode import ValidationError, build_catalog_code, normalize_energy
 from cubacode.constellation import CodeSpec, WeightedConstellation
 from cubacode.errors import DegenerateCodewordsError
-from cubacode.fock import FockSpace, coherent_fock
 from cubacode.klcheck import (
     LossFidelity,
     _orbits,
@@ -28,6 +27,7 @@ from cubacode.klcheck import (
     loss_fidelities,
     loss_fidelity,
 )
+from cubacode.stabilizer import coherent_fock
 
 
 def gram_ratio(code, scale):
@@ -124,10 +124,9 @@ def fock_fidelity(code, gamma, scale):
 
     def codewords(tail):
         T = poisson_level(energy, tail)
-        space = FockSpace(n, T, budget=T**n)
-        kept = np.indices(space.shape()).sum(axis=0) < T
+        kept = np.indices((T,) * n).sum(axis=0) < T
         raw = np.column_stack([
-            sum(np.sqrt(w) * coherent_fock(scale * p, space).amplitudes
+            sum(np.sqrt(w) * coherent_fock(scale * p, T)
                 for w, p in zip(c.weights, c.points)) for c in code.logicals])
         return T, kept, raw[kept.reshape(-1)]
 

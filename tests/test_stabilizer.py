@@ -3,13 +3,10 @@ import pytest
 
 from cubacode import (
     CodeSpec,
-    FockSpace,
     Rotation,
     ValidationError,
     build_catalog_code,
     cat_code,
-    coherent_fock,
-    encode,
     polygon_shell_code,
     scale_code,
     WeightedConstellation,
@@ -17,7 +14,12 @@ from cubacode import (
     verify_ztype,
     ztype_polynomials,
 )
-from cubacode.stabilizer import AnnihilationPolynomial, _encoded_states, ztype_residual_states
+from cubacode.stabilizer import (
+    AnnihilationPolynomial,
+    _encoded_states,
+    coherent_fock,
+    ztype_residual_states,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -71,11 +73,11 @@ def test_polynomial_coefficients_normalized():
 
 
 def test_cat_ztype_residual_small():
-    assert verify_ztype(cat_code(2, 2), 2.0, FockSpace(1, 64)) < 1e-8
+    assert verify_ztype(cat_code(2, 2), 2.0, 64) < 1e-8
 
 
 def test_twelve_gon_ztype_residual_small():
-    assert verify_ztype(cat_code(12, 2), 2.0, FockSpace(1, 80)) < 1e-8
+    assert verify_ztype(cat_code(12, 2), 2.0, 80) < 1e-8
 
 
 def test_wrong_polynomial_is_detected():
@@ -85,15 +87,15 @@ def test_wrong_polynomial_is_detected():
     wrong = AnnihilationPolynomial.from_dict(
         {(3,): 1.0, (2,): 2.0, (1,): 4.0, (0,): 8.0}, modes=1
     ).normalized()  # (a + 2)(a^2 + 4): vanishes on -2, +-2i but not +2
-    residual = verify_ztype(code, 2.0, FockSpace(1, 64), polys=[wrong])
+    residual = verify_ztype(code, 2.0, 64, polys=[wrong])
     assert residual > 1e-2
 
 
 def test_ztype_residual_shrinks_with_cutoff():
     code = cat_code(12, 2)
     with pytest.warns(UserWarning, match="strained"):
-        r40 = verify_ztype(code, 2.0, FockSpace(1, 40))
-    r60 = verify_ztype(code, 2.0, FockSpace(1, 60))
+        r40 = verify_ztype(code, 2.0, 40)
+    r60 = verify_ztype(code, 2.0, 60)
     assert r60 < r40
 
 
@@ -144,13 +146,13 @@ def test_mode_swap_times_phase_reads_at_roundoff():
     assert verify_xtype(code, Rotation.from_complex_unitary(u), 1.5) < 1e-10
 
 
-def fock_xtype_residual(code, phases, scale, space):
+def fock_xtype_residual(code, phases, scale, cutoff):
     """max_k ||U|C_k> - |C_k>|| / ||C_k|| for U = exp(i sum_j phi_j n_j),
     built on the truncated Fock space, where U is diagonal."""
-    levels = np.indices(space.shape()).reshape(space.modes, -1)
+    levels = np.indices((cutoff,) * code.modes).reshape(code.modes, -1)
     diag = np.exp(1j * (np.asarray(phases) @ levels))
     return max(float(np.linalg.norm(diag * psi - psi))
-               for psi in _encoded_states(code, scale, space))
+               for psi in _encoded_states(code, scale, cutoff))
 
 
 def moved(code, size, seed):
@@ -180,9 +182,8 @@ def moved(code, size, seed):
 ], ids=["cat12", "cat2", "polygon_shells", "24cell-global", "24cell-mode", "cat12-moved",
         "polygon_shells-moved", "24cell-moved"])
 def test_phase_rotation_residual_matches_fock(code, phases, scale, cutoff):
-    space = FockSpace(code.modes, cutoff)
     got = verify_xtype(code, Rotation.mode_phases(phases), scale)
-    assert abs(got - fock_xtype_residual(code, phases, scale, space)) <= 1e-14
+    assert abs(got - fock_xtype_residual(code, phases, scale, cutoff)) <= 1e-14
 
 
 def test_symmetry_outside_matching_tolerance_rejected():
@@ -203,18 +204,19 @@ def test_multi_shell_stabilized_space_is_larger():
     lies far outside the code space."""
     code = polygon_shell_code(6, 2, (1.0, 2.0))
     scale = 1.5
-    space = FockSpace(1, 80)
+    cutoff = 80
     scaled = scale_code(code, scale)
     polys = ztype_polynomials(scaled)
 
-    shell1 = np.zeros(space.dim, dtype=complex)
-    shell2 = np.zeros(space.dim, dtype=complex)
+    shell1 = np.zeros(cutoff, dtype=complex)
+    shell2 = np.zeros(cutoff, dtype=complex)
     c0 = code.logicals[0]
     radii = c0.radii()
     for pt, r in zip(c0.points, radii):
         target = shell1 if np.isclose(r, 1.0) else shell2
-        target += coherent_fock(scale * pt, space).amplitudes
-    v = encode(code, scale, space)
+        target += coherent_fock(scale * pt, cutoff)
+    # An orthonormal code basis whose first column is codeword 0.
+    v = np.linalg.qr(np.column_stack(_encoded_states(code, scale, cutoff)))[0]
     codeword = v[:, 0]
 
     # Orthogonalize the outer-shell component against the codeword while
@@ -222,11 +224,11 @@ def test_multi_shell_stabilized_space_is_larger():
     psi = shell2 - codeword * np.vdot(codeword, shell2)
     psi /= np.linalg.norm(psi)
 
-    z_res = ztype_residual_states(polys, [psi], space)
+    z_res = ztype_residual_states(polys, [psi], cutoff)
     assert z_res < 1e-8
 
     # Exact rotation by one polygon step leaves each shell sum invariant.
-    levels = np.arange(space.dim)
+    levels = np.arange(cutoff)
     u_diag = np.exp(1j * (2 * np.pi / 6) * levels)
     assert np.linalg.norm(u_diag * psi - psi) < 1e-10
 
