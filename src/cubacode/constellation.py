@@ -46,11 +46,17 @@ class WeightedConstellation:
     """Finite set of n-mode amplitude points with normalized positive weights.
 
     ``points`` has shape (size, modes); ``weights`` has shape (size,), is
-    strictly positive and sums to one.  Points must be pairwise distinct.
+    strictly positive and sums to one.  Points must be pairwise distinct:
+    their nearest squared distance must exceed DISTINCT_TOL.
     """
 
     points: np.ndarray
     weights: np.ndarray
+    # The nearest squared distance between two points (inf for one point).
+    # A constellation built from points scans all pairs for it once; the
+    # copies that scaled() and apply_rotation() derive are handed its image
+    # instead of scanning again, and still enforce DISTINCT_TOL.
+    _nearest: Optional[float] = field(default=None, repr=False, compare=False, kw_only=True)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=complex))
@@ -65,8 +71,12 @@ class WeightedConstellation:
             raise ValidationError("all weights must be strictly positive")
         if abs(w.sum() - 1.0) > WEIGHT_TOL:
             raise ValidationError(f"weights must sum to 1 within {WEIGHT_TOL} (got {w.sum()!r})")
-        if pts.shape[0] > 1 and min_squared_distance(pts) <= DISTINCT_TOL:
-            raise ValidationError("constellation points must be pairwise distinct")
+        nearest = np.inf
+        if pts.shape[0] > 1:
+            nearest = min_squared_distance(pts) if self._nearest is None else self._nearest
+            if nearest <= DISTINCT_TOL:
+                raise ValidationError("constellation points must be pairwise distinct")
+        object.__setattr__(self, "_nearest", float(nearest))
         object.__setattr__(self, "points", _freeze(pts))
         object.__setattr__(self, "weights", _freeze(w))
 
@@ -80,7 +90,9 @@ class WeightedConstellation:
 
     def scaled(self, factor: float) -> "WeightedConstellation":
         """Uniformly rescale all amplitudes; weights are unchanged."""
-        return WeightedConstellation(self.points * factor, self.weights)
+        return WeightedConstellation(
+            self.points * factor, self.weights, _nearest=factor * factor * self._nearest
+        )
 
     def radii(self) -> np.ndarray:
         """Euclidean norm of each amplitude point."""
@@ -256,7 +268,8 @@ def apply_rotation(c: WeightedConstellation, r: Rotation) -> WeightedConstellati
     if r.dim != 2 * c.modes:
         raise ValidationError(f"rotation dimension {r.dim} does not match 2n = {2 * c.modes}")
     rotated = embed_real_to_complex(embed_complex_to_real(c.points) @ r.matrix.T)
-    return WeightedConstellation(rotated, c.weights)
+    # An orthogonal matrix keeps every distance (to ORTHO_TOL relative).
+    return WeightedConstellation(rotated, c.weights, _nearest=c._nearest)
 
 
 def rotate_code(code: CodeSpec, r: Rotation) -> CodeSpec:

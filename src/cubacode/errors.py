@@ -8,7 +8,10 @@ status 1.  The truncated Fock space of the ``stab`` Z-check is input: a
 cutoff below 2, a dimension over ``CUBACODE_DIM_BUDGET`` or a malformed
 budget is a validation error.  A cutoff that is merely too small for an
 accurate Z-check is neither: ``stab`` warns that the cutoff is strained,
-reports the truncation-limited residual and exits 0.
+reports the truncation-limited residual and exits 0.  A codeword that
+vanishes in the truncated space (its coefficients underflow below the
+cutoff) or a residual that is not finite is a numerical failure, never a
+residual of 0.
 """
 
 

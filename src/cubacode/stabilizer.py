@@ -4,8 +4,10 @@ Two families of checks.  Z-type: polynomials P in the mode amplitudes that
 vanish on every constellation point induce annihilation-operator products
 F = P(a) with F|C_k> = 0, verified here by applying F to the encoded
 codewords in a truncated Fock space: n modes, levels 0..cutoff-1 each,
-within a dimension budget.  This is the package's only truncated space;
-tests build their Fock-coefficient references from the same vectors.
+within a dimension budget.  F acts term by term as an index shift of the
+codeword tensor, so the check holds O(cutoff^n) numbers and no operator
+matrix.  This is the package's only truncated space; tests build their
+Fock-coefficient references from the same vectors.
 X-type: passive unitaries permuting each weighted constellation leave the
 codewords invariant; every such check, phase rotation or not, is one
 closed-form sum over coherent-state overlaps with no Fock build and no
@@ -24,8 +26,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .constellation import GEOM_TOL, CodeSpec, Rotation, _match_points, as_amplitude, scale_code
-from .errors import ValidationError
-from .klcheck import _pairwise_overlaps
+from .errors import NumericalFailure, ValidationError
+from .klcheck import _log_poisson, _pairwise_overlaps
 
 DEFAULT_DIM_BUDGET = 4096
 _BUDGET_ENV = "CUBACODE_DIM_BUDGET"
@@ -47,12 +49,37 @@ def dim_budget() -> int:
     return budget
 
 
-def annihilation(cutoff: int) -> np.ndarray:
-    """Single-mode annihilation operator on levels 0..cutoff-1."""
-    a = np.zeros((cutoff, cutoff), dtype=complex)
-    ks = np.arange(1, cutoff)
-    a[ks - 1, ks] = np.sqrt(ks)
-    return a
+def _coherent_rows(alphas: np.ndarray, cutoff: int) -> np.ndarray:
+    """rows[p, k] = e^{-|a_p|^2/2} a_p^k / sqrt(k!) for k < cutoff, one row
+    per amplitude a_p, not renormalized.
+
+    Each row starts at its largest coefficient, level k* = min(floor(|a|^2),
+    cutoff - 1), with modulus sqrt(Poisson(k*; |a|^2)) from the saddle-point
+    form of klcheck._log_poisson, and recurs outward both ways by the ratios
+    c_k / c_{k-1} = a / sqrt(k): a running product of ratios of modulus at
+    most one, so nothing overflows and a far tail underflows to zero while
+    the levels near |a|^2 keep full precision.  Started at level 0, as for
+    |a| < 1, e^{-|a|^2/2} underflows once |a|^2 passes about 1490.
+    """
+    lam = np.abs(alphas) ** 2
+    peak = np.minimum(np.floor(lam), cutoff - 1).astype(int)
+    log_start = np.where(peak > 0, _log_poisson(peak, np.maximum(lam, 1.0)), -lam)
+    start = np.exp(0.5 * log_start + 1j * peak * np.angle(alphas))
+    k, peak, a = np.arange(cutoff), peak[:, None], alphas[:, None]
+    up = np.where(k > peak, a / np.sqrt(np.maximum(k, 1)), 1.0)
+    # Where k* = 0 this branch is masked, and its division needs a nonzero a.
+    down = np.where(k < peak, np.sqrt(k + 1) / np.where(peak > 0, a, 1.0), 1.0)
+    return start[:, None] * np.cumprod(up, axis=1) * np.cumprod(down[:, ::-1], axis=1)[:, ::-1]
+
+
+def _product_sum(rows: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_p coef_p rows[p, 0] (x) rows[p, 1] (x) ... for rows of shape
+    (points, modes, cutoff), in the C-order basis of the level tuple (mode 0
+    most significant, as np.kron with mode 0 as the left factor)."""
+    acc = np.asarray(coef, dtype=complex)[:, None]
+    for j in range(rows.shape[1] - 1):
+        acc = (acc[:, :, None] * rows[:, j, None, :]).reshape(len(acc), -1)
+    return (acc.T @ rows[:, -1]).ravel()
 
 
 def coherent_fock(point, cutoff: int) -> np.ndarray:
@@ -62,14 +89,7 @@ def coherent_fock(point, cutoff: int) -> np.ndarray:
     The basis is C-order over the level tuple (mode 0 most significant),
     matching np.kron with mode 0 as the left factor.
     """
-    vec = np.ones(1, dtype=complex)
-    for alpha in as_amplitude(point):
-        mode_vec = np.empty(cutoff, dtype=complex)
-        mode_vec[0] = np.exp(-0.5 * abs(alpha) ** 2)
-        for k in range(1, cutoff):
-            mode_vec[k] = mode_vec[k - 1] * alpha / np.sqrt(k)
-        vec = np.kron(vec, mode_vec)
-    return vec
+    return _product_sum(_coherent_rows(as_amplitude(point), cutoff)[None], np.ones(1))
 
 
 @dataclass(frozen=True)
@@ -113,19 +133,6 @@ class AnnihilationPolynomial:
         for u, c in self.terms:
             out += c * np.prod(pts ** np.asarray(u), axis=1)
         return out
-
-    def fock_operator(self, cutoff: int) -> np.ndarray:
-        """F = sum_u c_u prod_j a_j^{u_j} on levels 0..cutoff-1 per mode."""
-        a_single = annihilation(cutoff)
-        dim = cutoff**self.modes
-        f = np.zeros((dim, dim), dtype=complex)
-        for u, c in self.terms:
-            singles = [np.linalg.matrix_power(a_single, e) for e in u]
-            term = singles[0]
-            for m in singles[1:]:
-                term = np.kron(term, m)
-            f += c * term
-        return f
 
 
 # ---------------------------------------------------------------------------
@@ -224,26 +231,60 @@ def _lift_single_mode(
 
 
 def _encoded_states(code: CodeSpec, scale: float, cutoff: int) -> List[np.ndarray]:
-    """The truncated codeword vectors sum_a sqrt(w_a)|scale*a>, summed in
-    point order and normalized."""
+    """The truncated codeword vectors sum_a sqrt(w_a)|scale*a>, normalized.
+
+    A codeword that vanishes in the truncated space (every point's
+    coefficients underflow below the cutoff) cannot be normalized and
+    raises NumericalFailure.
+    """
+    rows = _coherent_rows(scale * code.all_points().ravel(), cutoff)
+    rows = rows.reshape(-1, code.modes, cutoff)
     states = []
-    for c in code.logicals:
-        vec = np.zeros(cutoff**code.modes, dtype=complex)
-        for w, point in zip(c.weights, c.points):
-            vec += np.sqrt(w) * coherent_fock(scale * point, cutoff)
-        states.append(vec / np.linalg.norm(vec))
+    for k, (c, span) in enumerate(zip(code.logicals, code.codeword_rows())):
+        vec = _product_sum(rows[span], np.sqrt(c.weights))
+        norm = float(np.linalg.norm(vec))
+        if not (0.0 < norm < np.inf):
+            raise NumericalFailure(
+                f"codeword {k} has norm {norm:g} on levels 0..{cutoff - 1} at scale {scale:g}"
+            )
+        states.append(vec / norm)
     return states
+
+
+def _apply_polynomial(poly: AnnihilationPolynomial, psi: np.ndarray, cutoff: int) -> np.ndarray:
+    """F psi for F = P(a) on levels 0..cutoff-1 per mode, term by term as an
+    index shift of the (cutoff,)*modes tensor: (prod_j a_j^{e_j} psi)[k] =
+    prod_j sqrt((k_j + e_j)! / k_j!) psi[k + e], and a term with some
+    e_j >= cutoff is zero.  No operator matrix is formed."""
+    roots = np.sqrt(np.arange(cutoff + 1))
+    tensor = psi.reshape((cutoff,) * poly.modes)
+    out = np.zeros_like(tensor)
+    for u, c in poly.terms:
+        if max(u) >= cutoff:
+            continue
+        factor = c
+        for e in u:
+            ladder = np.ones(cutoff - e)
+            for i in range(1, e + 1):
+                ladder *= roots[i:cutoff - e + i]
+            factor = np.multiply.outer(factor, ladder)
+        out[tuple(slice(0, cutoff - e) for e in u)] += factor * tensor[
+            tuple(slice(e, None) for e in u)]
+    return out.ravel()
 
 
 def ztype_residual_states(
     polys: Sequence[AnnihilationPolynomial], states: Sequence[np.ndarray], cutoff: int
 ) -> float:
-    """Max ||F_i |psi>|| over the given unit vectors."""
+    """Max ||F_i |psi>|| over the given unit vectors.  A residual that is
+    not finite raises NumericalFailure rather than reading as zero."""
     worst = 0.0
     for poly in polys:
-        f = poly.fock_operator(cutoff)
         for psi in states:
-            worst = max(worst, float(np.linalg.norm(f @ psi)))
+            res = float(np.linalg.norm(_apply_polynomial(poly, psi, cutoff)))
+            if not np.isfinite(res):
+                raise NumericalFailure(f"Z-check residual is {res} at cutoff {cutoff}")
+            worst = max(worst, res)
     return worst
 
 

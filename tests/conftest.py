@@ -13,6 +13,15 @@ settings.load_profile("ci")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def annihilation(cutoff):
+    """Single-mode annihilation operator on levels 0..cutoff-1, as a dense
+    matrix: the reference the Fock-space tests build their operators from."""
+    a = np.zeros((cutoff, cutoff), dtype=complex)
+    ks = np.arange(1, cutoff)
+    a[ks - 1, ks] = np.sqrt(ks)
+    return a
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)

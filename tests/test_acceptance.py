@@ -38,10 +38,10 @@ from cubacode.moments import code_size_bounds, multi_indices_upto, sphere_monomi
 from cubacode.stabilizer import (
     AnnihilationPolynomial,
     _encoded_states,
-    annihilation,
     coherent_fock,
     ztype_residual_states,
 )
+from conftest import annihilation
 
 
 def report(number: int, name: str, started: float, limit: float):

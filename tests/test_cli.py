@@ -145,6 +145,17 @@ def test_stab_strained_cutoff_warns_and_exits_0(fresh_python):
                            "scale 5; residuals will be truncation limited\n")
 
 
+def test_stab_codeword_vanishing_below_cutoff_exits_1(fresh_python):
+    # At scale 40 every level below 100 underflows: the codewords are zero
+    # there, and stab must fail rather than print residual 0.
+    proc = fresh_python("-m", "cubacode.cli", "stab", "--catalog", "cat", "--m", "2",
+                        "--scale", "40", "--cutoff", "100")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert "numerical failure: codeword 0 has norm 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_stab_poly_file_matches_derived_generator(tmp_path, capsys):
     # alpha^4 - 1 vanishes on the cat code's four points at scale 1.
     path = tmp_path / "polys.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -316,6 +317,54 @@ def test_distinct_check_on_every_construction():
         base.scaled(0.1)  # squared distance 4e-14
     with pytest.raises(ValidationError, match="pairwise distinct"):
         scale_code(CodeSpec(name="close", logicals=(base,)), 0.1)
+
+
+def test_scaled_copy_keeps_the_distinct_check():
+    # A scaled copy skips the pair scan but not the DISTINCT_TOL check.
+    unit = WeightedConstellation(np.array([[0.0 + 0j], [1.0 + 0j], [3.0 + 0j]]),
+                                 np.full(3, 1.0 / 3.0))
+    assert unit.scaled(1e-5)._nearest == pytest.approx(1e-10, rel=1e-15)
+    with pytest.raises(ValidationError, match="pairwise distinct"):
+        unit.scaled(1e-7)
+
+
+@pytest.fixture
+def scan_count(monkeypatch):
+    import cubacode.constellation as module
+
+    calls = []
+    scan = module._squared_distance_range
+    monkeypatch.setattr(module, "_squared_distance_range",
+                        lambda points: calls.append(len(points)) or scan(points))
+    return calls
+
+
+def test_derived_constellations_are_not_rescanned(scan_count):
+    # cube_orthoplex --D 8 is one base constellation, two phase-rotated
+    # codewords of it and their energy-normalized copies: one scan.
+    code, _ = normalize_energy(build_catalog_code("cube_orthoplex", {"D": 8}), 1.0)
+    assert scan_count == [code.logicals[0].size]
+    rotated = rotate_code(code, Rotation.global_phase(4, 0.3))
+    assert len(scan_count) == 1
+    assert rotated.logicals[0]._nearest == code.logicals[0]._nearest
+    assert min_squared_distance(rotated.logicals[0].points) == pytest.approx(
+        rotated.logicals[0]._nearest, rel=1e-12)
+
+
+def test_fresh_constellation_is_scanned(scan_count):
+    base = build_catalog_code("cat", {"m": 8}).logicals[0]
+    fresh = WeightedConstellation(base.points, base.weights)
+    assert len(scan_count) == 2
+    assert fresh._nearest == base._nearest == pytest.approx(min_squared_distance(base.points))
+
+
+def test_nearest_distance_is_outside_repr_and_eq():
+    c = WeightedConstellation(np.array([[1.0 + 0j]]), np.array([1.0]))
+    assert repr(c) == f"WeightedConstellation(points={c.points!r}, weights={c.weights!r})"
+    fields = dataclasses.fields(WeightedConstellation)
+    assert [f.name for f in fields if f.compare] == ["points", "weights"]
+    assert [f.name for f in fields if f.repr] == ["points", "weights"]
+    assert c == c.scaled(1.0) and c != c.scaled(2.0)
 
 
 def test_match_points_finds_the_permutation():

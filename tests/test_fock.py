@@ -48,6 +48,23 @@ def test_fock_overlap_matches_closed_form(rng):
         assert np.vdot(fa, fb) == pytest.approx(coherent_overlap(a, b), abs=1e-10)
 
 
+@pytest.mark.parametrize("alpha,cutoff", [
+    (0.3j, 10), (3 - 4j, 60), (25 * np.exp(0.7j), 900), (40.0, 2000)])
+def test_coherent_coefficients_match_extended_precision(alpha, cutoff):
+    # e^{-|a|^2/2} underflows at |a|^2 = 1600; the coefficients near the
+    # peak must not.  Entries whose true value underflows must read 0.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    st = coherent_fock([alpha], cutoff)
+    a = mp.mpc(alpha.real, alpha.imag) if isinstance(alpha, complex) else mp.mpf(alpha)
+    peak = int(abs(alpha) ** 2)
+    for k in sorted({0, 1, peak // 2, peak, min(cutoff - 1, 3 * peak // 2), cutoff - 1}):
+        ref = complex(mp.exp(-abs(a) ** 2 / 2) * a**k / mp.sqrt(mp.factorial(k)))
+        assert abs(st[k] - ref) <= 1e-12 * abs(ref) + 1e-300
+    if cutoff > abs(alpha) ** 2 + 10 * abs(alpha):
+        assert abs(np.linalg.norm(st) - 1.0) < 1e-12
+
+
 def test_two_mode_coherent_state():
     st = coherent_fock([0.5, -0.3j], 12)
     assert abs(np.linalg.norm(st) - 1.0) < 1e-12

@@ -20,9 +20,10 @@ from cubacode import (
     polygon_shell_code,
     WeightedConstellation,
 )
-from cubacode.stabilizer import annihilation, coherent_fock
+from cubacode.stabilizer import coherent_fock
 from cubacode.klcheck import ParamTriple, codeword_gram, lowdin_inverse_sqrt
 from cubacode.moments import multi_indices, multi_indices_upto
+from conftest import annihilation
 
 
 def fock_ladder_element(a, b, p, q, cutoff=40):

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,12 +17,15 @@ from cubacode import (
     verify_ztype,
     ztype_polynomials,
 )
+from cubacode.errors import NumericalFailure
 from cubacode.stabilizer import (
     AnnihilationPolynomial,
+    _apply_polynomial,
     _encoded_states,
     coherent_fock,
     ztype_residual_states,
 )
+from conftest import annihilation
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +103,88 @@ def test_ztype_residual_shrinks_with_cutoff():
         r40 = verify_ztype(code, 2.0, 40)
     r60 = verify_ztype(code, 2.0, 60)
     assert r60 < r40
+
+
+def dense_term(u, cutoff):
+    """prod_j a_j^{u_j} as a dense (cutoff^n)^2 matrix, mode 0 the left
+    Kronecker factor."""
+    singles = [np.linalg.matrix_power(annihilation(cutoff), e) for e in u]
+    term = singles[0]
+    for m in singles[1:]:
+        term = np.kron(term, m)
+    return term
+
+
+SHELLS3 = build_catalog_code("polygon_shells", {"m": 4, "p": 3, "radii": [1.0, 2.0, 3.0]})
+MIXED = AnnihilationPolynomial.from_dict(
+    {(3, 1): 0.5, (0, 2): -1j, (2, 0): 0.25 + 0.5j, (1, 3): 0.125, (0, 0): 1.0}, modes=2)
+
+
+@pytest.mark.parametrize("code,scale,cutoff,polys", [
+    (cat_code(12, 2), 2.0, 80, None),
+    (SHELLS3, 2.0, 120, None),
+    (build_catalog_code("cube_orthoplex", {"D": 4}), 1.5, 24, [MIXED]),
+    # The degree-24 term has exponent >= cutoff: it vanishes on the space.
+    (cat_code(12, 2), 5.0, 10, None),
+], ids=["cat12", "polygon_shells", "two-mode-mixed", "exponent-over-cutoff"])
+def test_index_shift_matches_dense_operator(code, scale, cutoff, polys):
+    # On the unit codewords and one random unit vector, F psi by index shift
+    # agrees with the dense matrix F = sum_u c_u prod_j a_j^{u_j} to 1e-14
+    # relative to the largest term ||c_u a^u psi||: the codeword residuals
+    # cancel terms far larger than themselves, down to 2e-4 (polygon_shells)
+    # and 1e-14 (cat12).  The residual norms agree to 1e-14 absolute.
+    if polys is None:
+        polys = ztype_polynomials(scale_code(code, scale))
+    gen = np.random.default_rng(cutoff)
+    noise = gen.normal(size=cutoff**code.modes) + 1j * gen.normal(size=cutoff**code.modes)
+    states = _encoded_states(code, scale, cutoff) + [noise / np.linalg.norm(noise)]
+    for poly in polys:
+        for psi in states:
+            terms = [c * (dense_term(u, cutoff) @ psi) for u, c in poly.terms]
+            ref = sum(terms)
+            got = _apply_polynomial(poly, psi, cutoff)
+            scale_of_terms = max(1.0, max(np.linalg.norm(t) for t in terms))
+            assert np.linalg.norm(got - ref) <= 1e-14 * scale_of_terms
+            assert abs(np.linalg.norm(got) - np.linalg.norm(ref)) <= 1e-14 * max(
+                1.0, np.linalg.norm(ref))
+
+
+def test_residual_past_exponential_underflow():
+    # At |alpha|^2 = 1600, e^{-|alpha|^2/2} underflows; a recurrence started
+    # at level 0 gives all-zero codewords.  Started at the largest
+    # coefficient, the residual is finite and small, with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residual = verify_ztype(cat_code(2, 2), 40.0, 2000)
+    assert np.isfinite(residual) and residual < 1e-9
+
+
+def test_unreadable_residual_is_a_numerical_failure():
+    # Every coefficient below level 100 of |40> underflows: the codewords
+    # are zero in the truncated space, which must not read as residual 0.
+    with pytest.warns(UserWarning, match="strained"), \
+            pytest.raises(NumericalFailure, match="norm 0"):
+        verify_ztype(cat_code(2, 2), 40.0, 100)
+    # sqrt((k + 300)! / k!) overflows on 2000 levels, and the residual is NaN.
+    huge = AnnihilationPolynomial.from_dict({(300,): 1.0, (0,): -1.0}, modes=1)
+    with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="nan"):
+        verify_ztype(cat_code(2, 2), 1.0, 2000, polys=[huge])
+
+
+def test_two_mode_ztype_memory_is_linear_in_dimension():
+    # Dimension 64^2 = 4096: a dense operator would be 268 MB; the index
+    # shift keeps a few copies of the 64 KB codeword tensor.
+    code = build_catalog_code("qcc24")
+    polys = [AnnihilationPolynomial.from_dict({(4, 0): 1.0, (0, 4): -1.0}, modes=2),
+             AnnihilationPolynomial.from_dict({(2, 2): 1.0, (0, 0): -1.0}, modes=2)]
+    tracemalloc.start()
+    try:
+        residual = verify_ztype(code, 1.0, 64, polys=polys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(residual)
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
