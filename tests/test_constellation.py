@@ -317,9 +317,6 @@ def test_distinct_check_on_every_construction():
         base.scaled(0.1)  # squared distance 4e-14
     with pytest.raises(ValidationError, match="pairwise distinct"):
         scale_code(CodeSpec(name="close", logicals=(base,)), 0.1)
-
-
-def test_scaled_copy_keeps_the_distinct_check():
     # A scaled copy skips the pair scan but not the DISTINCT_TOL check.
     unit = WeightedConstellation(np.array([[0.0 + 0j], [1.0 + 0j], [3.0 + 0j]]),
                                  np.full(3, 1.0 / 3.0))
