@@ -19,7 +19,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cubacode import build_catalog_code, normalize_energy  # noqa: E402
+from cubacode import ValidationError, build_catalog_code, normalize_energy  # noqa: E402
 from cubacode.bench import pair_bench, sweep_alpha, sweep_gamma  # noqa: E402
 from cubacode.cli import (  # noqa: E402
     _BENCH_HEADER,
@@ -38,22 +38,32 @@ def write_csv(path: Path, header, rows):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results")
-    parser.add_argument("--pairs", type=int, nargs="+", default=[8, 12])
+    parser.add_argument("--pairs", type=int, nargs="+", default=[8, 12], choices=(8, 12, 24))
     parser.add_argument("--gammas", type=float, nargs="+",
                         default=[0.02, 0.05, 0.08, 0.1, 0.12, 0.15, 0.18, 0.2])
-    parser.add_argument("--grid", type=float, nargs=3, default=[0.8, 3.3, 14],
+    parser.add_argument("--grid", type=float, nargs=3, default=[0.8, 3.3, 14.0],
                         metavar=("LO", "HI", "N"))
     parser.add_argument("--big", action="store_true",
                         help="include the two-mode 24-point pair")
     args = parser.parse_args()
+    try:
+        return run(args)
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def run(args) -> int:
+    lo, hi, count = args.grid
+    if count < 1 or not count.is_integer():
+        raise ValidationError(f"--grid: point count must be a positive integer, got {count:g}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     pairs = list(args.pairs)
     if args.big and 24 not in pairs:
         pairs.append(24)
 
-    grid = np.linspace(args.grid[0], args.grid[1], int(args.grid[2]))
+    grid = np.linspace(lo, hi, int(count))
     gamma_axis = np.round(np.arange(0.0, 0.2001, 0.02), 4)
 
     for ell in pairs:

@@ -46,7 +46,6 @@ _EXPORTS = {
         "mode_phase_family",
         "normalize_energy",
         "optimize_codeword_rotation",
-        "plane_rotation_family",
         "resolution",
         "rotate_code",
         "scale_code",

@@ -93,8 +93,9 @@ def optimal_scale_adaptive(code: CodeSpec, gamma: float, grid: Sequence[float]) 
     The grid is scanned first; Brent's method then refines between the
     best grid point's neighbours until the bracket is shorter than 1e-4
     (at most 40 more evaluations).  Scales whose codewords are degenerate
-    (codeword Gram eigenvalue ratio at most 1e-12) are skipped; the search fails
-    with NumericalFailure only when every grid point is degenerate.
+    (codeword Gram eigenvalue ratio at most klcheck.DEGENERATE_RATIO) are
+    skipped; the search fails with NumericalFailure only when every grid
+    point is degenerate.
     """
     def value(res) -> Optional[float]:
         if isinstance(res, DegenerateCodewordsError):

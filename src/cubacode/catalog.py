@@ -9,10 +9,12 @@ circles; shell s carries points at angles (2j + s) * pi / m and a per-shell
 weight from an alternating interpolation rule in the squared radii.  The
 four-dimensional codes are built from the cross-polytope (16-cell), the
 hypercube (8-cell) and their union (24-cell), embedded into two modes by
-pairing real coordinates.  Distinct logical codewords are obtained by
-rotating a base constellation: by 2*pi*k/(K*m) for planar codes and by a
-uniform per-mode phase of pi*k/(2K) for the polytope codes (the latter is
-the symmetry angle pi/2 of these polytopes split across K codewords).
+pairing real coordinates.  Distinct logical codewords follow one
+interleaving rule: codeword k is the base constellation times the uniform
+phase exp(2*pi*i*k/(K*m_sym)), where the base is invariant under the phase
+2*pi/m_sym.  Planar m-gon codes have m_sym = m; the polytope codes have
+m_sym = 4 (the symmetry angle pi/2, split across K codewords), except the
+D = 2 cube-orthoplex union, a regular octagon, with m_sym = 8.
 """
 
 from __future__ import annotations
@@ -69,19 +71,11 @@ def _uniform(points: np.ndarray) -> WeightedConstellation:
     return WeightedConstellation(points, np.full(n, 1.0 / n))
 
 
-def _planar_codewords(base: WeightedConstellation, K: int, m_sym: int) -> tuple:
-    """K codewords: the base m_sym-fold symmetric constellation rotated by
-    2*pi*k/(K*m_sym)."""
+def _codewords(base: WeightedConstellation, K: int, m_sym: int) -> tuple:
+    """K codewords: the m_sym-fold phase-symmetric base constellation times
+    the uniform phase 2*pi*k/(K*m_sym)."""
     return tuple(
-        apply_rotation(base, Rotation.global_phase(1, 2.0 * np.pi * k / (K * m_sym)))
-        for k in range(K)
-    )
-
-
-def _phase_codewords(base: WeightedConstellation, K: int) -> tuple:
-    """K codewords from uniform per-mode phases pi*k/(2K) (multimode codes)."""
-    return tuple(
-        apply_rotation(base, Rotation.global_phase(base.modes, np.pi * k / (2.0 * K)))
+        apply_rotation(base, Rotation.global_phase(base.modes, 2.0 * np.pi * k / (K * m_sym)))
         for k in range(K)
     )
 
@@ -104,7 +98,7 @@ def cat_code(m: int, K: int = 2, radius: float = 1.0) -> CodeSpec:
     base = _uniform(regular_polygon(m, radius))
     return CodeSpec(
         name=f"cat(m={m},K={K})",
-        logicals=_planar_codewords(base, K, m),
+        logicals=_codewords(base, K, m),
         shells=(radius,),
         claimed_degree=m - 1,
     )
@@ -160,7 +154,7 @@ def polygon_shell_code(m: int, p: int, radii: Sequence[float], K: int = 2) -> Co
     base = WeightedConstellation(points, weights / weights.sum())
     return CodeSpec(
         name=f"polygon_shells(m={m},p={p})",
-        logicals=_planar_codewords(base, int(K), m),
+        logicals=_codewords(base, int(K), m),
         shells=r,
         claimed_degree=t,
         warnings=warnings,
@@ -177,7 +171,7 @@ def _check_even_dim(D: int) -> int:
 def hypercube_code(D: int, K: int = 2) -> CodeSpec:
     D = _check_even_dim(D)
     base = _uniform(embed_real_to_complex(hypercube_vertices(D)))
-    logicals = _planar_codewords(base, int(K), 4) if D == 2 else _phase_codewords(base, int(K))
+    logicals = _codewords(base, int(K), 4)
     return CodeSpec(
         name=f"hypercube(D={D},K={K})", logicals=logicals, shells=(1.0,), claimed_degree=3
     )
@@ -186,7 +180,7 @@ def hypercube_code(D: int, K: int = 2) -> CodeSpec:
 def orthoplex_code(D: int, K: int = 2) -> CodeSpec:
     D = _check_even_dim(D)
     base = _uniform(embed_real_to_complex(orthoplex_vertices(D)))
-    logicals = _planar_codewords(base, int(K), 4) if D == 2 else _phase_codewords(base, int(K))
+    logicals = _codewords(base, int(K), 4)
     return CodeSpec(
         name=f"orthoplex(D={D},K={K})", logicals=logicals, shells=(1.0,), claimed_degree=3
     )
@@ -206,10 +200,9 @@ def cube_orthoplex_code(D: int, K: int = 2) -> CodeSpec:
     base = WeightedConstellation(points, weights / weights.sum())
     # The D = 2 union is a regular octagon, so the codeword interleaving uses
     # its full 8-fold symmetry.
-    logicals = _planar_codewords(base, int(K), 8) if D == 2 else _phase_codewords(base, int(K))
     return CodeSpec(
         name=f"cube_orthoplex(D={D},K={K})",
-        logicals=logicals,
+        logicals=_codewords(base, int(K), 8 if D == 2 else 4),
         shells=(1.0,),
         claimed_degree=7 if D == 2 else 5,
     )
@@ -251,7 +244,7 @@ def two_shell_cell_code(r1: float, r2: float, K: int = 2) -> CodeSpec:
     base = WeightedConstellation(points, weights / weights.sum())
     return CodeSpec(
         name=f"twoshell_8_16(r1={r1:g},r2={r2:g})",
-        logicals=_phase_codewords(base, int(K)),
+        logicals=_codewords(base, int(K), 4),
         shells=tuple(sorted({r1, r2})),
         claimed_degree=5,
     )
@@ -265,15 +258,14 @@ def two_shell_24cell_code(tau: float, r1: float = 1.0, K: int = 2) -> CodeSpec:
     if tau <= 0 or r1 <= 0:
         raise ValidationError("tau and r1 must be positive")
     inner = r1 * embed_real_to_complex(cell24_vertices())
-    dual = apply_rotation(_uniform(inner), Rotation.global_phase(2, np.pi / 4)).points
-    outer = tau * dual
+    outer = tau * (np.exp(0.25j * np.pi) * inner)
     points = np.vstack([inner, outer])
     weights = np.concatenate([np.full(24, 1.0), np.full(24, (1.0 / tau) ** 6)])
     base = WeightedConstellation(points, weights / weights.sum())
     shells = (r1,) if tau == 1.0 else (r1, tau * r1)
     return CodeSpec(
         name=f"twoshell_24cell(tau={tau:g})",
-        logicals=_phase_codewords(base, int(K)),
+        logicals=_codewords(base, int(K), 4),
         shells=shells,
         claimed_degree=7,
     )

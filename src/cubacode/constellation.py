@@ -3,9 +3,13 @@
 A constellation is a finite set of complex amplitude vectors together with
 positive weights summing to one; a code is a family of such constellations
 (one per logical state) on a common mode count.  This module holds the data
-types, the real/complex embedding, orthogonal rotations, energy rescaling
-and the nearest-neighbour resolution metric.  All types are immutable after
-construction and all operations are pure functions.
+types, rotations, energy rescaling and the nearest-neighbour resolution
+metric.  Every rotation is a passive (linear-optics) unitary, an n x n
+complex matrix acting on the amplitudes directly.  The real/complex
+embedding, which pairs consecutive real coordinates into one mode, serves
+the real polytope vertices, the design check and the distance kernel.  All
+types are immutable after construction and all operations are pure
+functions.
 """
 
 from __future__ import annotations
@@ -158,83 +162,43 @@ class CodeSpec:
 
 
 # ---------------------------------------------------------------------------
-# Rotations on the real embedding of amplitude space
+# Rotations: passive (linear-optics) unitaries on the n modes
 # ---------------------------------------------------------------------------
-
-# The complex structure J on interleaved real coordinates (x1, y1, x2, y2, ...)
-# is block-diagonal with 2x2 blocks [[0, -1], [1, 0]].  A real orthogonal
-# matrix commuting with J is the real picture of a passive U(n) unitary.
-
-
-def _complex_structure(dim: int) -> np.ndarray:
-    j = np.zeros((dim, dim))
-    for i in range(0, dim, 2):
-        j[i, i + 1] = -1.0
-        j[i + 1, i] = 1.0
-    return j
 
 
 @dataclass(frozen=True)
 class Rotation:
-    """Real orthogonal D x D matrix acting on the real embedding (D = 2n)."""
+    """Passive unitary U in U(n) acting on n-mode amplitudes, a -> U a."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValidationError("rotation matrix must be square")
-        if m.shape[0] % 2 != 0:
-            raise ValidationError("rotation must act on an even real dimension")
-        if np.abs(m.T @ m - np.eye(m.shape[0])).max() > ORTHO_TOL:
-            raise ValidationError("rotation matrix is not orthogonal within tolerance")
-        det = np.linalg.det(m)
-        if min(abs(det - 1.0), abs(det + 1.0)) > ORTHO_TOL:
-            raise ValidationError("rotation determinant must be +/-1")
+        if not np.isfinite(m).all():
+            raise ValidationError("rotation matrix has non-finite entries")
+        if np.abs(np.conj(m.T) @ m - np.eye(m.shape[0])).max() > ORTHO_TOL:
+            raise ValidationError("rotation matrix is not unitary within tolerance")
         object.__setattr__(self, "matrix", _freeze(m))
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def modes(self) -> int:
-        return self.dim // 2
+        return self.matrix.shape[0]
 
     @classmethod
     def identity(cls, modes: int) -> "Rotation":
-        return cls(np.eye(2 * modes))
-
-    @classmethod
-    def from_complex_unitary(cls, u) -> "Rotation":
-        """Real 2n x 2n picture of a passive unitary u in U(n)."""
-        u = np.atleast_2d(np.asarray(u, dtype=complex))
-        n = u.shape[0]
-        m = np.zeros((2 * n, 2 * n))
-        m[0::2, 0::2] = u.real
-        m[0::2, 1::2] = -u.imag
-        m[1::2, 0::2] = u.imag
-        m[1::2, 1::2] = u.real
-        return cls(m)
+        return cls(np.eye(modes))
 
     @classmethod
     def mode_phases(cls, angles: Sequence[float]) -> "Rotation":
         """Per-mode phase rotation alpha_j -> exp(i phi_j) alpha_j."""
-        return cls.from_complex_unitary(np.diag(np.exp(1j * np.asarray(angles, dtype=float))))
+        return cls(np.diag(np.exp(1j * np.asarray(angles, dtype=float))))
 
     @classmethod
     def global_phase(cls, modes: int, angle: float) -> "Rotation":
         """Uniform phase rotation of every mode (isoclinic for n = 2)."""
         return cls.mode_phases([angle] * modes)
-
-    def complex_unitary(self) -> Optional[np.ndarray]:
-        """The n x n unitary this rotation represents, or None if it is not
-        complex-linear (i.e. not a passive optical transformation)."""
-        m = self.matrix
-        j = _complex_structure(self.dim)
-        if np.abs(m @ j - j @ m).max() > ORTHO_TOL:
-            return None
-        return m[0::2, 0::2] + 1j * m[1::2, 0::2]
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +229,10 @@ def embed_complex_to_real(points) -> np.ndarray:
 
 def apply_rotation(c: WeightedConstellation, r: Rotation) -> WeightedConstellation:
     """Rotate every point of a constellation; weights are unchanged."""
-    if r.dim != 2 * c.modes:
-        raise ValidationError(f"rotation dimension {r.dim} does not match 2n = {2 * c.modes}")
-    rotated = embed_real_to_complex(embed_complex_to_real(c.points) @ r.matrix.T)
-    # An orthogonal matrix keeps every distance (to ORTHO_TOL relative).
-    return WeightedConstellation(rotated, c.weights, _nearest=c._nearest)
+    if r.modes != c.modes:
+        raise ValidationError(f"rotation dimension {r.modes} does not match {c.modes} modes")
+    # A unitary keeps every distance (to ORTHO_TOL relative).
+    return WeightedConstellation(c.points @ r.matrix.T, c.weights, _nearest=c._nearest)
 
 
 def rotate_code(code: CodeSpec, r: Rotation) -> CodeSpec:
@@ -415,16 +378,6 @@ class RotationFamily:
             raise ValidationError("rotation family box has upper < lower")
         object.__setattr__(self, "lower", _freeze(lo))
         object.__setattr__(self, "upper", _freeze(hi))
-
-
-def plane_rotation_family(lo: float = 0.0, hi: float = 2 * np.pi) -> RotationFamily:
-    """Single-mode phase rotations alpha -> exp(i theta) alpha."""
-    return RotationFamily(
-        lower=np.array([lo]),
-        upper=np.array([hi]),
-        build=lambda p: Rotation.global_phase(1, float(p[0])),
-        name="plane",
-    )
 
 
 def global_phase_family(modes: int, lo: float = 0.0, hi: float = np.pi / 2) -> RotationFamily:

@@ -105,13 +105,22 @@ def codeword_gram(code: CodeSpec, scale: float = 1.0) -> np.ndarray:
     return _gram_from_overlaps(_pairwise_overlaps(pts, pts), sqrt_w, code.codeword_rows())
 
 
-def lowdin_inverse_sqrt(gram: np.ndarray, rel_floor: float = 1e-12) -> np.ndarray:
+# Codewords are degenerate when the smallest eigenvalue of their Gram
+# matrix is at most this fraction of the largest.
+DEGENERATE_RATIO = 1e-12
+
+
+def _degenerate(ratio: float) -> DegenerateCodewordsError:
+    return DegenerateCodewordsError(f"degenerate codewords: Gram eigenvalue ratio {ratio:.3e}")
+
+
+def lowdin_inverse_sqrt(gram: np.ndarray) -> np.ndarray:
     """Hermitian inverse square root of a Gram matrix (symmetric
-    orthogonalization).  Raises when the Gram is numerically singular."""
+    orthogonalization).  Raises when the codewords are degenerate
+    (eigenvalue ratio at most DEGENERATE_RATIO)."""
     vals, vecs = np.linalg.eigh(gram)
-    if vals[0] <= rel_floor * vals[-1]:
-        raise DegenerateCodewordsError(
-            f"degenerate codewords: Gram eigenvalue ratio {vals[0] / vals[-1]:.3e}")
+    if vals[0] <= DEGENERATE_RATIO * vals[-1]:
+        raise _degenerate(vals[0] / vals[-1])
     return (vecs * (1.0 / np.sqrt(vals))) @ np.conj(vecs.T)
 
 
@@ -605,8 +614,8 @@ def _fidelity_batch(code: CodeSpec, orbits: _Orbits, points: list) -> list:
     ratios = (ev[:, 0] / ev[:, -1]).tolist()
     out: list = [None] * P
     for i, ratio in enumerate(ratios):
-        if ev[i, 0] <= 1e-12 * ev[i, -1]:
-            out[i] = DegenerateCodewordsError(f"degenerate codewords: Gram eigenvalue ratio {ratio:.3e}")
+        if ev[i, 0] <= DEGENERATE_RATIO * ev[i, -1]:
+            out[i] = _degenerate(ratio)
         elif keep[i].sum() != K:
             out[i] = NumericalFailure(f"{keep[i].sum()} sector frames for {K} codewords")
     live = np.array([i for i in range(P) if out[i] is None], dtype=int)

@@ -300,8 +300,10 @@ def verify_ztype(
     The cutoff must be at least 2, and cutoff**modes must not exceed
     :func:`dim_budget`.  When ``polys`` is omitted they are derived for the
     scale-multiplied constellation; explicitly supplied polynomials must
-    vanish on the scaled points.  A cutoff comfortably above scale^2 * max
-    shell^2 plus the polynomial degree is needed for small residuals.
+    vanish on the scaled points.  Small residuals need a cutoff above the
+    largest |alpha|^2 of the scaled code plus some widths sqrt(|alpha|^2)
+    of its Poisson distribution plus the polynomial degree; a cutoff below
+    degree + reach + 8 sqrt(reach) + 10 warns.
     """
     if cutoff < 2:
         raise ValidationError("per-mode cutoff must be at least 2")
@@ -318,9 +320,10 @@ def verify_ztype(
         raise ValidationError("polynomial mode count does not match the code")
     degree = max(p.degree() for p in polys)
     # Applying a^d to a coherent state with mean occupation `reach` needs the
-    # cutoff to clear the Poisson tail shifted by the polynomial degree.
+    # cutoff to clear the Poisson tail, of width sqrt(reach), shifted by the
+    # polynomial degree.
     reach = float((np.abs(scaled.all_points()) ** 2).sum(axis=1).max())
-    if cutoff < degree + reach + 25:
+    if cutoff < degree + reach + 8.0 * np.sqrt(reach) + 10:
         warnings.warn(
             f"cutoff {cutoff} is strained by polynomial degree {degree} "
             f"at scale {scale:g}; residuals will be truncation limited",
@@ -332,12 +335,11 @@ def verify_ztype(
 
 def verify_xtype(code: CodeSpec, symmetry: Rotation, scale: float) -> float:
     """Invariance residual max_k ||U|C_k> - |C_k>|| / ||C_k|| for a passive
-    symmetry U.
+    symmetry U, the n x n unitary ``symmetry.matrix``.
 
-    The rotation must be complex-linear (a passive optical unitary) and must
-    permute every weighted constellation, each image within GEOM_TOL of its
-    point and each weight within GEOM_TOL of its image's; otherwise this
-    raises.  With p_a = scale pi(a) the matched point of a, u_a = scale U a
+    U must permute every weighted constellation, each image within GEOM_TOL
+    of its point and each weight within GEOM_TOL of its image's; otherwise
+    this raises.  With p_a = scale pi(a) the matched point of a, u_a = scale U a
     and delta = u - p, the residual is summed in closed form as
 
         ||sum_a sqrt(w_a) (|u_a> - |p_a>)||^2 = sum_ab sqrt(w_a w_b) <p_a|p_b>
@@ -349,14 +351,11 @@ def verify_xtype(code: CodeSpec, symmetry: Rotation, scale: float) -> float:
     a true symmetry reads at roundoff, where 2 - 2 Re <C|U|C> cannot go
     below about sqrt(eps).
     """
-    u = symmetry.complex_unitary()
-    if u is None:
-        raise ValidationError("symmetry is not complex-linear (not a passive unitary)")
     if symmetry.modes != code.modes:
         raise ValidationError("symmetry dimension does not match the code")
     worst = 0.0
     for k, c in enumerate(code.logicals):
-        images = c.points @ u.T
+        images = c.points @ symmetry.matrix.T
         perm = _match_points(c.points, images, GEOM_TOL)
         if perm is None or np.abs(c.weights[perm] - c.weights).max() > GEOM_TOL:
             raise ValidationError(

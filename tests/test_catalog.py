@@ -15,6 +15,7 @@ from cubacode.catalog import (
     two_shell_24cell_code,
     two_shell_cell_code,
 )
+from cubacode.constellation import _match_points
 
 
 def test_cat_two_codewords_are_antipodal_pairs():
@@ -25,6 +26,30 @@ def test_cat_two_codewords_are_antipodal_pairs():
     assert np.allclose(second, [-1.0j, 1.0j])
     for c in code.logicals:
         assert np.allclose(c.weights, 0.5)
+
+
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("name,params,m_sym", [
+    ("cat", {"m": 5}, 5),
+    ("polygon_shells", {"m": 4, "p": 3, "radii": (1.0, 2.0, 3.0)}, 4),
+    ("hypercube", {"D": 2}, 4), ("hypercube", {"D": 4}, 4),
+    ("orthoplex", {"D": 2}, 4), ("orthoplex", {"D": 6}, 4),
+    ("cube_orthoplex", {"D": 2}, 8), ("cube_orthoplex", {"D": 4}, 4),
+    ("twoshell_8_16", {"r1": 1.0, "r2": 2.0}, 4),
+    ("twoshell_24cell", {"tau": 2.0}, 4),
+], ids=lambda v: str(v))
+def test_codewords_interleave_by_one_phase_rule(name, params, m_sym, K):
+    # Codeword k is codeword 0 times e^{2 pi i k/(K m_sym)}, point for point,
+    # and codeword 0 is invariant under the phase 2 pi/m_sym.
+    code = build_catalog_code(name, dict(params, K=K))
+    base = code.logicals[0]
+    turn = np.exp(2j * np.pi / m_sym)
+    perm = _match_points(base.points, turn * base.points, 1e-12)
+    assert perm is not None and np.array_equal(base.weights[perm], base.weights)
+    for k, c in enumerate(code.logicals):
+        phase = np.exp(2j * np.pi * k / (K * m_sym))
+        assert np.abs(c.points - phase * base.points).max() <= 1e-15 * np.abs(base.points).max()
+        assert np.array_equal(c.weights, base.weights)
 
 
 def test_vertex_generators_are_unit_norm():

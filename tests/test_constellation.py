@@ -1,10 +1,12 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.stats import unitary_group
 
 from cubacode import (
     CodeSpec,
@@ -20,7 +22,6 @@ from cubacode import (
     mean_photon_number,
     normalize_energy,
     optimize_codeword_rotation,
-    plane_rotation_family,
     polygon_shell_code,
     resolution,
     rotate_code,
@@ -37,12 +38,6 @@ from cubacode.constellation import (
     grid_brent_max,
     min_squared_distance,
 )
-
-
-def random_orthogonal(dim, seed):
-    gen = np.random.default_rng(seed)
-    q, r = np.linalg.qr(gen.normal(size=(dim, dim)))
-    return q * np.sign(np.diag(r))
 
 
 # ---------------------------------------------------------------------------
@@ -103,20 +98,22 @@ def test_codespec_shell_mismatch_rejected():
 
 
 def test_rotation_must_be_orthogonal():
-    with pytest.raises(ValidationError, match="orthogonal"):
+    with pytest.raises(ValidationError, match="unitary"):
         Rotation(np.array([[1.0, 0.2], [0.0, 1.0]]))
 
 
-def test_rotation_complex_unitary_round_trip():
-    u = np.array([[0, 1], [1, 0]], dtype=complex)
-    rot = Rotation.from_complex_unitary(u)
-    assert np.allclose(rot.complex_unitary(), u)
-
-
-def test_conjugation_is_not_complex_linear():
-    # alpha -> conj(alpha) is orthogonal on the real embedding but not passive.
-    rot = Rotation(np.diag([1.0, -1.0]))
-    assert rot.complex_unitary() is None
+@pytest.mark.parametrize("matrix,match", [
+    (np.full((2, 2), np.nan), "non-finite"),
+    (np.array([[1.0, np.inf], [0.0, 1.0]]), "non-finite"),
+    (np.eye(2)[:1], "square"),
+    (np.zeros((0, 0)), "square"),
+    (np.array([[1.0, 0.5j], [0.0, 1.0j]]), "unitary"),
+], ids=["nan", "inf", "not-square", "empty", "not-unitary"])
+def test_rotation_rejects_invalid_matrix(matrix, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=match):
+            Rotation(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +137,7 @@ def test_cat_base_rotated_quarter_turn():
 @given(st.integers(0, 2**32 - 1))
 def test_rotation_preserves_pairwise_distances(seed):
     c = build_catalog_code("cell16_qutrit").logicals[0]
-    rot = Rotation(random_orthogonal(4, seed))
+    rot = Rotation(unitary_group.rvs(2, random_state=seed))
     out = apply_rotation(c, rot)
     diff_in = c.points[:, None] - c.points[None, :]
     diff_out = out.points[:, None] - out.points[None, :]
@@ -409,7 +406,7 @@ def test_scaling_law(lam):
 
 def test_common_rotation_preserves_resolution_and_energy():
     code = build_catalog_code("twoshell_24cell", {"tau": 2.0})
-    rot = Rotation(random_orthogonal(4, 99))
+    rot = Rotation(unitary_group.rvs(2, random_state=99))
     rotated = rotate_code(code, rot)
     assert abs(resolution(rotated) - resolution(code)) < 1e-10
     for a, b in zip(code.logicals, rotated.logicals):
@@ -440,10 +437,9 @@ def test_catalog_weights_normalized():
 
 def test_optimize_rotation_cat_two_finds_quarter_turn():
     code = cat_code(2, 2)
-    rot, d_e = optimize_codeword_rotation(code, plane_rotation_family(0.0, np.pi), steps=60)
+    rot, d_e = optimize_codeword_rotation(code, global_phase_family(1, 0.0, np.pi), steps=60)
     assert abs(d_e - 2.0) < 1e-9
-    u = rot.complex_unitary()
-    assert abs(abs(np.angle(u[0, 0])) - np.pi / 2) < 1e-6
+    assert abs(abs(np.angle(rot.matrix[0, 0])) - np.pi / 2) < 1e-6
 
 
 def test_optimize_rotation_two_shell_24cell_saturates():
@@ -460,7 +456,7 @@ def test_optimize_rotation_identity_only_family():
         build=lambda p: Rotation.identity(1),
     )
     rot, d_e = optimize_codeword_rotation(code, family, steps=5)
-    assert np.allclose(rot.matrix, np.eye(2))
+    assert np.allclose(rot.matrix, np.eye(1))
     # Codeword 2 coincides with codeword 1, so the configuration is degenerate.
     assert d_e < 1e-12
 

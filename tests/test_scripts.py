@@ -1,7 +1,10 @@
 """The experiment scripts under ``scripts/`` run to completion, each in a
-fresh interpreter, and write what they promise."""
+fresh interpreter, and write what they promise; bad input exits 2 with an
+error line, not a traceback."""
 
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -30,3 +33,15 @@ def test_catalog_report_script_prints_its_table(fresh_python):
     assert lines[0].split()[0] == "code"
     assert len(lines) == 12  # the header and one row per reference instance
     assert all("((" in line and "))" in line for line in lines[1:])
+
+
+@pytest.mark.parametrize("args", [
+    ["--pairs", "7"],
+    ["--grid", "0.8", "3.3", "0"],
+    ["--grid", "0.8", "3.3", "6.7"],
+    ["--grid", "0.8", "3.3", "2", "--gammas", "1.5"],
+], ids=lambda v: " ".join(v))
+def test_loss_benchmark_script_rejects_bad_input(fresh_python, tmp_path, args):
+    proc = fresh_python(str(SCRIPTS / "run_loss_benchmark.py"), *args, "--outdir", str(tmp_path))
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr

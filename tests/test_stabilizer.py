@@ -159,6 +159,15 @@ def test_residual_past_exponential_underflow():
     assert np.isfinite(residual) and residual < 1e-9
 
 
+def test_strain_warning_covers_the_poisson_width():
+    # Reach 1600 has Poisson width 40: cutoff 1880 clears the mean by seven
+    # widths and still leaves a residual of about 2e-6, far above the 2e-11
+    # at cutoff 2000, so it must warn.
+    with pytest.warns(UserWarning, match="strained"):
+        residual = verify_ztype(cat_code(2, 2), 40.0, 1880)
+    assert residual > 1e-7
+
+
 def test_unreadable_residual_is_a_numerical_failure():
     # Every coefficient below level 100 of |40> underflows: the codewords
     # are zero in the truncated space, which must not read as residual 0.
@@ -210,18 +219,11 @@ def test_half_step_rotation_rejected():
         verify_xtype(code, rot, 2.0)
 
 
-def test_non_passive_symmetry_rejected():
-    code = cat_code(2, 2)
-    conj = Rotation(np.diag([1.0, -1.0]))  # complex conjugation: not passive
-    with pytest.raises(ValidationError, match="passive"):
-        verify_xtype(code, conj, 2.0)
-
-
 def test_mode_swap_symmetry_analytic_path():
     # The 24-cell constellation is invariant under swapping the two modes;
     # the swap is passive but not diagonal.
     code = build_catalog_code("cube_orthoplex", {"D": 4})
-    swap = Rotation.from_complex_unitary(np.array([[0, 1], [1, 0]], dtype=complex))
+    swap = Rotation(np.array([[0, 1], [1, 0]], dtype=complex))
     assert verify_xtype(code, swap, 1.5) < 1e-10
 
 
@@ -231,7 +233,7 @@ def test_mode_swap_times_phase_reads_at_roundoff():
     # not.
     code = build_catalog_code("cube_orthoplex", {"D": 4})
     u = np.array([[0, 1], [1, 0]]) @ np.diag(np.exp(1j * np.pi / 2 * np.ones(2)))
-    assert verify_xtype(code, Rotation.from_complex_unitary(u), 1.5) < 1e-10
+    assert verify_xtype(code, Rotation(u), 1.5) < 1e-10
 
 
 def fock_xtype_residual(code, phases, scale, cutoff):
