@@ -54,9 +54,16 @@ def main() -> int:
 
 
 def run(args) -> int:
+    # Every input is checked before --outdir is made, so a rejected run
+    # leaves no partial result set behind.
     lo, hi, count = args.grid
     if count < 1 or not count.is_integer():
         raise ValidationError(f"--grid: point count must be a positive integer, got {count:g}")
+    if not (0.0 < lo < np.inf and 0.0 < hi < np.inf):
+        raise ValidationError(f"--grid: scales must be positive and finite, got {lo:g} and {hi:g}")
+    for gamma in args.gammas:
+        if not 0.0 <= gamma < 1.0:
+            raise ValidationError(f"--gammas: loss rate {gamma:g} is outside [0, 1)")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     pairs = list(args.pairs)

@@ -202,16 +202,19 @@ def cmd_params(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    from .moments import moment_match_degree, pair_moments
+    from .moments import pair_moments, pairs_match_degree
 
     code = _load_code(args)
     if code.dim < 2:
         raise ValidationError("moment comparison needs at least two codewords")
     n = code.modes
-    t = moment_match_degree(code, args.max_degree, tol=args.tol)
     pairs, moms = pair_moments(code, args.max_degree)
+    t = pairs_match_degree(pairs, moms, tol=args.tol)
     devs = np.abs(moms - moms[0]).max(axis=0)
-    worst = int(devs.argmax())
+    # The first pair within tol of the largest deviation: pairs that tie
+    # (M(q, p) is the conjugate of M(p, q)) differ only by roundoff, which
+    # must not pick the one reported.
+    worst = int(np.flatnonzero(devs >= devs.max() - args.tol)[0])
     where = (tuple(pairs[worst, :n].tolist()), tuple(pairs[worst, n:].tolist()))
     lines = _header(args) + [
         f"moment match degree: {t} (searched to {args.max_degree}, tol {_fmt(args.tol)})",

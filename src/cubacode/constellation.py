@@ -10,11 +10,22 @@ embedding, which pairs consecutive real coordinates into one mode, serves
 the real polytope vertices, the design check and the distance kernel.  All
 types are immutable after construction and all operations are pure
 functions.
+
+``code_orbits`` finds a code's largest phase-rotation symmetry
+e^{2 pi i/d} (every mode at once) and arranges the points in its orbits,
+d points each.  It tries only the orders dividing both the point count
+and the number of points on the first point's phase circle, matches the
+rotated points to the points in row blocks (``_match_points``), and
+builds the orbit table from the powers of that permutation.  The closed-
+form checks (the moment tables, the KL blocks and ``resolution``) and the
+loss engine sum over the orbit representatives; a code with no such
+rotation has d = 1, one orbit per point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import copysign
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -251,29 +262,40 @@ def rotate_code(code: CodeSpec, r: Rotation) -> CodeSpec:
 _DISTANCE_BYTES = 1 << 19
 
 
-def _squared_distance_range(points: np.ndarray) -> tuple:
-    """(min, max) squared Euclidean distance over index pairs i != j.
+def _distance_blocks(points: np.ndarray, rows: Optional[np.ndarray] = None):
+    """Squared Euclidean distances from the points ``rows`` (ascending;
+    every index by default) to the points at or after them, in blocks.
 
-    Each block of rows i gets its distances to the points j >= its first
-    row, which covers every pair once the blocks are done (the distances
-    are exactly symmetric).  They are accumulated one real coordinate at a
-    time, so no N x N x modes temporary is formed and no block exceeds
-    ``_DISTANCE_BYTES``; the diagonal is masked, not indexed away.
+    Yields (block, lo, d2) with d2[i, j] the squared distance between
+    points block[i] and lo + j, where lo is the block's first row; the
+    entries i = j hold 0.  With every index as a row this covers each pair
+    once (the distances are exactly symmetric).  They are accumulated one
+    real coordinate at a time, so no N x N x modes temporary is formed and
+    no block exceeds ``_DISTANCE_BYTES``.
     """
-    cols = embed_complex_to_real(points).T.copy()
+    cols = np.ascontiguousarray(points).view(float).T.copy()  # the real coordinates
     size = cols.shape[1]
+    rows = np.arange(size) if rows is None else rows
     step = max(1, _DISTANCE_BYTES // (cols.itemsize * size))
-    nearest, largest = np.inf, 0.0
-    buffers = np.empty((2, min(step, size) * size))
-    for lo in range(0, size, step):
-        rows = min(step, size - lo)
-        d2, diff = (b[:rows * (size - lo)].reshape(rows, size - lo) for b in buffers)
+    buffers = np.empty((2, min(step, len(rows)) * size))
+    for first in range(0, len(rows), step):
+        block = rows[first:first + step]
+        lo = int(block[0])
+        d2, diff = (b[:len(block) * (size - lo)].reshape(len(block), size - lo) for b in buffers)
         d2.fill(0.0)
-        for col in cols[:, lo:]:
-            np.subtract.outer(col[:rows], col, out=diff)
+        for col in cols:
+            np.subtract.outer(col[block], col[lo:], out=diff)
             d2 += np.square(diff, out=diff)
+        yield block, lo, d2
+
+
+def _squared_distance_range(points: np.ndarray) -> tuple:
+    """(min, max) squared Euclidean distance over index pairs i != j; the
+    pairs i = j are masked, not indexed away."""
+    nearest, largest = np.inf, 0.0
+    for block, lo, d2 in _distance_blocks(points):
         largest = max(largest, float(d2.max()))  # the zero diagonal never exceeds a pair
-        np.fill_diagonal(d2, np.inf)
+        d2[np.arange(len(block)), block - lo] = np.inf
         nearest = min(nearest, float(d2.min()))
     return nearest, largest
 
@@ -283,34 +305,210 @@ def min_squared_distance(points: np.ndarray) -> float:
     return _squared_distance_range(points)[0]
 
 
+def _squared_norms(z: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each point (along the last axis)."""
+    x = np.ascontiguousarray(z).view(float)
+    return (x * x).sum(axis=-1)
+
+
 def _match_points(points: np.ndarray, images: np.ndarray, tol: float) -> Optional[np.ndarray]:
     """The permutation perm with images[i] within Euclidean distance tol of
     points[perm[i]] for every i, or None when the images are not the points.
 
-    Each image's nearest point comes from the Gram form |b|^2 - 2 Re <a, b>,
-    with no N x N x modes difference tensor.  That form cancels small
-    distances away, so the matched distances are then formed directly.
+    Each image's nearest point comes from the Gram form |b|^2 - 2 Re <a, b>
+    (a real Gram of the real coordinates), with no N x N x modes difference
+    tensor, in blocks of images of at most ``_DISTANCE_BYTES``.  That form
+    cancels small distances away, so the matched distances are then formed
+    directly.
     """
-    if np.linalg.norm(points - images[0], axis=1).min() > tol:  # cheap test on one image
+    tol2 = tol * tol
+    if _squared_norms(points - images[0]).min() > tol2:  # cheap test on one image
         return None
-    dist = (np.abs(points) ** 2).sum(axis=1)[None, :] - 2.0 * (np.conj(images) @ points.T).real
-    perm = dist.argmin(axis=1)
-    if (np.bincount(perm).max() > 1
-            or np.linalg.norm(images - points[perm], axis=1).max() > tol):
+    real_pts = np.ascontiguousarray(points).view(float)
+    real_images = np.ascontiguousarray(images).view(float)
+    norms = (real_pts * real_pts).sum(axis=1)
+    step = max(1, _DISTANCE_BYTES // (real_pts.itemsize * len(points)))
+    perm = np.empty(len(images), dtype=int)
+    for lo in range(0, len(images), step):
+        dist = real_images[lo:lo + step] @ real_pts.T
+        dist *= -2.0
+        dist += norms
+        perm[lo:lo + step] = dist.argmin(axis=1)
+    if np.bincount(perm).max() > 1 or _squared_norms(images - points[perm]).max() > tol2:
         return None
     return perm
 
 
+# Points match under a rotation when every orbit agrees with the rotated
+# copies of its first point to this many ulps of the largest amplitude, and
+# weights to this many ulps of the largest weight: the size of the rounding
+# in the catalog's coordinates (3.2 ulps at most, on qsc12).  The loss
+# engine's sector Grams are those of the rotated first points, so a looser
+# match would evaluate a slightly different code, a difference the inverse
+# Gram ratio amplifies like roundoff in the inputs; a missed match only
+# costs speed.
+_ORBIT_ULPS = 8.0
+# The largest rotation order tried: it keeps a block of the loss engine's
+# sector series within L log 2 <= 700 (see klcheck._sector_grams).
+_MAX_ORDER = 1009
+
+
+def _orbit_tol(pts: np.ndarray) -> float:
+    return _ORBIT_ULPS * np.finfo(float).eps * max(1.0, float(np.abs(pts).max()))
+
+
+@dataclass(frozen=True, eq=False)
+class Orbits:
+    """The largest phase rotation e^{2 pi i/d} of every mode at once that
+    permutes a code's points, keeps their weights and maps each codeword
+    onto one codeword, with the points arranged in its orbits.
+
+    ``rows[o, t]`` is the row of e^{2 pi i t/d} r_o in ``code.all_points()``,
+    where the representative r_o is the orbit's first point in that order;
+    orbits are ordered by it.  ``owner`` is each point's codeword.  The
+    rotation permutes the codewords, and an orbit visits every codeword of
+    one cycle of that permutation, so each cycle is a class of codewords
+    with orbits of their own: ``classes`` holds, per class, the slice of
+    its orbits (they are consecutive) and its codewords, ascending.  A code
+    with no such rotation has d = 1: one orbit per point, and one class per
+    codeword.
+    """
+
+    d: int
+    rows: np.ndarray
+    owner: np.ndarray
+    classes: tuple
+
+    def spectrum(self, values: np.ndarray) -> np.ndarray:
+        """[c, o, k] = sum_t e^{2 pi i c t/d} values[a] [owner(a) = k] for
+        the points a = rows[o, t]: a DFT along each orbit, per codeword."""
+        coef = values[self.rows][..., None] * (self.owner[self.rows][..., None]
+                                               == np.arange(self.owner[-1] + 1))
+        return np.fft.ifft(coef, axis=1, norm="forward").transpose(1, 0, 2)
+
+
+def _orbit_rows(pts: np.ndarray, w: np.ndarray, owner: np.ndarray, d: int,
+                tol: float) -> Optional[np.ndarray]:
+    """The orbit table (see Orbits.rows) of the rotation e^{2 pi i/d} when
+    it permutes the points, keeps their weights and maps every codeword
+    onto one codeword; None otherwise."""
+    perm = _match_points(pts, np.exp(2j * np.pi / d) * pts, tol)
+    if perm is None or np.abs(w[perm] - w).max() > _ORBIT_ULPS * np.finfo(float).eps * w.max():
+        return None
+    # Each codeword must land inside one codeword, by a permutation of the
+    # codewords; perm being a bijection then makes each image a whole
+    # codeword.
+    image = owner[perm]
+    first = image[np.searchsorted(owner, np.arange(owner[-1] + 1))]
+    if np.any(image != first[owner]) or np.bincount(first).max() > 1:
+        return None
+    # steps[t] = perm^t.  Every orbit must have d points: perm^d is the
+    # identity and no earlier power fixes a point (a point at the origin
+    # is fixed by every rotation).  An orbit's first point is the least
+    # index that reaches it.
+    steps = np.empty((d, len(pts)), dtype=int)
+    steps[0] = np.arange(len(pts))
+    for t in range(1, d):
+        steps[t] = perm[steps[t - 1]]
+    if np.any(perm[steps[-1]] != steps[0]) or np.any(steps[1:] == steps[0]):
+        return None
+    rows = steps[:, steps.min(axis=0) == steps[0]].T
+    # Steps that each match within tol can drift by up to d tol along an
+    # orbit; the loss engine's sector Grams use the rotated first points,
+    # so check those.
+    turns = np.exp(2j * np.pi * np.arange(d) / d)[None, :, None]
+    if _squared_norms(turns * pts[rows[:, :1]] - pts[rows]).max() > tol * tol:
+        return None
+    return rows
+
+
+# Codes hash by identity, so a table is found again for the same CodeSpec
+# object only.
+@lru_cache(maxsize=8)
+def code_orbits(code: CodeSpec) -> Orbits:
+    """The orbit table of a code's largest phase-rotation symmetry.
+
+    Every orbit has d points, so d divides the point count N.  The rotation
+    maps the phase circle {e^{i phi} a_0} of the first point onto itself,
+    so d also divides the number of points on that circle (within the
+    match tolerance): only the orders dividing both are tried, largest
+    first.
+    """
+    pts = code.all_points()
+    w = np.concatenate([c.weights for c in code.logicals])
+    owner = np.repeat(np.arange(code.dim), [c.size for c in code.logicals])
+    N = len(pts)
+    tol = _orbit_tol(pts)
+    along = pts @ np.conj(pts[0])
+    phase = along / np.where(along == 0.0, 1.0, np.abs(along))
+    circle = int((_squared_norms(pts - phase[:, None] * pts[0]) <= tol * tol).sum())
+    d, rows = 1, np.arange(N)[:, None]
+    for cand in range(min(circle, _MAX_ORDER), 1, -1):
+        if N % cand == 0 and circle % cand == 0:
+            found = _orbit_rows(pts, w, owner, cand, tol)
+            if found is not None:
+                d, rows = cand, found
+                break
+    # An orbit's first point lies in the first codeword of its class.
+    lead = owner[rows[:, 0]]
+    label = np.empty(code.dim, dtype=int)
+    label[owner[rows]] = lead[:, None]
+    bounds = np.flatnonzero(np.diff(lead, prepend=-1)).tolist() + [len(rows)]
+    classes = tuple((slice(lo, hi), np.flatnonzero(label == lead[lo]))
+                    for lo, hi in zip(bounds[:-1], bounds[1:]))
+    return Orbits(d=d, rows=rows, owner=owner, classes=classes)
+
+
 def resolution(code: CodeSpec) -> float:
     """Global nearest-neighbour squared distance over the union of all
-    logical constellations (the code's resolution)."""
+    logical constellations (the code's resolution).
+
+    The rotation of ``code_orbits`` keeps distances and permutes the
+    points, so every pair is a rotated copy of a pair (r_o, b) with r_o a
+    representative and b a point at or after it (an orbit's first point
+    precedes the rest of it): only those n x N pairs are scanned.  Rotated
+    copies agree only to the points' match tolerance, so every copy of the
+    pairs within that tolerance of the nearest is then formed the way the
+    scan forms a pair, and the result is the all-pairs minimum exactly.
+    With d = 1 the scan is every pair, and a pair is its only copy.
+    """
     pts = code.all_points()
     if pts.shape[0] < 2:
         raise ValidationError("resolution needs at least 2 points")
-    nearest, farthest = _squared_distance_range(pts)
+    orbits = code_orbits(code)
+    d, tol = orbits.d, _orbit_tol(pts)
+
+    def margin(least: float) -> float:
+        # A copy's distance differs by at most 3 tol, plus the rounding of
+        # the squared sums.
+        return 8.0 * tol * (np.sqrt(least) + tol) + 1e-15 * least
+
+    nearest, farthest, near = np.inf, 0.0, []
+    for block, lo, d2 in _distance_blocks(pts, orbits.rows[:, 0]):
+        farthest = max(farthest, float(d2.max()))
+        d2[np.arange(len(block)), block - lo] = np.inf
+        least = float(d2.min())
+        nearest = min(nearest, least)
+        if d > 1:
+            i, j = np.nonzero(d2 <= least + margin(least))
+            near.append((block[i], lo + j, d2[i, j]))
     if farthest <= DISTINCT_TOL:
         raise ValidationError("resolution needs at least 2 distinct points")
-    return nearest
+    if d == 1:
+        return nearest
+    a, b, dist = (np.concatenate(v) for v in zip(*near))
+    keep = dist <= nearest + margin(nearest)
+    # Each point's place o d + t in the orbit table; copy s of (a, b) is
+    # (rows[o_a, s], rows[o_b, (t_b + s) mod d]) (a is a first point, t_a = 0).
+    place = np.empty(len(pts), dtype=int)
+    place[orbits.rows.ravel()] = np.arange(len(pts))
+    a, b = place[a[keep]], place[b[keep]]
+    a = orbits.rows[a // d]
+    b = orbits.rows[(b // d)[:, None], ((b % d)[:, None] + np.arange(d)) % d]
+    copies = np.zeros(a.shape)
+    for col in np.ascontiguousarray(pts).view(float).T:
+        copies += np.square(col[a] - col[b])
+    return float(copies.min())
 
 
 def mean_photon_number(c: WeightedConstellation) -> float:

@@ -7,10 +7,13 @@ Coherent states have analytic overlaps and ladder-operator matrix elements:
 
 so every block <C_k| E_mu^+ E_nu |C_l> of the correction condition for the
 pure-loss error set is a finite weighted sum of such terms, with no Fock
-truncation involved.  All blocks are formed at once: with monomial tables
-F_k (one row per loss pattern, one column per point of codeword k),
-
-    raw[mu, nu, k, l] = ((sqrt(w_k) conj(F_k)) @ <a|b>_kl @ (sqrt(w_l) F_l).T)[mu, nu].
+truncation involved.  The sums run over the orbits of the code's largest
+phase-rotation symmetry e^{2 pi i/d} (``constellation.code_orbits``): the
+N point overlaps reduce to the d n^2 overlaps <r_o|e^{2 pi i tau/d} r_o'>
+of the n = N/d orbit representatives, whose DFT over tau gives the Grams
+of the d photon-number sectors, and ``kl_report`` contracts each sector
+with the representatives' monomials times the orbit DFT of the weights
+(``_raw_blocks``).  With d = 1 this is the sum over point pairs.
 
 The same algebra gives the benchmark's transpose-recovery fidelity under
 pure loss (``loss_fidelity``, batched as ``loss_fidelities``): loss maps
@@ -20,7 +23,9 @@ environment states' Gram keeps every loss order.  When a phase rotation
 e^{2 pi i/d} permutes a code's points and its codewords, the work splits
 into d sectors of photon number mod d, each with N/d x N/d eigenproblems
 (N points), and the code space is taken one sector at a time; d = 1 is a
-single sector holding every point.
+single sector holding every point.  ``_orbits`` adds the loss engine's
+data (the representatives' overlaps, the orbit DFT of the weights and,
+on first use, the power table of the sector series) to the orbit table.
 
 The asymptotic (large-energy) parameters reduce to weighted-moment
 matching and are computed by exhaustive enumeration over stacks of
@@ -30,17 +35,18 @@ multi-indices, stopping at the first degree that fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, lgamma
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .constellation import CodeSpec, _match_points, as_amplitude
+from .constellation import CodeSpec, Orbits, as_amplitude, code_orbits
 from .errors import DegenerateCodewordsError, NumericalFailure, ValidationError
 from .moments import (
     _BoxMoments,
     _check_tol,
+    _index_box,
     _level,
     _match_degree,
     _monomials,
@@ -80,12 +86,6 @@ def _pairwise_overlaps(pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _stacked(code: CodeSpec, scale: float) -> tuple:
-    """Every point times scale (N x n, codeword by codeword) and the square
-    roots of their weights."""
-    return scale * code.all_points(), np.sqrt(np.concatenate([c.weights for c in code.logicals]))
-
-
 def _gram_from_overlaps(overlaps: np.ndarray, sqrt_w: np.ndarray, rows: list) -> np.ndarray:
     # G[k, l] = sqrt(w_k) . overlaps[rows_k, rows_l] . sqrt(w_l) for k <= l,
     # with the lower triangle the conjugate of the upper, so G is exactly
@@ -101,7 +101,8 @@ def _gram_from_overlaps(overlaps: np.ndarray, sqrt_w: np.ndarray, rows: list) ->
 
 def codeword_gram(code: CodeSpec, scale: float = 1.0) -> np.ndarray:
     """Gram matrix of the raw codeword vectors sum_a sqrt(w_a) |scale*a>."""
-    pts, sqrt_w = _stacked(code, scale)
+    pts = scale * code.all_points()
+    sqrt_w = np.sqrt(np.concatenate([c.weights for c in code.logicals]))
     return _gram_from_overlaps(_pairwise_overlaps(pts, pts), sqrt_w, code.codeword_rows())
 
 
@@ -148,31 +149,94 @@ class KLReport:
     scale: float
 
 
+def _raw_blocks(code: CodeSpec, max_loss: int, scale: float) -> np.ndarray:
+    """raw[mu, nu, k, l] = <C_k| prod (a^+)^mu a^nu |C_l> for the raw
+    codewords C_k = sum_a sqrt(w_a) |scale a> and every |mu|, |nu| <=
+    max_loss (in ``multi_indices_upto`` order).
+
+    The sums run over the orbits of the code's rotation e^{2 pi i/d} (see
+    constellation.Orbits), sector by sector of photon number mod d.  With
+    R_o = scale r_o the representatives, b[c, o, k] = sum_t e^{2 pi i c t/d}
+    sqrt(w) [owner = k] the orbit DFT of the weights, and Pi_s|e^{2 pi i
+    t/d} R> = e^{2 pi i t s/d} Pi_s|R>,
+
+        a^nu |C_l> = sum_s sum_o R_o^nu b[(|nu| + s) mod d, o, l] Pi_s|R_o>,
+
+    so raw = sum_s conj(L_s) S_s L_s^T, with L_s[(mu, k), o] = R_o^mu
+    b[(|mu| + s) mod d, o, k] and the sector Grams S_s[o, o'] =
+    <Pi_s R_o|Pi_s R_o'>: the DFT over tau of the d n^2 overlaps
+    <R_o|e^{2 pi i tau/d} R_o'>.  The DFT leaves each sector an absolute
+    error of about eps times the largest overlap, as the sum over point
+    pairs does.  Only
+    the blocks of classes g <= h are formed (codewords of different classes
+    share no orbit): the rest follow from raw[nu, mu, l, k] =
+    conj(raw[mu, nu, k, l]), which the diagonal blocks are made to obey.
+    With d = 1 each class is one codeword, and these are the point-pair
+    sums over codeword pairs k <= l.
+    """
+    table = code_orbits(code)
+    K, d = code.dim, table.d
+    box = _index_box(code.modes, max_loss)
+    degrees = box.sum(axis=1)
+    reps = scale * code.all_points()[table.rows[:, 0]]
+    half = 0.5 * (np.abs(reps) ** 2).sum(axis=1)
+    monomials = _monomials(reps, max_loss)
+    b = table.spectrum(np.sqrt(np.concatenate([c.weights for c in code.logicals])))
+    turns = np.exp(2j * np.pi * np.arange(d) / d)
+    # Per class: its orbits, its codewords, b[c, k, o] over them and the
+    # monomials R_o^mu of its orbits.
+    classes = [(cols, ks, b[:, cols][..., ks].transpose(0, 2, 1), monomials[:, None, cols])
+               for cols, ks in table.classes]
+
+    def sides(c: int, sectors: np.ndarray) -> np.ndarray:
+        # L_s of class c for the given sectors s, rows (mu, k).
+        _, _, coef, mono = classes[c]
+        return (coef[(degrees + sectors[:, None]) % d] * mono).reshape(len(sectors), -1, mono.shape[2])
+
+    Q = len(box)
+    raw = np.empty((Q, Q, K, K), dtype=complex)
+    for g, (rows, ks, _, _) in enumerate(classes):
+        for h in range(g, len(classes)):
+            cols, ls = classes[h][:2]
+            # over[tau] = exp(e^{2 pi i tau/d} R_o^* . R_o' - half_o - half_o').
+            over = np.empty((d, rows.stop - rows.start, cols.stop - cols.start), dtype=complex)
+            np.matmul(np.conj(reps[rows]), reps[cols].T, out=over[0])
+            np.multiply(turns[1:, None, None], over[0], out=over[1:])
+            over -= half[rows, None]
+            over -= half[cols]
+            over = np.exp(over, out=over).reshape(d, -1)
+            # Sectors are taken a few at a time, each array of a group
+            # under _BATCH_BYTES.
+            width = max(rows.stop - rows.start, cols.stop - cols.start)
+            step = max(1, _BATCH_BYTES // (16 * width * max(width, Q * max(len(ks), len(ls)))))
+            block = np.zeros((Q * len(ks), Q * len(ls)), dtype=complex)
+            for lo in range(0, d, step):
+                sectors = np.arange(lo, min(lo + step, d))
+                # The DFT over tau (of one term when d = 1: the overlaps).
+                grams = (turns[-np.outer(sectors, np.arange(d)) % d] / d) @ over if d > 1 else over
+                grams = grams.reshape(len(sectors), rows.stop - rows.start, -1)
+                right = sides(h, sectors)
+                left = np.conj(right if h == g else sides(g, sectors))
+                block += (left @ (grams @ right.swapaxes(1, 2))).sum(axis=0)
+            block = block.reshape(Q, len(ks), Q, len(ls)).transpose(0, 2, 1, 3)
+            if h == g:
+                block = 0.5 * (block + np.conj(block.transpose(1, 0, 3, 2)))
+            raw[:, :, ks[:, None], ls] = block
+            raw[:, :, ls[:, None], ks] = np.conj(block.transpose(1, 0, 3, 2))
+    return raw
+
+
 def kl_report(code: CodeSpec, max_loss: int, scale: float) -> KLReport:
     """Evaluate the correction-condition blocks for all loss errors with at
     most ``max_loss`` total lost photons, exactly from coherent-state
-    matrix elements."""
+    matrix elements (``_raw_blocks``, orthonormalized)."""
     if not 0.0 < scale < np.inf:
         raise ValidationError("scale must be positive and finite")
     if max_loss < 0:
         raise ValidationError("max_loss must be nonnegative")
-    K, n = code.dim, code.modes
-    qs = list(multi_indices_upto(n, int(max_loss)))
-    # raw[mu, nu, k, l] = <C_k| prod (a^+)^mu a^nu |C_l>, expanded over point
-    # pairs: (sqrt(w_k) conj(F_k)) @ overlaps_kl @ (sqrt(w_l) F_l).T.  Only
-    # the overlap blocks with k <= l are formed: the rest follow from
-    # raw[nu, mu, l, k] = conj(raw[mu, nu, k, l]).
-    pts, sqrt_w = _stacked(code, scale)
-    cw = code.codeword_rows()
-    right = _monomials(pts, int(max_loss)) * sqrt_w
-    left = np.conj(right)
-    raw = np.empty((len(qs), len(qs), K, K), dtype=complex)
-    for k in range(K):
-        for l in range(k, K):
-            overlaps = _pairwise_overlaps(pts[cw[k]], pts[cw[l]])
-            raw[:, :, k, l] = left[:, cw[k]] @ overlaps @ right[:, cw[l]].T
-            if l > k:
-                raw[:, :, l, k] = raw[:, :, k, l].conj().T
+    K = code.dim
+    qs = list(multi_indices_upto(code.modes, int(max_loss)))
+    raw = _raw_blocks(code, int(max_loss), float(scale))
     # qs[0] is the zero multi-index, so raw[0, 0] is the codeword Gram.
     ginv = lowdin_inverse_sqrt(raw[0, 0])
     blocks = ginv @ raw @ ginv
@@ -205,17 +269,10 @@ class LossFidelity:
     gram_ratio: float
 
 
-# Points match under a rotation when every orbit agrees with the rotated
-# copies of its first point to this many ulps of the largest amplitude, and
-# weights to this many ulps of the largest weight: the size of the rounding
-# in the catalog's coordinates (3.2 ulps at most, on qsc12).  The sector
-# Grams are those of the rotated first points, so a looser match would
-# evaluate a slightly different code, a difference the inverse Gram ratio
-# amplifies like roundoff in the inputs; a missed match only costs speed.
-_ORBIT_ULPS = 8.0
 # A batch's largest arrays (the branch factors M, Q and y, 16 K N n bytes per
 # point for N points in n orbits) stay under this many bytes, and so does a
-# chunk of the power table; longer batches are split.  qcc24 and qsc24 batch
+# chunk of the power table, and a group of sectors of the KL blocks
+# (_raw_blocks); longer batches are split.  qcc24 and qsc24 batch
 # 7 points, qsc8 128; cube_orthoplex --D 6 (92 KB per point) and larger codes
 # go one point at a time.  The batches carry the per-call cost of the scale
 # searches.  Larger batches ran no faster and raised the peak RSS.
@@ -226,7 +283,7 @@ _BATCH_BYTES = 1 << 16
 # and 1008-term chunks raised a 14-point qcc8 batch's peak memory from 0.9
 # to 2.3 MiB.  The cap also keeps _sector_grams from overflowing: a chunk
 # of L terms has a first exponent up to L log 2, and this cap with d <= 1009
-# (_orbits) keeps L log 2 <= 700.  _BATCH_BYTES alone would not: it
+# (constellation._MAX_ORDER) keeps L log 2 <= 700.  _BATCH_BYTES alone would not: it
 # allows qsc8 (d = 8, one overlap entry) 4096-term chunks.
 _CHUNK_TERMS = 128
 
@@ -288,95 +345,51 @@ def _power_table(x: np.ndarray, half: np.ndarray, d: int) -> _Powers:
 
 @dataclass(frozen=True)
 class _Orbits:
-    """The largest phase rotation e^{2 pi i/d} that permutes a code's
-    points, keeps their weights and maps each codeword's points onto one
-    codeword, and the code's points arranged in its orbits.
+    """The loss engine's data on a code's orbit table (``table``, from
+    constellation.code_orbits): rotation order ``d``, ``rows`` (orbit o
+    holds the points e^{2 pi i t/d} r_o).
 
-    ``rows[o, t]`` is the row of e^{2 pi i t/d} r_o in ``code.all_points()``
-    (r_o is the point in row ``rows[o, 0]``).  The unit-scale log-overlaps
-    log <r_o|e^{2 pi i t/d} r_o'> = e^{2 pi i t/d} x[o, o'] - half[o, o']
-    are kept as ``x[o, o']`` = r_o^* . r_o' and ``half[o, o']`` =
-    (|r_o|^2 + |r_o'|^2)/2.  ``b[c, o, k]`` = sum_t e^{2 pi i c t/d}
-    sqrt(w) [owner = k], for the weight w and codeword ``owner`` of point
-    (o, t), expands Pi_c|C_k> over the Pi_c|r_o> (C_k the raw codewords),
-    and ``powers`` is the kappa-independent part of the sector series
-    (None when d = 1).
+    The unit-scale log-overlaps log <r_o|e^{2 pi i t/d} r_o'> =
+    e^{2 pi i t/d} x[o, o'] - half[o, o'] are kept as ``x[o, o']`` =
+    r_o^* . r_o' and ``half[o, o']`` = (|r_o|^2 + |r_o'|^2)/2.
+    ``b[c, o, k]`` = sum_t e^{2 pi i c t/d} sqrt(w) [owner = k], for the
+    weight w and codeword ``owner`` of point (o, t), expands Pi_c|C_k> over
+    the Pi_c|r_o> (C_k the raw codewords), and ``powers``, built on first
+    use, is the kappa-independent part of the sector series (None when
+    d = 1).
     """
 
-    d: int
-    rows: np.ndarray
+    table: Orbits
     half: np.ndarray
     x: np.ndarray
     abs_max: float
     b: np.ndarray
-    powers: Optional[_Powers]
 
+    @property
+    def d(self) -> int:
+        return self.table.d
 
-def _rotation_orbits(pts: np.ndarray, w: np.ndarray, owner: np.ndarray, d: int):
-    """The orbit table (see _Orbits.rows) of the rotation e^{2 pi i/d} when
-    it permutes the points, keeps their weights and maps every codeword
-    onto one codeword; None otherwise."""
-    eps = _ORBIT_ULPS * np.finfo(float).eps
-    tol = eps * max(1.0, float(np.abs(pts).max()))
-    perm = _match_points(pts, np.exp(2j * np.pi / d) * pts, tol)
-    if perm is None or np.abs(w[perm] - w).max() > eps * w.max():
-        return None
-    # Each codeword must land inside one codeword, by a permutation of the
-    # codewords; perm being a bijection then makes each image a whole
-    # codeword.
-    image = owner[perm]
-    first = image[np.searchsorted(owner, np.arange(owner[-1] + 1))]
-    if np.any(image != first[owner]) or np.bincount(first).max() > 1:
-        return None
-    seen = np.zeros(len(pts), dtype=bool)
-    rows = []
-    for a in range(len(pts)):
-        if not seen[a]:
-            orbit = [a]
-            for _ in range(d - 1):
-                orbit.append(int(perm[orbit[-1]]))
-            seen[orbit] = True
-            rows.append(orbit)
-    rows = np.array(rows)
-    if rows.size != len(pts):  # a point (near) the origin is its own image
-        return None
-    # Steps that each match within tol can drift by up to d tol along an
-    # orbit; the sector Grams use the rotated first points, so check those.
-    turns = np.exp(2j * np.pi * np.arange(d) / d)[None, :, None]
-    if np.linalg.norm(turns * pts[rows[:, :1]] - pts[rows], axis=2).max() > tol:
-        return None
-    return rows
+    @property
+    def rows(self) -> np.ndarray:
+        return self.table.rows
+
+    @cached_property
+    def powers(self) -> Optional[_Powers]:
+        return _power_table(self.x, self.half, self.d) if self.d > 1 else None
 
 
 # Codes hash by identity, so a table is found again for the same CodeSpec
 # object only.
 @lru_cache(maxsize=8)
 def _orbits(code: CodeSpec) -> _Orbits:
-    pts = code.all_points()
-    w = np.concatenate([c.weights for c in code.logicals])
-    owner = np.repeat(np.arange(code.dim), [c.size for c in code.logicals])
-    N = len(pts)
-    d, rows = 1, np.arange(N)[:, None]
-    # A point at the origin is fixed by every rotation, so no d > 1 acts
-    # freely; otherwise every orbit has d points and d divides N.
-    # d <= 1009 keeps a block of the sector series within L log 2 <= 700
-    # (see _sector_grams).
-    if np.abs(pts).max(axis=1).min() > 0.0:
-        for cand in range(min(N, 1009), 1, -1):
-            if N % cand == 0:
-                found = _rotation_orbits(pts, w, owner, cand)
-                if found is not None:
-                    d, rows = cand, found
-                    break
-    reps = pts[rows[:, 0]]
+    table = code_orbits(code)
+    reps = code.all_points()[table.rows[:, 0]]
     norms = (np.abs(reps) ** 2).sum(axis=1)
     x = np.conj(reps) @ reps.T
-    half = 0.5 * (norms[:, None] + norms[None, :])
-    coef = np.sqrt(w)[rows][..., None] * (owner[rows][..., None] == np.arange(code.dim))
     return _Orbits(
-        d=d, rows=rows, half=half, x=x, abs_max=float(np.abs(x).max()),
-        b=np.fft.ifft(coef, axis=1, norm="forward").transpose(1, 0, 2),
-        powers=_power_table(x, half, d) if d > 1 else None,
+        table=table, half=0.5 * (norms[:, None] + norms[None, :]), x=x,
+        abs_max=float(np.abs(x).max()),
+        b=table.spectrum(np.sqrt(np.concatenate([c.weights for c in code.logicals]))),
     )
 
 
@@ -718,8 +731,9 @@ def code_parameters(code: CodeSpec, ceiling: int, tol: float = 1e-9) -> ParamTri
 
     # Box |p|, |q| <= r grown one level at a time.  Its new pairs have
     # |p| = r or |q| = r, and M(q, p) = conj M(p, q) covers the latter.
+    # Boxes with 2 r < d_updown hold only pairs that d_updown has matched.
     t_down = ceiling
-    for r in range(1, ceiling):
+    for r in range((d_updown - 1) // 2 + 1, ceiling):
         if box.spread(_level(n, r), slice(0, comb(n + r, r))).max() > tol:
             t_down = r
             break

@@ -16,6 +16,16 @@ search, the CLI moment table, the KL blocks and the design check all read
 their monomials from these tables; the searches grow theirs only as far
 as they reach, and the pure-loss search streams its levels.
 
+The codes' moments are summed over orbits (``_BoxMoments``): when the
+phase rotation e^{2 pi i/d} permutes a code's points
+(``constellation.code_orbits``), point t of orbit o is e^{2 pi i t/d} r_o,
+and M_k(p, q) = sum_o conj(r_o^p) r_o^q D_k[(|q| - |p|) mod d, o] with
+D_k[c, o] = sum_t e^{2 pi i c t/d} w_(o,t) [owner = k], the DFT of the
+weights along each orbit.  This is the selection rule of a
+rotation-symmetric code: only the Fourier component c = |q| - |p| of each
+orbit's weights enters M(p, q).  The tables then have n = N/d columns,
+not N; a code with no such rotation has d = 1 and one orbit per point.
+
 The module also provides the exact rotation-invariant sphere integral of
 real monomials (the right-hand side a spherical design must reproduce), a
 design checker, and counting bounds on how many points a degree-t formula
@@ -33,7 +43,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constellation import CodeSpec, WeightedConstellation, embed_complex_to_real
+from .constellation import CodeSpec, WeightedConstellation, code_orbits, embed_complex_to_real
 from .errors import ValidationError
 
 MultiIndex = Tuple[int, ...]
@@ -167,28 +177,62 @@ def _check_tol(tol: float):
 _STREAM_BYTES = 1 << 20
 
 
+@lru_cache(maxsize=64)
+def _box_degrees(n: int, degree: int) -> np.ndarray:
+    """|u| of each row of ``_index_box(n, degree)``."""
+    return np.repeat(np.arange(degree + 1), [comb(n + k - 1, n - 1) for k in range(degree + 1)])
+
+
 class _BoxMoments:
     """Weighted moments of every logical constellation over row ranges of
-    the box |u| <= degree (rows as in ``_index_box``).
+    the box |u| <= degree (rows as in ``_index_box``), summed over the
+    orbits of the code's rotation symmetry (``code_orbits``).
 
-    One monomial table of every point serves all calls.  It starts at
-    degree 0 and grows to the highest level a request reaches, so a search
-    that stops early never builds the levels above where it stopped.
+    Point (o, t) of an orbit is e^{2 pi i t/d} r_o, so its monomial pair is
+    e^{2 pi i t (|q| - |p|)/d} conj(r_o^p) r_o^q, and
+
+        M_k(p, q) = sum_o conj(r_o^p) r_o^q D[k, (|q| - |p|) mod d, o],
+        D[k, c, o] = sum_t e^{2 pi i c t/d} w_(o,t) [owner = k],
+
+    the selection rule of a rotation-symmetric code: the DFT of the
+    weights along each orbit.  Codewords of one class (see ``Orbits``)
+    share its orbits and no other codeword reaches them, so each class is
+    summed over its own orbits.
+
+    One monomial table of the representatives serves all calls.  It starts
+    at degree 0 and grows to the highest level a request reaches, so a
+    search that stops early never builds the levels above where it
+    stopped.
     """
 
     def __init__(self, code: CodeSpec):
-        self.points = code.all_points()
-        self.weights = np.concatenate([c.weights for c in code.logicals])
-        self.codeword_rows = code.codeword_rows()
+        orbits = code_orbits(code)
+        self.points = code.all_points()[orbits.rows[:, 0]]
+        self.d = orbits.d
+        spectrum = orbits.spectrum(np.concatenate([c.weights for c in code.logicals]))
+        # (orbit slice, codewords, D over them) per class, and the order of
+        # the codewords the classes list.
+        self.classes = [(cols, ks, np.ascontiguousarray(spectrum[:, cols][..., ks].transpose(2, 0, 1)))
+                        for cols, ks in orbits.classes]
+        self.order = np.argsort(np.concatenate([ks for _, ks in orbits.classes]))
         self._empty()
 
     def _empty(self):
         self.table = np.ones((1, len(self.points)), dtype=np.result_type(self.points, float))
+        self._index(0)
+
+    def _index(self, degree: int):
+        # turns[a, j] = (|u_j| - a) mod d: the weight row of a row u_j of
+        # the table against the p of level a.
+        degrees = _box_degrees(self.points.shape[1], degree)
+        self.degrees = degrees
+        self.turns = (degrees - np.arange(degree + 1)[:, None]) % self.d
 
     def _reach(self, rows: int):
         if rows > len(self.table):
             degree = _box_degree(self.points.shape[1], rows)
             self.table = _monomials(self.points, degree, self.table)
+            self._index(degree)
 
     def level(self, k: int) -> np.ndarray:
         """The table's rows u with |u| == k (a view)."""
@@ -197,14 +241,24 @@ class _BoxMoments:
         return self.table[_level(n, k)]
 
     def moments(self, ps: slice, qs: slice) -> np.ndarray:
-        """moments(ps, qs)[k, i, j] = M_k(p_i, q_j) for box row ranges ps, qs
-        (each with an explicit stop)."""
+        """moments(ps, qs)[k, i, j] = M_k(p_i, q_j) for box row ranges ps
+        (one level) and qs (each with an explicit stop)."""
         self._reach(max(ps.stop, qs.stop))
-        table = self.table
-        return np.array([
-            (np.conj(table[ps, cw]) * self.weights[cw]) @ table[qs, cw].T
-            for cw in self.codeword_rows
-        ])
+        table, degrees = self.table, self.degrees
+        turn = self.turns[degrees[ps.start], qs]
+        # With one level of q (or d = 1) every q has the same weight row,
+        # which then goes with the smaller p side.
+        one_row = self.d == 1 or degrees[qs.start] == degrees[qs.stop - 1]
+        parts = []
+        for cols, _, weights in self.classes:
+            left = np.conj(table[ps, cols])
+            if one_row:
+                parts.append((left * weights[:, turn[0], None]) @ table[qs, cols].T)
+            else:
+                right = weights[:, turn]
+                right *= table[qs, cols]
+                parts.append(left @ right.swapaxes(1, 2))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)[self.order]
 
     def spread(self, ps: slice, qs: slice) -> np.ndarray:
         """spread(ps, qs)[i, j] = max_k |M_k(p_i, q_j) - M_0(p_i, q_j)| over the
@@ -218,21 +272,23 @@ class _BoxMoments:
         constellations by more than tol; stop when none does.
 
         The search takes the table's level k and empties the table.  Each
-        higher level is computed from the one below in blocks of points
-        that never straddle a codeword, and the level below is dropped block
+        higher level is computed from the one below in blocks of orbits
+        that never straddle a class, and the level below is dropped block
         by block, so the search holds about one level whatever its degree.
         """
-        z, w, n = self.points, self.weights, self.points.shape[1]
+        z, n = self.points, self.points.shape[1]
         top = self.level(k)
-        # (codeword, first point, the block's level) for each block of points.
-        blocks = [(c, cw.start, top[:, cw]) for c, cw in enumerate(self.codeword_rows)]
+        # (class, first orbit, the block's level) for each block of orbits.
+        blocks = [(i, cols.start, top[:, cols]) for i, (cols, _, _) in enumerate(self.classes)]
         itemsize = top.itemsize
         del top
         self._empty()
         while True:
-            sums = np.zeros((len(self.codeword_rows), blocks[0][2].shape[0]), dtype=complex)
-            for c, start, level in blocks:
-                sums[c] += level @ w[start:start + level.shape[1]]
+            sums = np.zeros((len(self.order), blocks[0][2].shape[0]), dtype=complex)
+            for i, start, level in blocks:
+                cols, ks, weights = self.classes[i]
+                lo = start - cols.start
+                sums[ks] += weights[:, k % self.d, lo:lo + level.shape[1]] @ level.T
             if np.abs(sums - sums[0]).max() > tol:
                 return k
             k += 1
@@ -241,11 +297,11 @@ class _BoxMoments:
             width = max(1, _STREAM_BYTES // (itemsize * comb(n + k - 1, n - 1)))
             grown = []
             while blocks:
-                c, start, prev = blocks.pop()
+                i, start, prev = blocks.pop()
                 for lo in range(0, prev.shape[1], width):
                     part = prev[:, lo:lo + width]
                     a = start + lo
-                    grown.append((c, a, _next_level(part, z[a:a + part.shape[1]], k)))
+                    grown.append((i, a, _next_level(part, z[a:a + part.shape[1]], k)))
             blocks = grown
 
 
@@ -274,6 +330,16 @@ def pair_moments(code: CodeSpec, degree: int) -> Tuple[np.ndarray, np.ndarray]:
     # By total degree, then lexicographically (lexsort's last key is primary).
     order = np.lexsort(np.vstack([pairs.T[::-1], pairs.sum(axis=1)]))
     return pairs[order], np.concatenate(blocks, axis=1)[:, order]
+
+
+def pairs_match_degree(pairs: np.ndarray, moments: np.ndarray, tol: float = 1e-9) -> int:
+    """``moment_match_degree`` read off ``pair_moments(code, t_max)``: the
+    largest t <= t_max with every pair of total degree 1..t agreeing across
+    the logical constellations within tol."""
+    _check_tol(tol)
+    degree = pairs.sum(axis=1)
+    failed = degree[(np.abs(moments - moments[0]).max(axis=0) > tol) & (degree > 0)]
+    return int(failed.min()) - 1 if failed.size else int(degree.max(initial=0))
 
 
 def _match_degree(n: int, spread, t_max: int, tol: float) -> int:

@@ -111,6 +111,20 @@ def test_moments_csv_columns(tmp_path, capsys):
     assert header == "p,q,moment0_re,moment0_im,moment1_re,moment1_im,max_deviation"
 
 
+def test_moments_reports_the_first_of_tied_deviations(capsys):
+    # Four pairs of the two-shell 24-cell deviate by 0.7384615384615385 up
+    # to roundoff: (p, q) = ((0, 2), (0, 6)), ((0, 6), (0, 2)) and their
+    # mode swaps.  The first in table order is reported, whatever the last
+    # bits of the sums.
+    status, out, _ = run_cli(
+        capsys, "moments", "--catalog", "twoshell_24cell", "--tau", "2", "--r1", "1",
+        "--max-degree", "8",
+    )
+    assert status == 0
+    assert "largest deviation 0.738461538462 at (p, q) = ((0, 2), (0, 6))" in out.splitlines()
+    assert "moment match degree: 7 (searched to 8, tol 1e-09)" in out.splitlines()
+
+
 def test_kl_csv_written(tmp_path, capsys):
     out = tmp_path / "kl.csv"
     status, _, _ = run_cli(

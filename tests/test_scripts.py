@@ -40,8 +40,14 @@ def test_catalog_report_script_prints_its_table(fresh_python):
     ["--grid", "0.8", "3.3", "0"],
     ["--grid", "0.8", "3.3", "6.7"],
     ["--grid", "0.8", "3.3", "2", "--gammas", "1.5"],
+    ["--pairs", "8", "--grid", "0.8", "3.3", "2", "--gammas", "0.1", "-0.1"],
+    ["--pairs", "8", "--grid", "0", "3.3", "2"],
+    ["--pairs", "8", "--grid", "0.8", "nan", "2"],
 ], ids=lambda v: " ".join(v))
 def test_loss_benchmark_script_rejects_bad_input(fresh_python, tmp_path, args):
-    proc = fresh_python(str(SCRIPTS / "run_loss_benchmark.py"), *args, "--outdir", str(tmp_path))
+    # A rejected run writes nothing: the checks come before --outdir is made.
+    outdir = tmp_path / "out"
+    proc = fresh_python(str(SCRIPTS / "run_loss_benchmark.py"), *args, "--outdir", str(outdir))
     assert proc.returncode == 2
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert not outdir.exists() or not any(outdir.iterdir())
