@@ -363,19 +363,22 @@ class Orbits:
     permutes a code's points, keeps their weights and maps each codeword
     onto one codeword, with the points arranged in its orbits.
 
-    ``rows[o, t]`` is the row of e^{2 pi i t/d} r_o in ``code.all_points()``,
-    where the representative r_o is the orbit's first point in that order;
-    orbits are ordered by it.  ``owner`` is each point's codeword.  The
-    rotation permutes the codewords, and an orbit visits every codeword of
-    one cycle of that permutation, so each cycle is a class of codewords
-    with orbits of their own: ``classes`` holds, per class, the slice of
-    its orbits (they are consecutive) and its codewords, ascending.  A code
-    with no such rotation has d = 1: one orbit per point, and one class per
-    codeword.
+    ``points`` and ``weights`` are the code's stacked points
+    (``code.all_points()``) and weights, and ``owner`` each point's
+    codeword.  ``rows[o, t]`` is the row of e^{2 pi i t/d} r_o in
+    ``points``, where the representative r_o is the orbit's first point in
+    that order; orbits are ordered by it.  The rotation permutes the
+    codewords, and an orbit visits every codeword of one cycle of that
+    permutation, so each cycle is a class of codewords with orbits of their
+    own: ``classes`` holds, per class, the slice of its orbits (they are
+    consecutive) and its codewords, ascending.  A code with no such
+    rotation has d = 1: one orbit per point, and one class per codeword.
     """
 
     d: int
     rows: np.ndarray
+    points: np.ndarray
+    weights: np.ndarray
     owner: np.ndarray
     classes: tuple
 
@@ -388,10 +391,11 @@ class Orbits:
 
 
 def _orbit_rows(pts: np.ndarray, w: np.ndarray, owner: np.ndarray, d: int,
-                tol: float) -> Optional[np.ndarray]:
-    """The orbit table (see Orbits.rows) of the rotation e^{2 pi i/d} when
-    it permutes the points, keeps their weights and maps every codeword
-    onto one codeword; None otherwise."""
+                tol: float) -> Optional[tuple]:
+    """The orbit table (see Orbits.rows) of the rotation e^{2 pi i/d}, and
+    the codeword each codeword goes to, when the rotation permutes the
+    points, keeps their weights and maps every codeword onto one codeword;
+    None otherwise."""
     perm = _match_points(pts, np.exp(2j * np.pi / d) * pts, tol)
     if perm is None or np.abs(w[perm] - w).max() > _ORBIT_ULPS * np.finfo(float).eps * w.max():
         return None
@@ -419,7 +423,7 @@ def _orbit_rows(pts: np.ndarray, w: np.ndarray, owner: np.ndarray, d: int,
     turns = np.exp(2j * np.pi * np.arange(d) / d)[None, :, None]
     if _squared_norms(turns * pts[rows[:, :1]] - pts[rows]).max() > tol * tol:
         return None
-    return rows
+    return rows, first.tolist()
 
 
 # Codes hash by identity, so a table is found again for the same CodeSpec
@@ -442,21 +446,27 @@ def code_orbits(code: CodeSpec) -> Orbits:
     along = pts @ np.conj(pts[0])
     phase = along / np.where(along == 0.0, 1.0, np.abs(along))
     circle = int((_squared_norms(pts - phase[:, None] * pts[0]) <= tol * tol).sum())
-    d, rows = 1, np.arange(N)[:, None]
+    d, rows, goes_to = 1, np.arange(N)[:, None], range(code.dim)
     for cand in range(min(circle, _MAX_ORDER), 1, -1):
         if N % cand == 0 and circle % cand == 0:
             found = _orbit_rows(pts, w, owner, cand, tol)
             if found is not None:
-                d, rows = cand, found
+                d, (rows, goes_to) = cand, found
                 break
-    # An orbit's first point lies in the first codeword of its class.
-    lead = owner[rows[:, 0]]
-    label = np.empty(code.dim, dtype=int)
-    label[owner[rows]] = lead[:, None]
-    bounds = np.flatnonzero(np.diff(lead, prepend=-1)).tolist() + [len(rows)]
-    classes = tuple((slice(lo, hi), np.flatnonzero(label == lead[lo]))
-                    for lo, hi in zip(bounds[:-1], bounds[1:]))
-    return Orbits(d=d, rows=rows, owner=owner, classes=classes)
+    # Each cycle of the codewords is a class.  An orbit's first point lies
+    # in the first codeword of its class, so the classes' orbits follow in
+    # the order of those codewords.
+    cycles, seen = [], set()
+    for k in range(code.dim):
+        if k not in seen:
+            cycle = [k]
+            while goes_to[cycle[-1]] != k:
+                cycle.append(int(goes_to[cycle[-1]]))
+            seen.update(cycle)
+            cycles.append(sorted(cycle))
+    bounds = np.searchsorted(owner[rows[:, 0]], [c[0] for c in cycles] + [code.dim]).tolist()
+    classes = tuple((slice(lo, hi), np.array(c)) for c, lo, hi in zip(cycles, bounds[:-1], bounds[1:]))
+    return Orbits(d=d, rows=rows, points=pts, weights=w, owner=owner, classes=classes)
 
 
 def resolution(code: CodeSpec) -> float:
@@ -472,10 +482,10 @@ def resolution(code: CodeSpec) -> float:
     scan forms a pair, and the result is the all-pairs minimum exactly.
     With d = 1 the scan is every pair, and a pair is its only copy.
     """
-    pts = code.all_points()
+    orbits = code_orbits(code)
+    pts = orbits.points
     if pts.shape[0] < 2:
         raise ValidationError("resolution needs at least 2 points")
-    orbits = code_orbits(code)
     d, tol = orbits.d, _orbit_tol(pts)
 
     def margin(least: float) -> float:

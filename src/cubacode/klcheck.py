@@ -178,10 +178,10 @@ def _raw_blocks(code: CodeSpec, max_loss: int, scale: float) -> np.ndarray:
     K, d = code.dim, table.d
     box = _index_box(code.modes, max_loss)
     degrees = box.sum(axis=1)
-    reps = scale * code.all_points()[table.rows[:, 0]]
+    reps = scale * table.points[table.rows[:, 0]]
     half = 0.5 * (np.abs(reps) ** 2).sum(axis=1)
     monomials = _monomials(reps, max_loss)
-    b = table.spectrum(np.sqrt(np.concatenate([c.weights for c in code.logicals])))
+    b = table.spectrum(np.sqrt(table.weights))
     turns = np.exp(2j * np.pi * np.arange(d) / d)
     # Per class: its orbits, its codewords, b[c, k, o] over them and the
     # monomials R_o^mu of its orbits.
@@ -239,13 +239,16 @@ def kl_report(code: CodeSpec, max_loss: int, scale: float) -> KLReport:
     raw = _raw_blocks(code, int(max_loss), float(scale))
     # qs[0] is the zero multi-index, so raw[0, 0] is the codeword Gram.
     ginv = lowdin_inverse_sqrt(raw[0, 0])
-    blocks = ginv @ raw @ ginv
+    # blocks[mu, nu] = ginv @ raw[mu, nu] @ ginv, as two products over the
+    # stacked blocks: a stack of K x K products was most of kl's time.
+    right = (raw.reshape(-1, K) @ ginv).reshape(raw.shape)
+    blocks = (right.swapaxes(2, 3).reshape(-1, K) @ ginv.T).reshape(raw.shape).swapaxes(2, 3)
 
     diag = np.diagonal(blocks, axis1=2, axis2=3)
     off = np.abs(blocks - diag[..., None] * np.eye(K)).max(axis=(2, 3))
     unit = np.maximum(np.abs(diag).max(axis=2), 1.0)
     spread = np.abs(diag[..., :, None] - diag[..., None, :]).max(axis=(2, 3))
-    matrices = {(mu, nu): blocks[i, j] for i, mu in enumerate(qs) for j, nu in enumerate(qs)}
+    matrices = dict(zip([(mu, nu) for mu in qs for nu in qs], blocks.reshape(-1, K, K)))
     return KLReport(
         error_set_label=f"loss<={max_loss}",
         matrices=matrices,
@@ -383,13 +386,13 @@ class _Orbits:
 @lru_cache(maxsize=8)
 def _orbits(code: CodeSpec) -> _Orbits:
     table = code_orbits(code)
-    reps = code.all_points()[table.rows[:, 0]]
+    reps = table.points[table.rows[:, 0]]
     norms = (np.abs(reps) ** 2).sum(axis=1)
     x = np.conj(reps) @ reps.T
     return _Orbits(
         table=table, half=0.5 * (norms[:, None] + norms[None, :]), x=x,
         abs_max=float(np.abs(x).max()),
-        b=table.spectrum(np.sqrt(np.concatenate([c.weights for c in code.logicals]))),
+        b=table.spectrum(np.sqrt(table.weights)),
     )
 
 
@@ -734,7 +737,7 @@ def code_parameters(code: CodeSpec, ceiling: int, tol: float = 1e-9) -> ParamTri
     # Boxes with 2 r < d_updown hold only pairs that d_updown has matched.
     t_down = ceiling
     for r in range((d_updown - 1) // 2 + 1, ceiling):
-        if box.spread(_level(n, r), slice(0, comb(n + r, r))).max() > tol:
+        if box.spread(_level(n, r), slice(0, comb(n + r, r))) > tol:
             t_down = r
             break
 

@@ -207,9 +207,9 @@ class _BoxMoments:
 
     def __init__(self, code: CodeSpec):
         orbits = code_orbits(code)
-        self.points = code.all_points()[orbits.rows[:, 0]]
+        self.points = orbits.points[orbits.rows[:, 0]]
         self.d = orbits.d
-        spectrum = orbits.spectrum(np.concatenate([c.weights for c in code.logicals]))
+        spectrum = orbits.spectrum(orbits.weights)
         # (orbit slice, codewords, D over them) per class, and the order of
         # the codewords the classes list.
         self.classes = [(cols, ks, np.ascontiguousarray(spectrum[:, cols][..., ks].transpose(2, 0, 1)))
@@ -260,11 +260,11 @@ class _BoxMoments:
                 parts.append(left @ right.swapaxes(1, 2))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)[self.order]
 
-    def spread(self, ps: slice, qs: slice) -> np.ndarray:
-        """spread(ps, qs)[i, j] = max_k |M_k(p_i, q_j) - M_0(p_i, q_j)| over the
-        logical constellations k."""
+    def spread(self, ps: slice, qs: slice) -> float:
+        """The largest |M_k(p, q) - M_0(p, q)| over the pairs of the row
+        ranges and the logical constellations k."""
         moms = self.moments(ps, qs)
-        return np.abs(moms - moms[0]).max(axis=0)
+        return float(np.abs(moms - moms[0]).max())
 
     def pure_loss_degree(self, k: int, stop: int, tol: float) -> int:
         """The first degree in [k, stop) at which some pure-loss moment
@@ -346,7 +346,7 @@ def _match_degree(n: int, spread, t_max: int, tol: float) -> int:
     # Blocks of fixed |p| <= |q|, one degree at a time, up to t_max.
     for degree in range(1, t_max + 1):
         for dp in range(degree // 2 + 1):
-            if spread(_level(n, dp), _level(n, degree - dp)).max() > tol:
+            if spread(_level(n, dp), _level(n, degree - dp)) > tol:
                 return degree - 1
     return t_max
 
