@@ -211,14 +211,15 @@ def cmd_moments(args) -> int:
     pairs, moms = pair_moments(code, args.max_degree)
     t = pairs_match_degree(pairs, moms, tol=args.tol)
     devs = np.abs(moms - moms[0]).max(axis=0)
-    # The first pair within tol of the largest deviation: pairs that tie
-    # (M(q, p) is the conjugate of M(p, q)) differ only by roundoff, which
-    # must not pick the one reported.
-    worst = int(np.flatnonzero(devs >= devs.max() - args.tol)[0])
+    # The first pair within 64 ulps of the largest deviation: pairs that
+    # tie (M(q, p) is the conjugate of M(p, q)) differ only by roundoff,
+    # which must not pick the one reported.
+    largest = float(devs.max())
+    worst = int(np.flatnonzero(devs >= largest * (1.0 - 64 * np.finfo(float).eps))[0])
     where = (tuple(pairs[worst, :n].tolist()), tuple(pairs[worst, n:].tolist()))
     lines = _header(args) + [
         f"moment match degree: {t} (searched to {args.max_degree}, tol {_fmt(args.tol)})",
-        f"largest deviation {_fmt(devs[worst])} at (p, q) = {where if devs[worst] > 0 else None}",
+        f"largest deviation {_fmt(largest)} at (p, q) = {where if largest > 0 else None}",
     ]
     table = None
     if args.out:

@@ -373,6 +373,8 @@ class Orbits:
     own: ``classes`` holds, per class, the slice of its orbits (they are
     consecutive) and its codewords, ascending.  A code with no such
     rotation has d = 1: one orbit per point, and one class per codeword.
+    ``derived`` keeps data that a user of the table builds from it once per
+    code (the loss engine's, see klcheck._orbits), by name.
     """
 
     d: int
@@ -381,13 +383,16 @@ class Orbits:
     weights: np.ndarray
     owner: np.ndarray
     classes: tuple
+    derived: dict = field(default_factory=dict, repr=False)
 
     def spectrum(self, values: np.ndarray) -> np.ndarray:
         """[c, o, k] = sum_t e^{2 pi i c t/d} values[a] [owner(a) = k] for
         the points a = rows[o, t]: a DFT along each orbit, per codeword."""
         coef = values[self.rows][..., None] * (self.owner[self.rows][..., None]
                                                == np.arange(self.owner[-1] + 1))
-        return np.fft.ifft(coef, axis=1, norm="forward").transpose(1, 0, 2)
+        if self.d > 1:  # (the DFT of one term is that term)
+            coef = np.fft.ifft(coef, axis=1, norm="forward")
+        return coef.transpose(1, 0, 2)
 
 
 def _orbit_rows(pts: np.ndarray, w: np.ndarray, owner: np.ndarray, d: int,
@@ -440,19 +445,26 @@ def code_orbits(code: CodeSpec) -> Orbits:
     """
     pts = code.all_points()
     w = np.concatenate([c.weights for c in code.logicals])
-    owner = np.repeat(np.arange(code.dim), [c.size for c in code.logicals])
+    sizes = [c.size for c in code.logicals]
+    owner = np.repeat(np.arange(code.dim), sizes)
     N = len(pts)
     tol = _orbit_tol(pts)
     along = pts @ np.conj(pts[0])
     phase = along / np.where(along == 0.0, 1.0, np.abs(along))
     circle = int((_squared_norms(pts - phase[:, None] * pts[0]) <= tol * tol).sum())
-    d, rows, goes_to = 1, np.arange(N)[:, None], range(code.dim)
-    for cand in range(min(circle, _MAX_ORDER), 1, -1):
-        if N % cand == 0 and circle % cand == 0:
-            found = _orbit_rows(pts, w, owner, cand, tol)
+    for d in range(min(circle, _MAX_ORDER), 1, -1):
+        if N % d == 0 and circle % d == 0:
+            found = _orbit_rows(pts, w, owner, d, tol)
             if found is not None:
-                d, (rows, goes_to) = cand, found
+                rows, goes_to = found
                 break
+    else:
+        # d = 1: each point is an orbit and each codeword a class.
+        ends = np.cumsum(sizes).tolist()
+        classes = tuple((slice(end - size, end), np.array([k]))
+                        for k, (size, end) in enumerate(zip(sizes, ends)))
+        return Orbits(d=1, rows=np.arange(N)[:, None], points=pts, weights=w, owner=owner,
+                      classes=classes)
     # Each cycle of the codewords is a class.  An orbit's first point lies
     # in the first codeword of its class, so the classes' orbits follow in
     # the order of those codewords.

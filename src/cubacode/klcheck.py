@@ -35,7 +35,7 @@ multi-indices, stopping at the first degree that fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import comb, lgamma
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -48,6 +48,7 @@ from .moments import (
     _check_tol,
     _index_box,
     _level,
+    _level_spreads,
     _match_degree,
     _monomials,
     multi_indices_upto,
@@ -167,9 +168,9 @@ def _raw_blocks(code: CodeSpec, max_loss: int, scale: float) -> np.ndarray:
     <Pi_s R_o|Pi_s R_o'>: the DFT over tau of the d n^2 overlaps
     <R_o|e^{2 pi i tau/d} R_o'>.  The DFT leaves each sector an absolute
     error of about eps times the largest overlap, as the sum over point
-    pairs does.  Only
-    the blocks of classes g <= h are formed (codewords of different classes
-    share no orbit): the rest follow from raw[nu, mu, l, k] =
+    pairs does.  Only the blocks of classes g <= h are formed (codewords of
+    different classes share no orbit), into one matrix with rows (mu, k)
+    class by class; the rest follow from raw[nu, mu, l, k] =
     conj(raw[mu, nu, k, l]), which the diagonal blocks are made to obey.
     With d = 1 each class is one codeword, and these are the point-pair
     sums over codeword pairs k <= l.
@@ -177,53 +178,55 @@ def _raw_blocks(code: CodeSpec, max_loss: int, scale: float) -> np.ndarray:
     table = code_orbits(code)
     K, d = code.dim, table.d
     box = _index_box(code.modes, max_loss)
-    degrees = box.sum(axis=1)
+    Q, degrees = len(box), box.sum(axis=1)
     reps = scale * table.points[table.rows[:, 0]]
+    conj_reps = np.conj(reps)
     half = 0.5 * (np.abs(reps) ** 2).sum(axis=1)
     monomials = _monomials(reps, max_loss)
     b = table.spectrum(np.sqrt(table.weights))
     turns = np.exp(2j * np.pi * np.arange(d) / d)
-    # Per class: its orbits, its codewords, b[c, k, o] over them and the
-    # monomials R_o^mu of its orbits.
-    classes = [(cols, ks, b[:, cols][..., ks].transpose(0, 2, 1), monomials[:, None, cols])
-               for cols, ks in table.classes]
-
-    def sides(c: int, sectors: np.ndarray) -> np.ndarray:
-        # L_s of class c for the given sectors s, rows (mu, k).
-        _, _, coef, mono = classes[c]
-        return (coef[(degrees + sectors[:, None]) % d] * mono).reshape(len(sectors), -1, mono.shape[2])
-
-    Q = len(box)
-    raw = np.empty((Q, Q, K, K), dtype=complex)
-    for g, (rows, ks, _, _) in enumerate(classes):
-        for h in range(g, len(classes)):
-            cols, ls = classes[h][:2]
-            # over[tau] = exp(e^{2 pi i tau/d} R_o^* . R_o' - half_o - half_o').
-            over = np.empty((d, rows.stop - rows.start, cols.stop - cols.start), dtype=complex)
-            np.matmul(np.conj(reps[rows]), reps[cols].T, out=over[0])
-            np.multiply(turns[1:, None, None], over[0], out=over[1:])
-            over -= half[rows, None]
-            over -= half[cols]
-            over = np.exp(over, out=over).reshape(d, -1)
-            # Sectors are taken a few at a time, each array of a group
-            # under _BATCH_BYTES.
-            width = max(rows.stop - rows.start, cols.stop - cols.start)
-            step = max(1, _BATCH_BYTES // (16 * width * max(width, Q * max(len(ks), len(ls)))))
-            block = np.zeros((Q * len(ks), Q * len(ls)), dtype=complex)
-            for lo in range(0, d, step):
-                sectors = np.arange(lo, min(lo + step, d))
-                # The DFT over tau (of one term when d = 1: the overlaps).
-                grams = (turns[-np.outer(sectors, np.arange(d)) % d] / d) @ over if d > 1 else over
-                grams = grams.reshape(len(sectors), rows.stop - rows.start, -1)
-                right = sides(h, sectors)
-                left = np.conj(right if h == g else sides(g, sectors))
-                block += (left @ (grams @ right.swapaxes(1, 2))).sum(axis=0)
-            block = block.reshape(Q, len(ks), Q, len(ls)).transpose(0, 2, 1, 3)
-            if h == g:
-                block = 0.5 * (block + np.conj(block.transpose(1, 0, 3, 2)))
-            raw[:, :, ks[:, None], ls] = block
-            raw[:, :, ls[:, None], ks] = np.conj(block.transpose(1, 0, 3, 2))
-    return raw
+    # Per class: its orbits, b[c, k, o] over them, the monomials R_o^mu of
+    # its orbits and its rows in the matrix.  place[mu, k] is the row of
+    # (mu, k).
+    classes, place, start = [], np.empty((Q, K), dtype=int), 0
+    for cols, ks in table.classes:
+        span = slice(start, start + Q * len(ks))
+        place[:, ks] = np.arange(span.start, span.stop).reshape(Q, len(ks))
+        classes.append((cols, b[:, cols][..., ks].transpose(0, 2, 1), monomials[:, None, cols], span))
+        start = span.stop
+    pairs = [(g, h) for g in range(len(classes)) for h in range(g, len(classes))]
+    # over[tau] = exp(e^{2 pi i tau/d} R_o^* . R_o' - half_o - half_o') per
+    # pair of classes.
+    overs = []
+    for g, h in pairs:
+        rows, cols = classes[g][0], classes[h][0]
+        over = np.empty((d, rows.stop - rows.start, cols.stop - cols.start), dtype=complex)
+        np.matmul(conj_reps[rows], reps[cols].T, out=over[0])
+        np.multiply(turns[1:, None, None], over[0], out=over[1:])
+        over -= half[rows, None]
+        over -= half[cols]
+        overs.append(np.exp(over, out=over).reshape(d, -1))
+    # Sectors are taken a few at a time, each array of a group under
+    # _BATCH_BYTES.
+    width = max(cols.stop - cols.start for cols, *_ in classes)
+    kmax = max(len(ks) for _, ks in table.classes)
+    step = max(1, _BATCH_BYTES // (16 * width * max(width, Q * kmax)))
+    full = np.zeros((Q * K, Q * K), dtype=complex)
+    for lo in range(0, d, step):
+        sectors = np.arange(lo, min(lo + step, d))
+        # L_s of each class for these sectors, rows (mu, k).
+        sides = [(coef[(degrees + sectors[:, None]) % d] * mono).reshape(len(sectors), -1, mono.shape[2])
+                 for _, coef, mono, _ in classes]
+        dft = turns[-np.outer(sectors, np.arange(d)) % d] / d
+        for (g, h), over in zip(pairs, overs):
+            # The DFT over tau (of one term when d = 1: the overlaps).
+            grams = (dft @ over if d > 1 else over).reshape(len(sectors), sides[g].shape[2], -1)
+            full[classes[g][3], classes[h][3]] += (
+                np.conj(sides[g]) @ (grams @ sides[h].swapaxes(1, 2))).sum(axis=0)
+    for *_, span in classes:
+        full[span, span] *= 0.5
+    full += np.conj(full.T)
+    return full[place[:, None, :, None], place[None, :, None, :]]
 
 
 def kl_report(code: CodeSpec, max_loss: int, scale: float) -> KLReport:
@@ -349,51 +352,45 @@ def _power_table(x: np.ndarray, half: np.ndarray, d: int) -> _Powers:
 @dataclass(frozen=True)
 class _Orbits:
     """The loss engine's data on a code's orbit table (``table``, from
-    constellation.code_orbits): rotation order ``d``, ``rows`` (orbit o
-    holds the points e^{2 pi i t/d} r_o).
+    constellation.code_orbits) of the rotation of order ``d``.
 
     The unit-scale log-overlaps log <r_o|e^{2 pi i t/d} r_o'> =
-    e^{2 pi i t/d} x[o, o'] - half[o, o'] are kept as ``x[o, o']`` =
-    r_o^* . r_o' and ``half[o, o']`` = (|r_o|^2 + |r_o'|^2)/2.
-    ``b[c, o, k]`` = sum_t e^{2 pi i c t/d} sqrt(w) [owner = k], for the
-    weight w and codeword ``owner`` of point (o, t), expands Pi_c|C_k> over
-    the Pi_c|r_o> (C_k the raw codewords), and ``powers``, built on first
-    use, is the kappa-independent part of the sector series (None when
-    d = 1).
+    e^{2 pi i t/d} x[o, o'] - half[o, o'] of the representatives r_o are
+    kept as ``x[o, o']`` = r_o^* . r_o' and ``half[o, o']`` = (|r_o|^2 +
+    |r_o'|^2)/2.  ``b[c, o, k]`` = sum_t e^{2 pi i c t/d} sqrt(w) [owner =
+    k], for the weight w and codeword ``owner`` of point (o, t), expands
+    Pi_c|C_k> over the Pi_c|r_o> (C_k the raw codewords), and ``powers``,
+    built on first use, is the kappa-independent part of the sector series
+    (None when d = 1).
     """
 
     table: Orbits
+    d: int
     half: np.ndarray
     x: np.ndarray
     abs_max: float
     b: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return self.table.d
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self.table.rows
 
     @cached_property
     def powers(self) -> Optional[_Powers]:
         return _power_table(self.x, self.half, self.d) if self.d > 1 else None
 
 
-# Codes hash by identity, so a table is found again for the same CodeSpec
-# object only.
-@lru_cache(maxsize=8)
 def _orbits(code: CodeSpec) -> _Orbits:
+    """The loss engine's data for a code, built once and kept with its
+    orbit table (so found again for the same CodeSpec object only)."""
     table = code_orbits(code)
-    reps = table.points[table.rows[:, 0]]
-    norms = (np.abs(reps) ** 2).sum(axis=1)
-    x = np.conj(reps) @ reps.T
-    return _Orbits(
-        table=table, half=0.5 * (norms[:, None] + norms[None, :]), x=x,
-        abs_max=float(np.abs(x).max()),
-        b=table.spectrum(np.sqrt(table.weights)),
-    )
+    engine = table.derived.get("loss")
+    if engine is None:
+        reps = table.points[table.rows[:, 0]]
+        norms = (np.abs(reps) ** 2).sum(axis=1)
+        x = np.conj(reps) @ reps.T
+        engine = table.derived["loss"] = _Orbits(
+            table=table, d=table.d, half=0.5 * (norms[:, None] + norms[None, :]), x=x,
+            abs_max=float(np.abs(x).max()),
+            b=table.spectrum(np.sqrt(table.weights)),
+        )
+    return engine
 
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -606,7 +603,7 @@ def loss_fidelities(
         if not 0.0 < scale < np.inf:
             raise ValidationError("scale must be positive and finite")
     orbits = _orbits(code)
-    step = max(1, _BATCH_BYTES // (16 * code.dim * orbits.rows.size * len(orbits.rows)))
+    step = max(1, _BATCH_BYTES // (16 * code.dim * orbits.table.rows.size * len(orbits.x)))
     out = []
     for i in range(0, len(points), step):
         out += _fidelity_batch(code, orbits, points[i:i + step])
@@ -615,7 +612,7 @@ def loss_fidelities(
 
 def _fidelity_batch(code: CodeSpec, orbits: _Orbits, points: list) -> list:
     K, d = code.dim, orbits.d
-    n = len(orbits.rows)
+    n = len(orbits.x)
     P = len(points)
     gamma = np.array([g for g, _ in points])
     s2 = np.array([s for _, s in points]) ** 2
@@ -730,7 +727,7 @@ def code_parameters(code: CodeSpec, ceiling: int, tol: float = 1e-9) -> ParamTri
     # One moment table serves d_updown and t_down; it grows only as far as
     # the d_updown search reaches, and t_down <= d_updown stays inside it.
     box = _BoxMoments(code)
-    d_updown = _match_degree(n, box.spread, ceiling - 1, tol) + 1
+    d_updown = _match_degree(_level_spreads(box, ceiling - 1), ceiling - 1, tol) + 1
 
     # Box |p|, |q| <= r grown one level at a time.  Its new pairs have
     # |p| = r or |q| = r, and M(q, p) = conj M(p, q) covers the latter.

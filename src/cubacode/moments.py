@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -177,12 +177,6 @@ def _check_tol(tol: float):
 _STREAM_BYTES = 1 << 20
 
 
-@lru_cache(maxsize=64)
-def _box_degrees(n: int, degree: int) -> np.ndarray:
-    """|u| of each row of ``_index_box(n, degree)``."""
-    return np.repeat(np.arange(degree + 1), [comb(n + k - 1, n - 1) for k in range(degree + 1)])
-
-
 class _BoxMoments:
     """Weighted moments of every logical constellation over row ranges of
     the box |u| <= degree (rows as in ``_index_box``), summed over the
@@ -208,31 +202,27 @@ class _BoxMoments:
     def __init__(self, code: CodeSpec):
         orbits = code_orbits(code)
         self.points = orbits.points[orbits.rows[:, 0]]
-        self.d = orbits.d
+        self.d, self.dim = orbits.d, code.dim
         spectrum = orbits.spectrum(orbits.weights)
-        # (orbit slice, codewords, D over them) per class, and the order of
-        # the codewords the classes list.
+        # (orbit slice, codewords, D over them) per class.
         self.classes = [(cols, ks, np.ascontiguousarray(spectrum[:, cols][..., ks].transpose(2, 0, 1)))
                         for cols, ks in orbits.classes]
-        self.order = np.argsort(np.concatenate([ks for _, ks in orbits.classes]))
+        # The classes' codewords, in the order the classes list them, put
+        # back in codeword order (None when they already are).
+        listed = np.concatenate([ks for _, ks in orbits.classes])
+        self.order = None if np.all(listed[:-1] < listed[1:]) else np.argsort(listed)
         self._empty()
 
     def _empty(self):
         self.table = np.ones((1, len(self.points)), dtype=np.result_type(self.points, float))
-        self._index(0)
-
-    def _index(self, degree: int):
-        # turns[a, j] = (|u_j| - a) mod d: the weight row of a row u_j of
-        # the table against the p of level a.
-        degrees = _box_degrees(self.points.shape[1], degree)
-        self.degrees = degrees
-        self.turns = (degrees - np.arange(degree + 1)[:, None]) % self.d
+        self.degrees = np.zeros(1, dtype=int)  # |u| of each row of the table
 
     def _reach(self, rows: int):
         if rows > len(self.table):
-            degree = _box_degree(self.points.shape[1], rows)
+            n = self.points.shape[1]
+            degree = _box_degree(n, rows)
             self.table = _monomials(self.points, degree, self.table)
-            self._index(degree)
+            self.degrees = _index_box(n, degree).sum(axis=1)
 
     def level(self, k: int) -> np.ndarray:
         """The table's rows u with |u| == k (a view)."""
@@ -244,21 +234,26 @@ class _BoxMoments:
         """moments(ps, qs)[k, i, j] = M_k(p_i, q_j) for box row ranges ps
         (one level) and qs (each with an explicit stop)."""
         self._reach(max(ps.stop, qs.stop))
-        table, degrees = self.table, self.degrees
-        turn = self.turns[degrees[ps.start], qs]
-        # With one level of q (or d = 1) every q has the same weight row,
-        # which then goes with the smaller p side.
-        one_row = self.d == 1 or degrees[qs.start] == degrees[qs.stop - 1]
+        table, degrees, d = self.table, self.degrees, self.d
+        level = degrees[ps.start]
         parts = []
-        for cols, _, weights in self.classes:
-            left = np.conj(table[ps, cols])
-            if one_row:
-                parts.append((left * weights[:, turn[0], None]) @ table[qs, cols].T)
-            else:
+        if d == 1 or degrees[qs.start] == degrees[qs.stop - 1]:
+            # Every q has the same weight row, which then goes with the
+            # smaller p side.
+            turn = (degrees[qs.start] - level) % d
+            for cols, _, weights in self.classes:
+                parts.append((np.conj(table[ps, cols]) * weights[:, turn, None]) @ table[qs, cols].T)
+        else:
+            # The weight row of each q against the level of p.
+            turn = (degrees[qs] - level) % d
+            for cols, _, weights in self.classes:
                 right = weights[:, turn]
                 right *= table[qs, cols]
-                parts.append(left @ right.swapaxes(1, 2))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)[self.order]
+                parts.append(np.conj(table[ps, cols]) @ right.swapaxes(1, 2))
+        if len(parts) == 1:
+            return parts[0]
+        moms = np.concatenate(parts)
+        return moms if self.order is None else moms[self.order]
 
     def spread(self, ps: slice, qs: slice) -> float:
         """The largest |M_k(p, q) - M_0(p, q)| over the pairs of the row
@@ -284,7 +279,7 @@ class _BoxMoments:
         del top
         self._empty()
         while True:
-            sums = np.zeros((len(self.order), blocks[0][2].shape[0]), dtype=complex)
+            sums = np.zeros((self.dim, blocks[0][2].shape[0]), dtype=complex)
             for i, start, level in blocks:
                 cols, ks, weights = self.classes[i]
                 lo = start - cols.start
@@ -332,23 +327,35 @@ def pair_moments(code: CodeSpec, degree: int) -> Tuple[np.ndarray, np.ndarray]:
     return pairs[order], np.concatenate(blocks, axis=1)[:, order]
 
 
+def _match_degree(spreads: Iterable[Tuple[int, float]], t_max: int, tol: float) -> int:
+    """The largest t <= t_max with every moment pair of total degree 1..t
+    agreeing within tol, from (degree, spread) blocks in ascending degree,
+    spread being the largest deviation of a block's pairs; degree 0 always
+    matches.  The blocks are read only up to the first that fails."""
+    for degree, spread in spreads:
+        if degree > 0 and spread > tol:
+            return degree - 1
+    return t_max
+
+
+def _level_spreads(box: _BoxMoments, t_max: int) -> Iterator[Tuple[int, float]]:
+    """(degree, spread) of the blocks |p| = dp <= |q| = degree - dp for
+    degree 1..t_max, each evaluated when it is read.  Blocks with
+    |p| <= |q| suffice, as M(q, p) is the conjugate of M(p, q)."""
+    n = box.points.shape[1]
+    return ((degree, box.spread(_level(n, dp), _level(n, degree - dp)))
+            for degree in range(1, t_max + 1) for dp in range(degree // 2 + 1))
+
+
 def pairs_match_degree(pairs: np.ndarray, moments: np.ndarray, tol: float = 1e-9) -> int:
-    """``moment_match_degree`` read off ``pair_moments(code, t_max)``: the
-    largest t <= t_max with every pair of total degree 1..t agreeing across
-    the logical constellations within tol."""
+    """``moment_match_degree`` read off ``pair_moments(code, t_max)``, whose
+    pairs come in ascending total degree: one block per degree."""
     _check_tol(tol)
     degree = pairs.sum(axis=1)
-    failed = degree[(np.abs(moments - moments[0]).max(axis=0) > tol) & (degree > 0)]
-    return int(failed.min()) - 1 if failed.size else int(degree.max(initial=0))
-
-
-def _match_degree(n: int, spread, t_max: int, tol: float) -> int:
-    # Blocks of fixed |p| <= |q|, one degree at a time, up to t_max.
-    for degree in range(1, t_max + 1):
-        for dp in range(degree // 2 + 1):
-            if spread(_level(n, dp), _level(n, degree - dp)) > tol:
-                return degree - 1
-    return t_max
+    top = int(degree.max(initial=0))
+    starts = np.searchsorted(degree, np.arange(top + 1))
+    spreads = np.maximum.reduceat(np.abs(moments - moments[0]).max(axis=0), starts)
+    return _match_degree(enumerate(spreads.tolist()), top, tol)
 
 
 def moment_match_degree(code: CodeSpec, t_max: int, tol: float = 1e-9) -> int:
@@ -357,8 +364,7 @@ def moment_match_degree(code: CodeSpec, t_max: int, tol: float = 1e-9) -> int:
 
     Enumerates multi-index pairs exhaustively, one degree at a time in
     blocks of fixed |p|, and stops at the first block that fails; degree 0
-    always matches.  Blocks with |p| <= |q| suffice, as M(q, p) is the
-    conjugate of M(p, q).
+    always matches.
     """
     if code.dim < 2:
         raise ValidationError("moment matching needs at least two codewords")
@@ -366,7 +372,7 @@ def moment_match_degree(code: CodeSpec, t_max: int, tol: float = 1e-9) -> int:
         raise ValidationError(f"maximum degree must be nonnegative (got {t_max})")
     _check_tol(tol)
     t_max = int(t_max)
-    return _match_degree(code.modes, _BoxMoments(code).spread, t_max, tol)
+    return _match_degree(_level_spreads(_BoxMoments(code), t_max), t_max, tol)
 
 
 def sphere_monomial_integral_exact(D: int, u: Sequence[int]) -> Fraction:

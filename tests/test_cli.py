@@ -113,16 +113,29 @@ def test_moments_csv_columns(tmp_path, capsys):
 
 def test_moments_reports_the_first_of_tied_deviations(capsys):
     # Four pairs of the two-shell 24-cell deviate by 0.7384615384615385 up
-    # to roundoff: (p, q) = ((0, 2), (0, 6)), ((0, 6), (0, 2)) and their
+    # to a few ulps: (p, q) = ((0, 2), (0, 6)), ((0, 6), (0, 2)) and their
     # mode swaps.  The first in table order is reported, whatever the last
-    # bits of the sums.
-    status, out, _ = run_cli(
-        capsys, "moments", "--catalog", "twoshell_24cell", "--tau", "2", "--r1", "1",
-        "--max-degree", "8",
-    )
-    assert status == 0
-    assert "largest deviation 0.738461538462 at (p, q) = ((0, 2), (0, 6))" in out.splitlines()
-    assert "moment match degree: 7 (searched to 8, tol 1e-09)" in out.splitlines()
+    # bits of the sums, and --tol plays no part in that choice.
+    for tol in ("1e-9", "1"):
+        status, out, _ = run_cli(
+            capsys, "moments", "--catalog", "twoshell_24cell", "--tau", "2", "--r1", "1",
+            "--max-degree", "8", "--tol", tol,
+        )
+        assert status == 0
+        assert "largest deviation 0.738461538462 at (p, q) = ((0, 2), (0, 6))" in out.splitlines()
+    assert "moment match degree: 8 (searched to 8, tol 1)" in out.splitlines()
+
+
+def test_moments_reports_the_largest_deviation_whatever_the_tolerance(capsys):
+    # A tolerance above every deviation matches every degree but still
+    # reports the largest deviation and where it lies.
+    argv = ("moments", "--catalog", "cat", "--m", "4", "--max-degree", "6")
+    _, out, _ = run_cli(capsys, *argv)
+    largest = next(line for line in out.splitlines() if line.startswith("largest deviation"))
+    _, out, _ = run_cli(capsys, *argv, "--tol", "10")
+    assert largest in out.splitlines()
+    assert "moment match degree: 6 (searched to 6, tol 10)" in out.splitlines()
+    assert not largest.startswith("largest deviation 0 ")
 
 
 def test_kl_csv_written(tmp_path, capsys):

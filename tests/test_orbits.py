@@ -26,7 +26,15 @@ from cubacode.constellation import (
     resolution,
 )
 from cubacode.klcheck import _orbits, _raw_blocks, code_parameters, kl_report, lowdin_inverse_sqrt
-from cubacode.moments import _BoxMoments, _level, multi_indices_upto, weighted_moment
+from cubacode.moments import (
+    _BoxMoments,
+    _level,
+    moment_match_degree,
+    multi_indices_upto,
+    pair_moments,
+    pairs_match_degree,
+    weighted_moment,
+)
 
 
 def unit_code(name, **params):
@@ -162,7 +170,8 @@ def test_orbit_table_matches_the_exhaustive_search(name):
     assert d == ORDERS[name]
     orbits = _orbits(code)
     assert orbits.d == d
-    assert np.array_equal(orbits.rows, rows)
+    assert orbits.table is code_orbits(code)
+    assert np.array_equal(orbits.table.rows, rows)
 
 
 def test_order_need_not_fill_the_first_phase_circle():
@@ -218,6 +227,17 @@ def test_orbit_pure_loss_search_equals_per_point_search(name):
         level[k] = np.abs(moms - moms[0]).max()
     want = next((k for k in range(1, stop) if level[k] > 1e-9), stop)
     assert _BoxMoments(code).pure_loss_degree(1, stop, 1e-9) == want
+
+
+@pytest.mark.parametrize("name", CODES)
+def test_match_degree_read_off_the_pair_table_equals_the_search(name):
+    # The CLI reads the match degree off the moment table it prints; the
+    # search stops at the first failing block.  Both apply one rule.
+    code = CODES[name]()
+    t_max = {1: 8, 2: 6}.get(code.modes, 4)
+    pairs, moms = pair_moments(code, t_max)
+    for tol in (1e-9, 1e-3, 0.5):
+        assert pairs_match_degree(pairs, moms, tol) == moment_match_degree(code, t_max, tol)
 
 
 def reference_raw_blocks(code, max_loss, scale):
