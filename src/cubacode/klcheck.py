@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .constellation import CodeSpec, Orbits, as_amplitude, code_orbits
+from .constellation import CodeSpec, as_amplitude, code_orbits
 from .errors import DegenerateCodewordsError, NumericalFailure, ValidationError
 from .moments import (
     _BoxMoments,
@@ -351,7 +351,7 @@ def _power_table(x: np.ndarray, half: np.ndarray, d: int) -> _Powers:
 
 @dataclass(frozen=True)
 class _Orbits:
-    """The loss engine's data on a code's orbit table (``table``, from
+    """The loss engine's data on a code's orbit table (from
     constellation.code_orbits) of the rotation of order ``d``.
 
     The unit-scale log-overlaps log <r_o|e^{2 pi i t/d} r_o'> =
@@ -364,7 +364,6 @@ class _Orbits:
     (None when d = 1).
     """
 
-    table: Orbits
     d: int
     half: np.ndarray
     x: np.ndarray
@@ -378,7 +377,9 @@ class _Orbits:
 
 def _orbits(code: CodeSpec) -> _Orbits:
     """The loss engine's data for a code, built once and kept with its
-    orbit table (so found again for the same CodeSpec object only)."""
+    orbit table (so found again for the same CodeSpec object only).  It
+    holds no reference back to the table: a cycle would outlive the
+    table's cache entry until a full garbage collection."""
     table = code_orbits(code)
     engine = table.derived.get("loss")
     if engine is None:
@@ -386,7 +387,7 @@ def _orbits(code: CodeSpec) -> _Orbits:
         norms = (np.abs(reps) ** 2).sum(axis=1)
         x = np.conj(reps) @ reps.T
         engine = table.derived["loss"] = _Orbits(
-            table=table, d=table.d, half=0.5 * (norms[:, None] + norms[None, :]), x=x,
+            d=table.d, half=0.5 * (norms[:, None] + norms[None, :]), x=x,
             abs_max=float(np.abs(x).max()),
             b=table.spectrum(np.sqrt(table.weights)),
         )
@@ -603,7 +604,7 @@ def loss_fidelities(
         if not 0.0 < scale < np.inf:
             raise ValidationError("scale must be positive and finite")
     orbits = _orbits(code)
-    step = max(1, _BATCH_BYTES // (16 * code.dim * orbits.table.rows.size * len(orbits.x)))
+    step = max(1, _BATCH_BYTES // (16 * code.dim * orbits.d * len(orbits.x) ** 2))
     out = []
     for i in range(0, len(points), step):
         out += _fidelity_batch(code, orbits, points[i:i + step])
