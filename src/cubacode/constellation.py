@@ -327,11 +327,11 @@ def _match_points(points: np.ndarray, images: np.ndarray, tol: float) -> Optiona
     real_pts = np.ascontiguousarray(points).view(float)
     real_images = np.ascontiguousarray(images).view(float)
     norms = (real_pts * real_pts).sum(axis=1)
+    minus_twice = -2.0 * real_pts  # exact, so each Gram entry is -2 <a, b> exactly
     step = max(1, _DISTANCE_BYTES // (real_pts.itemsize * len(points)))
     perm = np.empty(len(images), dtype=int)
     for lo in range(0, len(images), step):
-        dist = real_images[lo:lo + step] @ real_pts.T
-        dist *= -2.0
+        dist = real_images[lo:lo + step] @ minus_twice.T
         dist += norms
         perm[lo:lo + step] = dist.argmin(axis=1)
     if np.bincount(perm).max() > 1 or _squared_norms(images - points[perm]).max() > tol2:
