@@ -260,49 +260,64 @@ def rotate_code(code: CodeSpec, r: Rotation) -> CodeSpec:
 # Distances are formed in blocks of rows of at most this many bytes, so a
 # constellation of up to 256 points is one block.
 _DISTANCE_BYTES = 1 << 19
+_EPS = float(np.finfo(float).eps)
 
 
-def _distance_blocks(points: np.ndarray, rows: Optional[np.ndarray] = None):
-    """Squared Euclidean distances from the points ``rows`` (ascending;
-    every index by default) to the points at or after them, in blocks.
+def _pair_distances(cols: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between the points a[i] and b[i], summed one real
+    coordinate at a time (``cols`` holds the coordinates, one per row):
+    every squared distance that a scan reports is formed this way."""
+    d2 = np.square(cols[0][a] - cols[0][b])
+    for col in cols[1:]:
+        d2 += np.square(col[a] - col[b])
+    return d2
 
-    Yields (block, lo, d2) with d2[i, j] the squared distance between
-    points block[i] and lo + j, where lo is the block's first row; the
-    entries i = j hold 0.  With every index as a row this covers each pair
-    once (the distances are exactly symmetric).  They are accumulated one
-    real coordinate at a time, so no N x N x modes temporary is formed and
-    no block exceeds ``_DISTANCE_BYTES``.
+
+def _pair_scan(points: np.ndarray, rows: Optional[np.ndarray] = None,
+               spread: Callable[[float], float] = lambda least: 0.0):
+    """The nearest pairs from the points ``rows`` (ascending; every index by
+    default) to the points at or after them, in blocks of rows.
+
+    Yields (a, b, d2) per block: pairs (a[i], b[i]), a != b, and their
+    squared distances d2 (``_pair_distances``), among them every pair of
+    the block within spread(d) of the block's least distance d (spread
+    nondecreasing).  With every index as a row this covers each pair (the
+    distances are exactly symmetric).  Candidates come from the Gram form
+    |a|^2 + |b|^2 - 2 Re <a, b> (a real Gram of the real coordinates), with
+    no N x N x modes temporary and no block over ``_DISTANCE_BYTES``.  That
+    form is off by at most 4 (m + 2) eps M for m real coordinates and M the
+    largest |a|^2, and a pair's sum by (m + 2) eps of itself, so a pair
+    within spread of the least is within 8 (m + 3) eps (M + least) of the
+    least form; twice that is kept.
     """
-    cols = np.ascontiguousarray(points).view(float).T.copy()  # the real coordinates
-    size = cols.shape[1]
+    x = np.ascontiguousarray(points).view(float)
+    cols = x.T.copy()
+    norms = (x * x).sum(axis=1)
+    rounding = 16.0 * (x.shape[1] + 3) * _EPS
+    big = float(norms.max())
+    minus_twice = -2.0 * x  # exact, so each Gram entry is -2 <a, b> exactly
+    size = len(x)
     rows = np.arange(size) if rows is None else rows
-    step = max(1, _DISTANCE_BYTES // (cols.itemsize * size))
-    buffers = np.empty((2, min(step, len(rows)) * size))
+    step = max(1, _DISTANCE_BYTES // (x.itemsize * size))
     for first in range(0, len(rows), step):
         block = rows[first:first + step]
         lo = int(block[0])
-        d2, diff = (b[:len(block) * (size - lo)].reshape(len(block), size - lo) for b in buffers)
-        d2.fill(0.0)
-        for col in cols:
-            np.subtract.outer(col[block], col[lo:], out=diff)
-            d2 += np.square(diff, out=diff)
-        yield block, lo, d2
-
-
-def _squared_distance_range(points: np.ndarray) -> tuple:
-    """(min, max) squared Euclidean distance over index pairs i != j; the
-    pairs i = j are masked, not indexed away."""
-    nearest, largest = np.inf, 0.0
-    for block, lo, d2 in _distance_blocks(points):
-        largest = max(largest, float(d2.max()))  # the zero diagonal never exceeds a pair
-        d2[np.arange(len(block)), block - lo] = np.inf
-        nearest = min(nearest, float(d2.min()))
-    return nearest, largest
+        form = x[block] @ minus_twice[lo:].T
+        form += norms[lo:]
+        form += norms[block, None]
+        form[np.arange(len(block)), block - lo] = np.inf
+        least = float(form.min())
+        if least == np.inf:  # a last row alone, with no pair
+            continue
+        window = rounding * (big + abs(least))
+        i, j = np.nonzero(form <= least + window + spread(max(least, 0.0) + window))
+        a, b = block[i], lo + j
+        yield a, b, _pair_distances(cols, a, b)
 
 
 def min_squared_distance(points: np.ndarray) -> float:
     """Minimum squared Euclidean distance over all index pairs i < j."""
-    return _squared_distance_range(points)[0]
+    return min((float(d2.min()) for _, _, d2 in _pair_scan(points)), default=np.inf)
 
 
 def _squared_norms(z: np.ndarray) -> np.ndarray:
@@ -450,7 +465,11 @@ def code_orbits(code: CodeSpec) -> Orbits:
     N = len(pts)
     tol = _orbit_tol(pts)
     along = pts @ np.conj(pts[0])
-    phase = along / np.where(along == 0.0, 1.0, np.abs(along))
+    # A subnormal overlap (whose reciprocal overflows in the complex
+    # division) counts as none: its point is off the circle unless it is
+    # within tol of the origin.
+    length = np.abs(along)
+    phase = along / np.where(length < np.finfo(float).tiny, 1.0, length)
     circle = int((_squared_norms(pts - phase[:, None] * pts[0]) <= tol * tol).sum())
     for d in range(min(circle, _MAX_ORDER), 1, -1):
         if N % d == 0 and circle % d == 0:
@@ -505,17 +524,20 @@ def resolution(code: CodeSpec) -> float:
         # the squared sums.
         return 8.0 * tol * (np.sqrt(least) + tol) + 1e-15 * least
 
-    nearest, farthest, near = np.inf, 0.0, []
-    for block, lo, d2 in _distance_blocks(pts, orbits.rows[:, 0]):
-        farthest = max(farthest, float(d2.max()))
-        d2[np.arange(len(block)), block - lo] = np.inf
-        least = float(d2.min())
+    cols = np.ascontiguousarray(pts).view(float).T
+    nearest, near = np.inf, []
+    for a, b, dist in _pair_scan(pts, orbits.rows[:, 0], margin):
+        least = float(dist.min())
         nearest = min(nearest, least)
         if d > 1:
-            i, j = np.nonzero(d2 <= least + margin(least))
-            near.append((block[i], lo + j, d2[i, j]))
-    if farthest <= DISTINCT_TOL:
-        raise ValidationError("resolution needs at least 2 distinct points")
+            keep = dist <= least + margin(least)
+            near.append((a[keep], b[keep], dist[keep]))
+    if nearest <= DISTINCT_TOL and all(c.size == 1 for c in code.logicals):
+        # The points of one constellation are farther apart than
+        # DISTINCT_TOL, so only codewords of one point each can coincide.
+        a, b = np.triu_indices(len(pts), 1)
+        if _pair_distances(cols, a, b).max() <= DISTINCT_TOL:
+            raise ValidationError("resolution needs at least 2 distinct points")
     if d == 1:
         return nearest
     a, b, dist = (np.concatenate(v) for v in zip(*near))
@@ -527,9 +549,7 @@ def resolution(code: CodeSpec) -> float:
     a, b = place[a[keep]], place[b[keep]]
     a = orbits.rows[a // d]
     b = orbits.rows[(b // d)[:, None], ((b % d)[:, None] + np.arange(d)) % d]
-    copies = np.zeros(a.shape)
-    for col in np.ascontiguousarray(pts).view(float).T:
-        copies += np.square(col[a] - col[b])
+    copies = _pair_distances(cols, a, b)
     return float(copies.min())
 
 

@@ -131,23 +131,32 @@ class KLReport:
     """Blocks <C_k|E_mu^+ E_nu|C_l> for the pure-loss error set, after
     symmetric orthonormalization of the codewords at the given scale.
 
-    ``matrices`` maps (q_mu, q_nu) to the K x K block.  ``off_diag_max`` is
-    the largest |k != l| entry over all blocks; ``off_diag_rel`` divides
-    each block's off-diagonal maximum by max(its largest diagonal
-    magnitude, 1) before taking the maximum, removing the polynomial growth
-    of high-order blocks.  ``diag_spread_max`` is the largest per-block
-    diagonal spread normalized the same way (the orthonormalized identity
-    block sets the unit, so blocks whose diagonals vanish asymptotically
-    report ~0 instead of 0/0 noise); ``diag_spread_raw`` is unnormalized.
+    ``blocks[i, j]`` is the K x K block of (q_i, q_j) for the multi-indices
+    q = ``indices``; ``matrices`` maps (q_mu, q_nu) to the same blocks, in
+    that order, and is built on first access.  ``off_diag_max`` is the
+    largest |k != l| entry over all blocks; ``off_diag_rel`` divides each
+    block's off-diagonal maximum by max(its largest diagonal magnitude, 1)
+    before taking the maximum, removing the polynomial growth of high-order
+    blocks.  ``diag_spread_max`` is the largest per-block diagonal spread
+    normalized the same way (the orthonormalized identity block sets the
+    unit, so blocks whose diagonals vanish asymptotically report ~0 instead
+    of 0/0 noise); ``diag_spread_raw`` is unnormalized.
     """
 
     error_set_label: str
-    matrices: Dict[Tuple[tuple, tuple], np.ndarray]
+    indices: tuple
+    blocks: np.ndarray
     off_diag_max: float
     off_diag_rel: float
     diag_spread_max: float
     diag_spread_raw: float
     scale: float
+
+    @cached_property
+    def matrices(self) -> Dict[Tuple[tuple, tuple], np.ndarray]:
+        K = self.blocks.shape[-1]
+        keys = [(mu, nu) for mu in self.indices for nu in self.indices]
+        return dict(zip(keys, self.blocks.reshape(-1, K, K)))
 
 
 def _raw_blocks(code: CodeSpec, max_loss: int, scale: float) -> np.ndarray:
@@ -247,14 +256,23 @@ def kl_report(code: CodeSpec, max_loss: int, scale: float) -> KLReport:
     right = (raw.reshape(-1, K) @ ginv).reshape(raw.shape)
     blocks = (right.swapaxes(2, 3).reshape(-1, K) @ ginv.T).reshape(raw.shape).swapaxes(2, 3)
 
-    diag = np.diagonal(blocks, axis1=2, axis2=3)
-    off = np.abs(blocks - diag[..., None] * np.eye(K)).max(axis=(2, 3))
-    unit = np.maximum(np.abs(diag).max(axis=2), 1.0)
-    spread = np.abs(diag[..., :, None] - diag[..., None, :]).max(axis=(2, 3))
-    matrices = dict(zip([(mu, nu) for mu in qs for nu in qs], blocks.reshape(-1, K, K)))
+    # The summary reduces over flat (Q^2, K^2) views: one |entry| per
+    # entry, the off-diagonal entries as columns, and the spread over the
+    # pairs k < l of diagonal entries (|d_k - d_l| = |d_l - d_k|, and the
+    # pairs k = l add 0).
+    flat = blocks.reshape(-1, K * K)
+    mag = np.abs(flat)
+    diag = flat[:, ::K + 1]
+    unit = np.maximum(mag[:, ::K + 1].max(axis=1), 1.0)
+    off, spread = np.zeros(len(flat)), np.zeros(len(flat))
+    if K > 1:
+        k, l = np.triu_indices(K, 1)
+        off = mag[:, np.concatenate([k * K + l, l * K + k])].max(axis=1)
+        spread = np.abs(diag[:, k] - diag[:, l]).max(axis=1)
     return KLReport(
         error_set_label=f"loss<={max_loss}",
-        matrices=matrices,
+        indices=tuple(qs),
+        blocks=flat.reshape(blocks.shape),
         off_diag_max=float(off.max()),
         off_diag_rel=float((off / unit).max()),
         diag_spread_max=float((spread / unit).max()),

@@ -25,7 +25,15 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .constellation import GEOM_TOL, CodeSpec, Rotation, _match_points, as_amplitude, scale_code
+from .constellation import (
+    _DISTANCE_BYTES,
+    GEOM_TOL,
+    CodeSpec,
+    Rotation,
+    _match_points,
+    as_amplitude,
+    scale_code,
+)
 from .errors import NumericalFailure, ValidationError
 from .klcheck import _log_poisson, _pairwise_overlaps
 
@@ -158,8 +166,9 @@ def ztype_polynomials(code: CodeSpec) -> List[AnnihilationPolynomial]:
     constellation points.
 
     Single-mode codes: finds the smallest power g for which alpha^g is
-    constant on each radius class of the union; the generator is then
-    prod_s (alpha^g - rho_s) over the distinct values rho_s.  Multimode
+    constant on each radius class of the union, comparing the phases
+    e^{i g theta} within each class; the generator is then prod_s (alpha^g -
+    rho_s) with rho_s = alpha^g at each class's first point.  Multimode
     codes are supported only when the union factorizes as a per-mode
     product; the polytope constellations do not, and their generators must
     be supplied explicitly.
@@ -168,47 +177,51 @@ def ztype_polynomials(code: CodeSpec) -> List[AnnihilationPolynomial]:
     if code.modes == 1:
         return [_single_mode_generator(pts[:, 0])]
     # Product structure: union == cartesian product of per-mode value sets.
-    per_mode = []
-    for j in range(code.modes):
-        vals = _distinct(pts[:, j])
-        per_mode.append(vals)
-    expected = len(pts)
-    prod_size = int(np.prod([len(v) for v in per_mode]))
-    if prod_size == expected and _is_product(pts, per_mode):
+    per_mode = [_classes(pts[:, j]) for j in range(code.modes)]
+    labels = np.stack([label for _, label in per_mode], axis=1)
+    if (int(np.prod([len(firsts) for firsts, _ in per_mode])) == len(pts)
+            and len(np.unique(labels, axis=0)) == len(pts)):
         return [
-            _lift_single_mode(_single_mode_generator(np.asarray(vals)), j, code.modes)
-            for j, vals in enumerate(per_mode)
+            _lift_single_mode(_single_mode_generator(pts[firsts, j]), j, code.modes)
+            for j, (firsts, _) in enumerate(per_mode)
         ]
     raise ValidationError(
         "no generator rule for this constellation: supply polynomials explicitly"
     )
 
 
-def _distinct(values: np.ndarray, tol: float = GEOM_TOL) -> List[complex]:
-    out: List[complex] = []
-    for v in values:
-        if not any(abs(v - u) <= tol for u in out):
-            out.append(complex(v))
-    return out
-
-
-def _is_product(pts: np.ndarray, per_mode: List[List[complex]]) -> bool:
-    combos = {
-        tuple(np.argmin([abs(x - u) for u in per_mode[j]]) for j, x in enumerate(p))
-        for p in pts
-    }
-    return len(combos) == len(pts)
+def _classes(values: np.ndarray, tol: float = GEOM_TOL) -> tuple:
+    """Values within tol of each other, grouped greedily in order: the
+    first value not yet in a class opens one, which takes every value
+    within tol of it that no earlier class took.  Returns (firsts, label):
+    the opening indices, ascending, and each value's class."""
+    firsts, label = [], np.full(len(values), -1)
+    while (free := label < 0).any():
+        first = int(free.argmax())
+        label[free & (np.abs(values - values[first]) <= tol)] = len(firsts)
+        firsts.append(first)
+    return np.array(firsts), label
 
 
 def _single_mode_generator(values: np.ndarray) -> AnnihilationPolynomial:
-    radii = np.abs(values)
-    classes = _distinct(radii.astype(complex), tol=GEOM_TOL)
-    n_classes = len(classes)
-    for g in range(1, len(values) + 1):
-        powered = values**g
-        reps = _distinct(powered, tol=GEOM_TOL * max(1.0, float(np.abs(powered).max())))
-        if len(reps) == n_classes:
-            return _poly_from_roots_in_power(g, reps)
+    """prod_s (alpha^g - rho_s) over the radius classes s of ``values``,
+    for the least g <= len(values) at which the phases e^{i g theta} agree
+    within every class (to GEOM_TOL, relative to the class's radius^g), and
+    rho_s = alpha^g at the class's first value.  The phases are taken
+    relative to each class's first value, in turns, for a block of powers
+    g at a time."""
+    firsts, label = _classes(np.abs(values))
+    # A value at the origin has phase 0.
+    turns = np.angle(values * np.conj(values[firsts][label])) / (2.0 * np.pi)
+    size = len(values)
+    step = max(1, _DISTANCE_BYTES // (turns.itemsize * size))
+    for lo in range(1, size + 1, step):
+        powers = np.arange(lo, min(lo + step, size + 1))
+        x = powers[:, None] * turns
+        agree = (np.abs(x - np.rint(x)) <= GEOM_TOL / (2.0 * np.pi)).all(axis=1)
+        if agree.any():
+            g = int(powers[agree.argmax()])
+            return _poly_from_roots_in_power(g, (values[firsts] ** g).tolist())
     raise ValidationError(
         "no generator rule for this constellation: supply polynomials explicitly"
     )

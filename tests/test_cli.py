@@ -150,6 +150,19 @@ def test_kl_csv_written(tmp_path, capsys):
     assert len(lines) == 1 + 4 * 4  # 2x2 error pairs, 2x2 blocks
 
 
+def test_kl_builds_the_block_dict_only_for_out(tmp_path, capsys, monkeypatch):
+    import cubacode.klcheck as klcheck
+
+    reports, kl_report = [], klcheck.kl_report
+    monkeypatch.setattr(klcheck, "kl_report",
+                        lambda *args, **kwargs: reports.append(kl_report(*args, **kwargs)) or reports[-1])
+    argv = ["kl", "--catalog", "cat", "--m", "2", "--scale", "2.5", "--max-loss", "1"]
+    assert run_cli(capsys, *argv)[0] == 0
+    assert "matrices" not in vars(reports[-1])
+    assert run_cli(capsys, *argv, "--out", str(tmp_path / "kl.csv"))[0] == 0
+    assert "matrices" in vars(reports[-1])
+
+
 def test_stab_command_reports_residual(capsys):
     status, out, _ = run_cli(
         capsys, "stab", "--catalog", "cat", "--m", "2", "--scale", "2", "--cutoff", "64"

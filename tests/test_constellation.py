@@ -33,7 +33,7 @@ from cubacode.constellation import (
     DISTINCT_TOL,
     RotationFamily,
     _match_points,
-    _squared_distance_range,
+    _pair_scan,
     brent_max,
     grid_brent_max,
     min_squared_distance,
@@ -221,48 +221,60 @@ def test_resolution_cell16_qutrit():
     assert abs(resolution(build_catalog_code("cell16_qutrit")) - 1.0) < 1e-9
 
 
-def loop_squared_distances(points) -> list:
-    """|a - b|^2 over every index pair a < b, one pair at a time."""
-    return [
-        float(sum(abs(complex(x) - complex(y)) ** 2 for x, y in zip(points[i], points[j])))
-        for i in range(len(points))
-        for j in range(i + 1, len(points))
-    ]
+def pair_loop_row(x, i):
+    """Squared distances from point i to every point j, coordinate by
+    coordinate as the kernel sums them.  Each square is a product, which is
+    rounded once: libm's pow(t, 2), which ``t ** 2`` calls, can be an ulp
+    off it."""
+    return [sum((a - b) * (a - b) for a, b in zip(x[i], x[j])) for j in range(len(x))]
+
+
+def loop_nearest(points) -> float:
+    """The least squared distance over index pairs i < j, one pair at a
+    time, coordinate by coordinate."""
+    x = embed_complex_to_real(points).tolist()
+    return min(d for i in range(len(x)) for d in pair_loop_row(x, i)[i + 1:])
 
 
 @st.composite
-def multimode_points(draw):
+def multimode_points(draw, amplitude=st.just(1.0), near=st.booleans()):
     modes = draw(st.integers(1, 3))
     size = draw(st.integers(2, 7))
     coord = st.floats(-3.0, 3.0)
     pts = np.array(draw(st.lists(st.lists(st.tuples(coord, coord), min_size=modes,
                                           max_size=modes), min_size=size, max_size=size)))
-    pts = pts[..., 0] + 1j * pts[..., 1]
-    if draw(st.booleans()):
+    pts = draw(amplitude) * (pts[..., 0] + 1j * pts[..., 1])
+    if draw(near):
         # A pair just above the distinctness threshold.
         step = np.zeros(modes, dtype=complex)
         step[draw(st.integers(0, modes - 1))] = np.sqrt(2.0 * DISTINCT_TOL) * draw(
             st.sampled_from([1.0, 1j, -1.0]))
-        pts = np.vstack([pts, pts[0] + step])
+        pts = np.vstack([pts, pts[draw(st.integers(0, size - 1))] + step])
     return pts
 
 
-@given(multimode_points(), st.integers(1, 3))
-def test_distance_kernels_match_pair_loop(points, split):
-    loop = loop_squared_distances(points)
-    assert min_squared_distance(points) == pytest.approx(min(loop), rel=1e-12, abs=0.0)
-    assume(min(loop) > DISTINCT_TOL)
+def assert_kernels_match_pair_loop(points, split):
+    nearest = loop_nearest(points)
+    assert min_squared_distance(points) == nearest
+    assume(nearest > DISTINCT_TOL)
     split = min(split, len(points) - 1)
     parts = [points[:split], points[split:]]
     code = CodeSpec(name="split", logicals=tuple(
         WeightedConstellation(z, np.full(len(z), 1.0 / len(z))) for z in parts))
-    assert resolution(code) == pytest.approx(min(loop), rel=1e-12, abs=0.0)
+    assert resolution(code) == nearest
 
 
-def pair_loop_row(x, i):
-    """Squared distances from point i to every point j, coordinate by
-    coordinate as the kernel sums them."""
-    return [sum((a - b) ** 2 for a, b in zip(x[i], x[j])) for j in range(len(x))]
+@given(multimode_points(), st.integers(1, 3))
+def test_distance_kernels_match_pair_loop(points, split):
+    assert_kernels_match_pair_loop(points, split)
+
+
+@given(multimode_points(amplitude=st.floats(-3.0, 5.0).map(lambda e: 10.0 ** e), near=st.just(True)),
+       st.integers(1, 3))
+def test_distance_kernels_match_pair_loop_at_every_amplitude(points, split):
+    # The Gram form's rounding grows with the largest |a|^2, up to 1e10
+    # here, while the nearest pair sits near DISTINCT_TOL.
+    assert_kernels_match_pair_loop(points, split)
 
 
 @pytest.mark.parametrize("near, far", [
@@ -272,9 +284,10 @@ def pair_loop_row(x, i):
 ], ids=lambda v: v)
 def test_row_blocked_distances_match_pair_loop_exactly(near, far):
     # Enough points for several row blocks.  One pair is moved close
-    # together and one point far away, so the extremes sit where the
-    # parameters say; each distance is summed coordinate by coordinate, as
-    # the pair loop does, so the results agree to the bit.
+    # together and one point far away (which widens the Gram form's
+    # rounding window), so the nearest pair sits where the parameters say;
+    # each distance is summed coordinate by coordinate, as the pair loop
+    # does, so the results agree to the bit.
     gen = np.random.default_rng(7)
     points = gen.normal(size=(600, 4)) + 1j * gen.normal(size=(600, 4))
     block = _DISTANCE_BYTES // (8 * len(points))
@@ -283,11 +296,11 @@ def test_row_blocked_distances_match_pair_loop_exactly(near, far):
     points[j] = points[i] + 1e-3
     points[{"first": 0, "boundary": 2 * block, "middle": 300}[far]] = 50.0
     x = embed_complex_to_real(points).tolist()
-    loop = [d for k in range(len(x)) for d in pair_loop_row(x, k)[k + 1:]]
-    nearest, farthest = min(loop), max(loop)
+    nearest = loop_nearest(points)
     assert nearest == pair_loop_row(x, i)[j]
     assert min_squared_distance(points) == nearest
-    assert _squared_distance_range(points) == (nearest, farthest)
+    found = {(int(a), int(b)): d for pairs in _pair_scan(points) for a, b, d in zip(*pairs)}
+    assert found[i, j] == nearest
     code = CodeSpec(name="blocks", logicals=tuple(
         WeightedConstellation(z, np.full(len(z), 1.0 / len(z))) for z in (points[:250], points[250:])))
     assert resolution(code) == nearest
@@ -327,9 +340,9 @@ def scan_count(monkeypatch):
     import cubacode.constellation as module
 
     calls = []
-    scan = module._squared_distance_range
-    monkeypatch.setattr(module, "_squared_distance_range",
-                        lambda points: calls.append(len(points)) or scan(points))
+    scan = module._pair_scan
+    monkeypatch.setattr(module, "_pair_scan",
+                        lambda points, *args: calls.append(len(points)) or scan(points, *args))
     return calls
 
 

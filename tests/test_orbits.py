@@ -21,7 +21,6 @@ from cubacode import build_catalog_code, normalize_energy
 from cubacode.constellation import (
     CodeSpec,
     WeightedConstellation,
-    _squared_distance_range,
     code_orbits,
     resolution,
 )
@@ -35,6 +34,7 @@ from cubacode.moments import (
     pairs_match_degree,
     weighted_moment,
 )
+from conftest import pair_nearest
 
 
 def unit_code(name, **params):
@@ -276,7 +276,7 @@ def test_orbit_kl_blocks_equal_point_pair_sums(name):
 @pytest.mark.parametrize("name", CODES)
 def test_orbit_resolution_equals_the_all_pairs_scan(name):
     code = CODES[name]()
-    assert resolution(code) == _squared_distance_range(code.all_points())[0]
+    assert resolution(code) == pair_nearest(code.all_points())
 
 
 def test_kl_report_orthonormalizes_the_orbit_blocks():
@@ -288,6 +288,40 @@ def test_kl_report_orthonormalizes_the_orbit_blocks():
         for j, nu in enumerate(multi_indices_upto(3, 2)):
             want = ginv @ raw[i, j] @ ginv
             assert np.abs(rep.matrices[mu, nu] - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def blockwise_summary(blocks):
+    """The four KL summary numbers from (2, 3)-axis reductions over the
+    (Q, Q, K, K) blocks, the way kl_report took them before it reduced
+    over flat (Q^2, K^2) views."""
+    K = blocks.shape[-1]
+    diag = np.diagonal(blocks, axis1=2, axis2=3)
+    off = np.abs(blocks - diag[..., None] * np.eye(K)).max(axis=(2, 3))
+    unit = np.maximum(np.abs(diag).max(axis=2), 1.0)
+    spread = np.abs(diag[..., :, None] - diag[..., None, :]).max(axis=(2, 3))
+    return float(off.max()), float((off / unit).max()), float((spread / unit).max()), float(spread.max())
+
+
+SUMMARY_CODES = {**CODES,
+                 "cat4_K1": lambda: unit_code("cat", m=4, K=1),
+                 "cat5_K3": lambda: unit_code("cat", m=5, K=3)}
+
+
+@pytest.mark.parametrize("name", SUMMARY_CODES)
+def test_kl_summary_equals_the_blockwise_reductions(name):
+    code = SUMMARY_CODES[name]()
+    max_loss = 3 if code.modes <= 2 else 2
+    rep = kl_report(code, max_loss, 2.0)
+    assert (rep.off_diag_max, rep.off_diag_rel, rep.diag_spread_max,
+            rep.diag_spread_raw) == blockwise_summary(rep.blocks)
+    if code.dim == 1:
+        assert rep.off_diag_max == rep.diag_spread_raw == 0.0
+    # The block dict: every (q_mu, q_nu) in box order, each the block itself.
+    qs = list(multi_indices_upto(code.modes, max_loss))
+    assert "matrices" not in vars(rep)
+    assert list(rep.matrices) == [(mu, nu) for mu in qs for nu in qs]
+    for (mu, nu), block in rep.matrices.items():
+        assert np.array_equal(block, rep.blocks[qs.index(mu), qs.index(nu)])
 
 
 def traced_peak(fn):

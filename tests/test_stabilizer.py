@@ -1,8 +1,11 @@
 import tracemalloc
 import warnings
+from math import lcm
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubacode import (
     CodeSpec,
@@ -15,12 +18,16 @@ from cubacode import (
     WeightedConstellation,
     verify_xtype,
     verify_ztype,
+    save_code,
     ztype_polynomials,
 )
+from cubacode.cli import main
+from cubacode.constellation import GEOM_TOL
 from cubacode.errors import NumericalFailure
 from cubacode.stabilizer import (
     AnnihilationPolynomial,
     _apply_polynomial,
+    _poly_from_roots_in_power,
     _encoded_states,
     coherent_fock,
     ztype_residual_states,
@@ -71,6 +78,132 @@ def test_polynomial_coefficients_normalized():
     poly = ztype_polynomials(code)[0]
     assert max(abs(c) for _, c in poly.terms) == pytest.approx(1.0)
     assert poly.degree() == 24
+
+
+def loop_generator(values):
+    """The generator search that per-class phases replaced: the least g at
+    which the greedy distinct values of alpha^g, to one tolerance GEOM_TOL
+    max(1, max |alpha^g|), are as many as the radius classes; None when no
+    g <= len(values) is.  That tolerance is absolute once |alpha|^g < 1 and
+    too loose on inner shells, so it is right only where it still tells
+    the classes' phases apart."""
+    def distinct(vals, tol):
+        out = []
+        for v in vals:
+            if not any(abs(v - u) <= tol for u in out):
+                out.append(complex(v))
+        return out
+
+    classes = len(distinct(np.abs(values).astype(complex), GEOM_TOL))
+    for g in range(1, len(values) + 1):
+        powered = values**g
+        reps = distinct(powered, GEOM_TOL * max(1.0, float(np.abs(powered).max())))
+        if len(reps) == classes:
+            return _poly_from_roots_in_power(g, reps)
+    return None
+
+
+def relative_residual(poly, values):
+    """max |P(alpha)| over the values, each relative to sum_u |c_u alpha^u|."""
+    terms = np.array([c * values ** u[0] for u, c in poly.terms])
+    return float((np.abs(terms.sum(axis=0)) / np.abs(terms).sum(axis=0)).max())
+
+
+def one_mode_code(*codewords):
+    """A one-mode code of uniformly weighted codewords."""
+    return CodeSpec(name="test", logicals=tuple(
+        WeightedConstellation(np.asarray(z, dtype=complex)[:, None], np.full(len(z), 1.0 / len(z)))
+        for z in codewords))
+
+
+SINGLE_MODE = [("cat", {"m": m}) for m in (2, 3, 4, 8, 12)] + [
+    ("cat", {"m": 5, "K": 3}),
+    ("polygon_shells", {"m": 6, "p": 2, "radii": [1.0, 2.0]}),
+    ("polygon_shells", {"m": 4, "p": 3, "radii": [1.0, 2.0, 3.0]}),
+    ("hypercube", {"D": 2}),
+    ("orthoplex", {"D": 2}),
+    ("cube_orthoplex", {"D": 2}),
+    ("qcc8", {}), ("qsc8", {}), ("qcc12", {}), ("qsc12", {}),
+]
+
+
+@pytest.mark.parametrize("name, params", SINGLE_MODE, ids=lambda v: str(v))
+def test_generator_matches_the_loop_on_catalog_codes(name, params):
+    code = build_catalog_code(name, params or None)
+    assert code.modes == 1
+    for scale in (0.5, 0.75, 1.0, 1.5, 2.0, 3.0):
+        scaled = scale_code(code, scale)
+        (poly,) = ztype_polynomials(scaled)
+        assert poly.terms == loop_generator(scaled.all_points()[:, 0]).terms
+
+
+@st.composite
+def polygon_unions(draw):
+    """Concentric regular polygons, each turned by its own offset, with the
+    points in a drawn order; returns (values, true g)."""
+    radii = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3, unique=True))
+    sides = [draw(st.integers(2, 12)) for _ in radii]
+    values = np.concatenate([
+        0.25 * r * np.exp(1j * (draw(st.floats(0.0, 2.0 * np.pi)) + 2.0 * np.pi * np.arange(m) / m))
+        for r, m in zip(radii, sides)])
+    return values[draw(st.permutations(range(len(values))))], lcm(*sides)
+
+
+@given(polygon_unions())
+def test_generator_matches_the_loop_on_polygon_unions(drawn):
+    values, g = drawn
+    code = one_mode_code(values)
+    if g > len(values):
+        with pytest.raises(ValidationError, match="no generator rule"):
+            ztype_polynomials(code)
+        return
+    (poly,) = ztype_polynomials(code)
+    shells = len(np.unique(np.round(np.abs(values), 6)))
+    assert poly.degree() == g * shells
+    assert relative_residual(poly, values) < 1e-12
+    loop = loop_generator(values)
+    if loop is not None and loop.degree() == poly.degree():
+        assert poly.terms == loop.terms
+
+
+def run_stab(capsys, *argv):
+    status = main(["stab", *argv])
+    out = capsys.readouterr().out
+    assert status == 0
+    return next(line for line in out.splitlines() if line.startswith("z-type generators"))
+
+
+@pytest.mark.parametrize("scale, cutoff", [(0.2, 40), (0.3, 40), (0.5, 40), (1.0, 60)])
+def test_generator_degree_holds_below_unit_amplitude(scale, cutoff, capsys):
+    # One tolerance for every alpha^g is absolute once |alpha|^g < 1: at
+    # scale 0.2 the loop took the 24 points as one value at g = 14
+    # (0.2^14 = 1.6e-10 < GEOM_TOL), at 0.3 at g = 18.
+    code = scale_code(cat_code(12, 2), scale)
+    (poly,) = ztype_polynomials(code)
+    assert poly.degree() == 24
+    assert relative_residual(poly, code.all_points()[:, 0]) < 1e-12
+    line = run_stab(capsys, "--catalog", "cat", "--m", "12", "--scale", str(scale),
+                    "--cutoff", str(cutoff))
+    assert line == "z-type generators: 1 (degrees [24])"
+
+
+def test_generator_phases_are_compared_per_class(tmp_path, capsys):
+    # A 24-gon at radius 1 and an 8-gon at radius 10, codewords
+    # interleaved.  Scaled by 10^g, the loop's tolerance let the inner
+    # 24-gon pass as one value at g = 16 (degree 32); the true g is 24.
+    inner = np.exp(2j * np.pi * np.arange(24) / 24)
+    outer = 10.0 * np.exp(2j * np.pi * np.arange(8) / 8)
+    code = one_mode_code(np.concatenate([inner[0::2], outer[0::2]]),
+                         np.concatenate([inner[1::2], outer[1::2]]))
+    values = code.all_points()[:, 0]
+    assert loop_generator(values).degree() == 32
+    (poly,) = ztype_polynomials(code)
+    assert poly.degree() == 48
+    assert relative_residual(poly, values) < 1e-12
+    path = tmp_path / "two_polygons.json"
+    save_code(code, path)
+    line = run_stab(capsys, "--code-file", str(path), "--scale", "1", "--cutoff", "300")
+    assert line == "z-type generators: 1 (degrees [48])"
 
 
 # ---------------------------------------------------------------------------
