@@ -279,6 +279,15 @@ def test_orbit_resolution_equals_the_all_pairs_scan(name):
     assert resolution(code) == pair_nearest(code.all_points())
 
 
+def test_subnormal_overlap_with_the_first_point():
+    # <a_1, a_0> = 1e-320 is subnormal: dividing by its modulus overflowed
+    # in the phase-circle count (a RuntimeWarning, an error here).
+    code = CodeSpec(name="tiny", logicals=(WeightedConstellation(
+        np.array([[1e-160, 0.0], [1e-160, 1.0], [0.0, -1.0]], dtype=complex), np.full(3, 1 / 3)),))
+    assert code_orbits(code).d == 1
+    assert resolution(code) == pair_nearest(code.all_points())
+
+
 def test_kl_report_orthonormalizes_the_orbit_blocks():
     code = unit_code("cube_orthoplex", D=6)
     rep = kl_report(code, 2, 2.5)
