@@ -263,13 +263,14 @@ _DISTANCE_BYTES = 1 << 19
 _EPS = float(np.finfo(float).eps)
 
 
-def _pair_distances(cols: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances between the points a[i] and b[i], summed one real
-    coordinate at a time (``cols`` holds the coordinates, one per row):
-    every squared distance that a scan reports is formed this way."""
-    d2 = np.square(cols[0][a] - cols[0][b])
-    for col in cols[1:]:
-        d2 += np.square(col[a] - col[b])
+def _pair_distances(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between the points x[a] and x[b] (rows of real
+    coordinates), summed one coordinate at a time: every squared distance
+    that a scan reports is formed this way."""
+    square = np.square(x[a] - x[b])
+    d2 = square[..., 0].copy()
+    for k in range(1, x.shape[1]):
+        d2 += square[..., k]
     return d2
 
 
@@ -283,36 +284,38 @@ def _pair_scan(points: np.ndarray, rows: Optional[np.ndarray] = None,
     the block within spread(d) of the block's least distance d (spread
     nondecreasing).  With every index as a row this covers each pair (the
     distances are exactly symmetric).  Candidates come from the Gram form
-    |a|^2 + |b|^2 - 2 Re <a, b> (a real Gram of the real coordinates), with
-    no N x N x modes temporary and no block over ``_DISTANCE_BYTES``.  That
-    form is off by at most 4 (m + 2) eps M for m real coordinates and M the
-    largest |a|^2, and a pair's sum by (m + 2) eps of itself, so a pair
-    within spread of the least is within 8 (m + 3) eps (M + least) of the
-    least form; twice that is kept.
+    |a|^2 + |b|^2 - 2 Re <a, b>, one product of the real coordinates
+    extended by |a|^2 and 1, with no N x N x modes temporary and no block
+    over ``_DISTANCE_BYTES``.  For m real coordinates and M the largest
+    |a|^2 that form is off by at most (6 m + 8) eps M (the norms' rounding
+    and the product's), and a pair's sum by (m + 2) eps of itself, so a
+    pair within spread of the least is within (12 m + 16) eps M + 2 (m + 2)
+    eps least of the least form; more than that is kept.
     """
     x = np.ascontiguousarray(points).view(float)
-    cols = x.T.copy()
+    size, m = x.shape
     norms = (x * x).sum(axis=1)
-    rounding = 16.0 * (x.shape[1] + 3) * _EPS
+    # Rows [a, |a|^2, 1] against columns [-2 b, 1, |b|^2]: -2 is exact.
+    left = np.hstack([x, norms[:, None], np.ones((size, 1))])
+    right = np.hstack([-2.0 * x, np.ones((size, 1)), norms[:, None]])
+    rounding = 16.0 * (m + 3) * _EPS
     big = float(norms.max())
-    minus_twice = -2.0 * x  # exact, so each Gram entry is -2 <a, b> exactly
-    size = len(x)
     rows = np.arange(size) if rows is None else rows
     step = max(1, _DISTANCE_BYTES // (x.itemsize * size))
     for first in range(0, len(rows), step):
         block = rows[first:first + step]
         lo = int(block[0])
-        form = x[block] @ minus_twice[lo:].T
-        form += norms[lo:]
-        form += norms[block, None]
+        form = left[block] @ right[lo:].T
         form[np.arange(len(block)), block - lo] = np.inf
         least = float(form.min())
         if least == np.inf:  # a last row alone, with no pair
             continue
         window = rounding * (big + abs(least))
-        i, j = np.nonzero(form <= least + window + spread(max(least, 0.0) + window))
+        # (A flat nonzero is many times faster than a 2-D one.)
+        i, j = np.divmod(np.flatnonzero(form <= least + window + spread(max(least, 0.0) + window)),
+                         size - lo)
         a, b = block[i], lo + j
-        yield a, b, _pair_distances(cols, a, b)
+        yield a, b, _pair_distances(x, a, b)
 
 
 def min_squared_distance(points: np.ndarray) -> float:
@@ -524,7 +527,7 @@ def resolution(code: CodeSpec) -> float:
         # the squared sums.
         return 8.0 * tol * (np.sqrt(least) + tol) + 1e-15 * least
 
-    cols = np.ascontiguousarray(pts).view(float).T
+    x = np.ascontiguousarray(pts).view(float)
     nearest, near = np.inf, []
     for a, b, dist in _pair_scan(pts, orbits.rows[:, 0], margin):
         least = float(dist.min())
@@ -536,7 +539,7 @@ def resolution(code: CodeSpec) -> float:
         # The points of one constellation are farther apart than
         # DISTINCT_TOL, so only codewords of one point each can coincide.
         a, b = np.triu_indices(len(pts), 1)
-        if _pair_distances(cols, a, b).max() <= DISTINCT_TOL:
+        if _pair_distances(x, a, b).max() <= DISTINCT_TOL:
             raise ValidationError("resolution needs at least 2 distinct points")
     if d == 1:
         return nearest
@@ -549,7 +552,7 @@ def resolution(code: CodeSpec) -> float:
     a, b = place[a[keep]], place[b[keep]]
     a = orbits.rows[a // d]
     b = orbits.rows[(b // d)[:, None], ((b % d)[:, None] + np.arange(d)) % d]
-    copies = _pair_distances(cols, a, b)
+    copies = _pair_distances(x, a, b)
     return float(copies.min())
 
 
