@@ -263,14 +263,13 @@ _DISTANCE_BYTES = 1 << 19
 _EPS = float(np.finfo(float).eps)
 
 
-def _pair_distances(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances between the points x[a] and x[b] (rows of real
-    coordinates), summed one coordinate at a time: every squared distance
-    that a scan reports is formed this way."""
-    square = np.square(x[a] - x[b])
-    d2 = square[..., 0].copy()
-    for k in range(1, x.shape[1]):
-        d2 += square[..., k]
+def _pair_distances(cols: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between the points a[i] and b[i], summed one real
+    coordinate at a time (``cols`` holds the coordinates, one per row):
+    every squared distance that a scan reports is formed this way."""
+    d2 = np.square(cols[0][a] - cols[0][b])
+    for col in cols[1:]:
+        d2 += np.square(col[a] - col[b])
     return d2
 
 
@@ -294,6 +293,7 @@ def _pair_scan(points: np.ndarray, rows: Optional[np.ndarray] = None,
     """
     x = np.ascontiguousarray(points).view(float)
     size, m = x.shape
+    cols = x.T.copy()
     norms = (x * x).sum(axis=1)
     # Rows [a, |a|^2, 1] against columns [-2 b, 1, |b|^2]: -2 is exact.
     left = np.hstack([x, norms[:, None], np.ones((size, 1))])
@@ -315,7 +315,7 @@ def _pair_scan(points: np.ndarray, rows: Optional[np.ndarray] = None,
         i, j = np.divmod(np.flatnonzero(form <= least + window + spread(max(least, 0.0) + window)),
                          size - lo)
         a, b = block[i], lo + j
-        yield a, b, _pair_distances(x, a, b)
+        yield a, b, _pair_distances(cols, a, b)
 
 
 def min_squared_distance(points: np.ndarray) -> float:
@@ -527,7 +527,7 @@ def resolution(code: CodeSpec) -> float:
         # the squared sums.
         return 8.0 * tol * (np.sqrt(least) + tol) + 1e-15 * least
 
-    x = np.ascontiguousarray(pts).view(float)
+    cols = np.ascontiguousarray(pts).view(float).T.copy()
     nearest, near = np.inf, []
     for a, b, dist in _pair_scan(pts, orbits.rows[:, 0], margin):
         least = float(dist.min())
@@ -539,7 +539,7 @@ def resolution(code: CodeSpec) -> float:
         # The points of one constellation are farther apart than
         # DISTINCT_TOL, so only codewords of one point each can coincide.
         a, b = np.triu_indices(len(pts), 1)
-        if _pair_distances(x, a, b).max() <= DISTINCT_TOL:
+        if _pair_distances(cols, a, b).max() <= DISTINCT_TOL:
             raise ValidationError("resolution needs at least 2 distinct points")
     if d == 1:
         return nearest
@@ -552,7 +552,7 @@ def resolution(code: CodeSpec) -> float:
     a, b = place[a[keep]], place[b[keep]]
     a = orbits.rows[a // d]
     b = orbits.rows[(b // d)[:, None], ((b % d)[:, None] + np.arange(d)) % d]
-    copies = _pair_distances(x, a, b)
+    copies = _pair_distances(cols, a, b)
     return float(copies.min())
 
 
