@@ -36,16 +36,12 @@ _EXPORTS = {
     "constellation": (
         "CodeSpec",
         "Rotation",
-        "RotationFamily",
         "WeightedConstellation",
         "apply_rotation",
         "embed_complex_to_real",
         "embed_real_to_complex",
-        "global_phase_family",
         "mean_photon_number",
-        "mode_phase_family",
         "normalize_energy",
-        "optimize_codeword_rotation",
         "resolution",
         "rotate_code",
         "scale_code",

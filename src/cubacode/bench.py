@@ -18,17 +18,19 @@ fidelity; the single-mode catalog codes are within 1e-12 at every ratio.
 
 Each sweep, the rows of a pair comparison and the grid scan of a scale
 search make one batched ``klcheck.loss_fidelities`` call per code; only
-the search's refinement probes are evaluated one at a time.
+the search's refinement probes, by Brent's method (``grid_brent_max``),
+are evaluated one at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from math import copysign
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constellation import CodeSpec, grid_brent_max, mean_photon_number, normalize_energy
+from .constellation import CodeSpec, mean_photon_number, normalize_energy
 from .errors import DegenerateCodewordsError, NumericalFailure, ValidationError
 from .klcheck import loss_fidelities
 
@@ -85,6 +87,117 @@ def _scales(grid: Sequence[float]) -> List[float]:
     if not scales or not all(0.0 < s < np.inf for s in scales):
         raise ValidationError("scale grid must be a nonempty list of positive finite values")
     return scales
+
+
+# Brent's golden-section fraction, and the shortest bracket the search
+# resolves relative to 1 + |x|: its smallest step, a third of that, stays a
+# few units in the last place, so every probe is a new float.
+_GOLDEN = (3.0 - np.sqrt(5.0)) / 2.0
+_XTOL_FLOOR = 9.0 * np.finfo(float).eps
+
+
+def _rank(value: Optional[float]) -> float:
+    return -np.inf if value is None else value
+
+
+def _parabola_step(x: float, fx: float, w: float, fw: float, v: float, fv: float) -> float:
+    """Offset from x to the vertex of the parabola through three points
+    (NaN when they are collinear or two of them coincide)."""
+    r = (x - w) * (fx - fv)
+    q = (x - v) * (fx - fw)
+    denom = 2.0 * (q - r)
+    return ((x - w) * r - (x - v) * q) / denom if denom != 0.0 else np.nan
+
+
+def brent_max(
+    f: Callable[[float], Optional[float]],
+    a: float,
+    b: float,
+    tol: float,
+    max_iter: int,
+    seeds: Sequence[tuple] = (),
+) -> tuple:
+    """Brent's method for a maximum of f on [a, b] (R. P. Brent, Algorithms
+    for Minimization without Derivatives, 1973, ch. 5): parabolic
+    interpolation through the three best points, with a golden-section step
+    wherever the parabola is not trusted.
+
+    seeds are (x, f(x)) pairs already evaluated in [a, b]; without them the
+    search starts from one golden-section point.  f may return None for a
+    point it cannot evaluate: None ranks below every value, and no parabola
+    is fitted through it.  The best point moves only on a strict
+    improvement.  The search stops once the bracket around the best point
+    is shorter than tol (or than a few units in the last place of x) or
+    after max_iter evaluations of f; no point is evaluated twice.  Returns
+    the best (x, f(x)) over the seeds and every point evaluated, the
+    earliest one on ties.
+    """
+    points = list(seeds)
+    if not points:
+        x0 = a + _GOLDEN * (b - a)
+        points.append((x0, f(x0)))
+    evals = len(points) - len(seeds)
+    # x is the best point, w the second best, v the third (repeating the
+    # last one when fewer are known).
+    ranked = sorted(points, key=lambda t: -_rank(t[1]))
+    (x, fx), (w, fw), (v, fv) = (ranked + ranked[-1:] * 2)[:3]
+    d = e = b - a  # the last two steps: a full bracket lets a first parabola through
+    while evals < max_iter:
+        t = max(tol, _XTOL_FLOOR * (1.0 + abs(x)))
+        if b - a < t:
+            break
+        step_min, mid = t / 3.0, 0.5 * (a + b)
+        step = np.nan
+        if abs(e) > step_min and None not in (fx, fw, fv):
+            step = _parabola_step(x, fx, w, fw, v, fv)
+        if abs(step) < 0.5 * abs(e) and a < x + step < b:
+            e, d = d, step
+            if min(x + d - a, b - x - d) < 2.0 * step_min:
+                d = copysign(step_min, mid - x)
+        else:
+            e = (a if x >= mid else b) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= step_min else copysign(step_min, d))
+        fu = f(u)
+        evals += 1
+        if _rank(fu) > _rank(fx):
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if _rank(fu) >= _rank(fw) or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif _rank(fu) >= _rank(fv) or v in (x, w):
+                v, fv = u, fu
+    return x, fx
+
+
+def grid_brent_max(
+    f: Callable[[float], Optional[float]],
+    xs: Sequence[float],
+    values: Sequence[Optional[float]],
+    tol: float,
+    max_iter: int,
+) -> tuple:
+    """Refine a grid scan: values[i] = f(xs[i]) on an ascending grid.
+
+    Brent's method (brent_max, whose None ranking applies) runs between the
+    neighbours of the best grid point, seeded with that point and the two
+    neighbours, so no grid point is evaluated again.  Returns the best
+    (x, f(x)) found; the grid point wins ties.
+    """
+    i = max(range(len(xs)), key=lambda k: _rank(values[k]))
+    near = [k for k in (i, i - 1, i + 1) if 0 <= k < len(xs)]
+    return brent_max(
+        f, xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], tol, max_iter,
+        seeds=[(xs[k], values[k]) for k in near],
+    )
 
 
 def optimal_scale_adaptive(code: CodeSpec, gamma: float, grid: Sequence[float]) -> Tuple[float, float]:

@@ -6,7 +6,8 @@ catalog (--catalog NAME plus its numeric flags) or from a JSON definition
 file (--code-file PATH).  Reports go to standard output; CSV artifacts are
 written when --out is given.  Floats are formatted with 12 significant
 digits so identical inputs produce byte-identical output.  Exit status: 0
-on success, 1 on numerical failure, 2 on validation errors.
+on success, 1 on numerical failure, 2 on validation errors and on
+requests too large for the available memory.
 """
 
 from __future__ import annotations
@@ -507,6 +508,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: the request is too large for the available memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import copysign
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -85,7 +84,7 @@ class WeightedConstellation:
         if np.any(w <= 0):
             raise ValidationError("all weights must be strictly positive")
         if abs(w.sum() - 1.0) > WEIGHT_TOL:
-            raise ValidationError(f"weights must sum to 1 within {WEIGHT_TOL} (got {w.sum()!r})")
+            raise ValidationError(f"weights must sum to 1 within {WEIGHT_TOL} (got {float(w.sum())})")
         nearest = np.inf
         if pts.shape[0] > 1:
             nearest = min_squared_distance(pts) if self._nearest is None else self._nearest
@@ -147,7 +146,7 @@ class CodeSpec:
                 if dist.max() > GEOM_TOL:
                     i = int(dist.argmax())
                     raise ValidationError(
-                        f"point {i} of logical {k} has norm {norms[i]!r} matching no declared shell"
+                        f"point {i} of logical {k} has norm {float(norms[i])} matching no declared shell"
                     )
         object.__setattr__(self, "logicals", logicals)
         object.__setattr__(self, "shells", shells)
@@ -593,220 +592,3 @@ def normalize_energy(code: CodeSpec, target: float) -> tuple:
         )
     lam = float(np.sqrt(target / nbars[0]))
     return scale_code(code, lam), lam
-
-
-# ---------------------------------------------------------------------------
-# Rotation families and codeword-rotation optimization
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RotationFamily:
-    """Parameterized family of rotations over a bounded box.
-
-    ``build`` maps a parameter vector (length = len(lower)) to a Rotation.
-    """
-
-    lower: np.ndarray
-    upper: np.ndarray
-    build: Callable
-    name: str = ""
-
-    def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lo.shape != hi.shape or lo.ndim != 1 or lo.size < 1:
-            raise ValidationError("rotation family needs matching 1-D bounds")
-        if np.any(hi < lo):
-            raise ValidationError("rotation family box has upper < lower")
-        object.__setattr__(self, "lower", _freeze(lo))
-        object.__setattr__(self, "upper", _freeze(hi))
-
-
-def global_phase_family(modes: int, lo: float = 0.0, hi: float = np.pi / 2) -> RotationFamily:
-    """Uniform-phase (isoclinic) rotations of all modes."""
-    return RotationFamily(
-        lower=np.array([lo]),
-        upper=np.array([hi]),
-        build=lambda p: Rotation.global_phase(modes, float(p[0])),
-        name="global-phase",
-    )
-
-
-def mode_phase_family(modes: int, lo: float = 0.0, hi: float = 2 * np.pi) -> RotationFamily:
-    """Independent per-mode phase rotations (an n-parameter family)."""
-    return RotationFamily(
-        lower=np.full(modes, lo),
-        upper=np.full(modes, hi),
-        build=lambda p: Rotation.mode_phases(np.asarray(p, dtype=float)),
-        name="mode-phases",
-    )
-
-
-def _pair_resolution(base: np.ndarray, rotated: np.ndarray) -> float:
-    # Multiset resolution of the two-codeword configuration: coincident
-    # cross-codeword points (a degenerate code) score 0.
-    return min_squared_distance(np.vstack([base, rotated]))
-
-
-# Brent's golden-section fraction, and the shortest bracket the search
-# resolves relative to 1 + |x|: its smallest step, a third of that, stays a
-# few units in the last place, so every probe is a new float.
-_GOLDEN = (3.0 - np.sqrt(5.0)) / 2.0
-_XTOL_FLOOR = 9.0 * np.finfo(float).eps
-
-
-def _rank(value: Optional[float]) -> float:
-    return -np.inf if value is None else value
-
-
-def _parabola_step(x: float, fx: float, w: float, fw: float, v: float, fv: float) -> float:
-    """Offset from x to the vertex of the parabola through three points
-    (NaN when they are collinear or two of them coincide)."""
-    r = (x - w) * (fx - fv)
-    q = (x - v) * (fx - fw)
-    denom = 2.0 * (q - r)
-    return ((x - w) * r - (x - v) * q) / denom if denom != 0.0 else np.nan
-
-
-def brent_max(
-    f: Callable[[float], Optional[float]],
-    a: float,
-    b: float,
-    tol: float,
-    max_iter: int,
-    seeds: Sequence[tuple] = (),
-) -> tuple:
-    """Brent's method for a maximum of f on [a, b] (R. P. Brent, Algorithms
-    for Minimization without Derivatives, 1973, ch. 5): parabolic
-    interpolation through the three best points, with a golden-section step
-    wherever the parabola is not trusted.
-
-    seeds are (x, f(x)) pairs already evaluated in [a, b]; without them the
-    search starts from one golden-section point.  f may return None for a
-    point it cannot evaluate: None ranks below every value, and no parabola
-    is fitted through it.  The best point moves only on a strict
-    improvement.  The search stops once the bracket around the best point
-    is shorter than tol (or than a few units in the last place of x) or
-    after max_iter evaluations of f; no point is evaluated twice.  Returns
-    the best (x, f(x)) over the seeds and every point evaluated, the
-    earliest one on ties.
-    """
-    points = list(seeds)
-    if not points:
-        x0 = a + _GOLDEN * (b - a)
-        points.append((x0, f(x0)))
-    evals = len(points) - len(seeds)
-    # x is the best point, w the second best, v the third (repeating the
-    # last one when fewer are known).
-    ranked = sorted(points, key=lambda t: -_rank(t[1]))
-    (x, fx), (w, fw), (v, fv) = (ranked + ranked[-1:] * 2)[:3]
-    d = e = b - a  # the last two steps: a full bracket lets a first parabola through
-    while evals < max_iter:
-        t = max(tol, _XTOL_FLOOR * (1.0 + abs(x)))
-        if b - a < t:
-            break
-        step_min, mid = t / 3.0, 0.5 * (a + b)
-        step = np.nan
-        if abs(e) > step_min and None not in (fx, fw, fv):
-            step = _parabola_step(x, fx, w, fw, v, fv)
-        if abs(step) < 0.5 * abs(e) and a < x + step < b:
-            e, d = d, step
-            if min(x + d - a, b - x - d) < 2.0 * step_min:
-                d = copysign(step_min, mid - x)
-        else:
-            e = (a if x >= mid else b) - x
-            d = _GOLDEN * e
-        u = x + (d if abs(d) >= step_min else copysign(step_min, d))
-        fu = f(u)
-        evals += 1
-        if _rank(fu) > _rank(fx):
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if _rank(fu) >= _rank(fw) or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif _rank(fu) >= _rank(fv) or v in (x, w):
-                v, fv = u, fu
-    return x, fx
-
-
-def grid_brent_max(
-    f: Callable[[float], Optional[float]],
-    xs: Sequence[float],
-    values: Sequence[Optional[float]],
-    tol: float,
-    max_iter: int,
-) -> tuple:
-    """Refine a grid scan: values[i] = f(xs[i]) on an ascending grid.
-
-    Brent's method (brent_max, whose None ranking applies) runs between the
-    neighbours of the best grid point, seeded with that point and the two
-    neighbours, so no grid point is evaluated again.  Returns the best
-    (x, f(x)) found; the grid point wins ties.
-    """
-    i = max(range(len(xs)), key=lambda k: _rank(values[k]))
-    near = [k for k in (i, i - 1, i + 1) if 0 <= k < len(xs)]
-    return brent_max(
-        f, xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], tol, max_iter,
-        seeds=[(xs[k], values[k]) for k in near],
-    )
-
-
-def optimize_codeword_rotation(
-    code: CodeSpec, family: RotationFamily, steps: int = 200
-) -> tuple:
-    """Search a rotation family for the member maximizing the resolution of
-    the two-codeword code [C0, R(C0)] built from the first logical.
-
-    Deterministic: a uniform grid scan over the family box followed by
-    coordinate-wise Brent refinement around the best grid point.
-    Returns (best rotation, achieved resolution).
-    """
-    if code.dim != 2:
-        raise ValidationError("rotation optimization is defined for K = 2 codes")
-    if steps < 1:
-        raise ValidationError("rotation search needs at least one step")
-    base = code.logicals[0]
-    lo, hi = family.lower, family.upper
-    d = lo.size
-
-    def objective(params: np.ndarray) -> float:
-        rot = family.build(params)
-        rotated = apply_rotation(base, rot)
-        return _pair_resolution(base.points, rotated.points)
-
-    # Coarse deterministic grid.
-    per_dim = max(2, int(round(steps ** (1.0 / d))))
-    axes = [np.linspace(lo[i], hi[i], per_dim) for i in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    candidates = np.stack([g.ravel() for g in grids], axis=1)
-    values = np.array([objective(c) for c in candidates])
-    best = candidates[int(values.argmax())].copy()
-    best_val = float(values.max())
-
-    # Brent refinement, one coordinate at a time.
-    for _ in range(3):
-        for i in range(d):
-            span = (hi[i] - lo[i]) / max(per_dim - 1, 1)
-            if span == 0:
-                continue
-
-            def along(x: float) -> float:
-                p = best.copy()
-                p[i] = x
-                return objective(p)
-
-            best[i], best_val = brent_max(
-                along, max(lo[i], best[i] - span), min(hi[i], best[i] + span), tol=0.0,
-                max_iter=60, seeds=[(best[i], best_val)],
-            )
-
-    return family.build(best), best_val

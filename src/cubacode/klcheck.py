@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, lgamma
+from math import comb, lgamma, log
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -238,6 +238,9 @@ def _raw_blocks(code: CodeSpec, max_loss: int, scale: float) -> np.ndarray:
     return full[place[:, None, :, None], place[None, :, None, :]]
 
 
+_LOG_FLOAT_MAX = log(np.finfo(float).max)
+
+
 def kl_report(code: CodeSpec, max_loss: int, scale: float) -> KLReport:
     """Evaluate the correction-condition blocks for all loss errors with at
     most ``max_loss`` total lost photons, exactly from coherent-state
@@ -246,6 +249,16 @@ def kl_report(code: CodeSpec, max_loss: int, scale: float) -> KLReport:
         raise ValidationError("scale must be positive and finite")
     if max_loss < 0:
         raise ValidationError("max_loss must be nonnegative")
+    # The blocks sum N terms of up to (scale r_max)^(2 max_loss), and the
+    # overlap exponents reach (scale r_max)^2 (N points, r_max the largest
+    # point norm): a scale at which that overflows a double is rejected.
+    r_max = max(float(c.radii().max()) for c in code.logicals)
+    power, size = 2 * max(int(max_loss), 1), sum(c.size for c in code.logicals)
+    if r_max > 0 and power * (log(scale) + log(r_max)) + log(size) > _LOG_FLOAT_MAX:
+        raise ValidationError(
+            f"scale {scale:g} is too large for max_loss {max_loss}: the blocks grow like "
+            f"(scale * r_max)^{power}, r_max = {r_max:g} the largest point norm, and overflow"
+        )
     K = code.dim
     qs = list(multi_indices_upto(code.modes, int(max_loss)))
     raw = _raw_blocks(code, int(max_loss), float(scale))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from cubacode import bench
+from cubacode.bench import grid_brent_max
 from cubacode.catalog import build_catalog_code
-from cubacode.constellation import grid_brent_max
 from cubacode.errors import DegenerateCodewordsError, NumericalFailure
 from cubacode.klcheck import loss_fidelities, loss_fidelity
 

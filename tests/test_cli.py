@@ -163,6 +163,35 @@ def test_kl_builds_the_block_dict_only_for_out(tmp_path, capsys, monkeypatch):
     assert "matrices" in vars(reports[-1])
 
 
+def test_kl_rejects_a_scale_whose_blocks_overflow(capsys):
+    # The blocks grow like (scale r_max)^(2 max_loss): at 1e38 and
+    # --max-loss 4 they are still finite.  A RuntimeWarning fails the test.
+    assert run_cli(capsys, "kl", "--catalog", "qsc8", "--scale", "1e38", "--max-loss", "4")[0] == 0
+    for argv in (["--scale", "1e40", "--max-loss", "4"], ["--scale", "1e200"]):
+        status, out, err = run_cli(capsys, "kl", "--catalog", "qsc8", *argv)
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error: scale ") and "too large" in err
+        assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 128. GiB")],
+                         ids=repr)
+def test_memory_error_exits_2(exc, capsys, monkeypatch):
+    import cubacode.klcheck as klcheck
+
+    def too_large(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(klcheck, "kl_report", too_large)
+    status, out, err = run_cli(capsys, "kl", "--catalog", "cube_orthoplex", "--D", "8",
+                               "--scale", "2", "--max-loss", "30")
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: the request is too large") and str(exc) in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_stab_command_reports_residual(capsys):
     status, out, _ = run_cli(
         capsys, "stab", "--catalog", "cat", "--m", "2", "--scale", "2", "--cutoff", "64"

@@ -67,6 +67,7 @@ def test_unnormalized_weights_report_constellation():
         loads_code(json.dumps(doc))
     assert err.value.path == "$.logicals[1]"
     assert "sum to 1" in str(err.value)
+    assert str(err.value).endswith("weights must sum to 1 within 1e-12 (got 1.2)")
 
 
 def test_wrong_point_arity_reports_path():
@@ -88,6 +89,7 @@ def test_shell_mismatch_reports_top_level():
     with pytest.raises(CodeFileError) as err:
         loads_code(json.dumps(doc))
     assert err.value.path == "$"
+    assert "point 0 of logical 0 has norm 1.0 matching no declared shell" in str(err.value)
 
 
 def test_dumps_is_deterministic():

@@ -15,10 +15,9 @@ PUBLIC = {
     ],
     "codefile": ["CodeFileError", "load_code", "save_code"],
     "constellation": [
-        "CodeSpec", "Rotation", "RotationFamily", "WeightedConstellation",
+        "CodeSpec", "Rotation", "WeightedConstellation",
         "apply_rotation", "embed_complex_to_real", "embed_real_to_complex",
-        "global_phase_family", "mean_photon_number", "mode_phase_family", "normalize_energy",
-        "optimize_codeword_rotation", "resolution", "rotate_code",
+        "mean_photon_number", "normalize_energy", "resolution", "rotate_code",
         "scale_code",
     ],
     "errors": ["DegenerateCodewordsError", "NumericalFailure", "ValidationError"],

@@ -18,24 +18,20 @@ from cubacode import (
     cat_code,
     embed_complex_to_real,
     embed_real_to_complex,
-    global_phase_family,
     mean_photon_number,
     normalize_energy,
-    optimize_codeword_rotation,
     polygon_shell_code,
     resolution,
     rotate_code,
     scale_code,
     two_shell_24cell_code,
 )
+from cubacode.bench import brent_max, grid_brent_max
 from cubacode.constellation import (
     _DISTANCE_BYTES,
     DISTINCT_TOL,
-    RotationFamily,
     _match_points,
     _pair_scan,
-    brent_max,
-    grid_brent_max,
     min_squared_distance,
 )
 
@@ -441,43 +437,6 @@ def test_catalog_weights_normalized():
         code = build_catalog_code(name, params)
         for c in code.logicals:
             assert abs(c.weights.sum() - 1.0) <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Codeword rotation search
-# ---------------------------------------------------------------------------
-
-
-def test_optimize_rotation_cat_two_finds_quarter_turn():
-    code = cat_code(2, 2)
-    rot, d_e = optimize_codeword_rotation(code, global_phase_family(1, 0.0, np.pi), steps=60)
-    assert abs(d_e - 2.0) < 1e-9
-    assert abs(abs(np.angle(rot.matrix[0, 0])) - np.pi / 2) < 1e-6
-
-
-def test_optimize_rotation_two_shell_24cell_saturates():
-    tau = 1.0 + np.sqrt(2.0 - np.sqrt(2.0)) + 0.2
-    code = two_shell_24cell_code(tau)
-    _, d_e = optimize_codeword_rotation(code, global_phase_family(2), steps=80)
-    assert abs(d_e - (2.0 - np.sqrt(2.0))) < 1e-6
-
-
-def test_optimize_rotation_identity_only_family():
-    code = cat_code(2, 2)
-    family = RotationFamily(
-        lower=np.array([0.0]), upper=np.array([0.0]),
-        build=lambda p: Rotation.identity(1),
-    )
-    rot, d_e = optimize_codeword_rotation(code, family, steps=5)
-    assert np.allclose(rot.matrix, np.eye(1))
-    # Codeword 2 coincides with codeword 1, so the configuration is degenerate.
-    assert d_e < 1e-12
-
-
-def test_optimize_rotation_requires_two_codewords():
-    code = build_catalog_code("cell16_qutrit")
-    with pytest.raises(ValidationError, match="K = 2"):
-        optimize_codeword_rotation(code, global_phase_family(2), steps=10)
 
 
 # ---------------------------------------------------------------------------
