@@ -214,6 +214,10 @@ def _raw_blocks(code: CodeSpec, max_loss: int, scale: float) -> np.ndarray:
         np.multiply(turns[1:, None, None], over[0], out=over[1:])
         over -= half[rows, None]
         over -= half[cols]
+        if g == h:
+            # The self-overlap exponents are 0; conj(R) . R and |R|^2 round
+            # differently, which swamps them at large scales.
+            np.fill_diagonal(over[0], 0.0)
         overs.append(np.exp(over, out=over).reshape(d, -1))
     # Sectors are taken a few at a time, each array of a group under
     # _BATCH_BYTES.
@@ -239,6 +243,8 @@ def _raw_blocks(code: CodeSpec, max_loss: int, scale: float) -> np.ndarray:
 
 
 _LOG_FLOAT_MAX = log(np.finfo(float).max)
+_TINY = float(np.finfo(float).tiny)
+_EPS = float(np.finfo(float).eps)
 
 
 def kl_report(code: CodeSpec, max_loss: int, scale: float) -> KLReport:
@@ -330,10 +336,11 @@ class _Powers:
     """The kappa-independent part of the sector series of one code.
 
     The entries (o, o') of the orbit overlaps x are sorted into bands by
-    their binary exponent: band i holds the entries ``order[lo:hi]``
-    (``bounds[i]``, ``bounds[i + 1]``) with scale/2 <= |x| < scale for
-    ``scales[i]``, a power of two (x = 0 goes with the smallest normal
-    number); ``band`` is each sorted entry's band.  Each entry's unit power
+    their binary exponent: band i holds the next ``counts[i]`` entries of
+    ``order``, those with scale/2 <= |x| < scale for ``scales[i]``, a power
+    of two (x = 0 goes with the smallest normal number); ``band`` is each
+    sorted entry's band and ``cols`` = 0, ..., E - 1 numbers the E sorted
+    entries.  Each entry's unit power
     is u = x / scale, exact, with 1/2 <= |u| < 1 or u = 0.  ``table[s, t]``
     holds u^(t d + s) for the terms of one chunk (``group`` blocks of d
     terms), as pairs of reals; ``step_turn`` is the phase of u^L, L =
@@ -344,9 +351,10 @@ class _Powers:
 
     group: int
     order: np.ndarray
-    bounds: np.ndarray
+    counts: np.ndarray
     scales: np.ndarray
     band: np.ndarray
+    cols: np.ndarray
     table: np.ndarray
     abs_x: np.ndarray
     drop: np.ndarray
@@ -358,12 +366,11 @@ def _power_table(x: np.ndarray, half: np.ndarray, d: int) -> _Powers:
     E = x.size
     group = max(1, min(_BATCH_BYTES // (16 * E * d), _CHUNK_TERMS // d))
     L = group * d
-    tiny = np.finfo(float).tiny
     abs_x = np.abs(x).ravel()
-    scale_exp = np.frexp(np.maximum(abs_x, tiny))[1]
+    scale_exp = np.frexp(np.maximum(abs_x, _TINY))[1]
     order = np.argsort(scale_exp, kind="stable")
     scale_exp, abs_x = scale_exp[order], abs_x[order]
-    exps, starts, band = np.unique(scale_exp, return_index=True, return_inverse=True)
+    exps, band, counts = np.unique(scale_exp, return_inverse=True, return_counts=True)
     u = x.ravel()[order] / np.exp2(scale_exp.astype(float))
     powers = np.empty((L, E), dtype=complex)
     powers[0] = 1.0
@@ -373,9 +380,9 @@ def _power_table(x: np.ndarray, half: np.ndarray, d: int) -> _Powers:
     mod = np.abs(step)
     table = np.ascontiguousarray(powers.reshape(group, d, E).transpose(1, 0, 2))
     return _Powers(
-        group=group, order=order, bounds=np.append(starts, E), scales=np.exp2(exps.astype(float)),
-        band=band, table=table.view(float), abs_x=abs_x, drop=abs_x - half.ravel()[order],
-        log_u=np.log(np.maximum(np.abs(u), tiny)),
+        group=group, order=order, counts=counts, scales=np.exp2(exps.astype(float)), band=band,
+        cols=np.arange(E), table=table.view(float), abs_x=abs_x, drop=abs_x - half.ravel()[order],
+        log_u=np.log(np.maximum(np.abs(u), _TINY)),
         step_turn=np.where(mod > 0.0, step / np.where(mod > 0.0, mod, 1.0), 1.0),
     )
 
@@ -392,7 +399,8 @@ class _Orbits:
     k], for the weight w and codeword ``owner`` of point (o, t), expands
     Pi_c|C_k> over the Pi_c|r_o> (C_k the raw codewords), and ``powers``,
     built on first use, is the kappa-independent part of the sector series
-    (None when d = 1).
+    (None when d = 1).  ``shift[c, q]`` = (c - q) mod d is the output
+    sector that loss from sector c leaves with environment sector q.
     """
 
     d: int
@@ -400,6 +408,7 @@ class _Orbits:
     x: np.ndarray
     abs_max: float
     b: np.ndarray
+    shift: np.ndarray
 
     @cached_property
     def powers(self) -> Optional[_Powers]:
@@ -421,6 +430,7 @@ def _orbits(code: CodeSpec) -> _Orbits:
             d=table.d, half=0.5 * (norms[:, None] + norms[None, :]), x=x,
             abs_max=float(np.abs(x).max()),
             b=table.spectrum(np.sqrt(table.weights)),
+            shift=np.subtract.outer(np.arange(table.d), np.arange(table.d)) % table.d,
         )
     return engine
 
@@ -497,6 +507,13 @@ def _sector_grams(orbits: _Orbits, kappa: np.ndarray) -> np.ndarray:
     and L <= max(d, 128)), so no factor overflows, and the weight-power
     products that matter stay normal numbers.
 
+    A chunk takes all bands in one product: every band's weights times
+    every entry's powers, of which each entry keeps its own band's sums.
+    With one term per sector in a chunk (L = d) that product only scales,
+    and on the many entries of such codes it would form every band's sums
+    (3.8 ms a chunk on cube_orthoplex --D 8, 7 bands); each entry's powers
+    are scaled by its band's weights instead (0.2 ms).
+
     Each point sums blocks of d terms until the Poisson tail of its largest
     kappa |x| is below 1e-20 (past the mean plus 10 standard deviations plus
     25).  Terms past a point's own blocks are zeroed and chunks have a fixed
@@ -516,13 +533,14 @@ def _sector_grams(orbits: _Orbits, kappa: np.ndarray) -> np.ndarray:
     blocks = -(-(lam + 10.0 * np.sqrt(lam) + 25.0).astype(int) // d)
     past = d * blocks[:, None, None]
     end = int(past.max())
-    tiny = np.finfo(float).tiny
-    lam = np.maximum(kappa[:, None] * pw.scales, tiny)[..., None]  # [p, band, 1]
-    kx = np.maximum(kappa[:, None] * pw.abs_x, tiny)
+    lam = np.maximum(kappa[:, None] * pw.scales, _TINY)[..., None]  # [p, band, 1]
+    kx = np.maximum(kappa[:, None] * pw.abs_x, _TINY)
     drop = kappa[:, None] * pw.drop
     out = np.zeros((P, d, pw.order.size), dtype=complex)
     turn = np.ones(pw.order.size, dtype=complex)
     weights = np.zeros((P, len(pw.scales), L))
+    # The weights as [p, s, band, t] for term m0 + t d + s of a chunk.
+    by_sector = weights.reshape(P, len(pw.scales), group, d).transpose(0, 3, 1, 2)
     for g, m0 in enumerate(range(0, end, L)):
         m = np.arange(m0, min(m0 + L, end))
         inside = m < past
@@ -538,19 +556,42 @@ def _sector_grams(orbits: _Orbits, kappa: np.ndarray) -> np.ndarray:
         weights[..., :len(m)] = np.cumprod(up, axis=2) * np.cumprod(down[..., ::-1], axis=2)[..., ::-1]
         weights[..., :len(m)] *= inside
         weights[..., len(m):] = 0.0
-        w = np.ascontiguousarray(weights.reshape(P, -1, group, d).transpose(0, 1, 3, 2))
         peak = peak[:, pw.band, 0]
         expo = _log_poisson(peak, kx) + drop - (peak - m0) * pw.log_u
         if g:
             turn = turn * pw.step_turn
         outer = np.exp(expo) * turn
-        for i, (lo, hi) in enumerate(zip(pw.bounds[:-1], pw.bounds[1:])):
-            sums = w[:, i, :, None, :] @ pw.table[:, :, 2 * lo:2 * hi]
-            out[:, :, lo:hi] += outer[:, None, lo:hi] * sums.view(complex)[:, :, 0]
+        if group > 1:
+            sums = (np.ascontiguousarray(by_sector) @ pw.table).view(complex)
+            sums = sums[:, :, pw.band, pw.cols]
+        else:
+            sums = np.repeat(by_sector[..., 0], pw.counts, axis=2) * pw.table.view(complex)[:, 0]
+        sums *= outer[:, None]
+        out += sums
     grams = np.empty_like(out)
     grams[:, :, pw.order] = out
     n = len(orbits.x)
     return grams.reshape(P, d, n, n)
+
+
+def _codeword_grams(orbits: _Orbits, env: np.ndarray, damped: np.ndarray) -> np.ndarray:
+    """[p, c, o, o'] = <Pi_c f_o|Pi_c f_o'> for f_o = |s_p r_o>, from the
+    sector Grams ``env`` at kappa = gamma s^2 and ``damped`` at (1 - gamma)
+    s^2 (_sector_grams, [p, q, o, o']).
+
+    Pure loss is a beam splitter, which conserves photon number, so Pi_c
+    on its input is the sum over q of Pi_q on the environment times
+    Pi_(c - q) on the output, and entrywise
+
+        S^[c]_{s^2} = sum_q E^[q]_{gamma s^2} S^[c - q]_{(1 - gamma) s^2}
+
+    (sectors mod d).  The einsum sums over q in order for every point, so a
+    point gets the same bits in any batch.
+    """
+    P, d = env.shape[:2]
+    grams = np.einsum("pqe,pcqe->pce", env.reshape(P, d, -1),
+                      damped.reshape(P, d, -1)[:, orbits.shift])
+    return grams.reshape(env.shape)
 
 
 def loss_fidelity(code: CodeSpec, gamma: float, scale: float) -> LossFidelity:
@@ -582,9 +623,12 @@ def loss_fidelity(code: CodeSpec, gamma: float, scale: float) -> LossFidelity:
     e^{2 pi i t/d} r_o):
 
         S^[c]_kappa = sector Grams <Pi_c f_o|Pi_c f_o'> of the states
-                      |sqrt(kappa) r_o>, summed as series (_sector_grams);
-                      kappa = s^2 (codewords), gamma s^2 (environment
-                      E^[q]) and (1 - gamma) s^2 (damped states S^[s]);
+                      |sqrt(kappa) r_o>, summed as series (_sector_grams)
+                      at kappa = gamma s^2 (environment E^[q]) and
+                      (1 - gamma) s^2 (damped states S^[s]); the
+                      codewords' S^[c]_{s^2} = sum_q E^[q] S^[c - q],
+                      entrywise (the beam splitter conserves photon
+                      number; _codeword_grams);
         b_c[o, k]   = sum_t e^{2 pi i c t/d} sqrt(w) [owner = k] at point
                       (o, t), a DFT along the orbit, so Pi_c|C_k> =
                       sum_o b_c[o, k] Pi_c|s r_o> for the raw codewords
@@ -648,12 +692,18 @@ def _fidelity_batch(code: CodeSpec, orbits: _Orbits, points: list) -> list:
     P = len(points)
     gamma = np.array([g for g, _ in points])
     s2 = np.array([s for _, s in points]) ** 2
-    # Codeword, environment and damped sector Grams, in that order.
-    grams = _sector_grams(orbits, np.concatenate([s2, gamma * s2, (1.0 - gamma) * s2]))
+    # Environment and damped sector Grams, in that order; the codewords'
+    # are their convolution.
+    grams = _sector_grams(orbits, np.concatenate([gamma * s2, (1.0 - gamma) * s2]))
+    env, damped = grams[:P], grams[P:]
     b = orbits.b
-    gc = np.conj(b.swapaxes(-1, -2)) @ grams[:P] @ b
-    ev = np.linalg.eigvalsh(gc.sum(axis=1))
+    # The sector Grams G^(c) of the codewords, and their sum as slice d.
+    gc = np.empty((P, d + 1, K, K), dtype=complex)
+    np.matmul(np.conj(b.swapaxes(-1, -2)) @ _codeword_grams(orbits, env, damped), b,
+              out=gc[:, :d])
+    gc[:, d] = gc[:, :d].sum(axis=1)
     mu, u = np.linalg.eigh(gc)
+    ev, mu, u = mu[:, d], mu[:, :d], u[:, :d]
     keep = ((mu > 1e-13 * mu.max(axis=2, keepdims=True))
             & (mu > 1e-24 * mu.max(axis=(1, 2))[:, None, None]))
     ratios = (ev[:, 0] / ev[:, -1]).tolist()
@@ -663,28 +713,30 @@ def _fidelity_batch(code: CodeSpec, orbits: _Orbits, points: list) -> list:
             out[i] = _degenerate(ratio)
         elif keep[i].sum() != K:
             out[i] = NumericalFailure(f"{keep[i].sum()} sector frames for {K} codewords")
-    live = np.array([i for i in range(P) if out[i] is None], dtype=int)
-    if not live.size:
+    ids = [i for i in range(P) if out[i] is None]
+    if not ids:
         return out
-    Pa, P = P, len(live)
+    # Slices, not copies, when every point is live.
+    live = slice(None) if len(ids) == P else np.array(ids)
+    keep, mu, u, env, damped = keep[live], mu[live], u[live], env[live], damped[live]
+    P = len(mu)
     pl = np.arange(P)[:, None]
     # Frame m of point p lies in sector c[p, m]: eigenvector j[p, m] of it.
-    _, c, j = np.nonzero(keep[live])
+    _, c, j = np.nonzero(keep)
     c, j = c.reshape(P, K), j.reshape(P, K)
-    mu, u = mu[live], u[live]
     frame = u[pl, c, :, j] / np.sqrt(mu[pl, c, j])[..., None]
     a_h = np.conj(np.einsum("pmok,pmk->pmo", b[c], frame))
     # conj(g)[p, q, j, o], g[p, q, o, j] = <j_q|Pi_q e_o> (environment basis j_q).
-    lam_e, v_e = np.linalg.eigh(grams[Pa + live])
+    lam_e, v_e = np.linalg.eigh(env)
     g_h = (v_e * np.sqrt(np.clip(lam_e, 0.0, None))[..., None, :]).swapaxes(-1, -2)
     # Output sector s pairs frame m with environment sector (c_m - s) mod d,
     # and environment sector q pairs it with output sector (c_m - q) mod d.
-    other = (c[:, None, :] - np.arange(d)[:, None]) % d
+    other = orbits.shift[c].swapaxes(1, 2)
     # M_s^+[p, s, (m, j), o] = conj(a[p, m, o] g[p, q, o, j]).
     m_h = (a_h[:, None, :, None, :] * g_h[pl[:, :, None], other]).reshape(P, d, K * n, n)
     q, t = np.linalg.qr(m_h)
     del m_h
-    lam, w = np.linalg.eigh(t @ grams[2 * Pa + live] @ np.conj(t.swapaxes(-1, -2)))
+    lam, w = np.linalg.eigh(t @ damped @ np.conj(t.swapaxes(-1, -2)))
     # G_s^{1/2} = y y^+; rows (m, j) of y, regrouped per environment sector
     # q, give Z_q.
     y = q @ w
@@ -695,7 +747,7 @@ def _fidelity_batch(code: CodeSpec, orbits: _Orbits, points: list) -> list:
     del y
     zz = z @ np.conj(z.swapaxes(-1, -2))
     fids = (np.abs(zz) ** 2).reshape(P, -1).sum(axis=1) / K**2
-    for i, fid in zip(live.tolist(), fids.tolist()):
+    for i, fid in zip(ids, fids.tolist()):
         ratio = ratios[i]
         # Roundoff in the frames of a sector holding several orbits grows like
         # eps over the codeword Gram's eigenvalue ratio.  At gamma = 0, F was
@@ -703,7 +755,7 @@ def _fidelity_batch(code: CodeSpec, orbits: _Orbits, points: list) -> list:
         # with sector frames 1.1e-8 above 1 for qsc24 at scale 0.8 (ratio
         # 1.5e-12) and 2.6e-9 at 0.9 (ratio 2.6e-11), beyond a flat 1e-9.
         # A larger excess is a breakdown, not roundoff.
-        if fid > 1.0 + 1e-9 + 10.0 * np.finfo(float).eps / ratio:
+        if fid > 1.0 + 1e-9 + 10.0 * _EPS / ratio:
             out[i] = NumericalFailure(f"fidelity {fid!r} exceeds 1 beyond tolerance")
         else:
             out[i] = LossFidelity(fidelity=min(fid, 1.0), gram_ratio=ratio)

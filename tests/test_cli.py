@@ -175,6 +175,16 @@ def test_kl_rejects_a_scale_whose_blocks_overflow(capsys):
         assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [["--scale", "1e90", "--max-loss", "0"],
+                                  ["--scale", "1e60", "--max-loss", "1"]], ids=" ".join)
+def test_kl_summary_is_finite_at_large_scales(argv, capsys):
+    # qcc8's points are far apart at these scales, so the orthonormalized
+    # blocks are diagonal and equal.  A RuntimeWarning fails the test.
+    status, out, _ = run_cli(capsys, "kl", "--catalog", "qcc8", *argv)
+    assert status == 0
+    assert [line.rsplit(":", 1)[1].strip() for line in out.splitlines()[-4:]] == ["0"] * 4
+
+
 @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 128. GiB")],
                          ids=repr)
 def test_memory_error_exits_2(exc, capsys, monkeypatch):

@@ -21,6 +21,7 @@ from cubacode.constellation import CodeSpec, WeightedConstellation
 from cubacode.errors import DegenerateCodewordsError
 from cubacode.klcheck import (
     LossFidelity,
+    _codeword_grams,
     _orbits,
     _sector_grams,
     codeword_gram,
@@ -391,7 +392,10 @@ def test_nearly_symmetric_code_gets_one_sector():
      [(g, s) for g in (0.0, 0.1, 0.3) for s in (0.3, 0.9, 1.7, 2.6, 3.3, 4.5)], True),
     # One sector (d = 1), several points per batch.
     (random_code, [(0.0, 1.0), (0.1, 0.7), (0.2, 1.7), (0.05, 3.0)], False),
-], ids=["qcc24", "qcc24-sweep", "cube_orthoplex6", "qsc8", "random"])
+    # 24 sectors of one orbit, ten points in one batch.
+    (lambda: unit_code("qsc12"), [(g, s) for g in (0.05, 0.2) for s in np.linspace(0.9, 3.3, 5)],
+     False),
+], ids=["qcc24", "qcc24-sweep", "cube_orthoplex6", "qsc8", "random", "qsc12-sweep"])
 def test_batch_equals_single_points_bit_for_bit(make, points, degenerate):
     code = make()
     batch = loss_fidelities(code, points)
@@ -443,6 +447,30 @@ def test_sector_grams_match_extended_precision(name, params, scale):
     assert np.all(got[want == 0] == 0)
     err = np.abs(got - want)[want != 0] / np.abs(want[want != 0])
     assert err.max() <= 1e-13, err.max()
+
+
+@pytest.mark.parametrize("name,params,scale,bound", [
+    # Measured 2.5e-15, 9.3e-16, 6.7e-16 and 5.4e-15 against sector_series,
+    # where the direct series reads 2.7e-16, 5.7e-16, 2.2e-16 and 4.6e-15.
+    ("qsc12", {}, 0.8, 1e-14),
+    ("qcc24", {}, 0.8, 1e-14),
+    ("qsc24", {}, 0.9, 1e-14),
+    ("cube_orthoplex", {"D": 6}, 3.3, 1e-14),
+    # kappa |x|max = 1529: measured 3.0e-13 (the direct series: 5.5e-14).
+    ("qcc12", {}, 15.0, 5e-13),
+], ids=["qsc12-0.8", "qcc24-0.8", "qsc24-0.9", "cube_orthoplex6-3.3", "qcc12-15"])
+def test_codeword_grams_are_the_beam_splitter_convolution(name, params, scale, bound):
+    # The codeword sector Grams at kappa = s^2, convolved from the
+    # environment and damped ones at gamma = 0.1, against the extended-
+    # precision series and against _sector_grams' own series at s^2.
+    orbits = _orbits(unit_code(name, **params))
+    kappa = scale**2
+    grams = _sector_grams(orbits, np.array([0.1 * kappa, 0.9 * kappa]))
+    got = _codeword_grams(orbits, grams[:1], grams[1:])[0]
+    for want in (sector_series(orbits, kappa), _sector_grams(orbits, np.array([kappa]))[0]):
+        assert np.all(got[want == 0] == 0)
+        err = np.abs(got - want)[want != 0] / np.abs(want[want != 0])
+        assert err.max() <= bound, err.max()
 
 
 @pytest.mark.parametrize("name,params", [

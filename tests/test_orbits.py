@@ -273,6 +273,15 @@ def test_orbit_kl_blocks_equal_point_pair_sums(name):
     assert np.array_equal(got, np.conj(got.transpose(1, 0, 3, 2)))
 
 
+@pytest.mark.parametrize("scale", [1e16, 1e18, 1e40, 1e90])
+def test_raw_codeword_gram_is_the_identity_at_large_scales(scale):
+    # Far apart, distinct points are orthogonal, so each raw codeword has
+    # norm sum_a w_a = 1.  A self-overlap exponent formed as conj(R) . R -
+    # |R|^2 read a norm of 0.0588 at scale 1e18 and overflowed at 1e90.
+    code = build_catalog_code("qcc8", None)
+    assert np.array_equal(_raw_blocks(code, 0, scale)[0, 0], np.eye(code.dim))
+
+
 @pytest.mark.parametrize("name", CODES)
 def test_orbit_resolution_equals_the_all_pairs_scan(name):
     code = CODES[name]()
