@@ -40,6 +40,7 @@ from math import comb, lgamma, log
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .constellation import CodeSpec, as_amplitude, code_orbits
 from .errors import DegenerateCodewordsError, NumericalFailure, ValidationError
@@ -336,25 +337,22 @@ class _Powers:
     """The kappa-independent part of the sector series of one code.
 
     The entries (o, o') of the orbit overlaps x are sorted into bands by
-    their binary exponent: band i holds the next ``counts[i]`` entries of
-    ``order``, those with scale/2 <= |x| < scale for ``scales[i]``, a power
-    of two (x = 0 goes with the smallest normal number); ``band`` is each
-    sorted entry's band and ``cols`` = 0, ..., E - 1 numbers the E sorted
-    entries.  Each entry's unit power
-    is u = x / scale, exact, with 1/2 <= |u| < 1 or u = 0.  ``table[s, t]``
-    holds u^(t d + s) for the terms of one chunk (``group`` blocks of d
-    terms), as pairs of reals; ``step_turn`` is the phase of u^L, L =
-    group d, which carries a chunk's phases to the next.  ``abs_x``,
-    ``drop`` = |x| - half and ``log_u`` = log |u| (log of the smallest
-    normal number for u = 0) are in the sorted order.
+    their binary exponent: the entries ``order`` (sorted by band) with
+    scale/2 <= |x| < scale for ``scales[i]``, a power of two, are band i
+    (x = 0 goes with the smallest normal number); ``band`` is each sorted
+    entry's band.  Each entry's unit power is u = x / scale, exact, with
+    1/2 <= |u| < 1 or u = 0.  ``table[s, t]`` holds u^(t d + s) for the
+    terms of one chunk (``group`` blocks of d terms), as pairs of reals;
+    ``step_turn`` is the phase of u^L, L = group d, which carries a
+    chunk's phases to the next.  ``abs_x``, ``drop`` = |x| - half and
+    ``log_u`` = log |u| (log of the smallest normal number for u = 0) are
+    in the sorted order.
     """
 
     group: int
     order: np.ndarray
-    counts: np.ndarray
     scales: np.ndarray
     band: np.ndarray
-    cols: np.ndarray
     table: np.ndarray
     abs_x: np.ndarray
     drop: np.ndarray
@@ -370,7 +368,7 @@ def _power_table(x: np.ndarray, half: np.ndarray, d: int) -> _Powers:
     scale_exp = np.frexp(np.maximum(abs_x, _TINY))[1]
     order = np.argsort(scale_exp, kind="stable")
     scale_exp, abs_x = scale_exp[order], abs_x[order]
-    exps, band, counts = np.unique(scale_exp, return_inverse=True, return_counts=True)
+    exps, band = np.unique(scale_exp, return_inverse=True)
     u = x.ravel()[order] / np.exp2(scale_exp.astype(float))
     powers = np.empty((L, E), dtype=complex)
     powers[0] = 1.0
@@ -380,8 +378,8 @@ def _power_table(x: np.ndarray, half: np.ndarray, d: int) -> _Powers:
     mod = np.abs(step)
     table = np.ascontiguousarray(powers.reshape(group, d, E).transpose(1, 0, 2))
     return _Powers(
-        group=group, order=order, counts=counts, scales=np.exp2(exps.astype(float)), band=band,
-        cols=np.arange(E), table=table.view(float), abs_x=abs_x, drop=abs_x - half.ravel()[order],
+        group=group, order=order, scales=np.exp2(exps.astype(float)), band=band,
+        table=table.view(float), abs_x=abs_x, drop=abs_x - half.ravel()[order],
         log_u=np.log(np.maximum(np.abs(u), _TINY)),
         step_turn=np.where(mod > 0.0, step / np.where(mod > 0.0, mod, 1.0), 1.0),
     )
@@ -399,8 +397,7 @@ class _Orbits:
     k], for the weight w and codeword ``owner`` of point (o, t), expands
     Pi_c|C_k> over the Pi_c|r_o> (C_k the raw codewords), and ``powers``,
     built on first use, is the kappa-independent part of the sector series
-    (None when d = 1).  ``shift[c, q]`` = (c - q) mod d is the output
-    sector that loss from sector c leaves with environment sector q.
+    (None when d = 1).
     """
 
     d: int
@@ -408,7 +405,6 @@ class _Orbits:
     x: np.ndarray
     abs_max: float
     b: np.ndarray
-    shift: np.ndarray
 
     @cached_property
     def powers(self) -> Optional[_Powers]:
@@ -430,7 +426,6 @@ def _orbits(code: CodeSpec) -> _Orbits:
             d=table.d, half=0.5 * (norms[:, None] + norms[None, :]), x=x,
             abs_max=float(np.abs(x).max()),
             b=table.spectrum(np.sqrt(table.weights)),
-            shift=np.subtract.outer(np.arange(table.d), np.arange(table.d)) % table.d,
         )
     return engine
 
@@ -509,10 +504,11 @@ def _sector_grams(orbits: _Orbits, kappa: np.ndarray) -> np.ndarray:
 
     A chunk takes all bands in one product: every band's weights times
     every entry's powers, of which each entry keeps its own band's sums.
-    With one term per sector in a chunk (L = d) that product only scales,
-    and on the many entries of such codes it would form every band's sums
-    (3.8 ms a chunk on cube_orthoplex --D 8, 7 bands); each entry's powers
-    are scaled by its band's weights instead (0.2 ms).
+    That forms (bands - 1) sums per entry for nothing.  On the codes of
+    the loss benchmarks (1-5 bands of 1-36 entries) this costs less than
+    a product per band; a cube_orthoplex --D 8 point (7 bands of 4624
+    entries, one term per sector in a chunk) takes about 1.7 times as
+    long.
 
     Each point sums blocks of d terms until the Poisson tail of its largest
     kappa |x| is below 1e-20 (past the mean plus 10 standard deviations plus
@@ -561,11 +557,8 @@ def _sector_grams(orbits: _Orbits, kappa: np.ndarray) -> np.ndarray:
         if g:
             turn = turn * pw.step_turn
         outer = np.exp(expo) * turn
-        if group > 1:
-            sums = (np.ascontiguousarray(by_sector) @ pw.table).view(complex)
-            sums = sums[:, :, pw.band, pw.cols]
-        else:
-            sums = np.repeat(by_sector[..., 0], pw.counts, axis=2) * pw.table.view(complex)[:, 0]
+        sums = (np.ascontiguousarray(by_sector) @ pw.table).view(complex)
+        sums = sums[:, :, pw.band, np.arange(pw.band.size)]
         sums *= outer[:, None]
         out += sums
     grams = np.empty_like(out)
@@ -574,7 +567,7 @@ def _sector_grams(orbits: _Orbits, kappa: np.ndarray) -> np.ndarray:
     return grams.reshape(P, d, n, n)
 
 
-def _codeword_grams(orbits: _Orbits, env: np.ndarray, damped: np.ndarray) -> np.ndarray:
+def _codeword_grams(env: np.ndarray, damped: np.ndarray) -> np.ndarray:
     """[p, c, o, o'] = <Pi_c f_o|Pi_c f_o'> for f_o = |s_p r_o>, from the
     sector Grams ``env`` at kappa = gamma s^2 and ``damped`` at (1 - gamma)
     s^2 (_sector_grams, [p, q, o, o']).
@@ -586,11 +579,17 @@ def _codeword_grams(orbits: _Orbits, env: np.ndarray, damped: np.ndarray) -> np.
         S^[c]_{s^2} = sum_q E^[q]_{gamma s^2} S^[c - q]_{(1 - gamma) s^2}
 
     (sectors mod d).  The einsum sums over q in order for every point, so a
-    point gets the same bits in any batch.
+    point gets the same bits in any batch.  It reads S^[c - q] through a
+    strided view of the damped Grams stacked twice, with no copy per c.
     """
     P, d = env.shape[:2]
-    grams = np.einsum("pqe,pcqe->pce", env.reshape(P, d, -1),
-                      damped.reshape(P, d, -1)[:, orbits.shift])
+    twice = np.concatenate([damped, damped], axis=1).reshape(P, 2 * d, -1)
+    sp, sc, se = twice.strides
+    # shifted[p, c, e, q] = twice[p, d + c - q, e] = damped[p, (c - q) mod d, e],
+    # with d + c - q in 1, ..., 2d - 1.
+    shifted = as_strided(twice[:, d:], (P, d, twice.shape[2], d), (sp, sc, se, -sc),
+                         writeable=False)
+    grams = np.einsum("pqe,pceq->pce", env.reshape(P, d, -1), shifted)
     return grams.reshape(env.shape)
 
 
@@ -699,7 +698,7 @@ def _fidelity_batch(code: CodeSpec, orbits: _Orbits, points: list) -> list:
     b = orbits.b
     # The sector Grams G^(c) of the codewords, and their sum as slice d.
     gc = np.empty((P, d + 1, K, K), dtype=complex)
-    np.matmul(np.conj(b.swapaxes(-1, -2)) @ _codeword_grams(orbits, env, damped), b,
+    np.matmul(np.conj(b.swapaxes(-1, -2)) @ _codeword_grams(env, damped), b,
               out=gc[:, :d])
     gc[:, d] = gc[:, :d].sum(axis=1)
     mu, u = np.linalg.eigh(gc)
@@ -731,7 +730,7 @@ def _fidelity_batch(code: CodeSpec, orbits: _Orbits, points: list) -> list:
     g_h = (v_e * np.sqrt(np.clip(lam_e, 0.0, None))[..., None, :]).swapaxes(-1, -2)
     # Output sector s pairs frame m with environment sector (c_m - s) mod d,
     # and environment sector q pairs it with output sector (c_m - q) mod d.
-    other = orbits.shift[c].swapaxes(1, 2)
+    other = (c[:, None, :] - np.arange(d)[:, None]) % d
     # M_s^+[p, s, (m, j), o] = conj(a[p, m, o] g[p, q, o, j]).
     m_h = (a_h[:, None, :, None, :] * g_h[pl[:, :, None], other]).reshape(P, d, K * n, n)
     q, t = np.linalg.qr(m_h)

@@ -271,6 +271,9 @@ def test_fock_oracle_matches_extended_precision(name, gamma, scale):
     ("qcc8", 0.2, 3.0, None),
     ("qcc12", 0.2, 3.0, None),
     ("cell16_qutrit", 0.2, 3.3, None),
+    # kappa |x|max = 1529, where the convolved codeword sector Grams are
+    # 3e-13 from the extended-precision series; measured 3.3e-16.
+    ("qcc12", 0.1, 15.0, None),
     # Ill-conditioned: codeword Gram eigenvalue ratio 7e-7.
     ("qsc8", 0.2, 0.8, None),
 ])
@@ -466,7 +469,7 @@ def test_codeword_grams_are_the_beam_splitter_convolution(name, params, scale, b
     orbits = _orbits(unit_code(name, **params))
     kappa = scale**2
     grams = _sector_grams(orbits, np.array([0.1 * kappa, 0.9 * kappa]))
-    got = _codeword_grams(orbits, grams[:1], grams[1:])[0]
+    got = _codeword_grams(grams[:1], grams[1:])[0]
     for want in (sector_series(orbits, kappa), _sector_grams(orbits, np.array([kappa]))[0]):
         assert np.all(got[want == 0] == 0)
         err = np.abs(got - want)[want != 0] / np.abs(want[want != 0])
