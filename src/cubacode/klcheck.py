@@ -40,7 +40,6 @@ from math import comb, lgamma, log
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .constellation import CodeSpec, as_amplitude, code_orbits
 from .errors import DegenerateCodewordsError, NumericalFailure, ValidationError
@@ -587,8 +586,8 @@ def _codeword_grams(env: np.ndarray, damped: np.ndarray) -> np.ndarray:
     sp, sc, se = twice.strides
     # shifted[p, c, e, q] = twice[p, d + c - q, e] = damped[p, (c - q) mod d, e],
     # with d + c - q in 1, ..., 2d - 1.
-    shifted = as_strided(twice[:, d:], (P, d, twice.shape[2], d), (sp, sc, se, -sc),
-                         writeable=False)
+    shifted = np.ndarray((P, d, twice.shape[2], d), twice.dtype, buffer=twice, offset=d * sc,
+                         strides=(sp, sc, se, -sc))
     grams = np.einsum("pqe,pceq->pce", env.reshape(P, d, -1), shifted)
     return grams.reshape(env.shape)
 
