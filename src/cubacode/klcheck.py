@@ -336,13 +336,13 @@ class _Powers:
     """The kappa-independent part of the sector series of one code.
 
     The entries (o, o') of the orbit overlaps x are sorted into bands by
-    their binary exponent: the entries ``order`` (sorted by band) with
-    scale/2 <= |x| < scale for ``scales[i]``, a power of two, are band i
-    (x = 0 goes with the smallest normal number); ``band`` is each sorted
-    entry's band.  Each entry's unit power is u = x / scale, exact, with
-    1/2 <= |u| < 1 or u = 0.  ``table[s, t]`` holds u^(t d + s) for the
-    terms of one chunk (``group`` blocks of d terms), as pairs of reals;
-    ``step_turn`` is the phase of u^L, L = group d, which carries a
+    their binary exponent: ``order`` lists the entries by band, band i
+    holding those with scale/2 <= |x| < scale for ``scales[i]``, a power
+    of two (x = 0 goes with the smallest normal number); ``band`` is each
+    sorted entry's band.  Each entry's unit power is u = x / scale, exact,
+    with 1/2 <= |u| < 1 or u = 0.  ``table[s, t]`` holds u^(t d + s) for
+    the terms of one chunk (``group`` blocks of d terms), as pairs of
+    reals; ``step_turn`` is the phase of u^L, L = group d, which carries a
     chunk's phases to the next.  ``abs_x``, ``drop`` = |x| - half and
     ``log_u`` = log |u| (log of the smallest normal number for u = 0) are
     in the sorted order.
@@ -506,8 +506,7 @@ def _sector_grams(orbits: _Orbits, kappa: np.ndarray) -> np.ndarray:
     That forms (bands - 1) sums per entry for nothing.  On the codes of
     the loss benchmarks (1-5 bands of 1-36 entries) this costs less than
     a product per band; a cube_orthoplex --D 8 point (7 bands of 4624
-    entries, one term per sector in a chunk) takes about 1.7 times as
-    long.
+    entries, one term per sector in a chunk) takes 1.3-1.8 times as long.
 
     Each point sums blocks of d terms until the Poisson tail of its largest
     kappa |x| is below 1e-20 (past the mean plus 10 standard deviations plus
