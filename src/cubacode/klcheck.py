@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, lgamma, log
+from math import comb, factorial, log
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -335,23 +335,24 @@ _CHUNK_TERMS = 128
 class _Powers:
     """The kappa-independent part of the sector series of one code.
 
-    The entries (o, o') of the orbit overlaps x are sorted into bands by
-    their binary exponent: ``order`` lists the entries by band, band i
-    holding those with scale/2 <= |x| < scale for ``scales[i]``, a power
-    of two (x = 0 goes with the smallest normal number); ``band`` is each
-    sorted entry's band.  Each entry's unit power is u = x / scale, exact,
-    with 1/2 <= |u| < 1 or u = 0.  ``table[s, t]`` holds u^(t d + s) for
-    the terms of one chunk (``group`` blocks of d terms), as pairs of
-    reals; ``step_turn`` is the phase of u^L, L = group d, which carries a
-    chunk's phases to the next.  ``abs_x``, ``drop`` = |x| - half and
-    ``log_u`` = log |u| (log of the smallest normal number for u = 0) are
-    in the sorted order.
+    The E entries (o, o') of the orbit overlaps x, in their natural order,
+    fall into bands by their binary exponent: ``band[e]`` is the band of
+    entry e, band i holding those with scale/2 <= |x| < scale for
+    ``scales[i]``, a power of two (x = 0 goes with the smallest normal
+    number), and ``pick[e]`` = band[e] E + e indexes entry e's own band in
+    a chunk's sums over [band, entry].  Each entry's unit power is u =
+    x / scale, exact, with 1/2 <= |u| < 1 or u = 0.  ``table[s, t]`` holds
+    u^(t d + s) for the terms of one chunk (``group`` blocks of d terms),
+    as pairs of reals; ``step_turn`` is the phase of u^L, L = group d,
+    which carries a chunk's phases to the next.  ``abs_x``, ``drop`` =
+    |x| - half and ``log_u`` = log |u| (log of the smallest normal number
+    for u = 0) are per entry.
     """
 
     group: int
-    order: np.ndarray
     scales: np.ndarray
     band: np.ndarray
+    pick: np.ndarray
     table: np.ndarray
     abs_x: np.ndarray
     drop: np.ndarray
@@ -365,10 +366,8 @@ def _power_table(x: np.ndarray, half: np.ndarray, d: int) -> _Powers:
     L = group * d
     abs_x = np.abs(x).ravel()
     scale_exp = np.frexp(np.maximum(abs_x, _TINY))[1]
-    order = np.argsort(scale_exp, kind="stable")
-    scale_exp, abs_x = scale_exp[order], abs_x[order]
     exps, band = np.unique(scale_exp, return_inverse=True)
-    u = x.ravel()[order] / np.exp2(scale_exp.astype(float))
+    u = x.ravel() / np.exp2(scale_exp.astype(float))
     powers = np.empty((L, E), dtype=complex)
     powers[0] = 1.0
     powers[1:] = u
@@ -377,8 +376,8 @@ def _power_table(x: np.ndarray, half: np.ndarray, d: int) -> _Powers:
     mod = np.abs(step)
     table = np.ascontiguousarray(powers.reshape(group, d, E).transpose(1, 0, 2))
     return _Powers(
-        group=group, order=order, scales=np.exp2(exps.astype(float)), band=band,
-        table=table.view(float), abs_x=abs_x, drop=abs_x - half.ravel()[order],
+        group=group, scales=np.exp2(exps.astype(float)), band=band, pick=band * E + np.arange(E),
+        table=table.view(float), abs_x=abs_x, drop=abs_x - half.ravel(),
         log_u=np.log(np.maximum(np.abs(u), _TINY)),
         step_turn=np.where(mod > 0.0, step / np.where(mod > 0.0, mod, 1.0), 1.0),
     )
@@ -394,9 +393,9 @@ class _Orbits:
     kept as ``x[o, o']`` = r_o^* . r_o' and ``half[o, o']`` = (|r_o|^2 +
     |r_o'|^2)/2.  ``b[c, o, k]`` = sum_t e^{2 pi i c t/d} sqrt(w) [owner =
     k], for the weight w and codeword ``owner`` of point (o, t), expands
-    Pi_c|C_k> over the Pi_c|r_o> (C_k the raw codewords), and ``powers``,
-    built on first use, is the kappa-independent part of the sector series
-    (None when d = 1).
+    Pi_c|C_k> over the Pi_c|r_o> (C_k the raw codewords), ``b_h[c]`` is
+    its conjugate transpose, and ``powers``, built on first use, is the
+    kappa-independent part of the sector series (None when d = 1).
     """
 
     d: int
@@ -404,6 +403,7 @@ class _Orbits:
     x: np.ndarray
     abs_max: float
     b: np.ndarray
+    b_h: np.ndarray
 
     @cached_property
     def powers(self) -> Optional[_Powers]:
@@ -421,52 +421,54 @@ def _orbits(code: CodeSpec) -> _Orbits:
         reps = table.points[table.rows[:, 0]]
         norms = (np.abs(reps) ** 2).sum(axis=1)
         x = np.conj(reps) @ reps.T
+        b = table.spectrum(np.sqrt(table.weights))
         engine = table.derived["loss"] = _Orbits(
             d=table.d, half=0.5 * (norms[:, None] + norms[None, :]), x=x,
-            abs_max=float(np.abs(x).max()),
-            b=table.spectrum(np.sqrt(table.weights)),
+            abs_max=float(np.abs(x).max()), b=b,
+            b_h=np.ascontiguousarray(np.conj(b.swapaxes(-1, -2))),
         )
     return engine
 
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-# log m! for m <= 15, below the range of Stirling's series.
-_SMALL_LOG_FACT = np.array([lgamma(m + 1.0) for m in range(16)])
+# A(m) = log m! - m log m + m for m <= 15, below the range of Stirling's
+# series (A(0) = 0); m!/m^m is correctly rounded.
+_SMALL_A = np.array([log(factorial(m) / m**m) + m for m in range(16)])
 
 
 def _log_poisson(m: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """log(e^-lam lam^m / m!) for integers m >= 0 and lam > 0, to a few
-    ulps of lam at worst.
+    ulps of max(lam, 1) + |result| at worst.
 
-    The direct sum m log(lam) - lam - log(m!) cancels terms near 1e4 at
-    lam = 1500 down to a few units: with it (log m! from lgamma) the sector
-    Grams of qcc12 at scale 15 (kappa |x| = 1529) were 1.3e-12 off an
-    extended-precision sum per entry and those of qcc8 at scale 20
-    (kappa |x| = 1360) 7.9e-13, against 5.5e-14 and 4.9e-14 with this
-    form, and 1.1e-12 and 5.6e-13 with the log-domain series it replaced.
-    The saddle-point form of Loader, "Fast
-    and accurate computation of binomial probabilities" (2000), is
-    -log(2 pi m)/2 - stirlerr(m) - bd0(m, lam) with Stirling's error
-    stirlerr and the deviance bd0 = m log(m/lam) + lam - m, the latter
-    summed as a series in v = (m - lam)/(m + lam) where |v| < 0.1.
+    With A(m) = log m! - m log m + m, from a table for m <= 15 and
+    Stirling's series log(2 pi m)/2 + 1/(12 m) - ... above, the result is
+    -A(m) - D, where the deviance D = m log(m/lam) - (m - lam) is taken as
+    m log1p((m - lam)/lam) - (m - lam) where |m - lam| < lam and as
+    m (log m - log lam) - (m - lam) elsewhere (m = 0 among them: D = lam).
+    Near m = lam, D cancels terms of size |m - lam| only.  The direct sum
+    m log(lam) - lam - log(m!) cancels terms near 1e4 at lam = 1500 down to
+    a few units: with it (log m! from lgamma) the sector Grams of qcc12 at
+    scale 15 (kappa |x| = 1529) were 1.3e-12 off an extended-precision sum
+    per entry and those of qcc8 at scale 20 (kappa |x| = 1360) 7.9e-13,
+    against 4.0e-14 and 4.9e-14 with this form.
+    On 500 samples of m and lam from 1e-3 to 5000 it is within 3.0 eps
+    (max(lam, 1) + |result|) of a 40-digit evaluation, against 4.3 for the
+    saddle-point form of Loader (2000), with a series for D, that it
+    replaced; the direct sum reads 8.0 there.
     """
-    mf = np.maximum(m, 1).astype(float)
+    mf = np.maximum(m, 1.0)
+    log_m = np.log(mf)
     nn = mf * mf
-    stirlerr = np.where(
-        m > 15,
-        (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / mf,
-        _SMALL_LOG_FACT[np.minimum(m, 15)] - (mf + 0.5) * np.log(mf) + mf - 0.5 * _LOG_2PI,
-    )
-    v = (mf - lam) / (mf + lam)
-    vv = v * v
-    odd = 1 / 3 + vv * (1 / 5 + vv * (1 / 7 + vv * (1 / 9 + vv * (
-        1 / 11 + vv * (1 / 13 + vv * (1 / 15 + vv / 17))))))
-    bd0 = np.where(
-        np.abs(v) < 0.1,
-        (mf - lam) * v + 2.0 * mf * v * vv * odd,
-        mf * (np.log(mf) - np.log(lam)) + lam - mf,
-    )
-    return np.where(m == 0, -lam, -0.5 * (_LOG_2PI + np.log(mf)) - stirlerr - bd0)
+    stirling = 0.5 * (_LOG_2PI + log_m) + (
+        1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / mf
+    a = np.where(m > 15, stirling, _SMALL_A[np.minimum(m, 15)])
+    diff = m - lam
+    near = np.abs(diff) < lam
+    t = log_m - np.log(lam)
+    # t = log(m/lam), by log1p where |m - lam| < lam; neither the division
+    # nor log1p is evaluated at the other entries.
+    np.log1p(np.divide(diff, lam, out=None, where=near), out=t, where=near)
+    return diff - m * t - a
 
 
 def _sector_grams(orbits: _Orbits, kappa: np.ndarray) -> np.ndarray:
@@ -495,17 +497,18 @@ def _sector_grams(orbits: _Orbits, kappa: np.ndarray) -> np.ndarray:
     The first exponent equals log pi_peak(lam) + lam - kappa half +
     m0 log|u|, written so that its terms stay small where the entry's own
     terms are large: at kappa |x| = 1529 (qcc12 at scale 15) the entries
-    agree with an extended-precision sum to 5.5e-14, against 4e-13 for the
+    agree with an extended-precision sum to 4.0e-14, against 4e-13 for the
     form with terms near lam.  Each series term is at most 1, and
     1/2 <= |u| < 1 bounds the first exponent by L log 2 <= 700 (d <= 1009
     and L <= max(d, 128)), so no factor overflows, and the weight-power
     products that matter stay normal numbers.
 
     A chunk takes all bands in one product: every band's weights times
-    every entry's powers, of which each entry keeps its own band's sums.
-    That forms (bands - 1) sums per entry for nothing.  On the codes of
-    the loss benchmarks (1-5 bands of 1-36 entries) this costs less than
-    a product per band; a cube_orthoplex --D 8 point (7 bands of 4624
+    every entry's powers, of which each entry keeps its own band's sums
+    (``pick``), so the entries stay in their natural order.  That forms
+    (bands - 1) sums per entry for nothing.  On the codes of the loss
+    benchmarks (1-5 bands of 1-36 entries) this costs less than a product
+    per band; a cube_orthoplex --D 8 point (7 bands of 4624
     entries, one term per sector in a chunk) takes 1.3-1.8 times as long.
 
     Each point sums blocks of d terms until the Poisson tail of its largest
@@ -526,43 +529,39 @@ def _sector_grams(orbits: _Orbits, kappa: np.ndarray) -> np.ndarray:
     lam = kappa * orbits.abs_max
     blocks = -(-(lam + 10.0 * np.sqrt(lam) + 25.0).astype(int) // d)
     past = d * blocks[:, None, None]
-    end = int(past.max())
     lam = np.maximum(kappa[:, None] * pw.scales, _TINY)[..., None]  # [p, band, 1]
     kx = np.maximum(kappa[:, None] * pw.abs_x, _TINY)
     drop = kappa[:, None] * pw.drop
-    out = np.zeros((P, d, pw.order.size), dtype=complex)
-    turn = np.ones(pw.order.size, dtype=complex)
-    weights = np.zeros((P, len(pw.scales), L))
+    weights = np.empty((P, len(pw.scales), L))
     # The weights as [p, s, band, t] for term m0 + t d + s of a chunk.
     by_sector = weights.reshape(P, len(pw.scales), group, d).transpose(0, 3, 1, 2)
-    for g, m0 in enumerate(range(0, end, L)):
-        m = np.arange(m0, min(m0 + L, end))
+    turn = 1.0
+    for g, m0 in enumerate(range(0, int(past.max()), L)):
+        m = np.arange(m0, m0 + L)
         inside = m < past
         # pi_m / pi_peak for the largest weight pi_peak of the point's own
         # terms in the chunk: products of pi_m / pi_(m-1) = lam/m rightwards
         # and of pi_m / pi_(m+1) = (m + 1)/lam leftwards, each at most 1.
-        # The chunk is cut where the batch's longest series ends, which
-        # leaves each point's weights unchanged.
         last = np.maximum(np.minimum(m0 + L, past) - 1, m0)
         peak = np.minimum(np.maximum(np.floor(lam), m0), last).astype(int)
         up = np.where((m > peak) & inside, lam / np.maximum(m, 1), 1.0)
         down = np.where(m < peak, (m + 1) / np.maximum(lam, 1.0), 1.0)
-        weights[..., :len(m)] = np.cumprod(up, axis=2) * np.cumprod(down[..., ::-1], axis=2)[..., ::-1]
-        weights[..., :len(m)] *= inside
-        weights[..., len(m):] = 0.0
+        np.multiply.accumulate(up, axis=2, out=weights)
+        weights *= np.multiply.accumulate(down[..., ::-1], axis=2)[..., ::-1]
+        weights *= inside
         peak = peak[:, pw.band, 0]
-        expo = _log_poisson(peak, kx) + drop - (peak - m0) * pw.log_u
+        outer = np.exp(_log_poisson(peak, kx) + drop - (peak - m0) * pw.log_u)
+        sums = np.take((np.ascontiguousarray(by_sector) @ pw.table).view(complex).reshape(P, d, -1),
+                       pw.pick, axis=2)
         if g:
             turn = turn * pw.step_turn
-        outer = np.exp(expo) * turn
-        sums = (np.ascontiguousarray(by_sector) @ pw.table).view(complex)
-        sums = sums[:, :, pw.band, np.arange(pw.band.size)]
-        sums *= outer[:, None]
-        out += sums
-    grams = np.empty_like(out)
-    grams[:, :, pw.order] = out
+            sums *= (outer * turn)[:, None]
+            out += sums
+        else:
+            sums *= outer[:, None]
+            out = sums
     n = len(orbits.x)
-    return grams.reshape(P, d, n, n)
+    return out.reshape(P, d, n, n)
 
 
 def _codeword_grams(env: np.ndarray, damped: np.ndarray) -> np.ndarray:
@@ -687,8 +686,8 @@ def _fidelity_batch(code: CodeSpec, orbits: _Orbits, points: list) -> list:
     K, d = code.dim, orbits.d
     n = len(orbits.x)
     P = len(points)
-    gamma = np.array([g for g, _ in points])
-    s2 = np.array([s for _, s in points]) ** 2
+    gamma, scale = np.array(points).T
+    s2 = scale * scale
     # Environment and damped sector Grams, in that order; the codewords'
     # are their convolution.
     grams = _sector_grams(orbits, np.concatenate([gamma * s2, (1.0 - gamma) * s2]))
@@ -696,20 +695,22 @@ def _fidelity_batch(code: CodeSpec, orbits: _Orbits, points: list) -> list:
     b = orbits.b
     # The sector Grams G^(c) of the codewords, and their sum as slice d.
     gc = np.empty((P, d + 1, K, K), dtype=complex)
-    np.matmul(np.conj(b.swapaxes(-1, -2)) @ _codeword_grams(env, damped), b,
-              out=gc[:, :d])
+    np.matmul(orbits.b_h @ _codeword_grams(env, damped), b, out=gc[:, :d])
     gc[:, d] = gc[:, :d].sum(axis=1)
     mu, u = np.linalg.eigh(gc)
     ev, mu, u = mu[:, d], mu[:, :d], u[:, :d]
-    keep = ((mu > 1e-13 * mu.max(axis=2, keepdims=True))
-            & (mu > 1e-24 * mu.max(axis=(1, 2))[:, None, None]))
+    # eigh sorts ascending: the last column holds each sector's largest.
+    top = mu[:, :, -1:]
+    keep = (mu > 1e-13 * top) & (mu > 1e-24 * top.max(axis=1, keepdims=True))
+    counts = keep.sum(axis=(1, 2)).tolist()
     ratios = (ev[:, 0] / ev[:, -1]).tolist()
+    degenerate = (ev[:, 0] <= DEGENERATE_RATIO * ev[:, -1]).tolist()
     out: list = [None] * P
     for i, ratio in enumerate(ratios):
-        if ev[i, 0] <= DEGENERATE_RATIO * ev[i, -1]:
+        if degenerate[i]:
             out[i] = _degenerate(ratio)
-        elif keep[i].sum() != K:
-            out[i] = NumericalFailure(f"{keep[i].sum()} sector frames for {K} codewords")
+        elif counts[i] != K:
+            out[i] = NumericalFailure(f"{counts[i]} sector frames for {K} codewords")
     ids = [i for i in range(P) if out[i] is None]
     if not ids:
         return out
@@ -725,7 +726,7 @@ def _fidelity_batch(code: CodeSpec, orbits: _Orbits, points: list) -> list:
     a_h = np.conj(np.einsum("pmok,pmk->pmo", b[c], frame))
     # conj(g)[p, q, j, o], g[p, q, o, j] = <j_q|Pi_q e_o> (environment basis j_q).
     lam_e, v_e = np.linalg.eigh(env)
-    g_h = (v_e * np.sqrt(np.clip(lam_e, 0.0, None))[..., None, :]).swapaxes(-1, -2)
+    g_h = (v_e * np.sqrt(np.maximum(lam_e, 0.0))[..., None, :]).swapaxes(-1, -2)
     # Output sector s pairs frame m with environment sector (c_m - s) mod d,
     # and environment sector q pairs it with output sector (c_m - q) mod d.
     other = (c[:, None, :] - np.arange(d)[:, None]) % d
@@ -736,14 +737,13 @@ def _fidelity_batch(code: CodeSpec, orbits: _Orbits, points: list) -> list:
     lam, w = np.linalg.eigh(t @ damped @ np.conj(t.swapaxes(-1, -2)))
     # G_s^{1/2} = y y^+; rows (m, j) of y, regrouped per environment sector
     # q, give Z_q.
-    y = q @ w
+    y = (q @ (w * np.maximum(lam, 0.0)[..., None, :] ** 0.25)).reshape(P, d, K, n, n)
     del q
-    y *= np.clip(lam, 0.0, None)[..., None, :] ** 0.25
-    y = y.reshape(P, d, K, n, n)
     z = y[pl[:, :, None], other, np.arange(K)].transpose(0, 1, 3, 2, 4).reshape(P, d, n, K * n)
     del y
-    zz = z @ np.conj(z.swapaxes(-1, -2))
-    fids = (np.abs(zz) ** 2).reshape(P, -1).sum(axis=1) / K**2
+    # sum |Z Z^+|^2, as the squares of the real and imaginary parts.
+    zz = (z @ np.conj(z.swapaxes(-1, -2))).view(float).reshape(P, -1)
+    fids = np.einsum("pi,pi->p", zz, zz) / K**2
     for i, fid in zip(ids, fids.tolist()):
         ratio = ratios[i]
         # Roundoff in the frames of a sector holding several orbits grows like

@@ -62,7 +62,7 @@ def _coherent_rows(alphas: np.ndarray, cutoff: int) -> np.ndarray:
     per amplitude a_p, not renormalized.
 
     Each row starts at its largest coefficient, level k* = min(floor(|a|^2),
-    cutoff - 1), with modulus sqrt(Poisson(k*; |a|^2)) from the saddle-point
+    cutoff - 1), with modulus sqrt(Poisson(k*; |a|^2)) from the deviance
     form of klcheck._log_poisson, and recurs outward both ways by the ratios
     c_k / c_{k-1} = a / sqrt(k): a running product of ratios of modulus at
     most one, so nothing overflows and a far tail underflows to zero while

@@ -22,6 +22,7 @@ from cubacode.errors import DegenerateCodewordsError
 from cubacode.klcheck import (
     LossFidelity,
     _codeword_grams,
+    _log_poisson,
     _orbits,
     _sector_grams,
     codeword_gram,
@@ -213,8 +214,14 @@ def exact_fidelity(code, gamma, scale, dps=30):
         F = tr(E Z E Z) / K^2,   Z = C o conj(X),
         X = R^+ (R P R^+)^{-1/2} R,   S = R^+ R (Cholesky),
 
-    where X is the matrix geometric mean of S and P^{-1}.
+    where X is the matrix geometric mean of S and P^{-1}.  That needs
+    gamma > 0: at gamma = 0, E is the all-ones matrix, P = C has rank K,
+    and its inverse square root would invert the rounding of its zero
+    eigenvalues (qsc12 at scale 0.8 came out 2.6e-6 below F = 1).
     """
+    if not gamma > 0:
+        raise ValueError(f"exact_fidelity needs gamma > 0, got {gamma}: at gamma = 0 the "
+                         "environment Gram is all ones and P = C o conj(E) has rank K")
     mp = pytest.importorskip("mpmath")
     with mp.workdps(dps):
         pts = [[mp.mpf(scale) * mp.mpc(complex(z)) for z in p]
@@ -252,6 +259,12 @@ def exact_fidelity(code, gamma, scale, dps=30):
         return float(mp.re(mp.fsum(EZ[a, b] * EZ[b, a] for a in range(n) for b in range(n))) / K**2)
 
 
+@pytest.mark.parametrize("gamma", [0.0, -0.1])
+def test_exact_fidelity_rejects_no_loss(gamma):
+    with pytest.raises(ValueError, match="needs gamma > 0.*rank K"):
+        exact_fidelity(unit_code("qsc12"), gamma, 0.8)
+
+
 @pytest.mark.parametrize("name,gamma,scale", [
     # Ill-conditioned: codeword Gram eigenvalue ratios 7e-7 and 9.9e-12.
     ("qsc8", 0.2, 0.8),
@@ -272,7 +285,7 @@ def test_fock_oracle_matches_extended_precision(name, gamma, scale):
     ("qcc12", 0.2, 3.0, None),
     ("cell16_qutrit", 0.2, 3.3, None),
     # kappa |x|max = 1529, where the convolved codeword sector Grams are
-    # 3e-13 from the extended-precision series; measured 3.3e-16.
+    # 3.8e-14 from the extended-precision series; measured 0.
     ("qcc12", 0.1, 15.0, None),
     # Ill-conditioned: codeword Gram eigenvalue ratio 7e-7.
     ("qsc8", 0.2, 0.8, None),
@@ -398,7 +411,10 @@ def test_nearly_symmetric_code_gets_one_sector():
     # 24 sectors of one orbit, ten points in one batch.
     (lambda: unit_code("qsc12"), [(g, s) for g in (0.05, 0.2) for s in np.linspace(0.9, 3.3, 5)],
      False),
-], ids=["qcc24", "qcc24-sweep", "cube_orthoplex6", "qsc8", "random", "qsc12-sweep"])
+    # Series of one, one, two and three chunks point by point, three in
+    # the batch: the chunks' phase carry and sums across chunk counts.
+    (lambda: unit_code("qcc12"), [(0.1, s) for s in (0.8, 2.0, 3.3, 4.5)], False),
+], ids=["qcc24", "qcc24-sweep", "cube_orthoplex6", "qsc8", "random", "qsc12-sweep", "qcc12-chunks"])
 def test_batch_equals_single_points_bit_for_bit(make, points, degenerate):
     code = make()
     batch = loss_fidelities(code, points)
@@ -432,15 +448,37 @@ def sector_series(orbits, kappa, dps=40):
     return out
 
 
+def test_log_poisson_matches_extended_precision():
+    # m within 12 sqrt(lam) of lam for lam from 1e-3 to 5000 (m = 0 where
+    # lam is small), m <= 15 (the table of A(m)) and small-lam tails m > 15,
+    # against m log lam - lam - log m! at 40 digits.  The bound is 8 ulps
+    # of max(lam, 1) + |log pi|; measured 3.0 (4.3 for the saddle-point
+    # form with a series for the deviance it replaced).
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2020)
+    lam = 10 ** np.concatenate([rng.uniform(-3, np.log10(5000), 300), rng.uniform(-3, np.log10(50), 100),
+                                rng.uniform(-3, 0, 100)])
+    m = np.concatenate([np.rint(lam[:300] + 12 * np.sqrt(lam[:300]) * rng.uniform(-1, 1, 300)),
+                        rng.integers(0, 16, 100), rng.integers(16, 61, 100)])
+    m = np.maximum(m, 0).astype(int)
+    assert (m == 0).any() and (m > 15).sum() > 100
+    got = _log_poisson(m, lam)
+    with mp.workdps(40):
+        want = np.array([float(int(k) * mp.log(mp.mpf(x)) - mp.mpf(x) - mp.loggamma(int(k) + 1))
+                         for k, x in zip(m, lam)])
+    units = np.abs(got - want) / (np.finfo(float).eps * (np.maximum(lam, 1.0) + np.abs(want)))
+    assert units.max() <= 8.0, units.max()
+
+
 @pytest.mark.parametrize("name,params,scale", [
     # Sectors down to 7e-28 (qsc12) and 1.5e-123 (qcc24); measured 2.7e-16
-    # and 5.7e-16.
+    # and 4.3e-16.
     ("qsc12", {}, 0.8),
     ("qcc24", {}, 0.8),
     # kappa |x|max = 1529, where e^(kappa |x|max) overflows; measured
-    # 5.5e-14 (the log-domain series it replaced: 1.1e-12).
+    # 4.0e-14 (the log-domain series of an earlier form: 1.1e-12).
     ("qcc12", {}, 15.0),
-    # 19 orbits, among them orthogonal ones (x = 0); measured 4.6e-15.
+    # 19 orbits, among them orthogonal ones (x = 0); measured 1.7e-15.
     ("cube_orthoplex", {"D": 6}, 3.3),
 ], ids=["qsc12-0.8", "qcc24-0.8", "qcc12-15", "cube_orthoplex6-3.3"])
 def test_sector_grams_match_extended_precision(name, params, scale):
@@ -453,13 +491,13 @@ def test_sector_grams_match_extended_precision(name, params, scale):
 
 
 @pytest.mark.parametrize("name,params,scale,bound", [
-    # Measured 2.5e-15, 9.3e-16, 6.7e-16 and 5.4e-15 against sector_series,
-    # where the direct series reads 2.7e-16, 5.7e-16, 2.2e-16 and 4.6e-15.
+    # Measured 2.5e-15, 6.1e-16, 6.7e-16 and 2.1e-15 against sector_series,
+    # where the direct series reads 2.7e-16, 4.3e-16, 2.2e-16 and 1.7e-15.
     ("qsc12", {}, 0.8, 1e-14),
     ("qcc24", {}, 0.8, 1e-14),
     ("qsc24", {}, 0.9, 1e-14),
     ("cube_orthoplex", {"D": 6}, 3.3, 1e-14),
-    # kappa |x|max = 1529: measured 3.0e-13 (the direct series: 5.5e-14).
+    # kappa |x|max = 1529: measured 3.8e-14 (the direct series: 4.0e-14).
     ("qcc12", {}, 15.0, 5e-13),
 ], ids=["qsc12-0.8", "qcc24-0.8", "qsc24-0.9", "cube_orthoplex6-3.3", "qcc12-15"])
 def test_codeword_grams_are_the_beam_splitter_convolution(name, params, scale, bound):
