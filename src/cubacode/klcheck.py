@@ -431,8 +431,7 @@ def _orbits(code: CodeSpec) -> _Orbits:
 
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-# A(m) = log m! - m log m + m for m <= 15, below the range of Stirling's
-# series (A(0) = 0); m!/m^m is correctly rounded.
+# A(m) = log m! - m log m + m for m <= 15; m!/m^m is correctly rounded.
 _SMALL_A = np.array([log(factorial(m) / m**m) + m for m in range(16)])
 
 
@@ -530,6 +529,7 @@ def _sector_grams(orbits: _Orbits, kappa: np.ndarray) -> np.ndarray:
     blocks = -(-(lam + 10.0 * np.sqrt(lam) + 25.0).astype(int) // d)
     past = d * blocks[:, None, None]
     lam = np.maximum(kappa[:, None] * pw.scales, _TINY)[..., None]  # [p, band, 1]
+    floor_lam, lam_1 = np.floor(lam), np.maximum(lam, 1.0)
     kx = np.maximum(kappa[:, None] * pw.abs_x, _TINY)
     drop = kappa[:, None] * pw.drop
     weights = np.empty((P, len(pw.scales), L))
@@ -543,9 +543,9 @@ def _sector_grams(orbits: _Orbits, kappa: np.ndarray) -> np.ndarray:
         # terms in the chunk: products of pi_m / pi_(m-1) = lam/m rightwards
         # and of pi_m / pi_(m+1) = (m + 1)/lam leftwards, each at most 1.
         last = np.maximum(np.minimum(m0 + L, past) - 1, m0)
-        peak = np.minimum(np.maximum(np.floor(lam), m0), last).astype(int)
+        peak = np.minimum(np.maximum(floor_lam, m0), last).astype(int)
         up = np.where((m > peak) & inside, lam / np.maximum(m, 1), 1.0)
-        down = np.where(m < peak, (m + 1) / np.maximum(lam, 1.0), 1.0)
+        down = np.where(m < peak, (m + 1) / lam_1, 1.0)
         np.multiply.accumulate(up, axis=2, out=weights)
         weights *= np.multiply.accumulate(down[..., ::-1], axis=2)[..., ::-1]
         weights *= inside
@@ -686,8 +686,8 @@ def _fidelity_batch(code: CodeSpec, orbits: _Orbits, points: list) -> list:
     K, d = code.dim, orbits.d
     n = len(orbits.x)
     P = len(points)
-    gamma, scale = np.array(points).T
-    s2 = scale * scale
+    gamma = np.array([g for g, _ in points])
+    s2 = np.array([s for _, s in points]) ** 2
     # Environment and damped sector Grams, in that order; the codewords'
     # are their convolution.
     grams = _sector_grams(orbits, np.concatenate([gamma * s2, (1.0 - gamma) * s2]))
