@@ -18,8 +18,8 @@ and the number of points on the first point's phase circle, matches the
 rotated points to the points in row blocks (``_match_points``), and
 builds the orbit table from the powers of that permutation.  The closed-
 form checks (the moment tables, the KL blocks and ``resolution``) and the
-loss engine sum over the orbit representatives; a code with no such
-rotation has d = 1, one orbit per point.
+loss engine sum every codeword over every orbit representative; a code
+with no such rotation has d = 1, one orbit per point.
 """
 
 from __future__ import annotations
@@ -61,7 +61,9 @@ class WeightedConstellation:
 
     ``points`` has shape (size, modes); ``weights`` has shape (size,), is
     strictly positive and sums to one.  Points must be pairwise distinct:
-    their nearest squared distance must exceed DISTINCT_TOL.
+    their nearest squared distance must exceed DISTINCT_TOL.  Eight times
+    the largest squared norm must be a finite double: squared distances
+    reach 4 times it, and the pair scan's bound on their rounding 5 times.
     """
 
     points: np.ndarray
@@ -77,8 +79,16 @@ class WeightedConstellation:
         w = np.asarray(self.weights, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValidationError("points must form a (size, modes) array with size, modes >= 1")
-        if not np.all(np.isfinite(pts.view(float))):
+        big = float(np.abs(pts.view(float)).max())
+        if not np.isfinite(big):
             raise ValidationError("constellation points have non-finite entries")
+        # 8 |a|^2 <= 16 n big^2 (a Python float, inf on overflow): only when
+        # that bound overflows are the squared norms formed.
+        if 16.0 * pts.shape[1] * big * big == np.inf:
+            with np.errstate(over="ignore"):
+                if not np.isfinite(8.0 * _squared_norms(pts).max()):
+                    raise ValidationError(
+                        "constellation points are too large: squared distances overflow a double")
         if w.shape != (pts.shape[0],):
             raise ValidationError("weights length must match the number of points")
         if np.any(w <= 0):
@@ -384,14 +394,11 @@ class Orbits:
     (``code.all_points()``) and weights, and ``owner`` each point's
     codeword.  ``rows[o, t]`` is the row of e^{2 pi i t/d} r_o in
     ``points``, where the representative r_o is the orbit's first point in
-    that order; orbits are ordered by it.  The rotation permutes the
-    codewords, and an orbit visits every codeword of one cycle of that
-    permutation, so each cycle is a class of codewords with orbits of their
-    own: ``classes`` holds, per class, the slice of its orbits (they are
-    consecutive) and its codewords, ascending.  A code with no such
-    rotation has d = 1: one orbit per point, and one class per codeword.
-    ``derived`` keeps data that a user of the table builds from it once per
-    code (the loss engine's, see klcheck._orbits), by name.
+    that order; orbits are ordered by it.  An orbit's DFT (``spectrum``)
+    is zero for the codewords it does not visit, so sums run over every
+    orbit for every codeword.  A code with no such rotation has d = 1:
+    one orbit per point.  ``derived`` keeps data that a user of the table
+    builds from it once per code (see klcheck._orbits), by name.
     """
 
     d: int
@@ -399,7 +406,6 @@ class Orbits:
     points: np.ndarray
     weights: np.ndarray
     owner: np.ndarray
-    classes: tuple
     derived: dict = field(default_factory=dict, repr=False)
 
     def spectrum(self, values: np.ndarray) -> np.ndarray:
@@ -413,11 +419,10 @@ class Orbits:
 
 
 def _orbit_rows(pts: np.ndarray, w: np.ndarray, owner: np.ndarray, d: int,
-                tol: float) -> Optional[tuple]:
-    """The orbit table (see Orbits.rows) of the rotation e^{2 pi i/d}, and
-    the codeword each codeword goes to, when the rotation permutes the
-    points, keeps their weights and maps every codeword onto one codeword;
-    None otherwise."""
+                tol: float) -> Optional[np.ndarray]:
+    """The orbit table (see Orbits.rows) of the rotation e^{2 pi i/d} when
+    it permutes the points, keeps their weights and maps every codeword
+    onto one codeword; None otherwise."""
     perm = _match_points(pts, np.exp(2j * np.pi / d) * pts, tol)
     if perm is None or np.abs(w[perm] - w).max() > _ORBIT_ULPS * np.finfo(float).eps * w.max():
         return None
@@ -445,7 +450,7 @@ def _orbit_rows(pts: np.ndarray, w: np.ndarray, owner: np.ndarray, d: int,
     turns = np.exp(2j * np.pi * np.arange(d) / d)[None, :, None]
     if _squared_norms(turns * pts[rows[:, :1]] - pts[rows]).max() > tol * tol:
         return None
-    return rows, first.tolist()
+    return rows
 
 
 # Codes hash by identity, so a table is found again for the same CodeSpec
@@ -462,8 +467,7 @@ def code_orbits(code: CodeSpec) -> Orbits:
     """
     pts = code.all_points()
     w = np.concatenate([c.weights for c in code.logicals])
-    sizes = [c.size for c in code.logicals]
-    owner = np.repeat(np.arange(code.dim), sizes)
+    owner = np.repeat(np.arange(code.dim), [c.size for c in code.logicals])
     N = len(pts)
     tol = _orbit_tol(pts)
     along = pts @ np.conj(pts[0])
@@ -475,31 +479,10 @@ def code_orbits(code: CodeSpec) -> Orbits:
     circle = int((_squared_norms(pts - phase[:, None] * pts[0]) <= tol * tol).sum())
     for d in range(min(circle, _MAX_ORDER), 1, -1):
         if N % d == 0 and circle % d == 0:
-            found = _orbit_rows(pts, w, owner, d, tol)
-            if found is not None:
-                rows, goes_to = found
-                break
-    else:
-        # d = 1: each point is an orbit and each codeword a class.
-        ends = np.cumsum(sizes).tolist()
-        classes = tuple((slice(end - size, end), np.array([k]))
-                        for k, (size, end) in enumerate(zip(sizes, ends)))
-        return Orbits(d=1, rows=np.arange(N)[:, None], points=pts, weights=w, owner=owner,
-                      classes=classes)
-    # Each cycle of the codewords is a class.  An orbit's first point lies
-    # in the first codeword of its class, so the classes' orbits follow in
-    # the order of those codewords.
-    cycles, seen = [], set()
-    for k in range(code.dim):
-        if k not in seen:
-            cycle = [k]
-            while goes_to[cycle[-1]] != k:
-                cycle.append(int(goes_to[cycle[-1]]))
-            seen.update(cycle)
-            cycles.append(sorted(cycle))
-    bounds = np.searchsorted(owner[rows[:, 0]], [c[0] for c in cycles] + [code.dim]).tolist()
-    classes = tuple((slice(lo, hi), np.array(c)) for c, lo, hi in zip(cycles, bounds[:-1], bounds[1:]))
-    return Orbits(d=d, rows=rows, points=pts, weights=w, owner=owner, classes=classes)
+            rows = _orbit_rows(pts, w, owner, d, tol)
+            if rows is not None:
+                return Orbits(d=d, rows=rows, points=pts, weights=w, owner=owner)
+    return Orbits(d=1, rows=np.arange(N)[:, None], points=pts, weights=w, owner=owner)
 
 
 def resolution(code: CodeSpec) -> float:

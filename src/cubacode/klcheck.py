@@ -13,7 +13,8 @@ N point overlaps reduce to the d n^2 overlaps <r_o|e^{2 pi i tau/d} r_o'>
 of the n = N/d orbit representatives, whose DFT over tau gives the Grams
 of the d photon-number sectors, and ``kl_report`` contracts each sector
 with the representatives' monomials times the orbit DFT of the weights
-(``_raw_blocks``).  With d = 1 this is the sum over point pairs.
+(``_raw_blocks``), every codeword over every orbit.  With d = 1 this is
+the sum over point pairs.
 
 The same algebra gives the benchmark's transpose-recovery fidelity under
 pure loss (``loss_fidelity``, batched as ``loss_fidelities``): loss maps
@@ -23,9 +24,11 @@ environment states' Gram keeps every loss order.  When a phase rotation
 e^{2 pi i/d} permutes a code's points and its codewords, the work splits
 into d sectors of photon number mod d, each with N/d x N/d eigenproblems
 (N points), and the code space is taken one sector at a time; d = 1 is a
-single sector holding every point.  ``_orbits`` adds the loss engine's
-data (the representatives' overlaps, the orbit DFT of the weights and,
-on first use, the power table of the sector series) to the orbit table.
+single sector holding every point.  ``_orbits`` adds the data that the
+KL blocks and the loss engine share (the representatives, their unit-
+scale overlaps and the orbit DFT of the weights) and, on the loss
+engine's first use, the power table of the sector series to the orbit
+table.
 
 The asymptotic (large-energy) parameters reduce to weighted-moment
 matching and are computed by exhaustive enumeration over stacks of
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, factorial, log
+from math import comb, factorial, log, sqrt
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -87,24 +90,17 @@ def _pairwise_overlaps(pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _gram_from_overlaps(overlaps: np.ndarray, sqrt_w: np.ndarray, rows: list) -> np.ndarray:
-    # G[k, l] = sqrt(w_k) . overlaps[rows_k, rows_l] . sqrt(w_l) for k <= l,
-    # with the lower triangle the conjugate of the upper, so G is exactly
-    # Hermitian (ill-conditioned Grams amplify any roundoff asymmetry).
-    K = len(rows)
-    g = np.empty((K, K), dtype=complex)
-    for k in range(K):
-        for l in range(k, K):
-            g[k, l] = sqrt_w[rows[k]] @ overlaps[rows[k], rows[l]] @ sqrt_w[rows[l]]
-            g[l, k] = np.conj(g[k, l])
-    return g
-
-
 def codeword_gram(code: CodeSpec, scale: float = 1.0) -> np.ndarray:
-    """Gram matrix of the raw codeword vectors sum_a sqrt(w_a) |scale*a>."""
+    """Gram matrix of the raw codeword vectors sum_a sqrt(w_a) |scale*a>,
+    made exactly Hermitian (ill-conditioned Grams amplify any roundoff
+    asymmetry)."""
     pts = scale * code.all_points()
-    sqrt_w = np.sqrt(np.concatenate([c.weights for c in code.logicals]))
-    return _gram_from_overlaps(_pairwise_overlaps(pts, pts), sqrt_w, code.codeword_rows())
+    # c[a, k] = sqrt(w_a) for the points a of codeword k, 0 elsewhere.
+    c = np.zeros((len(pts), code.dim))
+    for k, (rows, logical) in enumerate(zip(code.codeword_rows(), code.logicals)):
+        c[rows, k] = np.sqrt(logical.weights)
+    g = c.T @ _pairwise_overlaps(pts, pts) @ c
+    return 0.5 * (g + np.conj(g.T))
 
 
 # Codewords are degenerate when the smallest eigenvalue of their Gram
@@ -165,81 +161,54 @@ def _raw_blocks(code: CodeSpec, max_loss: int, scale: float) -> np.ndarray:
     max_loss (in ``multi_indices_upto`` order).
 
     The sums run over the orbits of the code's rotation e^{2 pi i/d} (see
-    constellation.Orbits), sector by sector of photon number mod d.  With
-    R_o = scale r_o the representatives, b[c, o, k] = sum_t e^{2 pi i c t/d}
-    sqrt(w) [owner = k] the orbit DFT of the weights, and Pi_s|e^{2 pi i
-    t/d} R> = e^{2 pi i t s/d} Pi_s|R>,
+    constellation.Orbits), sector by sector of photon number mod d, from
+    the orbit data of ``_orbits``.  With R_o = scale r_o, b the orbit DFT
+    of the square-rooted weights and Pi_s|e^{2 pi i t/d} R> = e^{2 pi i t
+    s/d} Pi_s|R>,
 
         a^nu |C_l> = sum_s sum_o R_o^nu b[(|nu| + s) mod d, o, l] Pi_s|R_o>,
 
     so raw = sum_s conj(L_s) S_s L_s^T, with L_s[(mu, k), o] = R_o^mu
-    b[(|mu| + s) mod d, o, k] and the sector Grams S_s[o, o'] =
-    <Pi_s R_o|Pi_s R_o'>: the DFT over tau of the d n^2 overlaps
-    <R_o|e^{2 pi i tau/d} R_o'>.  The DFT leaves each sector an absolute
-    error of about eps times the largest overlap, as the sum over point
-    pairs does.  Only the blocks of classes g <= h are formed (codewords of
-    different classes share no orbit), into one matrix with rows (mu, k)
-    class by class; the rest follow from raw[nu, mu, l, k] =
-    conj(raw[mu, nu, k, l]), which the diagonal blocks are made to obey.
-    With d = 1 each class is one codeword, and these are the point-pair
-    sums over codeword pairs k <= l.
+    b[(|mu| + s) mod d, o, k] over every orbit and codeword (b is zero
+    where a codeword has no point of the orbit), and the sector Grams
+    S_s[o, o'] = <Pi_s R_o|Pi_s R_o'>: the DFT over tau of the d n^2
+    overlaps <R_o|e^{2 pi i tau/d} R_o'> = exp(scale^2 (e^{2 pi i tau/d}
+    x[o, o'] - half[o, o'])) of the unit-scale x and half.  The self-
+    overlap exponents (tau = 0, o = o') are exactly 0: x[o, o] and half[o,
+    o] round differently, which swamps them at large scales.  The DFT
+    leaves each sector an absolute error of about eps times the largest
+    overlap, as the sum over point pairs does.  The result is made exactly
+    Hermitian, raw[nu, mu, l, k] = conj(raw[mu, nu, k, l]).  With d = 1
+    these are the sums over point pairs.
     """
-    table = code_orbits(code)
-    K, d = code.dim, table.d
+    orbits = _orbits(code)
+    K, d = code.dim, orbits.d
     box = _index_box(code.modes, max_loss)
-    Q, degrees = len(box), box.sum(axis=1)
-    reps = scale * table.points[table.rows[:, 0]]
-    conj_reps = np.conj(reps)
-    half = 0.5 * (np.abs(reps) ** 2).sum(axis=1)
-    monomials = _monomials(reps, max_loss)
-    b = table.spectrum(np.sqrt(table.weights))
+    Q, degrees, n = len(box), box.sum(axis=1), len(orbits.x)
+    monomials = _monomials(scale * orbits.reps, max_loss)
     turns = np.exp(2j * np.pi * np.arange(d) / d)
-    # Per class: its orbits, b[c, k, o] over them, the monomials R_o^mu of
-    # its orbits and its rows in the matrix.  place[mu, k] is the row of
-    # (mu, k).
-    classes, place, start = [], np.empty((Q, K), dtype=int), 0
-    for cols, ks in table.classes:
-        span = slice(start, start + Q * len(ks))
-        place[:, ks] = np.arange(span.start, span.stop).reshape(Q, len(ks))
-        classes.append((cols, b[:, cols][..., ks].transpose(0, 2, 1), monomials[:, None, cols], span))
-        start = span.stop
-    pairs = [(g, h) for g in range(len(classes)) for h in range(g, len(classes))]
-    # over[tau] = exp(e^{2 pi i tau/d} R_o^* . R_o' - half_o - half_o') per
-    # pair of classes.
-    overs = []
-    for g, h in pairs:
-        rows, cols = classes[g][0], classes[h][0]
-        over = np.empty((d, rows.stop - rows.start, cols.stop - cols.start), dtype=complex)
-        np.matmul(conj_reps[rows], reps[cols].T, out=over[0])
-        np.multiply(turns[1:, None, None], over[0], out=over[1:])
-        over -= half[rows, None]
-        over -= half[cols]
-        if g == h:
-            # The self-overlap exponents are 0; conj(R) . R and |R|^2 round
-            # differently, which swamps them at large scales.
-            np.fill_diagonal(over[0], 0.0)
-        overs.append(np.exp(over, out=over).reshape(d, -1))
-    # Sectors are taken a few at a time, each array of a group under
-    # _BATCH_BYTES.
-    width = max(cols.stop - cols.start for cols, *_ in classes)
-    kmax = max(len(ks) for _, ks in table.classes)
-    step = max(1, _BATCH_BYTES // (16 * width * max(width, Q * kmax)))
+    over = turns[:, None, None] * orbits.x
+    over -= orbits.half
+    np.fill_diagonal(over[0], 0.0)
+    # Two factors of scale: scale^2 alone can overflow where the exponents
+    # do not (small points at a large scale).
+    over *= scale
+    over *= scale
+    over = np.exp(over, out=over).reshape(d, n * n)
+    # Sectors go in groups, each array of a group under _BATCH_BYTES.
+    step = max(1, _BATCH_BYTES // (16 * n * max(n, Q * K)))
     full = np.zeros((Q * K, Q * K), dtype=complex)
     for lo in range(0, d, step):
         sectors = np.arange(lo, min(lo + step, d))
-        # L_s of each class for these sectors, rows (mu, k).
-        sides = [(coef[(degrees + sectors[:, None]) % d] * mono).reshape(len(sectors), -1, mono.shape[2])
-                 for _, coef, mono, _ in classes]
+        # L_s for these sectors, rows (mu, k).
+        side = (orbits.b[(degrees + sectors[:, None]) % d].swapaxes(2, 3)
+                * monomials[:, None, :]).reshape(len(sectors), Q * K, n)
+        # The DFT over tau (of one term when d = 1: the overlaps).
         dft = turns[-np.outer(sectors, np.arange(d)) % d] / d
-        for (g, h), over in zip(pairs, overs):
-            # The DFT over tau (of one term when d = 1: the overlaps).
-            grams = (dft @ over if d > 1 else over).reshape(len(sectors), sides[g].shape[2], -1)
-            full[classes[g][3], classes[h][3]] += (
-                np.conj(sides[g]) @ (grams @ sides[h].swapaxes(1, 2))).sum(axis=0)
-    for *_, span in classes:
-        full[span, span] *= 0.5
-    full += np.conj(full.T)
-    return full[place[:, None, :, None], place[None, :, None, :]]
+        grams = (dft @ over if d > 1 else over).reshape(len(sectors), n, n)
+        full += (np.conj(side) @ (grams @ side.swapaxes(1, 2))).sum(axis=0)
+    full = 0.5 * (full + np.conj(full.T))
+    return full.reshape(Q, K, Q, K).swapaxes(1, 2)
 
 
 _LOG_FLOAT_MAX = log(np.finfo(float).max)
@@ -315,7 +284,8 @@ class LossFidelity:
 # A batch's largest arrays (the branch factors M, Q and y, 16 K N n bytes per
 # point for N points in n orbits) stay under this many bytes, and so does a
 # chunk of the power table, and a group of sectors of the KL blocks
-# (_raw_blocks); longer batches are split.  qcc24 and qsc24 batch
+# (_raw_blocks: a sector's Gram and L_s over every orbit and codeword take
+# 16 n max(n, Q K) bytes); longer batches are split.  qcc24 and qsc24 batch
 # 7 points, qsc8 128; cube_orthoplex --D 6 (92 KB per point) and larger codes
 # go one point at a time.  The batches carry the per-call cost of the scale
 # searches.  Larger batches ran no faster and raised the peak RSS.
@@ -329,6 +299,14 @@ _BATCH_BYTES = 1 << 16
 # (constellation._MAX_ORDER) keeps L log 2 <= 700.  _BATCH_BYTES alone would not: it
 # allows qsc8 (d = 8, one overlap entry) 4096-term chunks.
 _CHUNK_TERMS = 128
+# loss_fidelities rejects a scale whose sector series needs more terms
+# than this, lam + 10 sqrt(lam) + 25 for lam = kappa max|x| at the point's
+# larger kappa, or whose count overflows.  Near the cap one point takes
+# 31 ms on qsc8 and 1.4 s on cube_orthoplex --D 6 (scale 270 at nbar = 1;
+# 1 BLAS thread, 2-core x86-64); the tests and README commands need at most
+# 1944 terms (qcc12 at scale 15).  With d = 1 (no series) the cap bounds the
+# closed form's exponents kappa (x - half), whose rounding grows like kappa.
+_MAX_TERMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -385,20 +363,22 @@ def _power_table(x: np.ndarray, half: np.ndarray, d: int) -> _Powers:
 
 @dataclass(frozen=True)
 class _Orbits:
-    """The loss engine's data on a code's orbit table (from
-    constellation.code_orbits) of the rotation of order ``d``.
+    """The loss engine's and the KL blocks' data on a code's orbit table
+    (from constellation.code_orbits) of the rotation of order ``d``.
 
     The unit-scale log-overlaps log <r_o|e^{2 pi i t/d} r_o'> =
-    e^{2 pi i t/d} x[o, o'] - half[o, o'] of the representatives r_o are
-    kept as ``x[o, o']`` = r_o^* . r_o' and ``half[o, o']`` = (|r_o|^2 +
-    |r_o'|^2)/2.  ``b[c, o, k]`` = sum_t e^{2 pi i c t/d} sqrt(w) [owner =
-    k], for the weight w and codeword ``owner`` of point (o, t), expands
-    Pi_c|C_k> over the Pi_c|r_o> (C_k the raw codewords), ``b_h[c]`` is
-    its conjugate transpose, and ``powers``, built on first use, is the
-    kappa-independent part of the sector series (None when d = 1).
+    e^{2 pi i t/d} x[o, o'] - half[o, o'] of the representatives r_o
+    (``reps``) are kept as ``x[o, o']`` = r_o^* . r_o' and ``half[o, o']``
+    = (|r_o|^2 + |r_o'|^2)/2.  ``b[c, o, k]`` = sum_t e^{2 pi i c t/d}
+    sqrt(w) [owner = k], for the weight w and codeword ``owner`` of point
+    (o, t), expands Pi_c|C_k> over the Pi_c|r_o> (C_k the raw codewords;
+    zero where C_k has no point of orbit o), ``b_h[c]`` is its conjugate
+    transpose, and ``powers``, built on the loss engine's first use, is
+    the kappa-independent part of the sector series (None when d = 1).
     """
 
     d: int
+    reps: np.ndarray
     half: np.ndarray
     x: np.ndarray
     abs_max: float
@@ -411,10 +391,10 @@ class _Orbits:
 
 
 def _orbits(code: CodeSpec) -> _Orbits:
-    """The loss engine's data for a code, built once and kept with its
-    orbit table (so found again for the same CodeSpec object only).  It
-    holds no reference back to the table: a cycle would outlive the
-    table's cache entry until a full garbage collection."""
+    """The loss engine's and the KL blocks' data for a code, built once
+    and kept with its orbit table (so found again for the same CodeSpec
+    object only).  It holds no reference back to the table: a cycle would
+    outlive the table's cache entry until a full garbage collection."""
     table = code_orbits(code)
     engine = table.derived.get("loss")
     if engine is None:
@@ -423,7 +403,7 @@ def _orbits(code: CodeSpec) -> _Orbits:
         x = np.conj(reps) @ reps.T
         b = table.spectrum(np.sqrt(table.weights))
         engine = table.derived["loss"] = _Orbits(
-            d=table.d, half=0.5 * (norms[:, None] + norms[None, :]), x=x,
+            d=table.d, reps=reps, half=0.5 * (norms[:, None] + norms[None, :]), x=x,
             abs_max=float(np.abs(x).max()), b=b,
             b_h=np.ascontiguousarray(np.conj(b.swapaxes(-1, -2))),
         )
@@ -669,12 +649,19 @@ def loss_fidelities(
     degenerate at its scale).  Entries equal per-point calls bit for bit.
     """
     points = [(float(g), float(s)) for g, s in points]
+    orbits = _orbits(code)
     for gamma, scale in points:
         if not 0.0 <= gamma < 1.0:
             raise ValidationError("loss probability gamma must satisfy 0 <= gamma < 1")
         if not 0.0 < scale < np.inf:
             raise ValidationError("scale must be positive and finite")
-    orbits = _orbits(code)
+        lam = max(gamma, 1.0 - gamma) * scale * scale * orbits.abs_max
+        terms = lam + 10.0 * sqrt(lam) + 25.0
+        if not terms <= _MAX_TERMS:
+            raise ValidationError(
+                f"scale {scale:g} is too large: its loss series needs {terms:.3g} photon-number "
+                f"terms, more than the {_MAX_TERMS} allowed"
+            )
     step = max(1, _BATCH_BYTES // (16 * code.dim * orbits.d * len(orbits.x) ** 2))
     out = []
     for i in range(0, len(points), step):

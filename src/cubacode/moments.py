@@ -23,8 +23,9 @@ and M_k(p, q) = sum_o conj(r_o^p) r_o^q D_k[(|q| - |p|) mod d, o] with
 D_k[c, o] = sum_t e^{2 pi i c t/d} w_(o,t) [owner = k], the DFT of the
 weights along each orbit.  This is the selection rule of a
 rotation-symmetric code: only the Fourier component c = |q| - |p| of each
-orbit's weights enters M(p, q).  The tables then have n = N/d columns,
-not N; a code with no such rotation has d = 1 and one orbit per point.
+orbit's weights enters M(p, q).  D_k is zero on the orbits that k does
+not visit, so every codeword is summed over every orbit.  The tables then
+have n = N/d columns, not N; a code with no such rotation has d = 1.
 
 The module also provides the exact rotation-invariant sphere integral of
 real monomials (the right-hand side a spherical design must reproduce), a
@@ -189,9 +190,8 @@ class _BoxMoments:
         D[k, c, o] = sum_t e^{2 pi i c t/d} w_(o,t) [owner = k],
 
     the selection rule of a rotation-symmetric code: the DFT of the
-    weights along each orbit.  Codewords of one class (see ``Orbits``)
-    share its orbits and no other codeword reaches them, so each class is
-    summed over its own orbits.
+    weights along each orbit (``weights``, [K, d, n]).  Every codeword is
+    summed over every orbit, D being zero where the codeword has no point.
 
     One monomial table of the representatives serves all calls.  It starts
     at degree 0 and grows to the highest level a request reaches, so a
@@ -202,15 +202,8 @@ class _BoxMoments:
     def __init__(self, code: CodeSpec):
         orbits = code_orbits(code)
         self.points = orbits.points[orbits.rows[:, 0]]
-        self.d, self.dim = orbits.d, code.dim
-        spectrum = orbits.spectrum(orbits.weights)
-        # (orbit slice, codewords, D over them) per class.
-        self.classes = [(cols, ks, np.ascontiguousarray(spectrum[:, cols][..., ks].transpose(2, 0, 1)))
-                        for cols, ks in orbits.classes]
-        # The classes' codewords, in the order the classes list them, put
-        # back in codeword order (None when they already are).
-        listed = np.concatenate([ks for _, ks in orbits.classes])
-        self.order = None if np.all(listed[:-1] < listed[1:]) else np.argsort(listed)
+        self.d = orbits.d
+        self.weights = np.ascontiguousarray(orbits.spectrum(orbits.weights).transpose(2, 0, 1))
         self._empty()
 
     def _empty(self):
@@ -236,24 +229,15 @@ class _BoxMoments:
         self._reach(max(ps.stop, qs.stop))
         table, degrees, d = self.table, self.degrees, self.d
         level = degrees[ps.start]
-        parts = []
         if d == 1 or degrees[qs.start] == degrees[qs.stop - 1]:
             # Every q has the same weight row, which then goes with the
             # smaller p side.
             turn = (degrees[qs.start] - level) % d
-            for cols, _, weights in self.classes:
-                parts.append((np.conj(table[ps, cols]) * weights[:, turn, None]) @ table[qs, cols].T)
-        else:
-            # The weight row of each q against the level of p.
-            turn = (degrees[qs] - level) % d
-            for cols, _, weights in self.classes:
-                right = weights[:, turn]
-                right *= table[qs, cols]
-                parts.append(np.conj(table[ps, cols]) @ right.swapaxes(1, 2))
-        if len(parts) == 1:
-            return parts[0]
-        moms = np.concatenate(parts)
-        return moms if self.order is None else moms[self.order]
+            return (np.conj(table[ps]) * self.weights[:, turn, None]) @ table[qs].T
+        # The weight row of each q against the level of p.
+        right = self.weights[:, (degrees[qs] - level) % d]
+        right *= table[qs]
+        return np.conj(table[ps]) @ right.swapaxes(1, 2)
 
     def spread(self, ps: slice, qs: slice) -> float:
         """The largest |M_k(p, q) - M_0(p, q)| over the pairs of the row
@@ -267,23 +251,19 @@ class _BoxMoments:
         constellations by more than tol; stop when none does.
 
         The search takes the table's level k and empties the table.  Each
-        higher level is computed from the one below in blocks of orbits
-        that never straddle a class, and the level below is dropped block
-        by block, so the search holds about one level whatever its degree.
+        higher level is computed from the one below in blocks of orbits,
+        and the level below is dropped block by block, so the search holds
+        about one level whatever its degree.
         """
         z, n = self.points, self.points.shape[1]
-        top = self.level(k)
-        # (class, first orbit, the block's level) for each block of orbits.
-        blocks = [(i, cols.start, top[:, cols]) for i, (cols, _, _) in enumerate(self.classes)]
-        itemsize = top.itemsize
-        del top
+        # (first orbit, the block's level) for each block of orbits.
+        blocks = [(0, self.level(k))]
+        itemsize = blocks[0][1].itemsize
         self._empty()
         while True:
-            sums = np.zeros((self.dim, blocks[0][2].shape[0]), dtype=complex)
-            for i, start, level in blocks:
-                cols, ks, weights = self.classes[i]
-                lo = start - cols.start
-                sums[ks] += weights[:, k % self.d, lo:lo + level.shape[1]] @ level.T
+            sums = np.zeros((len(self.weights), blocks[0][1].shape[0]), dtype=complex)
+            for start, level in blocks:
+                sums += self.weights[:, k % self.d, start:start + level.shape[1]] @ level.T
             if np.abs(sums - sums[0]).max() > tol:
                 return k
             k += 1
@@ -292,11 +272,11 @@ class _BoxMoments:
             width = max(1, _STREAM_BYTES // (itemsize * comb(n + k - 1, n - 1)))
             grown = []
             while blocks:
-                i, start, prev = blocks.pop()
+                start, prev = blocks.pop()
                 for lo in range(0, prev.shape[1], width):
                     part = prev[:, lo:lo + width]
                     a = start + lo
-                    grown.append((i, a, _next_level(part, z[a:a + part.shape[1]], k)))
+                    grown.append((a, _next_level(part, z[a:a + part.shape[1]], k)))
             blocks = grown
 
 

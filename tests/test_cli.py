@@ -175,6 +175,41 @@ def test_kl_rejects_a_scale_whose_blocks_overflow(capsys):
         assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, scale", [
+    (("sweep-alpha", "--catalog", "qsc8", "--grid", "270"), "270"),
+    (("sweep-alpha", "--catalog", "qsc8", "--grid", "1e5"), "100000"),
+    (("sweep-alpha", "--catalog", "qsc8", "--grid", "1e10"), "1e+10"),
+    (("sweep-alpha", "--catalog", "qsc8", "--grid", "1e200"), "1e+200"),
+    (("sweep-gamma", "--catalog", "qsc8", "--alpha-op", "1e300"), "1e+300"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+def test_bench_rejects_a_scale_whose_loss_series_is_too_long(argv, scale, capsys):
+    # qsc8 at nbar = 1 needs about 0.9 scale^2 series terms: past the term
+    # cap (about scale 264), whose length overflowed an int or the float
+    # range at 1e10 and above, the scale is named and rejected.
+    status, out, err = run_cli(capsys, "bench", *argv)
+    assert status == 2
+    assert out == ""
+    assert err.startswith(f"error: scale {scale} is too large") and "terms" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_bench_runs_up_to_the_loss_series_cap(capsys):
+    status, out, _ = run_cli(capsys, "bench", "sweep-alpha", "--catalog", "qsc8", "--grid", "260")
+    assert status == 0
+    assert out.splitlines()[-1].startswith("qsc8,0.1,260,")
+
+
+@pytest.mark.parametrize("name", ["qsc8", "qcc8"])
+def test_points_too_large_for_doubles_exit_2(name, capsys):
+    # Normalized to nbar = 1e308, squared distances overflow (the pair scan
+    # raised a ValueError on an empty reduction).
+    status, out, err = run_cli(capsys, "params", "--catalog", name, "--normalize", "1e308")
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: constellation points are too large")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", [["--scale", "1e90", "--max-loss", "0"],
                                   ["--scale", "1e60", "--max-loss", "1"]], ids=" ".join)
 def test_kl_summary_is_finite_at_large_scales(argv, capsys):

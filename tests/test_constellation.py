@@ -79,6 +79,20 @@ def test_duplicate_points_rejected():
         WeightedConstellation(pts, np.array([0.5, 0.5]))
 
 
+def test_points_whose_squared_distances_overflow_rejected():
+    # Antipodal points at radius r are 2 r apart, and the pair scan bounds
+    # the rounding of that squared distance by about 5 r^2: 8 r^2 must be
+    # finite.  At r = 6e153 the scan overflowed and called them equal.
+    w = np.array([0.5, 0.5])
+    ok = WeightedConstellation(np.array([[4e153 + 0j], [-4e153 + 0j]]), w)
+    assert ok._nearest == 6.4e307
+    for r in (5e153, 6e153, 1e160, 1e300):
+        with pytest.raises(ValidationError, match="too large"):
+            WeightedConstellation(np.array([[r + 0j], [-r + 0j]]), w)
+    with pytest.raises(ValidationError, match="too large"):
+        WeightedConstellation(np.array([[4e153, 4e153], [0.0, 1.0]], dtype=complex), w)
+
+
 def test_weights_must_normalize():
     pts = np.array([[1.0 + 0j], [-1.0 + 0j]])
     with pytest.raises(ValidationError, match="sum to 1"):

@@ -11,6 +11,7 @@ bounds; the single-mode catalog codes, one orbit per sector, are held to
 1e-12 however small the ratio.
 """
 
+import re
 import warnings
 from math import comb
 
@@ -27,6 +28,7 @@ from cubacode.klcheck import (
     _orbits,
     _sector_grams,
     codeword_gram,
+    kl_report,
     loss_fidelities,
     loss_fidelity,
 )
@@ -193,6 +195,12 @@ def test_rejects_bad_inputs():
     for gamma, scale in ((-0.1, 1.0), (1.0, 1.0), (0.1, 0.0)):
         with pytest.raises(ValidationError):
             loss_fidelity(code, gamma, scale)
+    # Scales whose sector series is longer than the term cap, or whose
+    # length overflows, are named; at the cap qsc8 at nbar = 1 still runs.
+    assert loss_fidelity(code, 0.1, 260.0).fidelity > 0.0
+    for scale in (270.0, 1e10, 1e200):
+        with pytest.raises(ValidationError, match=re.escape(f"scale {scale:g} is too large")):
+            loss_fidelity(code, 0.1, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -534,3 +542,40 @@ def test_sector_frames_number_the_codewords(name, params):
     code = unit_code(name, **params)
     for res in loss_fidelities(code, [(0.1, s) for s in np.linspace(0.8, 6.0, 27)]):
         assert isinstance(res, (LossFidelity, DegenerateCodewordsError)), res
+
+
+# ---------------------------------------------------------------------------
+# Small loss: the KL blocks give the first-order infidelity
+# ---------------------------------------------------------------------------
+
+# |c_KL - c_engine| for the first-order coefficient of 1 - F in gamma.  The
+# engine's (1 - F)/gamma at gamma = 1e-5 divides its roundoff in F by
+# gamma, so the bound is absolute.  Largest measured differences: 6.1e-8
+# at ratio >= 1e-6 (cell16_qutrit at scale 3, 1.9e-5 relative; the others
+# at most 3.7e-8), and 8.8e-5 at ratio 3.3e-10 (qsc24 at scale 1, 2.9e-5
+# relative).
+FIRST_ORDER_TOL = ((1e-6, 2e-7), (0.0, 3e-4))
+
+
+@pytest.mark.parametrize("name,params", [
+    ("qsc8", {}), ("qcc8", {}), ("qcc12", {}), ("qcc24", {}), ("qsc24", {}),
+    ("cell16_qutrit", {}), ("twoshell_24cell", {"tau": 2}), ("cube_orthoplex", {"D": 6}),
+], ids=lambda v: str(v))
+@pytest.mark.parametrize("scale", [1.0, 2.0, 3.0])
+def test_first_order_infidelity_from_the_kl_blocks(name, params, scale):
+    # To first order in gamma, transpose recovery after pure loss leaves
+    # 1 - F = gamma (mean(nu) - mean(sqrt(nu))^2), nu the eigenvalues of the
+    # code-space photon number sum_j P a_j^+ a_j P: the (e_j, e_j) blocks of
+    # the orthonormalized KL blocks.  The engine's (1 - F)/gamma is
+    # Richardson-extrapolated to gamma = 0 from 1e-4 and 1e-5.
+    code = unit_code(name, **params)
+    n = code.modes
+    blocks = kl_report(code, 1, scale).blocks
+    # The single-loss blocks (0, e_j) vanish (measured exactly 0).
+    assert np.abs(blocks[0, 1:]).max() <= 1e-13
+    nu = np.linalg.eigvalsh(blocks[range(1, n + 1), range(1, n + 1)].sum(axis=0))
+    want = nu.mean() - np.sqrt(np.maximum(nu, 0.0)).mean() ** 2
+    coarse, fine = loss_fidelities(code, [(1e-4, scale), (1e-5, scale)])
+    got = (10.0 * (1.0 - fine.fidelity) / 1e-5 - (1.0 - coarse.fidelity) / 1e-4) / 9.0
+    tol = next(bound for least, bound in FIRST_ORDER_TOL if coarse.gram_ratio >= least)
+    assert abs(got - want) <= tol, (got, want)

@@ -4,10 +4,12 @@ over every point.
 ``constellation.code_orbits`` finds the largest phase rotation e^{2 pi i/d}
 that permutes a code's points, keeps their weights and maps codewords onto
 codewords.  The moment tables (``moments._BoxMoments``), the KL blocks
-(``klcheck._raw_blocks``) and ``resolution`` sum over its n = N/d orbit
-representatives.  Each is held here to a plain per-point computation: the
-moments to 1e-12 and the KL blocks to 1e-13 of their largest entry, and
-the resolution exactly.  A code with no such rotation (d = 1) and a code
+(``klcheck._raw_blocks``, from the loss engine's orbit data
+``klcheck._orbits``) and ``resolution`` sum over its n = N/d orbit
+representatives, every codeword over every orbit (an orbit's DFT of the
+weights vanishes for the codewords it does not visit).  Each is held here
+to a plain per-point computation: the moments to 1e-12 and the KL blocks
+to 1e-13 of their largest entry, and the resolution exactly.  A code with no such rotation (d = 1) and a code
 with a point at the origin take the same route with one orbit per point.
 """
 
@@ -74,8 +76,8 @@ def octagon_squares_code():
 
 def paired_code():
     # Four codewords; a half turn swaps 0 with 2 and 1 with 3, and no
-    # quarter turn maps the code onto itself: two classes of codewords,
-    # {0, 2} and {1, 3}, each with orbits of its own.
+    # quarter turn maps the code onto itself: each orbit visits two of the
+    # four codewords, {0, 2} or {1, 3}.
     a = np.array([1.0, 1.5 * np.exp(0.3j)])
     b = np.array([2.0 * np.exp(0.7j), 2.5 * np.exp(1.1j)])
     w = [0.3, 0.7]
@@ -178,15 +180,6 @@ def test_order_need_not_fill_the_first_phase_circle():
     on_circle = np.isclose(np.abs(pts[:, 0]), np.abs(pts[0, 0]))
     assert on_circle.sum() == 8
     assert code_orbits(code).d == 4
-
-
-def test_classes_group_the_codewords_each_rotation_cycles():
-    classes = [(cols, ks.tolist()) for cols, ks in code_orbits(paired_code()).classes]
-    assert classes == [(slice(0, 2), [0, 2]), (slice(2, 4), [1, 3])]
-    # With d = 1 every codeword is a class of its own.
-    classes = code_orbits(uneven_code()).classes
-    assert [ks.tolist() for _, ks in classes] == [[0], [1], [2]]
-    assert [(cols.start, cols.stop) for cols, _ in classes] == [(0, 3), (3, 7), (7, 12)]
 
 
 def term_sums(code, p, q):
