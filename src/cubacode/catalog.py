@@ -9,12 +9,28 @@ circles; shell s carries points at angles (2j + s) * pi / m and a per-shell
 weight from an alternating interpolation rule in the squared radii.  The
 four-dimensional codes are built from the cross-polytope (16-cell), the
 hypercube (8-cell) and their union (24-cell), embedded into two modes by
-pairing real coordinates.  Distinct logical codewords follow one
-interleaving rule: codeword k is the base constellation times the uniform
-phase exp(2*pi*i*k/(K*m_sym)), where the base is invariant under the phase
-2*pi/m_sym.  Planar m-gon codes have m_sym = m; the polytope codes have
-m_sym = 4 (the symmetry angle pi/2, split across K codewords), except the
-D = 2 cube-orthoplex union, a regular octagon, with m_sym = 8.
+pairing real coordinates.
+
+Every phase-interleaved code is built by one path, ``_interleaved``.  A
+builder checks its parameters and lists its base constellation as parts,
+each a point array with one weight per point; the path checks K and the
+size, normalizes the weights and makes codeword k the base times the
+uniform phase exp(2*pi*i*k/(K*m_sym)), where the base is invariant under
+the phase 2*pi/m_sym.  Planar m-gon codes have m_sym = m; the polytope
+codes have m_sym = 4 (the symmetry angle pi/2, split across K codewords),
+except the D = 2 cube-orthoplex union, a regular octagon, with m_sym = 8.
+
+``cube_orthoplex`` and ``twoshell_8_16`` are one family: the D-cube at
+radius r_c and the D-orthoplex at radius r_o, with per-point weights in the
+ratio w_o / w_c = 2^D r_c^4 / (D^2 r_o^4).  The ratio makes the degree-4
+moments isotropic: with cube vertices (+-1, ..., +-1) r_c / sqrt(D), the
+condition sum x_1^4 = 3 sum x_1^2 x_2^2 reads
+2^D w_c r_c^4 / D^2 + 2 w_o r_o^4 = 3 * 2^D w_c r_c^4 / D^2.
+qsc24 (cube_orthoplex at D = 4, the uniform 24-cell) is the family's
+equal-radius member and qcc24 (twoshell_8_16 at 1:2) its 1:2 member.
+
+A catalog code has at most MAX_POINTS points over all its codewords, and
+a larger request is rejected before its points are built.
 """
 
 from __future__ import annotations
@@ -55,10 +71,8 @@ def orthoplex_vertices(D: int) -> np.ndarray:
 
 def halfcube_vertices(D: int, parity: int) -> np.ndarray:
     """Hypercube vertices with an even (0) or odd (1) number of minus signs."""
-    signs = np.array(
-        [s for s in itertools.product((-1.0, 1.0), repeat=D) if s.count(-1.0) % 2 == parity]
-    )
-    return signs / np.sqrt(D)
+    cube = hypercube_vertices(D)
+    return cube[(cube < 0).sum(axis=1) % 2 == parity]
 
 
 def cell24_vertices() -> np.ndarray:
@@ -66,18 +80,43 @@ def cell24_vertices() -> np.ndarray:
     return np.vstack([orthoplex_vertices(4), hypercube_vertices(4)])
 
 
+# The most points, over all its codewords, that a catalog code may have.  A
+# larger request is rejected before any array is built.  The largest code a
+# test, README command, script or benchmark workload builds is
+# cube_orthoplex --D 10 (2 x 1044 points).
+MAX_POINTS = 2**16
+
+
+def _cap_error(what: str, points) -> ValidationError:
+    return ValidationError(
+        f"{what} has {points} points, more than the catalog's cap of {MAX_POINTS}")
+
+
 def _uniform(points: np.ndarray) -> WeightedConstellation:
     n = points.shape[0]
     return WeightedConstellation(points, np.full(n, 1.0 / n))
 
 
-def _codewords(base: WeightedConstellation, K: int, m_sym: int) -> tuple:
-    """K codewords: the m_sym-fold phase-symmetric base constellation times
-    the uniform phase 2*pi*k/(K*m_sym)."""
-    return tuple(
+def _interleaved(name: str, parts: Sequence[tuple], K: int, m_sym: int, shells: tuple,
+                 degree: int, warnings: tuple = ()) -> CodeSpec:
+    """K codewords: the base constellation, the union of ``parts`` (pairs of
+    points and one weight per point, normalized here) invariant under the
+    phase 2*pi/m_sym, times the uniform phase 2*pi*k/(K*m_sym)."""
+    K = int(K)
+    if K < 1:
+        raise ValidationError(f"{name} needs K >= 1")
+    total = K * sum(p.shape[0] for p, _ in parts)
+    if total > MAX_POINTS:
+        raise _cap_error(name, total)
+    points = np.vstack([p for p, _ in parts])
+    weights = np.concatenate([np.full(p.shape[0], w) for p, w in parts])
+    base = WeightedConstellation(points, weights / weights.sum())
+    logicals = tuple(
         apply_rotation(base, Rotation.global_phase(base.modes, 2.0 * np.pi * k / (K * m_sym)))
         for k in range(K)
     )
+    return CodeSpec(name=name, logicals=logicals, shells=shells, claimed_degree=degree,
+                    warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -91,17 +130,12 @@ def cat_code(m: int, K: int = 2, radius: float = 1.0) -> CodeSpec:
     m, K = int(m), int(K)
     if m < 2:
         raise ValidationError("cat code needs m >= 2 points per codeword")
-    if K < 1:
-        raise ValidationError("cat code needs K >= 1")
     if radius <= 0:
         raise ValidationError("cat code radius must be positive")
-    base = _uniform(regular_polygon(m, radius))
-    return CodeSpec(
-        name=f"cat(m={m},K={K})",
-        logicals=_codewords(base, K, m),
-        shells=(radius,),
-        claimed_degree=m - 1,
-    )
+    name = f"cat(m={m},K={K})"
+    if m > MAX_POINTS:
+        raise _cap_error(f"a codeword of {name}", m)
+    return _interleaved(name, [(regular_polygon(m, radius), 1.0)], K, m, (radius,), m - 1)
 
 
 def polygon_shell_weights(m: int, radii: Sequence[float]) -> np.ndarray:
@@ -138,8 +172,9 @@ def polygon_shell_code(m: int, p: int, radii: Sequence[float], K: int = 2) -> Co
         raise ValidationError("polygon shells need p >= 1 radii, one per shell")
     if any(x <= 0 for x in r) or any(b <= a for a, b in zip(r, r[1:])):
         raise ValidationError("shell radii must be positive and strictly increasing")
-    if int(K) < 1:
-        raise ValidationError("polygon shell code needs K >= 1")
+    name = f"polygon_shells(m={m},p={p})"
+    if m * p > MAX_POINTS:
+        raise _cap_error(f"a codeword of {name}", m * p)
     t = m + 2 * p - 3
     warnings = ()
     if p > (t + 5) // 4:
@@ -147,65 +182,57 @@ def polygon_shell_code(m: int, p: int, radii: Sequence[float], K: int = 2) -> Co
             f"shell count p={p} exceeds the tight-design limit {(t + 5) // 4} for degree {t}",
         )
     shell_w = polygon_shell_weights(m, r)
-    points = np.vstack(
-        [regular_polygon(m, r[s - 1], offset=s * np.pi / m) for s in range(1, p + 1)]
-    )
-    weights = np.repeat(shell_w, m)
-    base = WeightedConstellation(points, weights / weights.sum())
-    return CodeSpec(
-        name=f"polygon_shells(m={m},p={p})",
-        logicals=_codewords(base, int(K), m),
-        shells=r,
-        claimed_degree=t,
-        warnings=warnings,
-    )
+    parts = [(regular_polygon(m, r[s - 1], offset=s * np.pi / m), shell_w[s - 1])
+             for s in range(1, p + 1)]
+    return _interleaved(name, parts, K, m, r, t, warnings)
 
 
-def _check_even_dim(D: int) -> int:
+def _check_even_dim(D: int, cube: bool, orth: bool) -> int:
+    """An even D >= 2 at which a codeword of the D-cube's 2^D vertices (if
+    ``cube``) and the D-orthoplex's 2D (if ``orth``) fits under MAX_POINTS.
+    2^D is formed only below the cap's bit length, so a huge D fails at once."""
     D = int(D)
     if D < 2 or D % 2 != 0:
         raise ValidationError("polytope codes need an even dimension D >= 2")
+    huge = cube and D >= MAX_POINTS.bit_length()
+    if huge or (2**D if cube else 0) + (2 * D if orth else 0) > MAX_POINTS:
+        kind = "-".join(["cube"] * cube + ["orthoplex"] * orth)
+        raise _cap_error(f"a D = {D} {kind} codeword",
+                         " + ".join([f"2^{D}"] * cube + [f"{2 * D}"] * orth))
     return D
 
 
 def hypercube_code(D: int, K: int = 2) -> CodeSpec:
-    D = _check_even_dim(D)
-    base = _uniform(embed_real_to_complex(hypercube_vertices(D)))
-    logicals = _codewords(base, int(K), 4)
-    return CodeSpec(
-        name=f"hypercube(D={D},K={K})", logicals=logicals, shells=(1.0,), claimed_degree=3
-    )
+    D = _check_even_dim(D, cube=True, orth=False)
+    parts = [(embed_real_to_complex(hypercube_vertices(D)), 1.0)]
+    return _interleaved(f"hypercube(D={D},K={K})", parts, K, 4, (1.0,), 3)
 
 
 def orthoplex_code(D: int, K: int = 2) -> CodeSpec:
-    D = _check_even_dim(D)
-    base = _uniform(embed_real_to_complex(orthoplex_vertices(D)))
-    logicals = _codewords(base, int(K), 4)
-    return CodeSpec(
-        name=f"orthoplex(D={D},K={K})", logicals=logicals, shells=(1.0,), claimed_degree=3
-    )
+    D = _check_even_dim(D, cube=False, orth=True)
+    parts = [(embed_real_to_complex(orthoplex_vertices(D)), 1.0)]
+    return _interleaved(f"orthoplex(D={D},K={K})", parts, K, 4, (1.0,), 3)
+
+
+def _cube_orthoplex_parts(D: int, r_cube: float, r_orth: float) -> list:
+    """The D-cube at radius r_cube and the D-orthoplex at r_orth with the
+    per-point weight ratio w_orth/w_cube = 2^D r_cube^4 / (D^2 r_orth^4),
+    which makes the degree-4 moments isotropic.  The weights are D^2 and
+    2^D (r_cube/r_orth)^4, integers at equal radii, so that the normalized
+    weights are rounded once."""
+    return [
+        (embed_real_to_complex(r_cube * hypercube_vertices(D)), float(D * D)),
+        (embed_real_to_complex(r_orth * orthoplex_vertices(D)), 2.0**D * (r_cube / r_orth) ** 4),
+    ]
 
 
 def cube_orthoplex_code(D: int, K: int = 2) -> CodeSpec:
     """Union of the D-cube and D-orthoplex vertex sets on the unit sphere,
-    with weights D/(2^D (D+2)) per cube point and 1/(D (D+2)) per orthoplex
-    point.  For D = 2 the union is a uniform octagon."""
-    D = _check_even_dim(D)
-    cube = embed_real_to_complex(hypercube_vertices(D))
-    orth = embed_real_to_complex(orthoplex_vertices(D))
-    w_cube = D / (2.0**D * (D + 2))
-    w_orth = 1.0 / (D * (D + 2))
-    points = np.vstack([cube, orth])
-    weights = np.concatenate([np.full(cube.shape[0], w_cube), np.full(orth.shape[0], w_orth)])
-    base = WeightedConstellation(points, weights / weights.sum())
-    # The D = 2 union is a regular octagon, so the codeword interleaving uses
-    # its full 8-fold symmetry.
-    return CodeSpec(
-        name=f"cube_orthoplex(D={D},K={K})",
-        logicals=_codewords(base, int(K), 8 if D == 2 else 4),
-        shells=(1.0,),
-        claimed_degree=7 if D == 2 else 5,
-    )
+    weighted per point in the ratio D^2 : 2^D.  For D = 2 the union is a
+    uniform octagon, and the codewords interleave by its 8-fold symmetry."""
+    D = _check_even_dim(D, cube=True, orth=True)
+    return _interleaved(f"cube_orthoplex(D={D},K={K})", _cube_orthoplex_parts(D, 1.0, 1.0), K,
+                        8 if D == 2 else 4, (1.0,), 7 if D == 2 else 5)
 
 
 def cell16_qutrit_code() -> CodeSpec:
@@ -231,23 +258,13 @@ def cell8_cell16_qubit_code() -> CodeSpec:
 
 def two_shell_cell_code(r1: float, r2: float, K: int = 2) -> CodeSpec:
     """8-cell at radius r1 and 16-cell at radius r2 with per-point weight
-    ratio w16/w8 = (r1/r2)^4; codewords separated by the pi/(2K) phase."""
+    ratio w16/w8 = (r1/r2)^4, the D = 4 cube-orthoplex rule; codewords
+    separated by the pi/(2K) phase."""
     r1, r2 = float(r1), float(r2)
     if r1 <= 0 or r2 <= 0:
         raise ValidationError("shell radii must be positive")
-    cube = r1 * embed_real_to_complex(hypercube_vertices(4))
-    orth = r2 * embed_real_to_complex(orthoplex_vertices(4))
-    w8 = 1.0
-    w16 = (r1 / r2) ** 4
-    points = np.vstack([cube, orth])
-    weights = np.concatenate([np.full(16, w8), np.full(8, w16)])
-    base = WeightedConstellation(points, weights / weights.sum())
-    return CodeSpec(
-        name=f"twoshell_8_16(r1={r1:g},r2={r2:g})",
-        logicals=_codewords(base, int(K), 4),
-        shells=tuple(sorted({r1, r2})),
-        claimed_degree=5,
-    )
+    return _interleaved(f"twoshell_8_16(r1={r1:g},r2={r2:g})", _cube_orthoplex_parts(4, r1, r2),
+                        K, 4, tuple(sorted({r1, r2})), 5)
 
 
 def two_shell_24cell_code(tau: float, r1: float = 1.0, K: int = 2) -> CodeSpec:
@@ -259,16 +276,9 @@ def two_shell_24cell_code(tau: float, r1: float = 1.0, K: int = 2) -> CodeSpec:
         raise ValidationError("tau and r1 must be positive")
     inner = r1 * embed_real_to_complex(cell24_vertices())
     outer = tau * (np.exp(0.25j * np.pi) * inner)
-    points = np.vstack([inner, outer])
-    weights = np.concatenate([np.full(24, 1.0), np.full(24, (1.0 / tau) ** 6)])
-    base = WeightedConstellation(points, weights / weights.sum())
     shells = (r1,) if tau == 1.0 else (r1, tau * r1)
-    return CodeSpec(
-        name=f"twoshell_24cell(tau={tau:g})",
-        logicals=_codewords(base, int(K), 4),
-        shells=shells,
-        claimed_degree=7,
-    )
+    return _interleaved(f"twoshell_24cell(tau={tau:g})", [(inner, 1.0), (outer, (1.0 / tau) ** 6)],
+                        K, 4, shells, 7)
 
 
 # ---------------------------------------------------------------------------

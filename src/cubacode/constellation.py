@@ -128,7 +128,8 @@ class CodeSpec:
     """K weighted constellations sharing a mode count, plus metadata.
 
     ``shells`` lists the nominal shell radii; when non-empty, every point's
-    norm must match one of them within GEOM_TOL.  ``claimed_degree`` is the
+    norm must match one of them within GEOM_TOL * max(1, radius), so that the
+    rounding of large norms is no mismatch.  ``claimed_degree`` is the
     nominal cubature degree of each logical constellation (None if unknown).
     Codes compare and hash by identity.
     """
@@ -150,9 +151,10 @@ class CodeSpec:
         if any(r < 0 for r in shells):
             raise ValidationError("shell radii must be nonnegative")
         if shells:
+            radii = np.asarray(shells)
             for k, c in enumerate(logicals):
                 norms = c.radii()
-                dist = np.abs(norms[:, None] - np.asarray(shells)[None, :]).min(axis=1)
+                dist = (np.abs(norms[:, None] - radii) / np.maximum(1.0, radii)).min(axis=1)
                 if dist.max() > GEOM_TOL:
                     i = int(dist.argmax())
                     raise ValidationError(
@@ -561,15 +563,15 @@ def normalize_energy(code: CodeSpec, target: float) -> tuple:
     number ``target``.  Returns (scaled code, scale factor lambda).
 
     Fails if the logical constellations disagree on the mean photon number
-    (they could not then be normalized simultaneously) or contain only
-    zero-amplitude points.
+    by more than GEOM_TOL * max(1, largest) (they could not then be
+    normalized simultaneously) or contain only zero-amplitude points.
     """
     if target <= 0:
         raise ValidationError("target mean photon number must be positive")
     nbars = [mean_photon_number(c) for c in code.logicals]
     if max(nbars) <= 0:
         raise ValidationError("cannot normalize an all-zero constellation")
-    if max(nbars) - min(nbars) > GEOM_TOL:
+    if max(nbars) - min(nbars) > GEOM_TOL * max(1.0, max(nbars)):
         raise ValidationError(
             f"logical constellations have unequal mean photon numbers: {nbars}"
         )

@@ -1,21 +1,25 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from cubacode import ValidationError, build_catalog_code, describe
+from cubacode import ValidationError, build_catalog_code, describe, scale_code
 from cubacode.catalog import (
+    MAX_POINTS,
     cat_code,
     cell24_vertices,
     cube_orthoplex_code,
     halfcube_vertices,
     hypercube_vertices,
+    orthoplex_code,
     orthoplex_vertices,
     polygon_shell_code,
     two_shell_24cell_code,
     two_shell_cell_code,
 )
 from cubacode.constellation import _match_points
+from cubacode.moments import moment_match_degree
 
 
 def test_cat_two_codewords_are_antipodal_pairs():
@@ -128,6 +132,54 @@ def test_two_shell_cell_code_weight_ratio():
     w16 = c.weights[np.isclose(radii, 2.0)]
     assert len(w8) == 16 and len(w16) == 8
     assert np.allclose(w16.mean() / w8.mean(), (1.0 / 2.0) ** 4)
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 1.7, 3.0])
+def test_two_shell_cell_code_at_equal_radii_is_the_scaled_cube_orthoplex(r):
+    # One family: qsc24 is the equal-radius member of qcc24's family.
+    shells = two_shell_cell_code(r, r)
+    scaled = scale_code(cube_orthoplex_code(4), r)
+    assert shells.shells == scaled.shells == (r,)
+    for a, b in zip(shells.logicals, scaled.logicals, strict=True):
+        assert np.abs(a.points - b.points).max() <= 2e-16 * r
+        assert np.array_equal(a.weights, b.weights)
+
+
+@pytest.mark.parametrize("name, params, degree", [
+    ("twoshell_8_16", {"r1": 1.0, "r2": 1.0}, 5),
+    ("twoshell_8_16", {"r1": 1.0, "r2": 1.5}, 5),
+    ("twoshell_8_16", {"r1": 1.0, "r2": 2.0}, 5),
+    ("twoshell_8_16", {"r1": 1.0, "r2": 3.0}, 5),
+    ("cube_orthoplex", {"D": 2}, 7),
+    ("cube_orthoplex", {"D": 4}, 5),
+    ("cube_orthoplex", {"D": 6}, 5),
+    ("cube_orthoplex", {"D": 8}, 5),
+], ids=str)
+def test_cube_orthoplex_family_matches_its_claimed_degree(name, params, degree):
+    code = build_catalog_code(name, params)
+    assert moment_match_degree(code, 9) == degree == code.claimed_degree
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda: cube_orthoplex_code(16), "2^16 + 32 points"),
+    (lambda: orthoplex_code(MAX_POINTS // 2 + 2), f"{MAX_POINTS + 4} points"),
+    (lambda: cat_code(MAX_POINTS + 1, 1), f"{MAX_POINTS + 1} points"),
+    (lambda: polygon_shell_code(4, 2, (1.0, 2.0), K=MAX_POINTS), f"{8 * MAX_POINTS} points"),
+    (lambda: two_shell_cell_code(1.0, 2.0, K=10**9), f"{24 * 10**9} points"),
+], ids=["cube_orthoplex", "orthoplex", "cat", "polygon_shells", "twoshell_8_16"])
+def test_codes_above_the_point_cap_are_rejected(build, text):
+    with pytest.raises(ValidationError, match=f"{re.escape(text)}, more than the catalog's cap"):
+        build()
+
+
+@pytest.mark.parametrize("name", ["cat", "polygon_shells", "hypercube", "orthoplex",
+                                  "cube_orthoplex", "twoshell_8_16", "twoshell_24cell"])
+def test_every_interleaved_code_checks_k(name):
+    params = {"cat": {"m": 4}, "polygon_shells": {"m": 4, "p": 2, "radii": (1.0, 2.0)},
+              "twoshell_8_16": {"r1": 1, "r2": 2}, "twoshell_24cell": {"tau": 2}}
+    params = params.get(name, {"D": 4})
+    with pytest.raises(ValidationError, match="needs K >= 1"):
+        build_catalog_code(name, dict(params, K=0))
 
 
 def test_shell_count_warning_metadata():

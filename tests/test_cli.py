@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cubacode import build_catalog_code, normalize_energy, save_code
+from cubacode import build_catalog_code, normalize_energy, save_code, scale_code
 from cubacode.cli import build_parser, main
 from cubacode.klcheck import codeword_gram
 
@@ -207,6 +207,47 @@ def test_points_too_large_for_doubles_exit_2(name, capsys):
     assert status == 2
     assert out == ""
     assert err.startswith("error: constellation points are too large")
+    assert len(err.splitlines()) == 1
+
+
+def test_large_amplitude_catalog_code_runs(capsys):
+    # Norms near 1e8 round by more than the absolute 1e-9 that the shell
+    # match once allowed.
+    status, out, _ = run_cli(capsys, "params", "--catalog", "qsc8", "--normalize", "1e16")
+    assert status == 0
+    assert out.splitlines()[-1].endswith("<8,8,8> ))")
+
+
+@pytest.mark.parametrize("command", [
+    ("bench", "sweep-alpha", "--grid", "1"),
+    ("params", "--normalize", "1"),
+], ids=" ".join)
+def test_large_amplitude_code_file_runs_like_the_catalog_code(command, tmp_path, capsys):
+    # qcc8 times 1e4: its codewords' mean photon numbers are one ulp apart.
+    path = tmp_path / "qcc8x1e4.json"
+    save_code(scale_code(build_catalog_code("qcc8"), 1e4), path)
+    status, from_file, _ = run_cli(capsys, *command, "--code-file", str(path))
+    assert status == 0
+    status, from_catalog, _ = run_cli(capsys, *command, "--catalog", "qcc8")
+    assert status == 0
+    assert from_file.replace(path.name, "qcc8") == from_catalog
+
+
+@pytest.mark.parametrize("argv, count", [
+    (("--catalog", "hypercube", "--D", "30"), "2^30 points"),
+    (("--catalog", "hypercube", "--D", "1000000000"), "2^1000000000 points"),
+    (("--catalog", "orthoplex", "--D", "1000000000"), "2000000000 points"),
+    (("--catalog", "cube_orthoplex", "--D", "40"), "2^40 + 80 points"),
+    (("--catalog", "cat", "--m", "100000000"), "100000000 points"),
+    (("--catalog", "polygon_shells", "--m", "4", "--p", "3", "--radii", "1,2,3",
+      "--K", "100000000"), "1200000000 points"),
+    (("--catalog", "twoshell_24cell", "--tau", "2", "--K", "100000000"), "4800000000 points"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_oversized_catalog_request_exits_2(argv, count, capsys):
+    status, out, err = run_cli(capsys, "show", *argv)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error:") and count in err and "cap of 65536" in err
     assert len(err.splitlines()) == 1
 
 
