@@ -270,15 +270,22 @@ def two_shell_cell_code(r1: float, r2: float, K: int = 2) -> CodeSpec:
 def two_shell_24cell_code(tau: float, r1: float = 1.0, K: int = 2) -> CodeSpec:
     """Two concentric 24-cells at radii r1 and r2 = tau*r1, the outer one in
     the dual orientation (rotated by the pi/4 uniform phase), with per-point
-    weight (1/tau)^6 on the outer shell relative to the inner."""
+    weight (1/tau)^6 on the outer shell relative to the inner.  tau = 1 is
+    rejected: both shells are then one, and as the 24-cell is invariant
+    under the phase i, the base is invariant under the pi/4 phase, so at
+    even K codewords K/2 apart coincide."""
     tau, r1 = float(tau), float(r1)
     if tau <= 0 or r1 <= 0:
         raise ValidationError("tau and r1 must be positive")
+    if tau == 1.0:
+        raise ValidationError(
+            "twoshell_24cell needs tau != 1: at tau = 1 both 24-cells lie on one shell and "
+            "the base is invariant under the pi/4 phase, so at even K codewords K/2 apart "
+            "coincide")
     inner = r1 * embed_real_to_complex(cell24_vertices())
     outer = tau * (np.exp(0.25j * np.pi) * inner)
-    shells = (r1,) if tau == 1.0 else (r1, tau * r1)
     return _interleaved(f"twoshell_24cell(tau={tau:g})", [(inner, 1.0), (outer, (1.0 / tau) ** 6)],
-                        K, 4, shells, 7)
+                        K, 4, (r1, tau * r1), 7)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,9 @@ def _parse_number(text: str, option: str) -> float:
     return value
 
 
+_MAX_GRID_POINTS = 65536
+
+
 def _parse_grid(text: str) -> List[float]:
     """a:b:n -> n evenly spaced values; or a comma-separated list."""
     if ":" in text:
@@ -54,6 +57,9 @@ def _parse_grid(text: str) -> List[float]:
         a, b, n = (_parse_number(v, "--grid") for v in parts)
         if n < 1 or n != int(n):
             raise ValidationError(f"--grid: the point count must be a positive integer ({text!r})")
+        if n > _MAX_GRID_POINTS:
+            raise ValidationError(
+                f"--grid: {n:.12g} points, more than the cap of {_MAX_GRID_POINTS}")
         return [float(v) for v in np.linspace(a, b, int(n))]
     return _parse_floats(text, "--grid")
 

@@ -5,8 +5,9 @@ code file, out-of-range parameter) and map to CLI exit status 2.
 Numerical failures signal a computation that could not be carried out at
 the requested operating point (degenerate Gram matrix) and map to exit
 status 1.  The truncated Fock space of the ``stab`` Z-check is input: a
-cutoff below 2, a dimension over ``CUBACODE_DIM_BUDGET`` or a malformed
-budget is a validation error.  A cutoff that is merely too small for an
+cutoff below 2, or one at which the check would hold more than its cap of
+2^28 bytes (``stabilizer._ZCHECK_BYTES``), is a validation error, raised
+before any array is built.  A cutoff that is merely too small for an
 accurate Z-check is neither: ``stab`` warns that the cutoff is strained,
 reports the truncation-limited residual and exits 0.  A codeword that
 vanishes in the truncated space (its coefficients underflow below the

@@ -3,10 +3,10 @@
 Two families of checks.  Z-type: polynomials P in the mode amplitudes that
 vanish on every constellation point induce annihilation-operator products
 F = P(a) with F|C_k> = 0, verified here by applying F to the encoded
-codewords in a truncated Fock space: n modes, levels 0..cutoff-1 each,
-within a dimension budget.  F acts term by term as an index shift of the
-codeword tensor, so the check holds O(cutoff^n) numbers and no operator
-matrix.  This is the package's only truncated space; tests build their
+codewords in a truncated Fock space: n modes, levels 0..cutoff-1 each.
+F acts term by term as an index shift of the codeword tensor: no operator
+matrix, and O(points cutoff^(n-1) + cutoff^n) numbers, at most _ZCHECK_BYTES.
+This is the package's only truncated space; tests build their
 Fock-coefficient references from the same vectors.
 X-type: passive unitaries permuting each weighted constellation leave the
 codewords invariant; every such check, phase rotation or not, is one
@@ -18,7 +18,6 @@ Only verification is performed; dissipative dynamics are out of scope.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -37,24 +36,7 @@ from .constellation import (
 from .errors import NumericalFailure, ValidationError
 from .klcheck import _log_poisson, _pairwise_overlaps
 
-DEFAULT_DIM_BUDGET = 4096
-_BUDGET_ENV = "CUBACODE_DIM_BUDGET"
-
-
-def dim_budget() -> int:
-    """The largest Fock dimension cutoff**modes the Z-check may build:
-    CUBACODE_DIM_BUDGET, which must be a positive integer, or 4096 when it
-    is unset."""
-    text = os.environ.get(_BUDGET_ENV)
-    if text is None:
-        return DEFAULT_DIM_BUDGET
-    try:
-        budget = int(text)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise ValidationError(f"{_BUDGET_ENV} must be a positive integer, got {text!r}")
-    return budget
+_ZCHECK_BYTES = 1 << 28  # the most bytes the Z-check may hold at once
 
 
 def _coherent_rows(alphas: np.ndarray, cutoff: int) -> np.ndarray:
@@ -243,6 +225,16 @@ def _lift_single_mode(
 # ---------------------------------------------------------------------------
 
 
+def _zcheck_bytes(code: CodeSpec, cutoff: int) -> int:
+    """Bytes the Z-check holds at once, 16 per complex entry: _coherent_rows'
+    rows and four working copies, the widest codeword's last two partial
+    products, K codewords and three working tensors (not O(points) arrays)."""
+    cutoff = int(cutoff)
+    dim, sizes = cutoff**code.modes, [c.size for c in code.logicals]
+    partial = max(sizes) * (dim // cutoff + dim // cutoff**2)
+    return 16 * (5 * sum(sizes) * code.modes * cutoff + partial + (len(sizes) + 3) * dim)
+
+
 def _encoded_states(code: CodeSpec, scale: float, cutoff: int) -> List[np.ndarray]:
     """The truncated codeword vectors sum_a sqrt(w_a)|scale*a>, normalized.
 
@@ -310,22 +302,20 @@ def verify_ztype(
     """Max residual ||F_i |C_k>|| over generators and encoded codewords,
     on levels 0..cutoff-1 per mode.
 
-    The cutoff must be at least 2, and cutoff**modes must not exceed
-    :func:`dim_budget`.  When ``polys`` is omitted they are derived for the
-    scale-multiplied constellation; explicitly supplied polynomials must
-    vanish on the scaled points.  Small residuals need a cutoff above the
-    largest |alpha|^2 of the scaled code plus some widths sqrt(|alpha|^2)
-    of its Poisson distribution plus the polynomial degree; a cutoff below
-    degree + reach + 8 sqrt(reach) + 10 warns.
+    The cutoff must be at least 2, and the bytes held at once, counted before
+    any array is built, at most _ZCHECK_BYTES.  When ``polys`` is omitted
+    they are derived for the scale-multiplied constellation; explicitly
+    supplied polynomials must vanish on the scaled points.  Small residuals
+    need a cutoff above the largest |alpha|^2 of the scaled code plus some
+    widths sqrt(|alpha|^2) of its Poisson distribution plus the polynomial
+    degree; a cutoff below degree + reach + 8 sqrt(reach) + 10 warns.
     """
     if cutoff < 2:
         raise ValidationError("per-mode cutoff must be at least 2")
-    budget = dim_budget()
-    if cutoff**code.modes > budget:
-        raise ValidationError(
-            f"dimension {cutoff ** code.modes} exceeds budget {budget}; "
-            f"set {_BUDGET_ENV} to allow this"
-        )
+    need = _zcheck_bytes(code, cutoff)
+    if need > _ZCHECK_BYTES:
+        raise ValidationError(f"the Z-check at cutoff {cutoff} needs {need} bytes, "
+                              f"more than its cap of {_ZCHECK_BYTES}")
     scaled = scale_code(code, scale)
     if polys is None:
         polys = ztype_polynomials(scaled)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cubacode import build_catalog_code, normalize_energy, save_code, scale_code
-from cubacode.cli import build_parser, main
+from cubacode.cli import _parse_grid, build_parser, main
 from cubacode.klcheck import codeword_gram
 
 
@@ -477,23 +477,39 @@ def test_rejected_input_leaves_stdout_empty(argv, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_malformed_dim_budget_exits_2(value, monkeypatch, capsys):
-    monkeypatch.setenv("CUBACODE_DIM_BUDGET", value)
+def test_stab_over_byte_cap_exits_2(capsys):
+    # 10^8 levels: 1.6 GB per codeword vector, refused before it is built.
     status, out, err = run_cli(capsys, "stab", "--catalog", "cat", "--m", "2", "--scale", "1",
-                               "--cutoff", "40")
+                               "--cutoff", "100000000")
     assert status == 2
     assert out == ""
-    assert err == f"error: CUBACODE_DIM_BUDGET must be a positive integer, got {value!r}\n"
+    assert err == ("error: the Z-check at cutoff 100000000 needs 40000000032 bytes, "
+                   "more than its cap of 268435456\n")
 
 
-def test_stab_over_budget_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("CUBACODE_DIM_BUDGET", "30")
-    status, out, err = run_cli(capsys, "stab", "--catalog", "cat", "--m", "2", "--scale", "1",
-                               "--cutoff", "40")
+@pytest.mark.parametrize("count, shown", [("1e9", "1000000000"), ("1e300", "1e+300"),
+                                          ("65537", "65537")])
+def test_grid_over_point_cap_exits_2(count, shown, capsys):
+    status, out, err = run_cli(capsys, "bench", "sweep-alpha", "--catalog", "qsc8",
+                               "--grid", f"1:2:{count}")
     assert status == 2
     assert out == ""
-    assert err.startswith("error: dimension 40 exceeds budget 30")
+    assert err == f"error: --grid: {shown} points, more than the cap of 65536\n"
+
+
+def test_grid_at_point_cap_is_accepted():
+    grid = _parse_grid("1:2:65536")
+    assert len(grid) == 65536 and grid[0] == 1.0 and grid[-1] == 2.0
+
+
+@pytest.mark.parametrize("K", ["1", "2", "3"])
+def test_twoshell_24cell_at_tau_one_exits_2(K, capsys):
+    # At tau = 1 codeword 1 of K = 2 is the base turned by pi/4, the base itself.
+    status, out, err = run_cli(capsys, "params", "--catalog", "twoshell_24cell", "--tau", "1",
+                               "--K", K)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: twoshell_24cell needs tau != 1")
 
 
 @pytest.mark.parametrize("text, field", [

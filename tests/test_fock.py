@@ -12,7 +12,7 @@ from cubacode import (
     normalize_energy,
     verify_ztype,
 )
-from cubacode.stabilizer import _encoded_states, coherent_fock, dim_budget
+from cubacode.stabilizer import _encoded_states, coherent_fock
 
 
 @pytest.fixture(scope="module")
@@ -74,30 +74,13 @@ def test_two_mode_coherent_state():
     assert np.allclose(tens, np.outer(a0, a1))
 
 
-def test_space_budget_enforced():
-    # Two modes at cutoff 65: dimension 4225, over the default 4096.
-    with pytest.raises(ValidationError, match="budget"):
-        verify_ztype(build_catalog_code("cell16_qutrit"), 1.0, 65)
-
-
 def test_cutoff_below_two_is_rejected():
     with pytest.raises(ValidationError, match="at least 2"):
         verify_ztype(cat_code(2, 2), 1.0, 1)
 
 
-@pytest.mark.parametrize("value", ["abc", "", "1.5", "0", "-3"])
-def test_malformed_budget_is_rejected(value, monkeypatch):
-    monkeypatch.setenv("CUBACODE_DIM_BUDGET", value)
-    with pytest.raises(ValidationError, match="CUBACODE_DIM_BUDGET"):
-        verify_ztype(cat_code(2, 2), 1.0, 40)
-
-
-def test_budget_from_environment(monkeypatch):
-    monkeypatch.setenv("CUBACODE_DIM_BUDGET", "64")
-    assert dim_budget() == 64
+def test_unit_cat_ztype_residual_small():
     assert verify_ztype(cat_code(2, 2), 1.0, 64) < 1e-8
-    with pytest.raises(ValidationError, match="budget 64"):
-        verify_ztype(cat_code(2, 2), 1.0, 65)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from cubacode.stabilizer import (
     _apply_polynomial,
     _poly_from_roots_in_power,
     _encoded_states,
+    _zcheck_bytes,
     coherent_fock,
     ztype_residual_states,
 )
@@ -327,6 +328,58 @@ def test_two_mode_ztype_memory_is_linear_in_dimension():
         tracemalloc.stop()
     assert np.isfinite(residual)
     assert peak < 8 * 2**20
+
+
+def readme_polys(modes):
+    """The README's two-mode generators a^4 - b^4 and a^2 b^2 - 1, on modes
+    0 and modes - 1 of ``modes``."""
+    def u(e0, e1):
+        return (e0,) + (0,) * (modes - 2) + (e1,)
+    return [AnnihilationPolynomial.from_dict({u(4, 0): 1.0, u(0, 4): -1.0}, modes=modes),
+            AnnihilationPolynomial.from_dict({u(2, 2): 1.0, u(0, 0): -1.0}, modes=modes)]
+
+
+def test_two_mode_ztype_past_the_old_dimension_budget():
+    # Cutoff 128 is dimension 16384, four times the old budget of 4096; the
+    # tail beyond level 64 adds nothing at scale 1.
+    code = build_catalog_code("qcc24")
+    r64 = verify_ztype(code, 1.0, 64, polys=readme_polys(2))
+    r128 = verify_ztype(code, 1.0, 128, polys=readme_polys(2))
+    assert abs(r128 - r64) <= 1e-12
+
+
+def test_over_cap_ztype_is_rejected_before_allocation():
+    # Dimension 10^12: 16 TB per codeword, refused in integer arithmetic.
+    code = build_catalog_code("qcc24")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="cutoff 1000000 needs .* cap of 268435456"):
+            verify_ztype(code, 1.0, 10**6, polys=readme_polys(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+@pytest.mark.parametrize("catalog, params, cutoff", [
+    ("cube_orthoplex", {"D": 8}, 8), ("qcc24", {}, 256)], ids=["cube_orthoplex-D8", "qcc24"])
+def test_byte_estimate_bounds_the_measured_peak(catalog, params, cutoff):
+    # The count the cap is checked against is no guess: it is at least the
+    # traced peak of the check and at most three times it.  Partial products
+    # (272 x 8^3 entries) set the 4-mode peak, the 256^2 tensors the 2-mode one.
+    code = build_catalog_code(catalog, params)
+    polys = readme_polys(code.modes)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with warnings.catch_warnings():
+            # Cutoff 8 is strained for degree 4 at reach 1; only memory counts.
+            warnings.simplefilter("ignore", UserWarning)
+            verify_ztype(code, 1.0, cutoff, polys=polys)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= _zcheck_bytes(code, cutoff) <= 3 * peak
 
 
 # ---------------------------------------------------------------------------
