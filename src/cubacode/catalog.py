@@ -47,6 +47,7 @@ from .constellation import (
     WeightedConstellation,
     apply_rotation,
     embed_real_to_complex,
+    shell_radii,
 )
 from .errors import ValidationError
 
@@ -398,12 +399,12 @@ def describe_code(code: CodeSpec, nominal: Optional[str] = None) -> str:
     size_txt = (
         f"{sizes[0]} points each" if len(sizes) == 1 else f"{'/'.join(map(str, sizes))} points"
     )
-    shell_txt = "single shell" if len(code.shells) <= 1 else f"{len(code.shells)} shells"
+    radii = shell_radii(code.all_points())
+    shell_txt = "single shell" if len(radii) == 1 else f"{len(radii)} shells"
     lines = [
         f"{code.name}: {code.modes} modes, {code.dim} codewords, {size_txt}, {shell_txt}",
+        f"  shell radii: {', '.join(f'{r:g}' for r in radii)}",
     ]
-    if code.shells:
-        lines.append(f"  shell radii: {', '.join(f'{r:g}' for r in code.shells)}")
     weights = sorted({round(float(x), 12) for c in code.logicals for x in c.weights})
     lines.append(f"  distinct point weights: {', '.join(f'{x:g}' for x in weights)}")
     if code.claimed_degree is not None:

@@ -302,9 +302,11 @@ def cmd_kl(args) -> int:
 
 
 def cmd_stab(args) -> int:
-    from .stabilizer import verify_ztype, ztype_polynomials
+    from .stabilizer import check_cutoff, verify_ztype, ztype_polynomials
 
     code = _load_code(args)
+    # Refused before the generator search, which is O(points^2).
+    check_cutoff(code, args.cutoff)
     if args.poly_file:
         from .codefile import load_polynomials
 

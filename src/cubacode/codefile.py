@@ -5,7 +5,7 @@ Code schema::
     {
       "name": "my-code",
       "modes": 1,
-      "shells": [1.0, 2.0],
+      "shells": [1.0, 2.0],           # optional: each point's norm must match one
       "claimed_degree": 7,            # optional, may be null
       "logicals": [
         [ {"point": [[re, im], ...],  # one [re, im] pair per mode
@@ -24,6 +24,9 @@ to 0::
         ...
       ]
     }
+
+``shells`` only checks the points: ``show`` and ``bounds`` read the
+shells from the point norms (``constellation.shell_radii``).
 
 The readers validate every type invariant and report the first violation
 with the JSON path of the offending field.

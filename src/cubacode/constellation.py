@@ -17,16 +17,16 @@ d points each.  It tries only the orders dividing both the point count
 and the number of points on the first point's phase circle, matches the
 rotated points to the points in row blocks (``_match_points``), and
 builds the orbit table from the powers of that permutation.  The closed-
-form checks (the moment tables, the KL blocks and ``resolution``) and the
-loss engine sum every codeword over every orbit representative; a code
-with no such rotation has d = 1, one orbit per point.
+form checks (the moment tables and the KL blocks) and the loss engine sum
+every codeword over every orbit representative; a code with no such
+rotation has d = 1, one orbit per point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -129,8 +129,10 @@ class CodeSpec:
 
     ``shells`` lists the nominal shell radii; when non-empty, every point's
     norm must match one of them within GEOM_TOL * max(1, radius), so that the
-    rounding of large norms is no mismatch.  ``claimed_degree`` is the
-    nominal cubature degree of each logical constellation (None if unknown).
+    rounding of large norms is no mismatch.  They are a check only: the shell
+    structure that is reported comes from the points (``shell_radii``).
+    ``claimed_degree`` is the nominal cubature degree of each logical
+    constellation (None if unknown).
     Codes compare and hash by identity.
     """
 
@@ -284,23 +286,22 @@ def _pair_distances(cols: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
     return d2
 
 
-def _pair_scan(points: np.ndarray, rows: Optional[np.ndarray] = None,
-               spread: Callable[[float], float] = lambda least: 0.0):
-    """The nearest pairs from the points ``rows`` (ascending; every index by
-    default) to the points at or after them, in blocks of rows.
+def _pair_scan(points: np.ndarray):
+    """The nearest pairs of ``points``, in blocks of rows: the scan behind
+    :func:`min_squared_distance`.
 
-    Yields (a, b, d2) per block: pairs (a[i], b[i]), a != b, and their
-    squared distances d2 (``_pair_distances``), among them every pair of
-    the block within spread(d) of the block's least distance d (spread
-    nondecreasing).  With every index as a row this covers each pair (the
-    distances are exactly symmetric).  Candidates come from the Gram form
-    |a|^2 + |b|^2 - 2 Re <a, b>, one product of the real coordinates
+    Yields (a, b, d2) per block: pairs (a[i], b[i]), a != b, with a in the
+    block and b at or after its first row, and their squared distances d2
+    (``_pair_distances``), among them every pair of the block within
+    rounding of its least distance.  Every pair of points lies in some block
+    (the distances are exactly symmetric).  Candidates come from the Gram
+    form |a|^2 + |b|^2 - 2 Re <a, b>, one product of the real coordinates
     extended by |a|^2 and 1, with no N x N x modes temporary and no block
     over ``_DISTANCE_BYTES``.  For m real coordinates and M the largest
     |a|^2 that form is off by at most (6 m + 8) eps M (the norms' rounding
-    and the product's), and a pair's sum by (m + 2) eps of itself, so a
-    pair within spread of the least is within (12 m + 16) eps M + 2 (m + 2)
-    eps least of the least form; more than that is kept.
+    and the product's), and a pair's sum by (m + 2) eps of itself, so the
+    block's nearest pair is within (12 m + 16) eps M + 2 (m + 2) eps least
+    of the least form; more than that is kept.
     """
     x = np.ascontiguousarray(points).view(float)
     size, m = x.shape
@@ -311,21 +312,22 @@ def _pair_scan(points: np.ndarray, rows: Optional[np.ndarray] = None,
     right = np.hstack([-2.0 * x, np.ones((size, 1)), norms[:, None]])
     rounding = 16.0 * (m + 3) * _EPS
     big = float(norms.max())
-    rows = np.arange(size) if rows is None else rows
     step = max(1, _DISTANCE_BYTES // (x.itemsize * size))
-    for first in range(0, len(rows), step):
-        block = rows[first:first + step]
-        lo = int(block[0])
-        form = left[block] @ right[lo:].T
-        form[np.arange(len(block)), block - lo] = np.inf
+    # Every block's form goes into one buffer: a fresh block of this size
+    # is mapped and faulted in anew, which took longer than the product.
+    buf = np.empty(min(step, size) * size)
+    for lo in range(0, size, step):
+        rows = np.arange(lo, min(lo + step, size))
+        form = buf[:len(rows) * (size - lo)].reshape(len(rows), size - lo)
+        np.matmul(left[rows], right[lo:].T, out=form)
+        form[rows - lo, rows - lo] = np.inf
         least = float(form.min())
         if least == np.inf:  # a last row alone, with no pair
             continue
-        window = rounding * (big + abs(least))
         # (A flat nonzero is many times faster than a 2-D one.)
-        i, j = np.divmod(np.flatnonzero(form <= least + window + spread(max(least, 0.0) + window)),
+        i, j = np.divmod(np.flatnonzero(form <= least + rounding * (big + abs(least))),
                          size - lo)
-        a, b = block[i], lo + j
+        a, b = rows[i], lo + j
         yield a, b, _pair_distances(cols, a, b)
 
 
@@ -380,10 +382,6 @@ _ORBIT_ULPS = 8.0
 # The largest rotation order tried: it keeps a block of the loss engine's
 # sector series within L log 2 <= 700 (see klcheck._sector_grams).
 _MAX_ORDER = 1009
-
-
-def _orbit_tol(pts: np.ndarray) -> float:
-    return _ORBIT_ULPS * np.finfo(float).eps * max(1.0, float(np.abs(pts).max()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,7 +469,7 @@ def code_orbits(code: CodeSpec) -> Orbits:
     w = np.concatenate([c.weights for c in code.logicals])
     owner = np.repeat(np.arange(code.dim), [c.size for c in code.logicals])
     N = len(pts)
-    tol = _orbit_tol(pts)
+    tol = _ORBIT_ULPS * np.finfo(float).eps * max(1.0, float(np.abs(pts).max()))
     along = pts @ np.conj(pts[0])
     # A subnormal overlap (whose reciprocal overflows in the complex
     # division) counts as none: its point is off the circle unless it is
@@ -489,55 +487,28 @@ def code_orbits(code: CodeSpec) -> Orbits:
 
 def resolution(code: CodeSpec) -> float:
     """Global nearest-neighbour squared distance over the union of all
-    logical constellations (the code's resolution).
-
-    The rotation of ``code_orbits`` keeps distances and permutes the
-    points, so every pair is a rotated copy of a pair (r_o, b) with r_o a
-    representative and b a point at or after it (an orbit's first point
-    precedes the rest of it): only those n x N pairs are scanned.  Rotated
-    copies agree only to the points' match tolerance, so every copy of the
-    pairs within that tolerance of the nearest is then formed the way the
-    scan forms a pair, and the result is the all-pairs minimum exactly.
-    With d = 1 the scan is every pair, and a pair is its only copy.
-    """
-    orbits = code_orbits(code)
-    pts = orbits.points
+    logical constellations (the code's resolution), from every pair."""
+    pts = code.all_points()
     if pts.shape[0] < 2:
         raise ValidationError("resolution needs at least 2 points")
-    d, tol = orbits.d, _orbit_tol(pts)
-
-    def margin(least: float) -> float:
-        # A copy's distance differs by at most 3 tol, plus the rounding of
-        # the squared sums.
-        return 8.0 * tol * (np.sqrt(least) + tol) + 1e-15 * least
-
-    cols = np.ascontiguousarray(pts).view(float).T.copy()
-    nearest, near = np.inf, []
-    for a, b, dist in _pair_scan(pts, orbits.rows[:, 0], margin):
-        least = float(dist.min())
-        nearest = min(nearest, least)
-        if d > 1:
-            keep = dist <= least + margin(least)
-            near.append((a[keep], b[keep], dist[keep]))
+    nearest = min_squared_distance(pts)
     if nearest <= DISTINCT_TOL and all(c.size == 1 for c in code.logicals):
         # The points of one constellation are farther apart than
         # DISTINCT_TOL, so only codewords of one point each can coincide.
         a, b = np.triu_indices(len(pts), 1)
-        if _pair_distances(cols, a, b).max() <= DISTINCT_TOL:
+        if _pair_distances(pts.view(float).T, a, b).max() <= DISTINCT_TOL:
             raise ValidationError("resolution needs at least 2 distinct points")
-    if d == 1:
-        return nearest
-    a, b, dist = (np.concatenate(v) for v in zip(*near))
-    keep = dist <= nearest + margin(nearest)
-    # Each point's place o d + t in the orbit table; copy s of (a, b) is
-    # (rows[o_a, s], rows[o_b, (t_b + s) mod d]) (a is a first point, t_a = 0).
-    place = np.empty(len(pts), dtype=int)
-    place[orbits.rows.ravel()] = np.arange(len(pts))
-    a, b = place[a[keep]], place[b[keep]]
-    a = orbits.rows[a // d]
-    b = orbits.rows[(b // d)[:, None], ((b % d)[:, None] + np.arange(d)) % d]
-    copies = _pair_distances(cols, a, b)
-    return float(copies.min())
+    return nearest
+
+
+def shell_radii(points: np.ndarray) -> np.ndarray:
+    """The shells the points lie on, as ascending radii: sorted norms more
+    than GEOM_TOL * max(1, r) above the norm r below them start a new shell
+    (CodeSpec's shell match), whose radius is its least norm.  A first
+    radius of at most GEOM_TOL is a point at the origin."""
+    norms = np.sort(np.linalg.norm(points, axis=1))
+    rises = np.diff(norms) > GEOM_TOL * np.maximum(1.0, norms[:-1])
+    return norms[np.concatenate([[True], rises])]
 
 
 def mean_photon_number(c: WeightedConstellation) -> float:

@@ -44,7 +44,14 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constellation import CodeSpec, WeightedConstellation, code_orbits, embed_complex_to_real
+from .constellation import (
+    GEOM_TOL,
+    CodeSpec,
+    WeightedConstellation,
+    code_orbits,
+    embed_complex_to_real,
+    shell_radii,
+)
 from .errors import ValidationError
 
 MultiIndex = Tuple[int, ...]
@@ -510,19 +517,20 @@ def size_bounds(
 
 
 def code_size_bounds(code: CodeSpec, t: Optional[int] = None) -> list:
-    """BoundsReport per logical constellation.  Single-shell codes are
-    reported against sphere(2n); multi-shell codes against space(2n) with
-    the conservative flag set (shell-restricted polynomial dimensions are
-    not computed)."""
+    """BoundsReport per logical constellation, from the shells of its own
+    points (:func:`constellation.shell_radii`; the origin is a shell).  A
+    constellation on one shell is reported against sphere(2n); one on
+    several against space(2n) with the conservative flag set
+    (shell-restricted polynomial dimensions are not computed), the origin
+    an admissible node when a point sits there."""
     degree = code.claimed_degree if t is None else int(t)
     if degree is None:
         raise ValidationError("no degree available: pass t or use a code with claimed_degree")
-    multi_shell = len(code.shells) > 1
-    domain = "space" if multi_shell else "sphere"
     reports = []
     for c in code.logicals:
-        rep = size_bounds(domain, 2 * code.modes, degree, actual=c.size)
-        if multi_shell:
-            rep = replace(rep, conservative=True)
-        reports.append(rep)
+        radii = shell_radii(c.points)
+        multi_shell = len(radii) > 1
+        rep = size_bounds("space" if multi_shell else "sphere", 2 * code.modes, degree,
+                          actual=c.size, excludes_origin=radii[0] > GEOM_TOL)
+        reports.append(replace(rep, conservative=multi_shell))
     return reports

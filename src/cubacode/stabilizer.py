@@ -235,6 +235,17 @@ def _zcheck_bytes(code: CodeSpec, cutoff: int) -> int:
     return 16 * (5 * sum(sizes) * code.modes * cutoff + partial + (len(sizes) + 3) * dim)
 
 
+def check_cutoff(code: CodeSpec, cutoff: int) -> None:
+    """Refuse a Z-check cutoff below 2, or one at which the check would hold
+    more than _ZCHECK_BYTES at once (counted before any array is built)."""
+    if cutoff < 2:
+        raise ValidationError("per-mode cutoff must be at least 2")
+    need = _zcheck_bytes(code, cutoff)
+    if need > _ZCHECK_BYTES:
+        raise ValidationError(f"the Z-check at cutoff {cutoff} needs {need} bytes, "
+                              f"more than its cap of {_ZCHECK_BYTES}")
+
+
 def _encoded_states(code: CodeSpec, scale: float, cutoff: int) -> List[np.ndarray]:
     """The truncated codeword vectors sum_a sqrt(w_a)|scale*a>, normalized.
 
@@ -302,20 +313,14 @@ def verify_ztype(
     """Max residual ||F_i |C_k>|| over generators and encoded codewords,
     on levels 0..cutoff-1 per mode.
 
-    The cutoff must be at least 2, and the bytes held at once, counted before
-    any array is built, at most _ZCHECK_BYTES.  When ``polys`` is omitted
+    The cutoff must pass :func:`check_cutoff`.  When ``polys`` is omitted
     they are derived for the scale-multiplied constellation; explicitly
     supplied polynomials must vanish on the scaled points.  Small residuals
     need a cutoff above the largest |alpha|^2 of the scaled code plus some
     widths sqrt(|alpha|^2) of its Poisson distribution plus the polynomial
     degree; a cutoff below degree + reach + 8 sqrt(reach) + 10 warns.
     """
-    if cutoff < 2:
-        raise ValidationError("per-mode cutoff must be at least 2")
-    need = _zcheck_bytes(code, cutoff)
-    if need > _ZCHECK_BYTES:
-        raise ValidationError(f"the Z-check at cutoff {cutoff} needs {need} bytes, "
-                              f"more than its cap of {_ZCHECK_BYTES}")
+    check_cutoff(code, cutoff)
     scaled = scale_code(code, scale)
     if polys is None:
         polys = ztype_polynomials(scaled)

@@ -75,6 +75,33 @@ def test_show_code_file_describes_like_the_catalog(name, params, tmp_path, capsy
     assert ("nominal parameters" in from_catalog) == (name == "cell16_qutrit")
 
 
+@pytest.mark.parametrize("shells", [None, [0.0, 1.0]], ids=["undeclared", "declared"])
+def test_show_and_bounds_read_the_shells_from_the_points(shells, tmp_path, capsys):
+    # Radon's 7-point degree-5 formula in the plane: the origin at weight
+    # 1/4 and the unit hexagon at 1/8 each.  The origin and the hexagon are
+    # two shells whether or not the file declares them, and the origin is a
+    # node: Moller's odd-degree bound 2 dim P*_2 - 1 = 7 is attained.
+    hexagon = [{"point": [[np.cos(np.pi * j / 3), np.sin(np.pi * j / 3)]], "weight": 0.125}
+               for j in range(6)]
+    doc = {"name": "radon7", "modes": 1, "claimed_degree": 5,
+           "logicals": [[{"point": [[0.0, 0.0]], "weight": 0.25}] + hexagon]}
+    if shells is not None:
+        doc["shells"] = shells
+    path = tmp_path / "radon7.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    status, out, _ = run_cli(capsys, "show", "--code-file", str(path))
+    assert status == 0
+    assert out.splitlines()[:2] == ["radon7: 1 modes, 1 codewords, 7 points each, 2 shells",
+                                    "  shell radii: 0, 1"]
+    status, out, _ = run_cli(capsys, "bounds", "--code-file", str(path))
+    assert status == 0
+    assert out.splitlines()[1:] == [
+        "logical 0: 7 points, degree 5 on space(2) (conservative: multi-shell support widened "
+        "to full space)",
+        "  lower bound 6, odd-degree lower bound 7, upper bound 21, tight: True",
+    ]
+
+
 def test_requires_exactly_one_source(capsys):
     status, _, err = run_cli(capsys, "params")
     assert status == 2
@@ -485,6 +512,22 @@ def test_stab_over_byte_cap_exits_2(capsys):
     assert out == ""
     assert err == ("error: the Z-check at cutoff 100000000 needs 40000000032 bytes, "
                    "more than its cap of 268435456\n")
+
+
+def test_stab_over_byte_cap_derives_no_generator(capsys, monkeypatch):
+    # The generator search is O(points^2): --m 8000 took about 3 s before
+    # the same refusal when it ran first.
+    import cubacode.stabilizer as stabilizer
+
+    def refuse(code):
+        raise AssertionError("the generators were derived for a refused cutoff")
+
+    monkeypatch.setattr(stabilizer, "ztype_polynomials", refuse)
+    status, out, err = run_cli(capsys, "stab", "--catalog", "cat", "--m", "8000", "--scale", "1",
+                               "--cutoff", "100000000")
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: the Z-check at cutoff 100000000 needs ")
 
 
 @pytest.mark.parametrize("count, shown", [("1e9", "1000000000"), ("1e300", "1e+300"),

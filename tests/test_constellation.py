@@ -231,6 +231,17 @@ def test_resolution_cell16_qutrit():
     assert abs(resolution(build_catalog_code("cell16_qutrit")) - 1.0) < 1e-9
 
 
+def test_resolution_builds_no_orbit_table(monkeypatch):
+    import cubacode.constellation as module
+
+    def refuse(code):
+        raise AssertionError("resolution built an orbit table")
+
+    monkeypatch.setattr(module, "code_orbits", refuse)
+    code = build_catalog_code("qcc24")
+    assert resolution(code) == min_squared_distance(code.all_points())
+
+
 def pair_loop_row(x, i):
     """Squared distances from point i to every point j, coordinate by
     coordinate as the kernel sums them.  Each square is a product, which is

@@ -5,12 +5,12 @@ over every point.
 that permutes a code's points, keeps their weights and maps codewords onto
 codewords.  The moment tables (``moments._BoxMoments``), the KL blocks
 (``klcheck._raw_blocks``, from the loss engine's orbit data
-``klcheck._orbits``) and ``resolution`` sum over its n = N/d orbit
-representatives, every codeword over every orbit (an orbit's DFT of the
-weights vanishes for the codewords it does not visit).  Each is held here
-to a plain per-point computation: the moments to 1e-12 and the KL blocks
-to 1e-13 of their largest entry, and the resolution exactly.  A code with no such rotation (d = 1) and a code
-with a point at the origin take the same route with one orbit per point.
+``klcheck._orbits``) sum over its n = N/d orbit representatives, every
+codeword over every orbit (an orbit's DFT of the weights vanishes for the
+codewords it does not visit).  Each is held here to a plain per-point
+computation: the moments to 1e-12 and the KL blocks to 1e-13 of their
+largest entry.  A code with no such rotation (d = 1) and a code with a
+point at the origin take the same route with one orbit per point.
 """
 
 import tracemalloc
