@@ -19,6 +19,8 @@ uniform phase exp(2*pi*i*k/(K*m_sym)), where the base is invariant under
 the phase 2*pi/m_sym.  Planar m-gon codes have m_sym = m; the polytope
 codes have m_sym = 4 (the symmetry angle pi/2, split across K codewords),
 except the D = 2 cube-orthoplex union, a regular octagon, with m_sym = 8.
+No builder records shell radii: a code's shells come from its points
+(``constellation.shell_radii``).
 
 ``cube_orthoplex`` and ``twoshell_8_16`` are one family: the D-cube at
 radius r_c and the D-orthoplex at radius r_o, with per-point weights in the
@@ -98,8 +100,16 @@ def _uniform(points: np.ndarray) -> WeightedConstellation:
     return WeightedConstellation(points, np.full(n, 1.0 / n))
 
 
-def _interleaved(name: str, parts: Sequence[tuple], K: int, m_sym: int, shells: tuple,
-                 degree: int, warnings: tuple = ()) -> CodeSpec:
+def _power(x: float, k: int) -> float:
+    """x ** k, inf where that overflows a double (Python's ** raises)."""
+    try:
+        return x ** k
+    except OverflowError:
+        return np.inf
+
+
+def _interleaved(name: str, parts: Sequence[tuple], K: int, m_sym: int, degree: int,
+                 warnings: tuple = ()) -> CodeSpec:
     """K codewords: the base constellation, the union of ``parts`` (pairs of
     points and one weight per point, normalized here) invariant under the
     phase 2*pi/m_sym, times the uniform phase 2*pi*k/(K*m_sym)."""
@@ -111,13 +121,18 @@ def _interleaved(name: str, parts: Sequence[tuple], K: int, m_sym: int, shells: 
         raise _cap_error(name, total)
     points = np.vstack([p for p, _ in parts])
     weights = np.concatenate([np.full(p.shape[0], w) for p, w in parts])
-    base = WeightedConstellation(points, weights / weights.sum())
+    # A weight rule whose terms leave the range of a double gives weights
+    # of inf, nan or 0 here.
+    with np.errstate(all="ignore"):
+        weights = weights / weights.sum()
+    if not np.all(np.isfinite(weights) & (weights > 0)):
+        raise ValidationError(f"the weights of {name} leave the range of a double")
+    base = WeightedConstellation(points, weights)
     logicals = tuple(
         apply_rotation(base, Rotation.global_phase(base.modes, 2.0 * np.pi * k / (K * m_sym)))
         for k in range(K)
     )
-    return CodeSpec(name=name, logicals=logicals, shells=shells, claimed_degree=degree,
-                    warnings=warnings)
+    return CodeSpec(name=name, logicals=logicals, claimed_degree=degree, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +151,7 @@ def cat_code(m: int, K: int = 2, radius: float = 1.0) -> CodeSpec:
     name = f"cat(m={m},K={K})"
     if m > MAX_POINTS:
         raise _cap_error(f"a codeword of {name}", m)
-    return _interleaved(name, [(regular_polygon(m, radius), 1.0)], K, m, (radius,), m - 1)
+    return _interleaved(name, [(regular_polygon(m, radius), 1.0)], K, m, m - 1)
 
 
 def polygon_shell_weights(m: int, radii: Sequence[float]) -> np.ndarray:
@@ -149,17 +164,20 @@ def polygon_shell_weights(m: int, radii: Sequence[float]) -> np.ndarray:
     r = np.asarray(radii, dtype=float)
     p = r.size
     w = np.empty(p)
-    w[0] = 1.0 / r[0] ** m
-    for s in range(2, p + 1):
-        prod = 1.0
-        for l in range(2, p + 1):
-            if l == s:
-                continue
-            prod *= (r[0] ** 2 - r[l - 1] ** 2) / (r[s - 1] ** 2 - r[l - 1] ** 2)
-        w[s - 1] = (-1.0) ** s / r[s - 1] ** m * prod
-    if np.any(w <= 0):
-        raise ValidationError(f"shell weight rule produced non-positive weights {w.tolist()}")
-    return w / (m * w.sum())
+    with np.errstate(all="ignore"):
+        w[0] = 1.0 / r[0] ** m
+        for s in range(2, p + 1):
+            prod = 1.0
+            for l in range(2, p + 1):
+                if l == s:
+                    continue
+                prod *= (r[0] ** 2 - r[l - 1] ** 2) / (r[s - 1] ** 2 - r[l - 1] ** 2)
+            w[s - 1] = (-1.0) ** s / r[s - 1] ** m * prod
+        if np.any(w <= 0):
+            raise ValidationError(f"shell weight rule produced non-positive weights {w.tolist()}")
+        # Terms out of the range of a double give inf or nan weights, which
+        # _interleaved rejects.
+        return w / (m * w.sum())
 
 
 def polygon_shell_code(m: int, p: int, radii: Sequence[float], K: int = 2) -> CodeSpec:
@@ -185,7 +203,7 @@ def polygon_shell_code(m: int, p: int, radii: Sequence[float], K: int = 2) -> Co
     shell_w = polygon_shell_weights(m, r)
     parts = [(regular_polygon(m, r[s - 1], offset=s * np.pi / m), shell_w[s - 1])
              for s in range(1, p + 1)]
-    return _interleaved(name, parts, K, m, r, t, warnings)
+    return _interleaved(name, parts, K, m, t, warnings)
 
 
 def _check_even_dim(D: int, cube: bool, orth: bool) -> int:
@@ -206,13 +224,13 @@ def _check_even_dim(D: int, cube: bool, orth: bool) -> int:
 def hypercube_code(D: int, K: int = 2) -> CodeSpec:
     D = _check_even_dim(D, cube=True, orth=False)
     parts = [(embed_real_to_complex(hypercube_vertices(D)), 1.0)]
-    return _interleaved(f"hypercube(D={D},K={K})", parts, K, 4, (1.0,), 3)
+    return _interleaved(f"hypercube(D={D},K={K})", parts, K, 4, 3)
 
 
 def orthoplex_code(D: int, K: int = 2) -> CodeSpec:
     D = _check_even_dim(D, cube=False, orth=True)
     parts = [(embed_real_to_complex(orthoplex_vertices(D)), 1.0)]
-    return _interleaved(f"orthoplex(D={D},K={K})", parts, K, 4, (1.0,), 3)
+    return _interleaved(f"orthoplex(D={D},K={K})", parts, K, 4, 3)
 
 
 def _cube_orthoplex_parts(D: int, r_cube: float, r_orth: float) -> list:
@@ -221,9 +239,10 @@ def _cube_orthoplex_parts(D: int, r_cube: float, r_orth: float) -> list:
     which makes the degree-4 moments isotropic.  The weights are D^2 and
     2^D (r_cube/r_orth)^4, integers at equal radii, so that the normalized
     weights are rounded once."""
+    orth_weight = 2.0**D * _power(r_cube / r_orth, 4)
     return [
         (embed_real_to_complex(r_cube * hypercube_vertices(D)), float(D * D)),
-        (embed_real_to_complex(r_orth * orthoplex_vertices(D)), 2.0**D * (r_cube / r_orth) ** 4),
+        (embed_real_to_complex(r_orth * orthoplex_vertices(D)), orth_weight),
     ]
 
 
@@ -233,7 +252,7 @@ def cube_orthoplex_code(D: int, K: int = 2) -> CodeSpec:
     uniform octagon, and the codewords interleave by its 8-fold symmetry."""
     D = _check_even_dim(D, cube=True, orth=True)
     return _interleaved(f"cube_orthoplex(D={D},K={K})", _cube_orthoplex_parts(D, 1.0, 1.0), K,
-                        8 if D == 2 else 4, (1.0,), 7 if D == 2 else 5)
+                        8 if D == 2 else 4, 7 if D == 2 else 5)
 
 
 def cell16_qutrit_code() -> CodeSpec:
@@ -241,9 +260,7 @@ def cell16_qutrit_code() -> CodeSpec:
     qutrit with one 16-cell per logical state."""
     parts = [orthoplex_vertices(4), halfcube_vertices(4, 0), halfcube_vertices(4, 1)]
     logicals = tuple(_uniform(embed_real_to_complex(v)) for v in parts)
-    return CodeSpec(
-        name="cell16_qutrit", logicals=logicals, shells=(1.0,), claimed_degree=3
-    )
+    return CodeSpec(name="cell16_qutrit", logicals=logicals, claimed_degree=3)
 
 
 def cell8_cell16_qubit_code() -> CodeSpec:
@@ -252,9 +269,7 @@ def cell8_cell16_qubit_code() -> CodeSpec:
         _uniform(embed_real_to_complex(orthoplex_vertices(4))),
         _uniform(embed_real_to_complex(hypercube_vertices(4))),
     )
-    return CodeSpec(
-        name="cell8_cell16_qubit", logicals=logicals, shells=(1.0,), claimed_degree=3
-    )
+    return CodeSpec(name="cell8_cell16_qubit", logicals=logicals, claimed_degree=3)
 
 
 def two_shell_cell_code(r1: float, r2: float, K: int = 2) -> CodeSpec:
@@ -265,7 +280,7 @@ def two_shell_cell_code(r1: float, r2: float, K: int = 2) -> CodeSpec:
     if r1 <= 0 or r2 <= 0:
         raise ValidationError("shell radii must be positive")
     return _interleaved(f"twoshell_8_16(r1={r1:g},r2={r2:g})", _cube_orthoplex_parts(4, r1, r2),
-                        K, 4, tuple(sorted({r1, r2})), 5)
+                        K, 4, 5)
 
 
 def two_shell_24cell_code(tau: float, r1: float = 1.0, K: int = 2) -> CodeSpec:
@@ -285,8 +300,8 @@ def two_shell_24cell_code(tau: float, r1: float = 1.0, K: int = 2) -> CodeSpec:
             "coincide")
     inner = r1 * embed_real_to_complex(cell24_vertices())
     outer = tau * (np.exp(0.25j * np.pi) * inner)
-    return _interleaved(f"twoshell_24cell(tau={tau:g})", [(inner, 1.0), (outer, (1.0 / tau) ** 6)],
-                        K, 4, (r1, tau * r1), 7)
+    parts = [(inner, 1.0), (outer, _power(1.0 / tau, 6))]
+    return _interleaved(f"twoshell_24cell(tau={tau:g})", parts, K, 4, 7)
 
 
 # ---------------------------------------------------------------------------

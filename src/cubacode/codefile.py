@@ -25,8 +25,11 @@ to 0::
       ]
     }
 
-``shells`` only checks the points: ``show`` and ``bounds`` read the
-shells from the point norms (``constellation.shell_radii``).
+A code's shells are a property of its points: ``show`` and ``bounds`` read
+them from the point norms (``constellation.shell_radii``).  ``shells`` is
+input only, the one check of declared shells: every point's norm must match
+one of them within GEOM_TOL * max(1, radius), and a mismatch is reported at
+``$``.  ``dumps_code`` does not write it.
 
 The readers validate every type invariant and report the first violation
 with the JSON path of the offending field.
@@ -39,7 +42,7 @@ from typing import Union
 
 import numpy as np
 
-from .constellation import CodeSpec, WeightedConstellation
+from .constellation import GEOM_TOL, CodeSpec, WeightedConstellation
 from .errors import ValidationError
 
 
@@ -58,7 +61,12 @@ def _require(cond: bool, path: str, message: str):
 
 def _as_number(value, path: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the doubles
+        value = np.inf
+    _require(np.isfinite(value), path, "expected a finite number")
+    return value
 
 
 def _as_integer(value, path: str) -> int:
@@ -69,7 +77,9 @@ def _as_integer(value, path: str) -> int:
 def _parse_json(text: str):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError as exc:
+        raise CodeFileError("$", "invalid JSON (nested too deeply)") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise CodeFileError("$", f"invalid JSON ({exc})") from exc
     _require(isinstance(doc, dict), "$", "top level must be an object")
     return doc
@@ -127,15 +137,19 @@ def loads_code(text: str) -> CodeSpec:
         except ValidationError as exc:
             raise CodeFileError(path_k, str(exc)) from exc
 
-    try:
-        return CodeSpec(
-            name=doc["name"],
-            logicals=tuple(logicals),
-            shells=tuple(shell_vals),
-            claimed_degree=degree,
-        )
-    except ValidationError as exc:
-        raise CodeFileError("$", str(exc)) from exc
+    # Every point's norm must match a declared shell within
+    # GEOM_TOL * max(1, radius), so that the rounding of large norms is no
+    # mismatch.
+    if shell_vals:
+        radii = np.asarray(shell_vals)
+        for k, c in enumerate(logicals):
+            norms = c.radii()
+            dist = (np.abs(norms[:, None] - radii) / np.maximum(1.0, radii)).min(axis=1)
+            i = int(dist.argmax())
+            _require(dist[i] <= GEOM_TOL, "$", f"point {i} of logical {k} has norm "
+                     f"{float(norms[i])} matching no declared shell")
+
+    return CodeSpec(name=doc["name"], logicals=tuple(logicals), claimed_degree=degree)
 
 
 def load_code(path) -> CodeSpec:
@@ -185,7 +199,6 @@ def dumps_code(code: CodeSpec, indent: int = 2) -> str:
     doc = {
         "name": code.name,
         "modes": code.modes,
-        "shells": list(code.shells),
         "claimed_degree": code.claimed_degree,
         "logicals": [
             [

@@ -24,7 +24,7 @@ rotation has d = 1, one orbit per point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -60,10 +60,11 @@ class WeightedConstellation:
     """Finite set of n-mode amplitude points with normalized positive weights.
 
     ``points`` has shape (size, modes); ``weights`` has shape (size,), is
-    strictly positive and sums to one.  Points must be pairwise distinct:
-    their nearest squared distance must exceed DISTINCT_TOL.  Eight times
-    the largest squared norm must be a finite double: squared distances
-    reach 4 times it, and the pair scan's bound on their rounding 5 times.
+    finite, strictly positive and sums to one.  Points must be pairwise
+    distinct: their nearest squared distance must exceed DISTINCT_TOL.
+    Eight times the largest squared norm must be a finite double: squared
+    distances reach 4 times it, and the pair scan's bound on their rounding
+    5 times.
     """
 
     points: np.ndarray
@@ -91,6 +92,8 @@ class WeightedConstellation:
                         "constellation points are too large: squared distances overflow a double")
         if w.shape != (pts.shape[0],):
             raise ValidationError("weights length must match the number of points")
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("weights must be finite")
         if np.any(w <= 0):
             raise ValidationError("all weights must be strictly positive")
         if abs(w.sum() - 1.0) > WEIGHT_TOL:
@@ -127,10 +130,7 @@ class WeightedConstellation:
 class CodeSpec:
     """K weighted constellations sharing a mode count, plus metadata.
 
-    ``shells`` lists the nominal shell radii; when non-empty, every point's
-    norm must match one of them within GEOM_TOL * max(1, radius), so that the
-    rounding of large norms is no mismatch.  They are a check only: the shell
-    structure that is reported comes from the points (``shell_radii``).
+    A code's shells are a property of its points (``shell_radii``).
     ``claimed_degree`` is the nominal cubature degree of each logical
     constellation (None if unknown).
     Codes compare and hash by identity.
@@ -138,7 +138,6 @@ class CodeSpec:
 
     name: str
     logicals: tuple
-    shells: tuple = ()
     claimed_degree: Optional[int] = None
     warnings: tuple = ()
 
@@ -149,21 +148,7 @@ class CodeSpec:
         n = logicals[0].modes
         if any(c.modes != n for c in logicals):
             raise ValidationError("all logical constellations must share the mode count")
-        shells = tuple(float(r) for r in self.shells)
-        if any(r < 0 for r in shells):
-            raise ValidationError("shell radii must be nonnegative")
-        if shells:
-            radii = np.asarray(shells)
-            for k, c in enumerate(logicals):
-                norms = c.radii()
-                dist = (np.abs(norms[:, None] - radii) / np.maximum(1.0, radii)).min(axis=1)
-                if dist.max() > GEOM_TOL:
-                    i = int(dist.argmax())
-                    raise ValidationError(
-                        f"point {i} of logical {k} has norm {float(norms[i])} matching no declared shell"
-                    )
         object.__setattr__(self, "logicals", logicals)
-        object.__setattr__(self, "shells", shells)
         object.__setattr__(self, "warnings", tuple(self.warnings))
 
     @property
@@ -261,13 +246,7 @@ def apply_rotation(c: WeightedConstellation, r: Rotation) -> WeightedConstellati
 
 def rotate_code(code: CodeSpec, r: Rotation) -> CodeSpec:
     """Apply one common rotation to all logical constellations."""
-    return CodeSpec(
-        name=code.name,
-        logicals=tuple(apply_rotation(c, r) for c in code.logicals),
-        shells=code.shells,
-        claimed_degree=code.claimed_degree,
-        warnings=code.warnings,
-    )
+    return replace(code, logicals=tuple(apply_rotation(c, r) for c in code.logicals))
 
 
 # Distances are formed in blocks of rows of at most this many bytes, so a
@@ -503,9 +482,9 @@ def resolution(code: CodeSpec) -> float:
 
 def shell_radii(points: np.ndarray) -> np.ndarray:
     """The shells the points lie on, as ascending radii: sorted norms more
-    than GEOM_TOL * max(1, r) above the norm r below them start a new shell
-    (CodeSpec's shell match), whose radius is its least norm.  A first
-    radius of at most GEOM_TOL is a point at the origin."""
+    than GEOM_TOL * max(1, r) above the norm r below them start a new shell,
+    whose radius is its least norm.  A first radius of at most GEOM_TOL is a
+    point at the origin."""
     norms = np.sort(np.linalg.norm(points, axis=1))
     rises = np.diff(norms) > GEOM_TOL * np.maximum(1.0, norms[:-1])
     return norms[np.concatenate([[True], rises])]
@@ -517,16 +496,10 @@ def mean_photon_number(c: WeightedConstellation) -> float:
 
 
 def scale_code(code: CodeSpec, factor: float) -> CodeSpec:
-    """Rescale every amplitude (and the declared shells) by ``factor``."""
+    """Rescale every amplitude by ``factor``; every other field is kept."""
     if factor <= 0:
         raise ValidationError("scale factor must be positive")
-    return CodeSpec(
-        name=code.name,
-        logicals=tuple(c.scaled(factor) for c in code.logicals),
-        shells=tuple(r * factor for r in code.shells),
-        claimed_degree=code.claimed_degree,
-        warnings=code.warnings,
-    )
+    return replace(code, logicals=tuple(c.scaled(factor) for c in code.logicals))
 
 
 def normalize_energy(code: CodeSpec, target: float) -> tuple:

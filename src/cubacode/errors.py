@@ -12,7 +12,10 @@ accurate Z-check is neither: ``stab`` warns that the cutoff is strained,
 reports the truncation-limited residual and exits 0.  A codeword that
 vanishes in the truncated space (its coefficients underflow below the
 cutoff) or a residual that is not finite is a numerical failure, never a
-residual of 0.
+residual of 0.  A request whose work is counted in exact integers before
+it starts, and exceeds its cap, is a validation error too: the moment
+pairs of ``moments``, the KL block entries of ``kl`` and the degree of
+``bounds``.
 """
 
 
@@ -26,3 +29,10 @@ class NumericalFailure(RuntimeError):
 
 class DegenerateCodewordsError(NumericalFailure):
     """Codeword Gram matrix is numerically singular at this scale."""
+
+
+def count_text(count: int) -> str:
+    """An exact integer count for an error message: in full up to 64 bits,
+    else by its power of two (the digits of a huge integer can exceed
+    Python's limit on int-to-str conversion)."""
+    return str(count) if count.bit_length() <= 64 else f"over 2^{count.bit_length() - 1}"

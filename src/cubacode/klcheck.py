@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .constellation import CodeSpec, as_amplitude, code_orbits
-from .errors import DegenerateCodewordsError, NumericalFailure, ValidationError
+from .errors import DegenerateCodewordsError, NumericalFailure, ValidationError, count_text
 from .moments import (
     _BoxMoments,
     _check_tol,
@@ -211,6 +211,11 @@ def _raw_blocks(code: CodeSpec, max_loss: int, scale: float) -> np.ndarray:
     return full.reshape(Q, K, Q, K).swapaxes(1, 2)
 
 
+# The most block entries <C_k|E_mu^dag E_nu|C_l> that kl_report forms, 64
+# MiB per complex array of them (qsc8 at max_loss 1023, the most admitted:
+# 2.3 s and 394 MB peak).  The tests, README and benchmark ask for at most
+# 70^2 (cube_orthoplex --D 6 at max_loss 4, --D 8 at 3: 35 errors, K = 2).
+MAX_ENTRIES = 2**22
 _LOG_FLOAT_MAX = log(np.finfo(float).max)
 _TINY = float(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
@@ -224,6 +229,10 @@ def kl_report(code: CodeSpec, max_loss: int, scale: float) -> KLReport:
         raise ValidationError("scale must be positive and finite")
     if max_loss < 0:
         raise ValidationError("max_loss must be nonnegative")
+    entries = (comb(code.modes + int(max_loss), code.modes) * code.dim) ** 2
+    if entries > MAX_ENTRIES:
+        raise ValidationError(f"max_loss needs {count_text(entries)} block entries, "
+                              f"more than the cap of {MAX_ENTRIES}")
     # The blocks sum N terms of up to (scale r_max)^(2 max_loss), and the
     # overlap exponents reach (scale r_max)^2 (N points, r_max the largest
     # point norm): a scale at which that overflows a double is rejected.

@@ -52,9 +52,17 @@ from .constellation import (
     embed_complex_to_real,
     shell_radii,
 )
-from .errors import ValidationError
+from .errors import ValidationError, count_text
 
 MultiIndex = Tuple[int, ...]
+
+# The most moment pairs (p, q) that pair_moments evaluates.  The tests,
+# README and benchmark ask for at most 495; cube_orthoplex --D 8 at degree
+# 12, the largest case timed so far, needs 125,970.
+MAX_PAIRS = 2**20
+# The largest degree size_bounds takes (the tests, README and benchmark ask
+# for at most 59).  Its bounds grow like t^D and are printed in full.
+MAX_BOUNDS_DEGREE = 2**20
 
 
 def _compositions(n: int, total: int) -> np.ndarray:
@@ -299,6 +307,10 @@ def pair_moments(code: CodeSpec, degree: int) -> Tuple[np.ndarray, np.ndarray]:
     if degree < 0:
         raise ValidationError(f"maximum degree must be nonnegative (got {degree})")
     n, degree = code.modes, int(degree)
+    pairs = comb(2 * n + degree, degree)
+    if pairs > MAX_PAIRS:
+        raise ValidationError(f"the maximum degree needs {count_text(pairs)} moment pairs "
+                              f"(p, q), more than the cap of {MAX_PAIRS}")
     box = _index_box(n, degree)
     moments = _BoxMoments(code).moments
     blocks, rows_p, rows_q = [], [], []
@@ -446,8 +458,10 @@ def _dim_hom(D: int, e: int) -> int:
 
 def _dim_hom_star_space(D: int, e: int) -> int:
     # Direct sum Hom_e + Hom_{e-2} + ... (parity tower used by the odd-degree
-    # lower bound on R^D).
-    return sum(_dim_hom(D, e - 2 * i) for i in range(e // 2 + 1))
+    # lower bound on R^D): the monomials x^u y^v with |u| + 2v = e.  Split
+    # u = 2a + b with b in {0, 1}^D: for |b| = j of the parity of e, the
+    # (a, v) with |a| + v = (e - j)/2 number comb((e - j)/2 + D, D).
+    return sum(comb(D, j) * comb((e - j) // 2 + D, D) for j in range(e % 2, min(D, e) + 1, 2))
 
 
 @dataclass(frozen=True)
@@ -489,6 +503,8 @@ def size_bounds(
         raise ValidationError("domain must be 'sphere' or 'space'")
     if t < 0 or D < 1:
         raise ValidationError("need t >= 0 and D >= 1")
+    if t > MAX_BOUNDS_DEGREE:
+        raise ValidationError(f"degree {count_text(t)} is above the cap of {MAX_BOUNDS_DEGREE}")
     e_half = t // 2
     if domain == "sphere":
         fisher = _dim_poly_sphere(D, e_half)

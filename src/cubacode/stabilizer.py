@@ -37,6 +37,10 @@ from .errors import NumericalFailure, ValidationError
 from .klcheck import _log_poisson, _pairwise_overlaps
 
 _ZCHECK_BYTES = 1 << 28  # the most bytes the Z-check may hold at once
+# The Z-check holds at least 16 (K + 3) cutoff^modes bytes, so every cutoff
+# that check_cutoff admits is below this: a term with an exponent this
+# large would vanish on every space the check builds, and is refused.
+MAX_EXPONENT = _ZCHECK_BYTES // 16
 
 
 def _coherent_rows(alphas: np.ndarray, cutoff: int) -> np.ndarray:
@@ -102,6 +106,9 @@ class AnnihilationPolynomial:
             raise ValidationError("exponent multi-indices must match the mode count")
         if any(e < 0 for u, _ in terms for e in u):
             raise ValidationError("exponents must be nonnegative")
+        if any(e >= MAX_EXPONENT for u, _ in terms for e in u):
+            raise ValidationError(f"exponents must be below the cap of {MAX_EXPONENT}, above "
+                                  f"every cutoff the Z-check admits")
         object.__setattr__(self, "terms", terms)
 
     @classmethod

@@ -572,6 +572,111 @@ def test_malformed_poly_file_exits_2(text, field, tmp_path, capsys):
     assert err.startswith(f"error: {field}") and "Traceback" not in err
 
 
+def assert_one_error_line(status, out, err):
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    # The first shell's weight 1/r_1^m overflows: every weight read nan.
+    ("show", "--catalog", "polygon_shells", "--m", "200", "--p", "2", "--radii", "0.01,1"),
+    ("params", "--catalog", "polygon_shells", "--m", "200", "--p", "2", "--radii", "0.01,1"),
+    # The weight ratios (r1/r2)^4 and (1/tau)^6 overflow a double.
+    ("show", "--catalog", "twoshell_8_16", "--r1", "1e100", "--r2", "1e-10"),
+    ("show", "--catalog", "twoshell_24cell", "--tau", "1e-60"),
+], ids=" ".join)
+def test_weight_rule_out_of_range_exits_2(argv, capsys):
+    status, out, err = run_cli(capsys, *argv)
+    assert_one_error_line(status, out, err)
+    assert "leave the range of a double" in err
+
+
+BIG = "1" + "0" * 400  # 10^400: a JSON integer beyond the doubles
+DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("doc, field", [
+    ('{"name":"x","modes":1,"logicals":[[{"point":[[%s,0]],"weight":1}]]}' % BIG,
+     "$.logicals[0][0].point[0]: expected a finite number"),
+    ('{"name":"x","modes":1,"logicals":%s}' % DEEP, "$: invalid JSON (nested too deeply)"),
+    # More digits than Python converts to an int.
+    ('{"name":"x","modes":1,"claimed_degree":%s,"logicals":[]}' % ("1" * 5000),
+     "$: invalid JSON"),
+], ids=["huge-coordinate", "deep", "long-integer"])
+def test_code_file_out_of_range_exits_2(doc, field, tmp_path, capsys):
+    path = tmp_path / "code.json"
+    path.write_text(doc)
+    status, out, err = run_cli(capsys, "show", "--code-file", str(path))
+    assert_one_error_line(status, out, err)
+    assert err.startswith(f"error: {field}")
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"polynomials":[{"terms":[{"u":[4],"re":%s},{"u":[0],"re":-1}]}]}' % BIG,
+     "$.polynomials[0].terms[0].re: expected a finite number"),
+    ('{"polynomials":%s}' % DEEP, "$: invalid JSON (nested too deeply)"),
+    ('{"polynomials":[{"terms":[{"u":[%s],"re":1},{"u":[0],"re":-1}]}]}' % BIG,
+     "$.polynomials[0]: exponents must be below the cap of 16777216"),
+    ('{"polynomials":[{"terms":[{"u":[4],"re":NaN},{"u":[0],"re":-1}]}]}',
+     "$.polynomials[0].terms[0].re: expected a finite number"),
+    ('{"polynomials":[{"terms":[{"u":[4],"re":1},{"u":[0],"im":-Infinity}]}]}',
+     "$.polynomials[0].terms[1].im: expected a finite number"),
+], ids=["huge-coefficient", "deep", "huge-exponent", "nan", "infinity"])
+def test_poly_file_out_of_range_exits_2(text, field, tmp_path, capsys):
+    path = tmp_path / "polys.json"
+    path.write_text(text)
+    status, out, err = run_cli(capsys, "stab", "--catalog", "qsc8", "--poly-file", str(path))
+    assert_one_error_line(status, out, err)
+    assert err.startswith(f"error: {field}")
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the work behind a refused count was started")
+
+
+@pytest.mark.parametrize("argv, worker, message", [
+    (("kl", "--catalog", "qsc8", "--max-loss", BIG), ("klcheck", "_raw_blocks"),
+     "error: max_loss needs over 2^2659 block entries, more than the cap of 4194304\n"),
+    # 10^11: _index_box would build its levels one at a time until killed.
+    (("moments", "--catalog", "qsc8", "--max-degree", "100000000000"), ("moments", "_index_box"),
+     "error: the maximum degree needs over 2^72 moment pairs (p, q), more than the cap of "
+     "1048576\n"),
+    # C(2 + 1447, 2) = 1049076 pairs, the first degree over the cap on one mode.
+    (("moments", "--catalog", "qsc8", "--max-degree", "1447"), ("moments", "_index_box"),
+     "error: the maximum degree needs 1049076 moment pairs (p, q), more than the cap of "
+     "1048576\n"),
+    (("bounds", "--catalog", "polygon_shells", "--m", "6", "--p", "2", "--radii", "1,2",
+      "--degree", "1" + "0" * 399 + "1"), ("moments", "_dim_hom_star_space"),
+     "error: degree over 2^1328 is above the cap of 1048576\n"),
+    (("bounds", "--catalog", "polygon_shells", "--m", "6", "--p", "2", "--radii", "1,2",
+      "--degree", "10000001"), ("moments", "_dim_hom_star_space"),
+     "error: degree 10000001 is above the cap of 1048576\n"),
+], ids=["kl", "moments", "moments-first-over", "bounds", "bounds-1e7"])
+def test_integer_option_over_its_cap_exits_2_before_the_work(argv, worker, message, capsys,
+                                                            monkeypatch):
+    import importlib
+
+    monkeypatch.setattr(importlib.import_module(f"cubacode.{worker[0]}"), worker[1], refuse)
+    status, out, err = run_cli(capsys, *argv)
+    assert_one_error_line(status, out, err)
+    assert err == message
+
+
+def test_bounds_degree_from_a_code_file_is_capped(tmp_path, capsys, monkeypatch):
+    import cubacode.moments as moments
+
+    monkeypatch.setattr(moments, "_dim_hom_star_space", refuse)
+    doc = {"name": "pair", "modes": 1, "claimed_degree": 2**20 + 1,
+           "logicals": [[{"point": [[1.0, 0.0]], "weight": 0.5},
+                         {"point": [[-1.0, 0.0]], "weight": 0.5}]]}
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    status, out, err = run_cli(capsys, "bounds", "--code-file", str(path))
+    assert_one_error_line(status, out, err)
+    assert err == "error: degree 1048577 is above the cap of 1048576\n"
+
+
 def test_commands_in_one_process_print_what_they_print_alone(tmp_path, capsys, fresh_python):
     commands = [
         ("bench", "sweep-alpha", "--catalog", "qsc8", "--grid", "0.8,2.0", "--jobs", "1"),

@@ -33,10 +33,22 @@ def test_round_trip(tmp_path):
     loaded = load_code(path)
     assert loaded.name == code.name
     assert loaded.modes == code.modes
-    assert loaded.shells == code.shells
     for a, b in zip(loaded.logicals, code.logicals):
         assert np.allclose(a.points, b.points)
         assert np.allclose(a.weights, b.weights)
+
+
+def test_saved_file_has_no_shells_key_and_loads_back(tmp_path):
+    code = build_catalog_code("polygon_shells", {"m": 4, "p": 3, "radii": (1.0, 2.0, 3.0)})
+    path = tmp_path / "code.json"
+    save_code(code, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert "shells" not in doc
+    loaded = load_code(path)
+    assert (loaded.name, loaded.claimed_degree) == (code.name, code.claimed_degree)
+    for a, b in zip(loaded.logicals, code.logicals, strict=True):
+        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.weights, b.weights)
 
 
 def test_valid_document_loads():

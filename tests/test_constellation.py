@@ -101,10 +101,11 @@ def test_weights_must_normalize():
         WeightedConstellation(pts, np.array([1.5, -0.5]))
 
 
-def test_codespec_shell_mismatch_rejected():
-    c = WeightedConstellation(np.array([[1.0 + 0j], [-1.0 + 0j]]), np.array([0.5, 0.5]))
-    with pytest.raises(ValidationError, match="shell"):
-        CodeSpec(name="bad", logicals=(c,), shells=(2.0,))
+@pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.inf, 0.5], [0.5, np.nan]])
+def test_weights_must_be_finite(weights):
+    # NaN passes both "w <= 0" and "|sum - 1| > tol" as False.
+    with pytest.raises(ValidationError, match="finite"):
+        WeightedConstellation(np.array([[1.0 + 0j], [-1.0 + 0j]]), np.array(weights))
 
 
 def test_rotation_must_be_orthogonal():
@@ -221,6 +222,18 @@ def test_normalize_energy_rejects_zero_constellation():
     c = WeightedConstellation(np.array([[0.0 + 0j]]), np.array([1.0]))
     with pytest.raises(ValidationError, match="zero"):
         normalize_energy(CodeSpec(name="vac", logicals=(c,)), 1.0)
+
+
+def test_derived_codes_keep_every_field_but_the_points():
+    # The warning is the tight-design one, so every metadata field is set.
+    code = polygon_shell_code(4, 4, (1, 2, 3, 4))
+    assert code.warnings and code.claimed_degree == 9
+    derived = [scale_code(code, 2.5), rotate_code(code, Rotation.global_phase(1, 0.3)),
+               normalize_energy(code, 1.7)[0]]
+    for copy in derived:
+        for f in dataclasses.fields(CodeSpec):
+            if f.name != "logicals":
+                assert getattr(copy, f.name) == getattr(code, f.name), f.name
 
 
 def test_resolution_cat_two():

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from cubacode import (
 from cubacode.catalog import cell24_vertices, orthoplex_vertices
 from cubacode.constellation import Rotation, rotate_code
 from cubacode.moments import (
+    MAX_BOUNDS_DEGREE,
     _index_box,
     _level,
     _monomials,
@@ -334,6 +336,39 @@ def test_space_bounds_match_tight_euclidean_designs():
     assert size_bounds("space", 2, 7, actual=12).tight
     assert size_bounds("space", 2, 5, actual=8).tight
     assert size_bounds("space", 4, 7, actual=48).tight
+
+
+def test_odd_degree_bound_on_space_counts_the_parity_tower():
+    # 2 dim P*_e for t = 2e + 1 on space(D), P*_e = Hom_e + Hom_{e-2} + ...
+    for D in range(1, 9):
+        for e in range(30):
+            tower = sum(comb(D + k - 1, k) for k in range(e % 2, e + 1, 2))
+            assert size_bounds("space", D, 2 * e + 1, actual=1).moller_min == 2 * tower
+
+
+def test_size_bounds_refuse_a_degree_over_the_cap():
+    assert size_bounds("space", 4, MAX_BOUNDS_DEGREE, actual=1).fisher_min == comb(4 + 2**19, 4)
+    for domain in ("sphere", "space"):
+        with pytest.raises(ValidationError, match="above the cap of 1048576"):
+            size_bounds(domain, 4, MAX_BOUNDS_DEGREE + 1, actual=1)
+
+
+def test_pair_moments_cap_counts_the_pairs(monkeypatch):
+    # One mode: C(2 + 1446, 2) = 1047628 pairs pass the cap of 2^20 and
+    # reach the index box; C(2 + 1447, 2) = 1049076 do not.
+    import cubacode.moments as moments
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(moments, "_index_box", reached)
+    with pytest.raises(Reached):
+        pair_moments(cat_code(8, 2), 1446)
+    with pytest.raises(ValidationError, match="1049076 moment pairs"):
+        pair_moments(cat_code(8, 2), 1447)
 
 
 def test_code_size_bounds_conservative_flag():
