@@ -11,12 +11,19 @@ the real polytope vertices, the design check and the distance kernel.  All
 types are immutable after construction and all operations are pure
 functions.
 
+One routine, ``_symmetry``, decides whether a passive unitary U is a
+symmetry of a code, with one relative tolerance rtol: every image U a
+within rtol max(1, largest amplitude) of a distinct point (matched in
+row blocks, ``_match_points``), every weight within rtol (largest weight)
+of its image's, and each codeword inside one codeword.  It serves both
+the orbit table (rtol 8 ulps) and the stabilizer X-check
+(``stabilizer.verify_xtype``, rtol GEOM_TOL, codeword by codeword).
+
 ``code_orbits`` finds a code's largest phase-rotation symmetry
 e^{2 pi i/d} (every mode at once) and arranges the points in its orbits,
 d points each.  It tries only the orders dividing both the point count
-and the number of points on the first point's phase circle, matches the
-rotated points to the points in row blocks (``_match_points``), and
-builds the orbit table from the powers of that permutation.  The closed-
+and the number of points on the first point's phase circle, and builds
+the orbit table from the powers of that symmetry's permutation.  The closed-
 form checks (the moment tables and the KL blocks) and the loss engine sum
 every codeword over every orbit representative; a code with no such
 rotation has d = 1, one orbit per point.
@@ -25,7 +32,7 @@ rotation has d = 1, one orbit per point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -349,14 +356,27 @@ def _match_points(points: np.ndarray, images: np.ndarray, tol: float) -> Optiona
     return perm
 
 
-# Points match under a rotation when every orbit agrees with the rotated
-# copies of its first point to this many ulps of the largest amplitude, and
-# weights to this many ulps of the largest weight: the size of the rounding
-# in the catalog's coordinates (3.2 ulps at most, on qsc12).  The loss
-# engine's sector Grams are those of the rotated first points, so a looser
-# match would evaluate a slightly different code, a difference the inverse
-# Gram ratio amplifies like roundoff in the inputs; a missed match only
-# costs speed.
+def _symmetry(pts: np.ndarray, w: np.ndarray, owner: np.ndarray, images: np.ndarray,
+              rtol: float) -> Optional[tuple]:
+    """(perm, moves) if U, with ``images`` = U ``pts``, is a symmetry: image
+    i within rtol max(1, largest amplitude) of the distinct point perm[i],
+    each weight ``w`` within rtol max(w) of its image's, and each codeword
+    k of ``owner`` (ascending) inside codeword moves[k].  Else None."""
+    perm = _match_points(pts, images, rtol * max(1.0, float(np.abs(pts).max())))
+    if perm is None or np.abs(w[perm] - w).max() > rtol * w.max():
+        return None
+    # perm is a bijection, so codewords that land inside codewords are permuted.
+    image = owner[perm]
+    moves = image[np.searchsorted(owner, np.arange(owner[-1] + 1))]
+    return None if np.any(image != moves[owner]) else (perm, moves)
+
+
+# Points match under a phase rotation to this many ulps (``_symmetry``'s
+# rtol): the size of the rounding in the catalog's coordinates (3.2 ulps at
+# most, on qsc12).  The loss engine's sector Grams are those of the rotated
+# first points, so a looser match would evaluate a slightly different code,
+# a difference the inverse Gram ratio amplifies like roundoff in the
+# inputs; a missed match only costs speed.
 _ORBIT_ULPS = 8.0
 # The largest rotation order tried: it keeps a block of the loss engine's
 # sector series within L log 2 <= 700 (see klcheck._sector_grams).
@@ -366,18 +386,18 @@ _MAX_ORDER = 1009
 @dataclass(frozen=True, eq=False)
 class Orbits:
     """The largest phase rotation e^{2 pi i/d} of every mode at once that
-    permutes a code's points, keeps their weights and maps each codeword
-    onto one codeword, with the points arranged in its orbits.
+    is a symmetry of a code (``_symmetry``), with the points arranged in
+    its orbits.
 
     ``points`` and ``weights`` are the code's stacked points
     (``code.all_points()``) and weights, and ``owner`` each point's
     codeword.  ``rows[o, t]`` is the row of e^{2 pi i t/d} r_o in
-    ``points``, where the representative r_o is the orbit's first point in
-    that order; orbits are ordered by it.  An orbit's DFT (``spectrum``)
-    is zero for the codewords it does not visit, so sums run over every
-    orbit for every codeword.  A code with no such rotation has d = 1:
-    one orbit per point.  ``derived`` keeps data that a user of the table
-    builds from it once per code (see klcheck._orbits), by name.
+    ``points``, where the representative r_o (``reps[o]``) is the orbit's
+    first point in that order; orbits are ordered by it.  An orbit's DFT
+    (``spectrum``) is zero for the codewords it does not visit, so sums
+    run over every orbit for every codeword.  A code with no such rotation
+    has d = 1: one orbit per point.  ``derived`` keeps data that a user of
+    the table builds from it once per code (see klcheck._orbits), by name.
     """
 
     d: int
@@ -386,6 +406,10 @@ class Orbits:
     weights: np.ndarray
     owner: np.ndarray
     derived: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def reps(self) -> np.ndarray:
+        return _freeze(self.points[self.rows[:, 0]])
 
     def spectrum(self, values: np.ndarray) -> np.ndarray:
         """[c, o, k] = sum_t e^{2 pi i c t/d} values[a] [owner(a) = k] for
@@ -399,37 +423,25 @@ class Orbits:
 
 def _orbit_rows(pts: np.ndarray, w: np.ndarray, owner: np.ndarray, d: int,
                 tol: float) -> Optional[np.ndarray]:
-    """The orbit table (see Orbits.rows) of the rotation e^{2 pi i/d} when
-    it permutes the points, keeps their weights and maps every codeword
-    onto one codeword; None otherwise."""
-    perm = _match_points(pts, np.exp(2j * np.pi / d) * pts, tol)
-    if perm is None or np.abs(w[perm] - w).max() > _ORBIT_ULPS * np.finfo(float).eps * w.max():
+    """The orbit table (see Orbits.rows) of e^{2 pi i/d} if it is a ``_symmetry``."""
+    found = _symmetry(pts, w, owner, np.exp(2j * np.pi / d) * pts, _ORBIT_ULPS * _EPS)
+    if found is None:
         return None
-    # Each codeword must land inside one codeword, by a permutation of the
-    # codewords; perm being a bijection then makes each image a whole
-    # codeword.
-    image = owner[perm]
-    first = image[np.searchsorted(owner, np.arange(owner[-1] + 1))]
-    if np.any(image != first[owner]) or np.bincount(first).max() > 1:
-        return None
-    # steps[t] = perm^t.  Every orbit must have d points: perm^d is the
-    # identity and no earlier power fixes a point (a point at the origin
-    # is fixed by every rotation).  An orbit's first point is the least
-    # index that reaches it.
+    # steps[t] = perm^t.  Every orbit has d points: perm^d is the identity and
+    # no earlier power fixes a point (every rotation fixes the origin).  An
+    # orbit's first point is the least index that reaches it.
     steps = np.empty((d, len(pts)), dtype=int)
     steps[0] = np.arange(len(pts))
     for t in range(1, d):
-        steps[t] = perm[steps[t - 1]]
-    if np.any(perm[steps[-1]] != steps[0]) or np.any(steps[1:] == steps[0]):
+        steps[t] = found[0][steps[t - 1]]
+    if np.any(found[0][steps[-1]] != steps[0]) or np.any(steps[1:] == steps[0]):
         return None
     rows = steps[:, steps.min(axis=0) == steps[0]].T
-    # Steps that each match within tol can drift by up to d tol along an
-    # orbit; the loss engine's sector Grams use the rotated first points,
-    # so check those.
+    # Steps matched within tol each can drift by d tol along an orbit: check
+    # the rotated first points, which the loss engine's sector Grams use.
     turns = np.exp(2j * np.pi * np.arange(d) / d)[None, :, None]
-    if _squared_norms(turns * pts[rows[:, :1]] - pts[rows]).max() > tol * tol:
-        return None
-    return rows
+    drift = _squared_norms(turns * pts[rows[:, :1]] - pts[rows]).max()
+    return rows if drift <= tol * tol else None
 
 
 # Codes hash by identity, so a table is found again for the same CodeSpec
@@ -448,7 +460,7 @@ def code_orbits(code: CodeSpec) -> Orbits:
     w = np.concatenate([c.weights for c in code.logicals])
     owner = np.repeat(np.arange(code.dim), [c.size for c in code.logicals])
     N = len(pts)
-    tol = _ORBIT_ULPS * np.finfo(float).eps * max(1.0, float(np.abs(pts).max()))
+    tol = _ORBIT_ULPS * _EPS * max(1.0, float(np.abs(pts).max()))
     along = pts @ np.conj(pts[0])
     # A subnormal overlap (whose reciprocal overflows in the complex
     # division) counts as none: its point is off the circle unless it is

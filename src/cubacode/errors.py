@@ -14,8 +14,10 @@ vanishes in the truncated space (its coefficients underflow below the
 cutoff) or a residual that is not finite is a numerical failure, never a
 residual of 0.  A request whose work is counted in exact integers before
 it starts, and exceeds its cap, is a validation error too: the moment
-pairs of ``moments``, the KL block entries of ``kl`` and the degree of
-``bounds``.
+pairs of ``moments``, the KL block entries of ``kl``, the degree of
+``bounds`` and the moment work of the ``params`` search to its ceiling.
+Moments past the range of a double are refused too, naming the least
+degree at which the search met one, never read as a match.
 """
 
 

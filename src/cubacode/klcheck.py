@@ -407,7 +407,7 @@ def _orbits(code: CodeSpec) -> _Orbits:
     table = code_orbits(code)
     engine = table.derived.get("loss")
     if engine is None:
-        reps = table.points[table.rows[:, 0]]
+        reps = table.reps
         norms = (np.abs(reps) ** 2).sum(axis=1)
         x = np.conj(reps) @ reps.T
         b = table.spectrum(np.sqrt(table.weights))
@@ -786,6 +786,21 @@ class ParamTriple:
         return f"<{self.t_down},{self.d_updown},{self.d_down}>"
 
 
+# The most work code_parameters takes on, counted in moment evaluations from
+# the mode count n and the ceiling c before any table is built: the pairs
+# |p| + |q| <= c - 1 that the d_updown search reads, C(2n + c - 1, 2n), plus
+# _BLOCK_WORK for each block of the searches, at most (c - 1)^2/4 + 3 (c - 1):
+# a block's fixed cost is most of a one-mode search.  On one mode the cap
+# admits c <= 506.  A one-mode code whose two codewords are both {1, -1}
+# matches every moment, so its search runs to the ceiling: 3.1 s at
+# c = 506 (1 BLAS thread, 2-core x86-64).  The tests, README and benchmark
+# ask for at most 3.9e7 (n = 4, c = 30).  A multi-mode code whose moments
+# all match to the ceiling can read up to C(n + c - 1, n)^2 pairs in its
+# t_down search, which the count leaves out.
+_MAX_SEARCH_WORK = 2**26
+_BLOCK_WORK = 2**10
+
+
 def code_parameters(code: CodeSpec, ceiling: int, tol: float = 1e-9) -> ParamTriple:
     """Moment-based parameters by exhaustive multi-index enumeration.
 
@@ -793,6 +808,9 @@ def code_parameters(code: CodeSpec, ceiling: int, tol: float = 1e-9) -> ParamTri
               matching across codewords within tol;
     d_down:   largest d with all pure-loss moments (0, q), |q| <= d-1 matching;
     d_updown: largest d with all (p, q), |p|+|q| <= d-1 matching.
+
+    A ceiling whose work exceeds _MAX_SEARCH_WORK is refused before the
+    search.
     """
     if code.dim < 2:
         raise ValidationError("code parameters need at least two codewords")
@@ -801,6 +819,12 @@ def code_parameters(code: CodeSpec, ceiling: int, tol: float = 1e-9) -> ParamTri
     _check_tol(tol)
     n = code.modes
     ceiling = int(ceiling)
+    top = ceiling - 1
+    work = comb(2 * n + top, 2 * n) + _BLOCK_WORK * (top * top // 4 + 3 * top)
+    if work > _MAX_SEARCH_WORK:
+        raise ValidationError(f"search ceiling {ceiling} needs {count_text(work)} moment "
+                              f"evaluations on a {n}-mode code, more than the cap of "
+                              f"{_MAX_SEARCH_WORK}")
     # One moment table serves d_updown and t_down; it grows only as far as
     # the d_updown search reaches, and t_down <= d_updown stays inside it.
     box = _BoxMoments(code)

@@ -183,6 +183,11 @@ def weighted_moment(c: WeightedConstellation, p, q):
     return complex(m[0, 0]) if p.ndim == q.ndim == 1 else m
 
 
+def _overflow(degree: int) -> ValidationError:
+    return ValidationError(f"the moments of degree {degree} are not finite: they grow like "
+                           f"the amplitudes to the power {degree}, past the range of a double")
+
+
 def _check_tol(tol: float):
     if not 0.0 <= tol < np.inf:
         raise ValidationError(f"tol must be finite and nonnegative (got {tol!r})")
@@ -211,12 +216,15 @@ class _BoxMoments:
     One monomial table of the representatives serves all calls.  It starts
     at degree 0 and grows to the highest level a request reaches, so a
     search that stops early never builds the levels above where it
-    stopped.
+    stopped.  Moments past the range of a double are formed without a
+    warning, and the searches refuse the first block that holds one
+    (``_overflow``).  (Each method takes its own errstate: under numpy 1.x
+    one instance entered twice at once restores the wrong state.)
     """
 
     def __init__(self, code: CodeSpec):
         orbits = code_orbits(code)
-        self.points = orbits.points[orbits.rows[:, 0]]
+        self.points = orbits.reps
         self.d = orbits.d
         self.weights = np.ascontiguousarray(orbits.spectrum(orbits.weights).transpose(2, 0, 1))
         self._empty()
@@ -238,9 +246,11 @@ class _BoxMoments:
         self._reach(comb(n + k, n))
         return self.table[_level(n, k)]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def moments(self, ps: slice, qs: slice) -> np.ndarray:
         """moments(ps, qs)[k, i, j] = M_k(p_i, q_j) for box row ranges ps
-        (one level) and qs (each with an explicit stop)."""
+        (one level) and qs (each with an explicit stop); inf or nan past
+        the range of a double."""
         self._reach(max(ps.stop, qs.stop))
         table, degrees, d = self.table, self.degrees, self.d
         level = degrees[ps.start]
@@ -254,12 +264,20 @@ class _BoxMoments:
         right *= table[qs]
         return np.conj(table[ps]) @ right.swapaxes(1, 2)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def spread(self, ps: slice, qs: slice) -> float:
         """The largest |M_k(p, q) - M_0(p, q)| over the pairs of the row
-        ranges and the logical constellations k."""
+        ranges and the logical constellations k; a block whose deviations
+        are not finite raises ``_overflow`` of its least such degree."""
         moms = self.moments(ps, qs)
-        return float(np.abs(moms - moms[0]).max())
+        dev = np.abs(moms - moms[0])
+        spread = float(dev.max())
+        if not spread < np.inf:
+            bad = ~np.isfinite(dev).all(axis=(0, 1))
+            raise _overflow(int(self.degrees[ps.start] + self.degrees[qs][bad].min()))
+        return spread
 
+    @np.errstate(over="ignore", invalid="ignore")
     def pure_loss_degree(self, k: int, stop: int, tol: float) -> int:
         """The first degree in [k, stop) at which some pure-loss moment
         M(0, q) = sum_a w_a z_a^q, |q| = degree, differs across the logical
@@ -279,7 +297,10 @@ class _BoxMoments:
             sums = np.zeros((len(self.weights), blocks[0][1].shape[0]), dtype=complex)
             for start, level in blocks:
                 sums += self.weights[:, k % self.d, start:start + level.shape[1]] @ level.T
-            if np.abs(sums - sums[0]).max() > tol:
+            spread = float(np.abs(sums - sums[0]).max())
+            if not spread < np.inf:
+                raise _overflow(k)
+            if spread > tol:
                 return k
             k += 1
             if k >= stop:
@@ -302,7 +323,8 @@ def pair_moments(code: CodeSpec, degree: int) -> Tuple[np.ndarray, np.ndarray]:
     Returns the pairs as rows [p, q] (in the order of
     ``multi_indices_upto(2 * modes, degree)``) and the K x pairs matrix of
     moments M_k(p, q).  Each |p| level is one block against the box
-    |q| <= degree - |p|, so exactly these pairs are evaluated.
+    |q| <= degree - |p|, so exactly these pairs are evaluated.  Moments
+    that are not finite raise ``_overflow`` of their least degree.
     """
     if degree < 0:
         raise ValidationError(f"maximum degree must be nonnegative (got {degree})")
@@ -323,7 +345,11 @@ def pair_moments(code: CodeSpec, degree: int) -> Tuple[np.ndarray, np.ndarray]:
     pairs = np.hstack([box[np.concatenate(rows_p)], box[np.concatenate(rows_q)]])
     # By total degree, then lexicographically (lexsort's last key is primary).
     order = np.lexsort(np.vstack([pairs.T[::-1], pairs.sum(axis=1)]))
-    return pairs[order], np.concatenate(blocks, axis=1)[:, order]
+    pairs, moms = pairs[order], np.concatenate(blocks, axis=1)[:, order]
+    finite = np.isfinite(moms).all(axis=0)
+    if not finite.all():
+        raise _overflow(int(pairs[finite.argmin()].sum()))
+    return pairs, moms
 
 
 def _match_degree(spreads: Iterable[Tuple[int, float]], t_max: int, tol: float) -> int:

@@ -11,7 +11,10 @@ Fock-coefficient references from the same vectors.
 X-type: passive unitaries permuting each weighted constellation leave the
 codewords invariant; every such check, phase rotation or not, is one
 closed-form sum over coherent-state overlaps with no Fock build and no
-cancellation.
+cancellation.  Whether U permutes a constellation is decided by the
+routine that decides it for the orbit table (``constellation._symmetry``),
+with one relative tolerance, GEOM_TOL here and 8 ulps there, applied to
+each codeword alone.
 
 Only verification is performed; dissipative dynamics are out of scope.
 """
@@ -29,7 +32,7 @@ from .constellation import (
     GEOM_TOL,
     CodeSpec,
     Rotation,
-    _match_points,
+    _symmetry,
     as_amplitude,
     scale_code,
 )
@@ -350,12 +353,11 @@ def verify_ztype(
 
 def verify_xtype(code: CodeSpec, symmetry: Rotation, scale: float) -> float:
     """Invariance residual max_k ||U|C_k> - |C_k>|| / ||C_k|| for a passive
-    symmetry U, the n x n unitary ``symmetry.matrix``.
-
-    U must permute every weighted constellation, each image within GEOM_TOL
-    of its point and each weight within GEOM_TOL of its image's; otherwise
-    this raises.  With p_a = scale pi(a) the matched point of a, u_a = scale U a
-    and delta = u - p, the residual is summed in closed form as
+    symmetry U (``symmetry.matrix``), which must map each weighted
+    constellation onto itself (``constellation._symmetry`` at rtol
+    GEOM_TOL, codeword by codeword) or this raises.  With p_a = scale pi(a)
+    the matched point of a, u_a = scale U a and delta = u - p, the residual
+    is summed in closed form as
 
         ||sum_a sqrt(w_a) (|u_a> - |p_a>)||^2 = sum_ab sqrt(w_a w_b) <p_a|p_b>
             [expm1(B_ab) expm1(C_ab) + e^{B_ab + C_ab} expm1(delta_a^* . delta_b)],
@@ -371,12 +373,11 @@ def verify_xtype(code: CodeSpec, symmetry: Rotation, scale: float) -> float:
     worst = 0.0
     for k, c in enumerate(code.logicals):
         images = c.points @ symmetry.matrix.T
-        perm = _match_points(c.points, images, GEOM_TOL)
-        if perm is None or np.abs(c.weights[perm] - c.weights).max() > GEOM_TOL:
-            raise ValidationError(
-                f"symmetry does not preserve weighted constellation {k} as a multiset"
-            )
-        p, images = scale * c.points[perm], scale * images
+        found = _symmetry(c.points, c.weights, np.zeros(c.size, dtype=int), images, GEOM_TOL)
+        if found is None:
+            raise ValidationError(f"symmetry does not preserve weighted constellation {k} "
+                                  "as a multiset")
+        p, images = scale * c.points[found[0]], scale * images
         delta = images - p
         dc = np.conj(delta)
         b = dc @ p.T - 0.5 * (dc * (images + p)).sum(axis=1).real[:, None]

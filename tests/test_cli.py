@@ -663,6 +663,49 @@ def test_integer_option_over_its_cap_exits_2_before_the_work(argv, worker, messa
     assert err == message
 
 
+# Two codewords, each {1, -1} at weight 1/2: every moment matches, so the
+# parameter search runs to its ceiling.
+TWIN = {"name": "twin", "modes": 1,
+        "logicals": [[{"point": [[1.0, 0.0]], "weight": 0.5},
+                      {"point": [[-1.0, 0.0]], "weight": 0.5}]] * 2}
+
+
+def test_params_ceiling_over_its_cap_exits_2_before_the_search(tmp_path, capsys, monkeypatch):
+    import cubacode.klcheck as klcheck
+
+    monkeypatch.setattr(klcheck, "_BoxMoments", refuse)
+    path = tmp_path / "twin.json"
+    path.write_text(json.dumps(TWIN))
+    status, out, err = run_cli(capsys, "params", "--code-file", str(path),
+                               "--ceiling", "100000000000")
+    assert_one_error_line(status, out, err)
+    assert err == ("error: search ceiling 100000000000 needs over 2^81 moment evaluations on "
+                   "a 1-mode code, more than the cap of 67108864\n")
+
+
+@pytest.mark.parametrize("argv, degree", [
+    # Degree-k moments grow like radius^k: past a double they read inf or
+    # nan, and nan > tol is false, so they used to count as matching.
+    (("params", "--catalog", "cat", "--m", "8", "--radius", "1e40"), 8),
+    # The d_updown search stops below 16; the t_down box reaches it.
+    (("params", "--catalog", "cat", "--m", "8", "--radius", "1e20"), 16),
+    (("moments", "--catalog", "cat", "--m", "8", "--radius", "1e40", "--max-degree", "8"), 8),
+], ids=["params-1e40", "params-1e20", "moments-1e40"])
+def test_moments_past_a_double_exit_2_naming_the_degree(argv, degree, capsys):
+    status, out, err = run_cli(capsys, *argv)
+    assert_one_error_line(status, out, err)
+    assert err.startswith(f"error: the moments of degree {degree} are not finite")
+
+
+def test_params_checks_only_the_moments_its_search_reaches(capsys):
+    # At radius 1e5 the moments of degree 62 and up overflow, and a search
+    # to the ceiling would reach degree 398; this one stops at degree 16.
+    status, out, err = run_cli(capsys, "params", "--catalog", "cat", "--m", "8", "--radius",
+                               "1e5", "--ceiling", "200")
+    assert status == 0, err
+    assert "<8,8,8>" in out
+
+
 def test_bounds_degree_from_a_code_file_is_capped(tmp_path, capsys, monkeypatch):
     import cubacode.moments as moments
 

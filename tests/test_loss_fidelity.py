@@ -13,13 +13,16 @@ bounds; the single-mode catalog codes, one orbit per sector, are held to
 
 import re
 import warnings
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubacode import ValidationError, build_catalog_code, normalize_energy
-from cubacode.constellation import CodeSpec, WeightedConstellation
+from cubacode.constellation import CodeSpec, Rotation, WeightedConstellation, rotate_code
 from cubacode.errors import DegenerateCodewordsError
 from cubacode.klcheck import (
     LossFidelity,
@@ -579,3 +582,47 @@ def test_first_order_infidelity_from_the_kl_blocks(name, params, scale):
     got = (10.0 * (1.0 - fine.fidelity) / 1e-5 - (1.0 - coarse.fidelity) / 1e-4) / 9.0
     tol = next(bound for least, bound in FIRST_ORDER_TOL if coarse.gram_ratio >= least)
     assert abs(got - want) <= tol, (got, want)
+
+
+# |F(U code) - F(code)| at gamma = 0.1 for a Haar-random passive unitary U:
+# pure loss at one rate on every mode commutes with U, and so does transpose
+# recovery, so the two are equal in exact arithmetic and their spread is a
+# lower bound on the engine's error.  Largest spreads over 400 Haar U per
+# code (unit energy, scales 0.9, 1.5, 2.5, 3.5), by codeword Gram ratio:
+# 1.0e-14 at ratio >= 1e-2 (twoshell_24cell at 2.5); 4.6e-13 at ratio >=
+# 1e-4 (twoshell_24cell at 1.5, ratio 1.2e-3; qcc24 at 0.9, ratio 1.4e-4,
+# 1.0e-14; cell16_qutrit at 0.9 5.2e-14); 1.6e-10 at ratio >= 1e-8 (qsc24
+# at 1.5, ratio 5.5e-6; twoshell_24cell at 0.9, ratio 3.6e-7, 6.2e-11;
+# cube_orthoplex D=6 at 0.9, ratio 2.7e-5, 7.4e-14); and 2.4e-8 for qsc24
+# at 0.9 (ratio 2.6e-11), the size of the engine's known error there
+# against exact_fidelity (2.0e-9 above it at gamma 0.1).  Each bound is
+# within 10 times its regime's largest spread.
+COVARIANCE_TOL = ((1e-2, 1e-13), (1e-4, 4e-12), (1e-8, 1e-9), (0.0, 2e-7))
+COVARIANCE_CODES = {"qcc24": {}, "qsc24": {}, "cube_orthoplex": {"D": 6}, "cell16_qutrit": {},
+                    "twoshell_24cell": {"tau": 2}}
+COVARIANCE_POINTS = [(0.1, scale) for scale in (0.9, 1.5, 2.5, 3.5)]
+
+
+@lru_cache(maxsize=None)
+def covariance_reference(name):
+    """A unit-energy code and its fidelities at COVARIANCE_POINTS."""
+    code = unit_code(name, **COVARIANCE_CODES[name])
+    return code, loss_fidelities(code, COVARIANCE_POINTS)
+
+
+def haar_unitary(n, seed):
+    """A Haar-random n x n unitary: the QR factor of a complex Gaussian
+    matrix, its columns' phases fixed by R's diagonal (Mezzadri 2007)."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(name=st.sampled_from(sorted(COVARIANCE_CODES)), seed=st.integers(0, 2**32 - 1))
+def test_passive_unitary_covariance(name, seed):
+    code, want = covariance_reference(name)
+    turned = rotate_code(code, Rotation(haar_unitary(code.modes, seed)))
+    for ref, got in zip(want, loss_fidelities(turned, COVARIANCE_POINTS)):
+        tol = next(bound for least, bound in COVARIANCE_TOL if ref.gram_ratio >= least)
+        assert abs(got.fidelity - ref.fidelity) <= tol, (ref.gram_ratio, got.fidelity)

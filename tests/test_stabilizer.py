@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 from math import lcm
@@ -22,7 +23,8 @@ from cubacode import (
     ztype_polynomials,
 )
 from cubacode.cli import main
-from cubacode.constellation import GEOM_TOL
+from cubacode.codefile import load_code
+from cubacode.constellation import GEOM_TOL, _symmetry
 from cubacode.errors import NumericalFailure
 from cubacode.stabilizer import (
     AnnihilationPolynomial,
@@ -403,6 +405,34 @@ def test_half_step_rotation_rejected():
     rot = Rotation.global_phase(1, 2 * np.pi / 24)
     with pytest.raises(ValidationError, match="does not preserve"):
         verify_xtype(code, rot, 2.0)
+
+
+def test_symmetry_is_tested_codeword_by_codeword(tmp_path):
+    # Two codewords share the points 1 and -1.  The half turn maps each
+    # onto itself; matched over the whole code, a shared point would be
+    # matched twice and the rotation rejected.
+    doc = {"name": "shared", "modes": 1, "logicals": [
+        [{"point": [[1.0, 0.0]], "weight": 0.5}, {"point": [[-1.0, 0.0]], "weight": 0.5}],
+        [{"point": [[x, y]], "weight": 0.25} for x, y in ((1, 0), (-1, 0), (0, 1), (0, -1))],
+    ]}
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps(doc))
+    code = load_code(str(path))
+    half = Rotation.global_phase(1, np.pi)
+    assert verify_xtype(code, Rotation.identity(1), 2.0) == 0.0
+    # e^{i pi} is -1 + 1.2e-16 i: the residual is roundoff.
+    assert 0.0 < verify_xtype(code, half, 2.0) < 1e-15
+    pts = code.all_points()
+    w = np.concatenate([c.weights for c in code.logicals])
+    owner = np.repeat([0, 1], [2, 4])
+    assert _symmetry(pts, w, owner, pts @ half.matrix.T, GEOM_TOL) is None
+    for c in code.logicals:
+        perm, moves = _symmetry(c.points, c.weights, np.zeros(c.size, dtype=int),
+                                c.points @ half.matrix.T, GEOM_TOL)
+        assert np.array_equal(c.points[perm], -c.points) and moves.tolist() == [0]
+    # A quarter turn keeps the second codeword and moves the first.
+    with pytest.raises(ValidationError, match="does not preserve weighted constellation 0"):
+        verify_xtype(code, Rotation.global_phase(1, np.pi / 2), 2.0)
 
 
 def test_mode_swap_symmetry_analytic_path():
