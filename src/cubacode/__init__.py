@@ -38,7 +38,6 @@ _EXPORTS = {
         "Rotation",
         "WeightedConstellation",
         "apply_rotation",
-        "embed_complex_to_real",
         "embed_real_to_complex",
         "mean_photon_number",
         "normalize_energy",
@@ -52,18 +51,14 @@ _EXPORTS = {
         "LossFidelity",
         "ParamTriple",
         "code_parameters",
-        "coherent_overlap",
         "kl_report",
-        "ladder_matrix_element",
         "loss_fidelity",
     ),
     "moments": (
         "BoundsReport",
         "code_size_bounds",
-        "is_spherical_design",
         "moment_match_degree",
         "size_bounds",
-        "sphere_monomial_integral",
         "weighted_moment",
     ),
     "stabilizer": ("AnnihilationPolynomial", "verify_xtype", "verify_ztype", "ztype_polynomials"),

@@ -25,7 +25,14 @@ import numpy as np
 # need.  Each command imports the rest of what it runs when it runs, so a
 # process loads only the modules its command uses.
 from .catalog import BENCH_ALIASES, CATALOG, build_catalog_code, describe, describe_code
-from .constellation import CodeSpec, normalize_energy, resolution, scale_code
+from .constellation import (
+    GEOM_TOL,
+    CodeSpec,
+    _match_points,
+    normalize_energy,
+    resolution,
+    scale_code,
+)
 from .errors import NumericalFailure, ValidationError
 
 
@@ -191,6 +198,23 @@ def cmd_show(args) -> int:
     return 0
 
 
+def _refuse_twin_codewords(code: CodeSpec):
+    """Refuse a code two of whose codewords are the same weighted point set:
+    points matched within GEOM_TOL max(1, largest amplitude), weights within
+    GEOM_TOL (largest weight).  Every moment of such a code matches, so it
+    reads as perfect where it encodes nothing."""
+    for k, a in enumerate(code.logicals):
+        for l, b in enumerate(code.logicals[k + 1:], k + 1):
+            if a.size != b.size:
+                continue
+            big = max(1.0, float(np.abs(a.points).max()), float(np.abs(b.points).max()))
+            perm = _match_points(a.points, b.points, GEOM_TOL * big)
+            w_tol = GEOM_TOL * max(a.weights.max(), b.weights.max())
+            if perm is not None and np.abs(a.weights[perm] - b.weights).max() <= w_tol:
+                raise ValidationError(f"codewords {k} and {l} are the same weighted point "
+                                      "set: the code encodes nothing")
+
+
 def cmd_params(args) -> int:
     from .klcheck import code_parameters
 
@@ -198,6 +222,8 @@ def cmd_params(args) -> int:
     if args.normalize is not None:
         code, _ = normalize_energy(code, args.normalize)
     triple = code_parameters(code, ceiling=args.ceiling, tol=args.tol)
+    if triple.t_down == triple.search_ceiling:
+        _refuse_twin_codewords(code)
     res = resolution(code)
     for line in _header(args):
         print(line)
@@ -222,6 +248,8 @@ def cmd_moments(args) -> int:
     # tie (M(q, p) is the conjugate of M(p, q)) differ only by roundoff,
     # which must not pick the one reported.
     largest = float(devs.max())
+    if largest == 0:
+        _refuse_twin_codewords(code)
     worst = int(np.flatnonzero(devs >= largest * (1.0 - 64 * np.finfo(float).eps))[0])
     where = (tuple(pairs[worst, :n].tolist()), tuple(pairs[worst, n:].tolist()))
     lines = _header(args) + [

@@ -5,11 +5,11 @@ positive weights summing to one; a code is a family of such constellations
 (one per logical state) on a common mode count.  This module holds the data
 types, rotations, energy rescaling and the nearest-neighbour resolution
 metric.  Every rotation is a passive (linear-optics) unitary, an n x n
-complex matrix acting on the amplitudes directly.  The real/complex
-embedding, which pairs consecutive real coordinates into one mode, serves
-the real polytope vertices, the design check and the distance kernel.  All
-types are immutable after construction and all operations are pure
-functions.
+complex matrix acting on the amplitudes directly.  The real-to-complex
+embedding, which pairs consecutive real coordinates into one mode, builds
+the real polytope vertices; the distance kernels read the same pairing as a
+real view of the amplitudes.  All types are immutable after construction
+and all operations are pure functions.
 
 One routine, ``_symmetry``, decides whether a passive unitary U is a
 symmetry of a code, with one relative tolerance rtol: every image U a
@@ -49,16 +49,6 @@ DISTINCT_TOL = 1e-12
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
-    return a
-
-
-def as_amplitude(coords) -> np.ndarray:
-    """Validate and return a single amplitude point as a 1-D complex array."""
-    a = np.atleast_1d(np.asarray(coords, dtype=complex))
-    if a.ndim != 1 or a.size < 1:
-        raise ValidationError("amplitude point must be a nonempty 1-D sequence")
-    if not np.all(np.isfinite(a.view(float))):
-        raise ValidationError("amplitude point has non-finite entries")
     return a
 
 
@@ -232,15 +222,6 @@ def embed_real_to_complex(points) -> np.ndarray:
     if pts.shape[1] % 2 != 0:
         raise ValidationError("odd real dimension: the complex embedding needs D even")
     return pts[:, 0::2] + 1j * pts[:, 1::2]
-
-
-def embed_complex_to_real(points) -> np.ndarray:
-    """Inverse of :func:`embed_real_to_complex`: (N, n) complex -> (N, 2n) real."""
-    pts = np.atleast_2d(np.asarray(points, dtype=complex))
-    out = np.empty((pts.shape[0], 2 * pts.shape[1]))
-    out[:, 0::2] = pts.real
-    out[:, 1::2] = pts.imag
-    return out
 
 
 def apply_rotation(c: WeightedConstellation, r: Rotation) -> WeightedConstellation:

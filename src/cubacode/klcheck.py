@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .constellation import CodeSpec, as_amplitude, code_orbits
+from .constellation import CodeSpec, code_orbits
 from .errors import DegenerateCodewordsError, NumericalFailure, ValidationError, count_text
 from .moments import (
     _BoxMoments,
@@ -56,51 +56,6 @@ from .moments import (
     _monomials,
     multi_indices_upto,
 )
-
-
-def coherent_overlap(a, b) -> complex:
-    """Inner product of two coherent states with amplitude vectors a, b."""
-    a = as_amplitude(a)
-    b = as_amplitude(b)
-    if a.shape != b.shape:
-        raise ValidationError("amplitude points must share the mode count")
-    return complex(
-        np.exp(-0.5 * np.vdot(a, a).real - 0.5 * np.vdot(b, b).real + np.vdot(a, b))
-    )
-
-
-def ladder_matrix_element(a, b, p: Sequence[int], q: Sequence[int]) -> complex:
-    """Exact matrix element <a| prod_j (a_j^+)^p_j a_j^q_j |b>."""
-    a = as_amplitude(a)
-    b = as_amplitude(b)
-    p = np.asarray(p, dtype=int)
-    q = np.asarray(q, dtype=int)
-    if not (a.shape == b.shape == p.shape == q.shape):
-        raise ValidationError("amplitudes and multi-indices must share the mode count")
-    return complex(np.prod(np.conj(a) ** p * b**q) * coherent_overlap(a, b))
-
-
-def _pairwise_overlaps(pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
-    # Gram of coherent states: exp(-|a|^2/2 - |b|^2/2 + a* . b), vectorized,
-    # with the exponent formed and exponentiated in place.
-    na = (np.abs(pts_a) ** 2).sum(axis=1)
-    nb = (np.abs(pts_b) ** 2).sum(axis=1)
-    out = np.conj(pts_a) @ pts_b.T
-    out += -0.5 * na[:, None] - 0.5 * nb[None, :]
-    return np.exp(out, out=out)
-
-
-def codeword_gram(code: CodeSpec, scale: float = 1.0) -> np.ndarray:
-    """Gram matrix of the raw codeword vectors sum_a sqrt(w_a) |scale*a>,
-    made exactly Hermitian (ill-conditioned Grams amplify any roundoff
-    asymmetry)."""
-    pts = scale * code.all_points()
-    # c[a, k] = sqrt(w_a) for the points a of codeword k, 0 elsewhere.
-    c = np.zeros((len(pts), code.dim))
-    for k, (rows, logical) in enumerate(zip(code.codeword_rows(), code.logicals)):
-        c[rows, k] = np.sqrt(logical.weights)
-    g = c.T @ _pairwise_overlaps(pts, pts) @ c
-    return 0.5 * (g + np.conj(g.T))
 
 
 # Codewords are degenerate when the smallest eigenvalue of their Gram
@@ -790,15 +745,21 @@ class ParamTriple:
 # the mode count n and the ceiling c before any table is built: the pairs
 # |p| + |q| <= c - 1 that the d_updown search reads, C(2n + c - 1, 2n), plus
 # _BLOCK_WORK for each block of the searches, at most (c - 1)^2/4 + 3 (c - 1):
-# a block's fixed cost is most of a one-mode search.  On one mode the cap
-# admits c <= 506.  A one-mode code whose two codewords are both {1, -1}
-# matches every moment, so its search runs to the ceiling: 3.1 s at
+# a block's fixed cost is most of a one-mode search.  Once d_updown is found,
+# the t_down box's levels join the count before that search starts.  On one
+# mode the cap admits c <= 506.  A one-mode code whose two codewords are both
+# {1, -1} matches every moment, so its search runs to the ceiling: 3.1 s at
 # c = 506 (1 BLAS thread, 2-core x86-64).  The tests, README and benchmark
-# ask for at most 3.9e7 (n = 4, c = 30).  A multi-mode code whose moments
-# all match to the ceiling can read up to C(n + c - 1, n)^2 pairs in its
-# t_down search, which the count leaves out.
+# ask for at most 3.9e7 (n = 4, c = 30).
 _MAX_SEARCH_WORK = 2**26
 _BLOCK_WORK = 2**10
+
+
+def _check_work(work: int, ceiling: int, n: int):
+    if work > _MAX_SEARCH_WORK:
+        raise ValidationError(f"search ceiling {ceiling} needs {count_text(work)} moment "
+                              f"evaluations on a {n}-mode code, more than the cap of "
+                              f"{_MAX_SEARCH_WORK}")
 
 
 def code_parameters(code: CodeSpec, ceiling: int, tol: float = 1e-9) -> ParamTriple:
@@ -810,7 +771,7 @@ def code_parameters(code: CodeSpec, ceiling: int, tol: float = 1e-9) -> ParamTri
     d_updown: largest d with all (p, q), |p|+|q| <= d-1 matching.
 
     A ceiling whose work exceeds _MAX_SEARCH_WORK is refused before the
-    search.
+    search, or before the t_down search once d_updown fixes its size.
     """
     if code.dim < 2:
         raise ValidationError("code parameters need at least two codewords")
@@ -821,10 +782,7 @@ def code_parameters(code: CodeSpec, ceiling: int, tol: float = 1e-9) -> ParamTri
     ceiling = int(ceiling)
     top = ceiling - 1
     work = comb(2 * n + top, 2 * n) + _BLOCK_WORK * (top * top // 4 + 3 * top)
-    if work > _MAX_SEARCH_WORK:
-        raise ValidationError(f"search ceiling {ceiling} needs {count_text(work)} moment "
-                              f"evaluations on a {n}-mode code, more than the cap of "
-                              f"{_MAX_SEARCH_WORK}")
+    _check_work(work, ceiling, n)
     # One moment table serves d_updown and t_down; it grows only as far as
     # the d_updown search reaches, and t_down <= d_updown stays inside it.
     box = _BoxMoments(code)
@@ -832,9 +790,14 @@ def code_parameters(code: CodeSpec, ceiling: int, tol: float = 1e-9) -> ParamTri
 
     # Box |p|, |q| <= r grown one level at a time.  Its new pairs have
     # |p| = r or |q| = r, and M(q, p) = conj M(p, q) covers the latter.
-    # Boxes with 2 r < d_updown hold only pairs that d_updown has matched.
+    # Boxes with 2 r < d_updown hold only pairs that d_updown has matched,
+    # and t_down <= d_updown stops the search by r = d_updown: level r
+    # evaluates C(n + r - 1, n - 1) C(n + r, n) moments.
+    first = (d_updown - 1) // 2 + 1
+    levels = range(first, min(d_updown, top) + 1)
+    _check_work(work + sum(comb(n + r - 1, n - 1) * comb(n + r, n) for r in levels), ceiling, n)
     t_down = ceiling
-    for r in range((d_updown - 1) // 2 + 1, ceiling):
+    for r in range(first, ceiling):
         if box.spread(_level(n, r), slice(0, comb(n + r, r))) > tol:
             t_down = r
             break

@@ -12,9 +12,9 @@ where F_u holds one monomial row per multi-index.  Multi-indices are
 enumerated once per (modes, degree) as a box |u| <= degree, and monomial
 tables are built over such a box one level |u| = k at a time, each row
 from a row of the level below times one coordinate.  The parameter
-search, the CLI moment table, the KL blocks and the design check all read
-their monomials from these tables; the searches grow theirs only as far
-as they reach, and the pure-loss search streams its levels.
+search, the CLI moment table and the KL blocks all read their monomials
+from these tables; the searches grow theirs only as far as they reach,
+and the pure-loss search streams its levels.
 
 The codes' moments are summed over orbits (``_BoxMoments``): when the
 phase rotation e^{2 pi i/d} permutes a code's points
@@ -27,20 +27,17 @@ orbit's weights enters M(p, q).  D_k is zero on the orbits that k does
 not visit, so every codeword is summed over every orbit.  The tables then
 have n = N/d columns, not N; a code with no such rotation has d = 1.
 
-The module also provides the exact rotation-invariant sphere integral of
-real monomials (the right-hand side a spherical design must reproduce), a
-design checker, and counting bounds on how many points a degree-t formula
-can or must use.
+The module also provides counting bounds on how many points a degree-t
+formula can or must use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -49,7 +46,6 @@ from .constellation import (
     CodeSpec,
     WeightedConstellation,
     code_orbits,
-    embed_complex_to_real,
     shell_radii,
 )
 from .errors import ValidationError, count_text
@@ -94,11 +90,6 @@ def _index_box(n: int, degree: int) -> np.ndarray:
 def _level(n: int, k: int) -> slice:
     """Rows of ``_index_box(n, degree)`` (any degree >= k) with |u| == k."""
     return slice(comb(n + k - 1, n), comb(n + k, n))
-
-
-def multi_indices(n: int, total: int) -> Iterator[MultiIndex]:
-    """All length-n multi-indices with |u| == total, lexicographic order."""
-    return map(tuple, _compositions(n, total).tolist())
 
 
 def multi_indices_upto(n: int, max_total: int) -> Iterator[MultiIndex]:
@@ -398,67 +389,6 @@ def moment_match_degree(code: CodeSpec, t_max: int, tol: float = 1e-9) -> int:
     _check_tol(tol)
     t_max = int(t_max)
     return _match_degree(_level_spreads(_BoxMoments(code), t_max), t_max, tol)
-
-
-def sphere_monomial_integral_exact(D: int, u: Sequence[int]) -> Fraction:
-    """Exact normalized integral of x^u over the unit sphere S^{D-1}.
-
-    Zero when any exponent is odd; otherwise
-        prod_j (u_j - 1)!!  /  prod_{i=1}^{|u|/2} (D + 2i - 2),
-    the Gamma-function ratio
-        Gamma(D/2) * prod_j Gamma((u_j+1)/2) / (pi^{D/2} * Gamma((D+|u|)/2))
-    reduced to integers (surface measure normalized to 1).
-    """
-    if D < 1:
-        raise ValidationError("sphere dimension parameter D must be >= 1")
-    u = tuple(int(x) for x in u)
-    if len(u) != D:
-        raise ValidationError(f"monomial exponent vector must have length D={D}")
-    if any(x < 0 for x in u):
-        raise ValidationError("monomial exponents must be nonnegative")
-    if any(x % 2 == 1 for x in u):
-        return Fraction(0)
-    num = 1
-    for x in u:
-        for k in range(x - 1, 0, -2):
-            num *= k
-    den = 1
-    total = sum(u)
-    for i in range(1, total // 2 + 1):
-        den *= D + 2 * i - 2
-    return Fraction(num, den)
-
-
-def sphere_monomial_integral(D: int, u: Sequence[int]) -> float:
-    return float(sphere_monomial_integral_exact(D, u))
-
-
-def design_moment_deviation(
-    points: np.ndarray, weights: np.ndarray, t: int
-) -> float:
-    """Max |weighted moment - sphere integral| over real monomials of
-    degree <= t, for unit-norm real points of any dimension."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    w = np.asarray(weights, dtype=float)
-    D = pts.shape[1]
-    us = _index_box(D, int(t))
-    exact = np.array([sphere_monomial_integral(D, u) for u in us.tolist()])
-    return float(np.abs(_monomials(pts, int(t)) @ w - exact).max())
-
-
-def is_spherical_design(c: WeightedConstellation, t: int, tol: float = 1e-9) -> bool:
-    """True iff the real-embedded, radius-normalized points reproduce every
-    sphere monomial integral of degree <= t within tol.
-
-    The constellation must live on a single shell.
-    """
-    radii = c.radii()
-    if radii.max() - radii.min() > 1e-9:
-        raise ValidationError("spherical design check needs a single-shell constellation")
-    if radii.max() <= 0:
-        raise ValidationError("spherical design check needs nonzero radius")
-    pts = embed_complex_to_real(c.points) / radii[:, None]
-    return design_moment_deviation(pts, c.weights, t) <= tol
 
 
 # ---------------------------------------------------------------------------

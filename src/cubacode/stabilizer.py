@@ -33,11 +33,10 @@ from .constellation import (
     CodeSpec,
     Rotation,
     _symmetry,
-    as_amplitude,
     scale_code,
 )
 from .errors import NumericalFailure, ValidationError
-from .klcheck import _log_poisson, _pairwise_overlaps
+from .klcheck import _log_poisson
 
 _ZCHECK_BYTES = 1 << 28  # the most bytes the Z-check may hold at once
 # The Z-check holds at least 16 (K + 3) cutoff^modes bytes, so every cutoff
@@ -69,6 +68,16 @@ def _coherent_rows(alphas: np.ndarray, cutoff: int) -> np.ndarray:
     return start[:, None] * np.cumprod(up, axis=1) * np.cumprod(down[:, ::-1], axis=1)[:, ::-1]
 
 
+def _pairwise_overlaps(pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
+    # Gram of coherent states: exp(-|a|^2/2 - |b|^2/2 + a* . b), vectorized,
+    # with the exponent formed and exponentiated in place.
+    na = (np.abs(pts_a) ** 2).sum(axis=1)
+    nb = (np.abs(pts_b) ** 2).sum(axis=1)
+    out = np.conj(pts_a) @ pts_b.T
+    out += -0.5 * na[:, None] - 0.5 * nb[None, :]
+    return np.exp(out, out=out)
+
+
 def _product_sum(rows: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """sum_p coef_p rows[p, 0] (x) rows[p, 1] (x) ... for rows of shape
     (points, modes, cutoff), in the C-order basis of the level tuple (mode 0
@@ -77,16 +86,6 @@ def _product_sum(rows: np.ndarray, coef: np.ndarray) -> np.ndarray:
     for j in range(rows.shape[1] - 1):
         acc = (acc[:, :, None] * rows[:, j, None, :]).reshape(len(acc), -1)
     return (acc.T @ rows[:, -1]).ravel()
-
-
-def coherent_fock(point, cutoff: int) -> np.ndarray:
-    """The tensor product of per-mode coherent states truncated to levels
-    0..cutoff-1, coefficients e^{-|a|^2/2} a^k / sqrt(k!), not renormalized.
-
-    The basis is C-order over the level tuple (mode 0 most significant),
-    matching np.kron with mode 0 as the left factor.
-    """
-    return _product_sum(_coherent_rows(as_amplitude(point), cutoff)[None], np.ones(1))
 
 
 @dataclass(frozen=True)

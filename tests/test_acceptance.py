@@ -12,13 +12,10 @@ from cubacode import (
     ValidationError,
     build_catalog_code,
     cat_code,
-    coherent_overlap,
     code_parameters,
     cube_orthoplex_code,
     hypercube_code,
-    is_spherical_design,
     kl_report,
-    ladder_matrix_element,
     moment_match_degree,
     normalize_energy,
     orthoplex_code,
@@ -33,15 +30,21 @@ from cubacode import (
     ztype_polynomials,
 )
 from cubacode.bench import optimal_scale_adaptive, pair_bench, sweep_gamma
-from cubacode.klcheck import codeword_gram, lowdin_inverse_sqrt
-from cubacode.moments import code_size_bounds, multi_indices_upto, sphere_monomial_integral
+from cubacode.klcheck import lowdin_inverse_sqrt
+from cubacode.moments import code_size_bounds, multi_indices_upto
 from cubacode.stabilizer import (
     AnnihilationPolynomial,
     _encoded_states,
-    coherent_fock,
     ztype_residual_states,
 )
-from conftest import annihilation
+from conftest import (
+    annihilation,
+    coherent_fock,
+    coherent_overlap,
+    is_spherical_design,
+    ladder_matrix_element,
+    sphere_monomial_integral,
+)
 
 
 def report(number: int, name: str, started: float, limit: float):

@@ -7,7 +7,7 @@ import pytest
 
 from cubacode import build_catalog_code, normalize_energy, save_code, scale_code
 from cubacode.cli import _parse_grid, build_parser, main
-from cubacode.klcheck import codeword_gram
+from conftest import codeword_gram
 
 
 def readme_commands():
@@ -681,6 +681,73 @@ def test_params_ceiling_over_its_cap_exits_2_before_the_search(tmp_path, capsys,
     assert_one_error_line(status, out, err)
     assert err == ("error: search ceiling 100000000000 needs over 2^81 moment evaluations on "
                    "a 1-mode code, more than the cap of 67108864\n")
+
+
+def test_params_counts_the_t_down_box(capsys, monkeypatch):
+    import cubacode.klcheck as klcheck
+
+    # cube_orthoplex --D 8 at ceiling 30: 38,912,148 evaluations up front, and
+    # d_updown = 6 adds the box levels 3..6, 27,846 more.
+    argv = ("params", "--catalog", "cube_orthoplex", "--D", "8", "--ceiling", "30")
+    monkeypatch.setattr(klcheck, "_MAX_SEARCH_WORK", 38912148 + 27846 - 1)
+    status, out, err = run_cli(capsys, *argv)
+    assert_one_error_line(status, out, err)
+    assert err == ("error: search ceiling 30 needs 38939994 moment evaluations on a 4-mode code, "
+                   "more than the cap of 38939993\n")
+    monkeypatch.undo()
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 0, err
+    assert out.splitlines()[-1] == "(( 4, 2, 0.5, <5,6,12> ))"
+
+
+def codeword(*points, weights=None):
+    """A code-file codeword of one-mode points given as complex numbers."""
+    weights = weights or [1.0 / len(points)] * len(points)
+    return [{"point": [[z.real, z.imag]], "weight": w} for z, w in zip(points, weights)]
+
+
+@pytest.mark.parametrize("command", [("params",), ("moments",)])
+def test_coinciding_codewords_exit_2(command, tmp_path, capsys):
+    # Every moment of TWIN matches: params used to print <14,14,14> and
+    # moments a largest deviation of 0, both with exit 0.
+    path = tmp_path / "twin.json"
+    path.write_text(json.dumps(TWIN))
+    status, out, err = run_cli(capsys, *command, "--code-file", str(path))
+    assert_one_error_line(status, out, err)
+    assert err == ("error: codewords 0 and 1 are the same weighted point set: the code "
+                   "encodes nothing\n")
+
+
+def test_coinciding_codewords_are_named(tmp_path, capsys):
+    # Codewords 1 and 2 hold the same points in another order, with weights
+    # off by far less than GEOM_TOL; a loose --tol lets params reach the ceiling.
+    doc = {"name": "three", "modes": 1, "logicals": [
+        codeword(1, -1),
+        codeword(1j, -1j),
+        codeword(-1j, 1j + 1e-12, weights=[0.5 + 1e-13, 0.5 - 1e-13]),
+    ]}
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(doc))
+    status, out, err = run_cli(capsys, "params", "--code-file", str(path), "--tol", "10")
+    assert_one_error_line(status, out, err)
+    assert err.startswith("error: codewords 1 and 2 are the same weighted point set")
+
+
+@pytest.mark.parametrize("command, logicals", [
+    # Two shared points of three, and every moment within the loose --tol.
+    (("params", "--tol", "10"), [codeword(1, -1, 1j), codeword(1, -1, -1j)]),
+    # The same points at other weights.
+    (("params", "--tol", "10"), [codeword(1, -1), codeword(1, -1, weights=[0.25, 0.75])]),
+    # Every moment of degree <= 1 is 0 or 1 on both codewords.
+    (("moments", "--max-degree", "1"), [codeword(1, -1), codeword(1j, -1j)]),
+], ids=["params-shared-points", "params-other-weights", "moments-degree-1"])
+def test_codes_matching_to_the_end_with_distinct_codewords_exit_0(command, logicals, tmp_path,
+                                                                  capsys):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"name": "pair", "modes": 1, "logicals": logicals}))
+    status, out, err = run_cli(capsys, command[0], "--code-file", str(path), *command[1:])
+    assert status == 0, err
+    assert "<14,14,14>" in out if command[0] == "params" else "largest deviation 0 " in out
 
 
 @pytest.mark.parametrize("argv, degree", [

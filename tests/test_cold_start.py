@@ -15,19 +15,18 @@ PUBLIC = {
     ],
     "codefile": ["CodeFileError", "load_code", "save_code"],
     "constellation": [
-        "CodeSpec", "Rotation", "WeightedConstellation",
-        "apply_rotation", "embed_complex_to_real", "embed_real_to_complex",
-        "mean_photon_number", "normalize_energy", "resolution", "rotate_code",
-        "scale_code",
+        "CodeSpec", "Rotation", "WeightedConstellation", "apply_rotation",
+        "embed_real_to_complex", "mean_photon_number", "normalize_energy", "resolution",
+        "rotate_code", "scale_code",
     ],
     "errors": ["DegenerateCodewordsError", "NumericalFailure", "ValidationError"],
     "klcheck": [
-        "KLReport", "LossFidelity", "ParamTriple", "code_parameters", "coherent_overlap",
-        "kl_report", "ladder_matrix_element", "loss_fidelity",
+        "KLReport", "LossFidelity", "ParamTriple", "code_parameters", "kl_report",
+        "loss_fidelity",
     ],
     "moments": [
-        "BoundsReport", "code_size_bounds", "is_spherical_design", "moment_match_degree",
-        "size_bounds", "sphere_monomial_integral", "weighted_moment",
+        "BoundsReport", "code_size_bounds", "moment_match_degree", "size_bounds",
+        "weighted_moment",
     ],
     "stabilizer": ["AnnihilationPolynomial", "verify_xtype", "verify_ztype", "ztype_polynomials"],
 }

@@ -16,7 +16,6 @@ from cubacode import (
     apply_rotation,
     build_catalog_code,
     cat_code,
-    embed_complex_to_real,
     embed_real_to_complex,
     mean_photon_number,
     normalize_energy,
@@ -34,6 +33,7 @@ from cubacode.constellation import (
     _pair_scan,
     min_squared_distance,
 )
+from conftest import embed_complex_to_real
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ from cubacode import (
     ValidationError,
     build_catalog_code,
     cat_code,
-    coherent_overlap,
     loss_fidelity,
     normalize_energy,
     verify_ztype,
 )
-from cubacode.stabilizer import _encoded_states, coherent_fock
+from cubacode.stabilizer import _encoded_states
+from conftest import coherent_fock, coherent_overlap
 
 
 @pytest.fixture(scope="module")

@@ -11,19 +11,23 @@ from cubacode import (
     ValidationError,
     build_catalog_code,
     cat_code,
-    coherent_overlap,
     code_parameters,
     kl_report,
-    ladder_matrix_element,
     moment_match_degree,
     normalize_energy,
     polygon_shell_code,
     WeightedConstellation,
 )
-from cubacode.stabilizer import coherent_fock
-from cubacode.klcheck import ParamTriple, codeword_gram, lowdin_inverse_sqrt
-from cubacode.moments import multi_indices, multi_indices_upto
-from conftest import annihilation
+from cubacode.klcheck import ParamTriple, lowdin_inverse_sqrt
+from cubacode.moments import multi_indices_upto
+from conftest import (
+    annihilation,
+    codeword_gram,
+    coherent_fock,
+    coherent_overlap,
+    ladder_matrix_element,
+    multi_indices,
+)
 
 
 def fock_ladder_element(a, b, p, q, cutoff=40):
@@ -321,6 +325,29 @@ def test_identical_codewords_reach_the_ceiling():
     code = CodeSpec(name="twin", logicals=(c, c))
     assert code_parameters(code, 7).astuple() == reference_code_parameters(code, 7) == (7, 7, 7)
     assert code_parameters(code, 1).astuple() == (1, 1, 1)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the t_down search started")
+
+
+def test_parameter_search_counts_the_t_down_box_before_that_search(monkeypatch):
+    import cubacode.klcheck as klcheck
+
+    # Two modes at ceiling 7: the d_updown search counts C(10, 4) = 210 pairs
+    # and 27 blocks of 1024.  Every moment matches, so d_updown = 7 and the
+    # t_down box reads levels r = 4, 5, 6, C(r + 1, 1) C(r + 2, 2) moments
+    # each: 75 + 126 + 196 = 397.
+    c = build_catalog_code("orthoplex", {"D": 4}).logicals[0]
+    code = CodeSpec(name="twin", logicals=(c, c))
+    monkeypatch.setattr(klcheck, "_MAX_SEARCH_WORK", 210 + 27 * 1024 + 397)
+    assert code_parameters(code, 7).astuple() == (7, 7, 7)
+    monkeypatch.setattr(klcheck, "_MAX_SEARCH_WORK", 210 + 27 * 1024 + 396)
+    # Refused after the d_updown search, before the t_down search reads a level.
+    monkeypatch.setattr(klcheck, "_level", refuse)
+    with pytest.raises(ValidationError, match="ceiling 7 needs 28255 moment evaluations on a "
+                                              "2-mode code, more than the cap of 28254"):
+        code_parameters(code, 7)
 
 
 # 544 points in 4 modes, two codewords of 272.

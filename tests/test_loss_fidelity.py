@@ -30,12 +30,11 @@ from cubacode.klcheck import (
     _log_poisson,
     _orbits,
     _sector_grams,
-    codeword_gram,
     kl_report,
     loss_fidelities,
     loss_fidelity,
 )
-from cubacode.stabilizer import coherent_fock
+from conftest import codeword_gram, coherent_fock
 
 
 def gram_ratio(code, scale):

@@ -13,11 +13,9 @@ from cubacode import (
     WeightedConstellation,
     build_catalog_code,
     cat_code,
-    is_spherical_design,
     moment_match_degree,
     polygon_shell_code,
     size_bounds,
-    sphere_monomial_integral,
     weighted_moment,
 )
 from cubacode.catalog import cell24_vertices, orthoplex_vertices
@@ -28,10 +26,14 @@ from cubacode.moments import (
     _level,
     _monomials,
     code_size_bounds,
-    design_moment_deviation,
-    multi_indices,
     multi_indices_upto,
     pair_moments,
+)
+from conftest import (
+    design_moment_deviation,
+    is_spherical_design,
+    multi_indices,
+    sphere_monomial_integral,
     sphere_monomial_integral_exact,
 )
 

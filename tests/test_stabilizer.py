@@ -32,10 +32,9 @@ from cubacode.stabilizer import (
     _poly_from_roots_in_power,
     _encoded_states,
     _zcheck_bytes,
-    coherent_fock,
     ztype_residual_states,
 )
-from conftest import annihilation
+from conftest import annihilation, coherent_fock
 
 
 # ---------------------------------------------------------------------------
