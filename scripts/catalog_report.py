@@ -20,7 +20,6 @@ from cubacode import (  # noqa: E402
     hypercube_code,
     moment_match_degree,
     normalize_energy,
-    orthoplex_code,
     polygon_shell_code,
     resolution,
     two_shell_24cell_code,

@@ -201,8 +201,9 @@ def cmd_show(args) -> int:
 def _refuse_twin_codewords(code: CodeSpec):
     """Refuse a code two of whose codewords are the same weighted point set:
     points matched within GEOM_TOL max(1, largest amplitude), weights within
-    GEOM_TOL (largest weight).  Every moment of such a code matches, so it
-    reads as perfect where it encodes nothing."""
+    GEOM_TOL (largest weight).  Every moment of such a pair matches, so it
+    reads as protected where it encodes nothing.  Two distinct codewords
+    usually part at ``_match_points``' first-image test, O(N) a pair."""
     for k, a in enumerate(code.logicals):
         for l, b in enumerate(code.logicals[k + 1:], k + 1):
             if a.size != b.size:
@@ -222,8 +223,7 @@ def cmd_params(args) -> int:
     if args.normalize is not None:
         code, _ = normalize_energy(code, args.normalize)
     triple = code_parameters(code, ceiling=args.ceiling, tol=args.tol)
-    if triple.t_down == triple.search_ceiling:
-        _refuse_twin_codewords(code)
+    _refuse_twin_codewords(code)
     res = resolution(code)
     for line in _header(args):
         print(line)
@@ -243,13 +243,12 @@ def cmd_moments(args) -> int:
     n = code.modes
     pairs, moms = pair_moments(code, args.max_degree)
     t = pairs_match_degree(pairs, moms, tol=args.tol)
+    _refuse_twin_codewords(code)
     devs = np.abs(moms - moms[0]).max(axis=0)
     # The first pair within 64 ulps of the largest deviation: pairs that
     # tie (M(q, p) is the conjugate of M(p, q)) differ only by roundoff,
     # which must not pick the one reported.
     largest = float(devs.max())
-    if largest == 0:
-        _refuse_twin_codewords(code)
     worst = int(np.flatnonzero(devs >= largest * (1.0 - 64 * np.finfo(float).eps))[0])
     where = (tuple(pairs[worst, :n].tolist()), tuple(pairs[worst, n:].tolist()))
     lines = _header(args) + [

@@ -38,7 +38,6 @@ with the JSON path of the offending field.
 from __future__ import annotations
 
 import json
-from typing import Union
 
 import numpy as np
 

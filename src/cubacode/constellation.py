@@ -19,20 +19,20 @@ of its image's, and each codeword inside one codeword.  It serves both
 the orbit table (rtol 8 ulps) and the stabilizer X-check
 (``stabilizer.verify_xtype``, rtol GEOM_TOL, codeword by codeword).
 
-``code_orbits`` finds a code's largest phase-rotation symmetry
-e^{2 pi i/d} (every mode at once) and arranges the points in its orbits,
-d points each.  It tries only the orders dividing both the point count
-and the number of points on the first point's phase circle, and builds
-the orbit table from the powers of that symmetry's permutation.  The closed-
-form checks (the moment tables and the KL blocks) and the loss engine sum
-every codeword over every orbit representative; a code with no such
-rotation has d = 1, one orbit per point.
+``CodeSpec.orbits`` is a code's largest phase-rotation symmetry
+e^{2 pi i/d} (every mode at once) with the points arranged in its orbits,
+d points each, found on first use.  The search tries only the orders
+dividing both the point count and the number of points on the first
+point's phase circle, and builds the orbit table from the powers of that
+symmetry's permutation.  The closed-form checks (the moment tables and the
+KL blocks) and the loss engine sum every codeword over every orbit
+representative; a code with no such rotation has d = 1, one orbit per point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -129,7 +129,8 @@ class CodeSpec:
 
     A code's shells are a property of its points (``shell_radii``).
     ``claimed_degree`` is the nominal cubature degree of each logical
-    constellation (None if unknown).
+    constellation (None if unknown).  ``orbits`` is found on first use and
+    kept with the code; a copy made by ``replace`` finds its own.
     Codes compare and hash by identity.
     """
 
@@ -165,6 +166,10 @@ class CodeSpec:
         """Row slice of :meth:`all_points` holding each logical constellation."""
         ends = np.cumsum([c.size for c in self.logicals])
         return [slice(int(end) - c.size, int(end)) for end, c in zip(ends, self.logicals)]
+
+    @cached_property
+    def orbits(self) -> "Orbits":
+        return _orbit_table(self)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +373,8 @@ _MAX_ORDER = 1009
 class Orbits:
     """The largest phase rotation e^{2 pi i/d} of every mode at once that
     is a symmetry of a code (``_symmetry``), with the points arranged in
-    its orbits.
+    its orbits, and the data on them that the moment tables, the KL blocks
+    and the loss engine share, each built on first use.
 
     ``points`` and ``weights`` are the code's stacked points
     (``code.all_points()``) and weights, and ``owner`` each point's
@@ -377,8 +383,17 @@ class Orbits:
     first point in that order; orbits are ordered by it.  An orbit's DFT
     (``spectrum``) is zero for the codewords it does not visit, so sums
     run over every orbit for every codeword.  A code with no such rotation
-    has d = 1: one orbit per point.  ``derived`` keeps data that a user of
-    the table builds from it once per code (see klcheck._orbits), by name.
+    has d = 1: one orbit per point.
+
+    The unit-scale log-overlaps log <r_o|e^{2 pi i t/d} r_o'> =
+    e^{2 pi i t/d} x[o, o'] - half[o, o'] of the representatives are kept
+    as ``x[o, o']`` = r_o^* . r_o' and ``half[o, o']`` = (|r_o|^2 +
+    |r_o'|^2)/2, and ``abs_max`` is the largest |x|.  ``b[c, o, k]`` =
+    sum_t e^{2 pi i c t/d} sqrt(w) [owner = k] over the points (o, t)
+    expands Pi_c|C_k> over the Pi_c|r_o> (C_k the raw codewords), and
+    ``b_h[c]`` is its conjugate transpose.  ``powers`` is the kappa-
+    independent part of the loss engine's sector series
+    (klcheck._power_table; None when d = 1).
     """
 
     d: int
@@ -386,11 +401,37 @@ class Orbits:
     points: np.ndarray
     weights: np.ndarray
     owner: np.ndarray
-    derived: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def reps(self) -> np.ndarray:
         return _freeze(self.points[self.rows[:, 0]])
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        return _freeze(np.conj(self.reps) @ self.reps.T)
+
+    @cached_property
+    def half(self) -> np.ndarray:
+        norms = (np.abs(self.reps) ** 2).sum(axis=1)
+        return _freeze(0.5 * (norms[:, None] + norms[None, :]))
+
+    @cached_property
+    def abs_max(self) -> float:
+        return float(np.abs(self.x).max())
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        return _freeze(self.spectrum(np.sqrt(self.weights)))
+
+    @cached_property
+    def b_h(self) -> np.ndarray:
+        return _freeze(np.ascontiguousarray(np.conj(self.b.swapaxes(-1, -2))))
+
+    @cached_property
+    def powers(self):
+        from .klcheck import _power_table
+
+        return _power_table(self.x, self.half, self.d) if self.d > 1 else None
 
     def spectrum(self, values: np.ndarray) -> np.ndarray:
         """[c, o, k] = sum_t e^{2 pi i c t/d} values[a] [owner(a) = k] for
@@ -425,11 +466,9 @@ def _orbit_rows(pts: np.ndarray, w: np.ndarray, owner: np.ndarray, d: int,
     return rows if drift <= tol * tol else None
 
 
-# Codes hash by identity, so a table is found again for the same CodeSpec
-# object only.
-@lru_cache(maxsize=8)
-def code_orbits(code: CodeSpec) -> Orbits:
-    """The orbit table of a code's largest phase-rotation symmetry.
+def _orbit_table(code: CodeSpec) -> Orbits:
+    """The orbit table of a code's largest phase-rotation symmetry (read it
+    as ``code.orbits``, which keeps it).
 
     Every orbit has d points, so d divides the point count N.  The rotation
     maps the phase circle {e^{i phi} a_0} of the first point onto itself,

@@ -8,7 +8,7 @@ Coherent states have analytic overlaps and ladder-operator matrix elements:
 so every block <C_k| E_mu^+ E_nu |C_l> of the correction condition for the
 pure-loss error set is a finite weighted sum of such terms, with no Fock
 truncation involved.  The sums run over the orbits of the code's largest
-phase-rotation symmetry e^{2 pi i/d} (``constellation.code_orbits``): the
+phase-rotation symmetry e^{2 pi i/d} (``CodeSpec.orbits``): the
 N point overlaps reduce to the d n^2 overlaps <r_o|e^{2 pi i tau/d} r_o'>
 of the n = N/d orbit representatives, whose DFT over tau gives the Grams
 of the d photon-number sectors, and ``kl_report`` contracts each sector
@@ -24,11 +24,11 @@ environment states' Gram keeps every loss order.  When a phase rotation
 e^{2 pi i/d} permutes a code's points and its codewords, the work splits
 into d sectors of photon number mod d, each with N/d x N/d eigenproblems
 (N points), and the code space is taken one sector at a time; d = 1 is a
-single sector holding every point.  ``_orbits`` adds the data that the
-KL blocks and the loss engine share (the representatives, their unit-
-scale overlaps and the orbit DFT of the weights) and, on the loss
-engine's first use, the power table of the sector series to the orbit
-table.
+single sector holding every point.  The KL blocks and the loss engine
+read the data they share from the code's orbit table (the
+representatives, their unit-scale overlaps and the orbit DFT of the
+weights), and the loss engine also its power table of the sector series
+(``_power_table``), each built on first use and kept by the table.
 
 The asymptotic (large-energy) parameters reduce to weighted-moment
 matching and are computed by exhaustive enumeration over stacks of
@@ -40,11 +40,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, factorial, log, sqrt
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .constellation import CodeSpec, code_orbits
+from .constellation import CodeSpec, Orbits
 from .errors import DegenerateCodewordsError, NumericalFailure, ValidationError, count_text
 from .moments import (
     _BoxMoments,
@@ -117,7 +117,7 @@ def _raw_blocks(code: CodeSpec, max_loss: int, scale: float) -> np.ndarray:
 
     The sums run over the orbits of the code's rotation e^{2 pi i/d} (see
     constellation.Orbits), sector by sector of photon number mod d, from
-    the orbit data of ``_orbits``.  With R_o = scale r_o, b the orbit DFT
+    the orbit data of ``code.orbits``.  With R_o = scale r_o, b the orbit DFT
     of the square-rooted weights and Pi_s|e^{2 pi i t/d} R> = e^{2 pi i t
     s/d} Pi_s|R>,
 
@@ -136,7 +136,7 @@ def _raw_blocks(code: CodeSpec, max_loss: int, scale: float) -> np.ndarray:
     Hermitian, raw[nu, mu, l, k] = conj(raw[mu, nu, k, l]).  With d = 1
     these are the sums over point pairs.
     """
-    orbits = _orbits(code)
+    orbits = code.orbits
     K, d = code.dim, orbits.d
     box = _index_box(code.modes, max_loss)
     Q, degrees, n = len(box), box.sum(axis=1), len(orbits.x)
@@ -325,55 +325,6 @@ def _power_table(x: np.ndarray, half: np.ndarray, d: int) -> _Powers:
     )
 
 
-@dataclass(frozen=True)
-class _Orbits:
-    """The loss engine's and the KL blocks' data on a code's orbit table
-    (from constellation.code_orbits) of the rotation of order ``d``.
-
-    The unit-scale log-overlaps log <r_o|e^{2 pi i t/d} r_o'> =
-    e^{2 pi i t/d} x[o, o'] - half[o, o'] of the representatives r_o
-    (``reps``) are kept as ``x[o, o']`` = r_o^* . r_o' and ``half[o, o']``
-    = (|r_o|^2 + |r_o'|^2)/2.  ``b[c, o, k]`` = sum_t e^{2 pi i c t/d}
-    sqrt(w) [owner = k], for the weight w and codeword ``owner`` of point
-    (o, t), expands Pi_c|C_k> over the Pi_c|r_o> (C_k the raw codewords;
-    zero where C_k has no point of orbit o), ``b_h[c]`` is its conjugate
-    transpose, and ``powers``, built on the loss engine's first use, is
-    the kappa-independent part of the sector series (None when d = 1).
-    """
-
-    d: int
-    reps: np.ndarray
-    half: np.ndarray
-    x: np.ndarray
-    abs_max: float
-    b: np.ndarray
-    b_h: np.ndarray
-
-    @cached_property
-    def powers(self) -> Optional[_Powers]:
-        return _power_table(self.x, self.half, self.d) if self.d > 1 else None
-
-
-def _orbits(code: CodeSpec) -> _Orbits:
-    """The loss engine's and the KL blocks' data for a code, built once
-    and kept with its orbit table (so found again for the same CodeSpec
-    object only).  It holds no reference back to the table: a cycle would
-    outlive the table's cache entry until a full garbage collection."""
-    table = code_orbits(code)
-    engine = table.derived.get("loss")
-    if engine is None:
-        reps = table.reps
-        norms = (np.abs(reps) ** 2).sum(axis=1)
-        x = np.conj(reps) @ reps.T
-        b = table.spectrum(np.sqrt(table.weights))
-        engine = table.derived["loss"] = _Orbits(
-            d=table.d, reps=reps, half=0.5 * (norms[:, None] + norms[None, :]), x=x,
-            abs_max=float(np.abs(x).max()), b=b,
-            b_h=np.ascontiguousarray(np.conj(b.swapaxes(-1, -2))),
-        )
-    return engine
-
-
 _LOG_2PI = float(np.log(2.0 * np.pi))
 # A(m) = log m! - m log m + m for m <= 15; m!/m^m is correctly rounded.
 _SMALL_A = np.array([log(factorial(m) / m**m) + m for m in range(16)])
@@ -414,7 +365,7 @@ def _log_poisson(m: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return diff - m * t - a
 
 
-def _sector_grams(orbits: _Orbits, kappa: np.ndarray) -> np.ndarray:
+def _sector_grams(orbits: Orbits, kappa: np.ndarray) -> np.ndarray:
     """[p, s, o, o'] = <Pi_s f_o|Pi_s f_o'> for f_o = |sqrt(kappa_p) r_o>,
     Pi_s the projector onto photon number s mod d.
 
@@ -613,7 +564,7 @@ def loss_fidelities(
     degenerate at its scale).  Entries equal per-point calls bit for bit.
     """
     points = [(float(g), float(s)) for g, s in points]
-    orbits = _orbits(code)
+    orbits = code.orbits
     for gamma, scale in points:
         if not 0.0 <= gamma < 1.0:
             raise ValidationError("loss probability gamma must satisfy 0 <= gamma < 1")
@@ -629,11 +580,12 @@ def loss_fidelities(
     step = max(1, _BATCH_BYTES // (16 * code.dim * orbits.d * len(orbits.x) ** 2))
     out = []
     for i in range(0, len(points), step):
-        out += _fidelity_batch(code, orbits, points[i:i + step])
+        out += _fidelity_batch(code, points[i:i + step])
     return out
 
 
-def _fidelity_batch(code: CodeSpec, orbits: _Orbits, points: list) -> list:
+def _fidelity_batch(code: CodeSpec, points: list) -> list:
+    orbits = code.orbits
     K, d = code.dim, orbits.d
     n = len(orbits.x)
     P = len(points)

@@ -18,7 +18,7 @@ and the pure-loss search streams its levels.
 
 The codes' moments are summed over orbits (``_BoxMoments``): when the
 phase rotation e^{2 pi i/d} permutes a code's points
-(``constellation.code_orbits``), point t of orbit o is e^{2 pi i t/d} r_o,
+(``CodeSpec.orbits``), point t of orbit o is e^{2 pi i t/d} r_o,
 and M_k(p, q) = sum_o conj(r_o^p) r_o^q D_k[(|q| - |p|) mod d, o] with
 D_k[c, o] = sum_t e^{2 pi i c t/d} w_(o,t) [owner = k], the DFT of the
 weights along each orbit.  This is the selection rule of a
@@ -45,7 +45,6 @@ from .constellation import (
     GEOM_TOL,
     CodeSpec,
     WeightedConstellation,
-    code_orbits,
     shell_radii,
 )
 from .errors import ValidationError, count_text
@@ -192,7 +191,7 @@ _STREAM_BYTES = 1 << 20
 class _BoxMoments:
     """Weighted moments of every logical constellation over row ranges of
     the box |u| <= degree (rows as in ``_index_box``), summed over the
-    orbits of the code's rotation symmetry (``code_orbits``).
+    orbits of the code's rotation symmetry (``code.orbits``).
 
     Point (o, t) of an orbit is e^{2 pi i t/d} r_o, so its monomial pair is
     e^{2 pi i t (|q| - |p|)/d} conj(r_o^p) r_o^q, and
@@ -214,7 +213,7 @@ class _BoxMoments:
     """
 
     def __init__(self, code: CodeSpec):
-        orbits = code_orbits(code)
+        orbits = code.orbits
         self.points = orbits.reps
         self.d = orbits.d
         self.weights = np.ascontiguousarray(orbits.spectrum(orbits.weights).transpose(2, 0, 1))

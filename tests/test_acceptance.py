@@ -1,7 +1,6 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line with its runtime (run pytest -s to see them inline)."""
 
-import itertools
 import time
 
 import numpy as np

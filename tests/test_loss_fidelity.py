@@ -28,7 +28,6 @@ from cubacode.klcheck import (
     LossFidelity,
     _codeword_grams,
     _log_poisson,
-    _orbits,
     _sector_grams,
     kl_report,
     loss_fidelities,
@@ -352,30 +351,30 @@ def cycled_code():
     ("cube_orthoplex", {"D": 6}, 8), ("cube_orthoplex", {"D": 8}, 8),
 ], ids=lambda v: str(v))
 def test_sector_count_of_catalog_codes(name, params, d):
-    assert _orbits(unit_code(name, **params)).d == d
+    assert unit_code(name, **params).orbits.d == d
 
 
 def test_orbit_tables_are_cached_by_code_identity():
     # Codes compare and hash by identity: equal fields would compare arrays.
     code = unit_code("qcc8")
     assert code == code and code != unit_code("qcc8")
-    assert _orbits(code) is _orbits(code)
+    assert code.orbits is code.orbits
 
 
 def test_sector_count_without_symmetry():
-    assert _orbits(random_code()).d == 1
+    assert random_code().orbits.d == 1
     # A point at the origin is fixed by every rotation.
     origin = single_mode_code(([0, 2, -2], [0.5, 0.25, 0.25]), ([0, 3j, -3j], [0.5, 0.25, 0.25]))
-    assert _orbits(origin).d == 1
+    assert origin.orbits.d == 1
 
 
 def test_sector_count_needs_codewords_mapped_onto_codewords():
     # Multiplying by i permutes the four points but sends {1, i} to
     # {i, -1}, which is no codeword; multiplying by -1 swaps the codewords.
     code = single_mode_code(([1, 1j], [0.5, 0.5]), ([-1, -1j], [0.5, 0.5]))
-    assert _orbits(code).d == 2
-    assert _orbits(squares_code()).d == 4
-    assert _orbits(cycled_code()).d == 3
+    assert code.orbits.d == 2
+    assert squares_code().orbits.d == 4
+    assert cycled_code().orbits.d == 3
 
 
 @pytest.mark.parametrize("make", [random_code, squares_code, cycled_code],
@@ -400,7 +399,7 @@ def test_nearly_symmetric_code_gets_one_sector():
         WeightedConstellation(c.points + 3e-14 * np.exp(2j * np.pi * rng.random(c.points.shape)),
                               c.weights)
         for c in code.logicals))
-    assert _orbits(code).d == 1
+    assert code.orbits.d == 1
     ratio = gram_ratio(code, 1.0)
     assert ratio < 1e-8
     exact = exact_fidelity(code, 0.1, 1.0)
@@ -498,7 +497,7 @@ def test_log_poisson_matches_extended_precision():
     ("cube_orthoplex", {"D": 6}, 3.3),
 ], ids=["qsc12-0.8", "qcc24-0.8", "qcc12-15", "cube_orthoplex6-3.3"])
 def test_sector_grams_match_extended_precision(name, params, scale):
-    orbits = _orbits(unit_code(name, **params))
+    orbits = unit_code(name, **params).orbits
     got = _sector_grams(orbits, np.array([scale**2]))[0]
     want = sector_series(orbits, scale**2)
     assert np.all(got[want == 0] == 0)
@@ -520,7 +519,7 @@ def test_codeword_grams_are_the_beam_splitter_convolution(name, params, scale, b
     # The codeword sector Grams at kappa = s^2, convolved from the
     # environment and damped ones at gamma = 0.1, against the extended-
     # precision series and against _sector_grams' own series at s^2.
-    orbits = _orbits(unit_code(name, **params))
+    orbits = unit_code(name, **params).orbits
     kappa = scale**2
     grams = _sector_grams(orbits, np.array([0.1 * kappa, 0.9 * kappa]))
     got = _codeword_grams(grams[:1], grams[1:])[0]

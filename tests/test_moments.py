@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cubacode import (
     CodeSpec,
     ValidationError,
-    WeightedConstellation,
     build_catalog_code,
     cat_code,
     moment_match_degree,
@@ -18,7 +17,7 @@ from cubacode import (
     size_bounds,
     weighted_moment,
 )
-from cubacode.catalog import cell24_vertices, orthoplex_vertices
+from cubacode.catalog import orthoplex_vertices
 from cubacode.constellation import Rotation, rotate_code
 from cubacode.moments import (
     MAX_BOUNDS_DEGREE,

@@ -1,19 +1,20 @@
 """The closed-form checks summed over rotation orbits, against the same sums
 over every point.
 
-``constellation.code_orbits`` finds the largest phase rotation e^{2 pi i/d}
-that permutes a code's points, keeps their weights and maps codewords onto
-codewords.  The moment tables (``moments._BoxMoments``), the KL blocks
-(``klcheck._raw_blocks``, from the loss engine's orbit data
-``klcheck._orbits``) sum over its n = N/d orbit representatives, every
-codeword over every orbit (an orbit's DFT of the weights vanishes for the
-codewords it does not visit).  Each is held here to a plain per-point
+``CodeSpec.orbits`` is the largest phase rotation e^{2 pi i/d} that
+permutes a code's points, keeps their weights and maps codewords onto
+codewords, with the points in its orbits.  The moment tables
+(``moments._BoxMoments``) and the KL blocks (``klcheck._raw_blocks``, from
+the orbit data the loss engine shares) sum over its n = N/d orbit
+representatives, every codeword over every orbit (an orbit's DFT of the
+weights vanishes for the codewords it does not visit).  Each is held here to a plain per-point
 computation: the moments to 1e-12 and the KL blocks to 1e-13 of their
 largest entry.  A code with no such rotation (d = 1) and a code with a
 point at the origin take the same route with one orbit per point.
 """
 
 import tracemalloc
+import weakref
 from math import comb
 
 import numpy as np
@@ -23,10 +24,16 @@ from cubacode import build_catalog_code, normalize_energy
 from cubacode.constellation import (
     CodeSpec,
     WeightedConstellation,
-    code_orbits,
     resolution,
+    scale_code,
 )
-from cubacode.klcheck import _orbits, _raw_blocks, code_parameters, kl_report, lowdin_inverse_sqrt
+from cubacode.klcheck import (
+    _raw_blocks,
+    code_parameters,
+    kl_report,
+    loss_fidelity,
+    lowdin_inverse_sqrt,
+)
 from cubacode.moments import (
     _BoxMoments,
     _level,
@@ -170,8 +177,30 @@ def test_orbit_table_matches_the_exhaustive_search(name):
     code = CODES[name]()
     d, rows = reference_orbits(code)
     assert d == ORDERS[name]
-    assert _orbits(code).d == d
-    assert np.array_equal(code_orbits(code).rows, rows)
+    assert code.orbits.d == d
+    assert np.array_equal(code.orbits.rows, rows)
+
+
+def test_a_scaled_copy_finds_its_own_orbit_table():
+    code = build_catalog_code("qcc8")
+    scaled = scale_code(code, 2.0)
+    assert scaled.orbits is not code.orbits
+    assert scaled.orbits.d == code.orbits.d == 8
+    assert np.array_equal(scaled.orbits.rows, code.orbits.rows)
+
+
+def test_nothing_else_holds_an_orbit_table():
+    # The table and the data that every check builds on it hold no
+    # reference back to the code, so dropping the code frees them at once,
+    # with no garbage collection.
+    code = build_catalog_code("qcc8")
+    orbits = weakref.ref(code.orbits)
+    kl_report(code, 2, 1.0)
+    moment_match_degree(code, 4)
+    loss_fidelity(code, 0.1, 1.0)
+    assert {"reps", "x", "half", "b", "b_h", "powers"} <= orbits().__dict__.keys()
+    del code
+    assert orbits() is None
 
 
 def test_order_need_not_fill_the_first_phase_circle():
@@ -179,7 +208,7 @@ def test_order_need_not_fill_the_first_phase_circle():
     pts = code.all_points()
     on_circle = np.isclose(np.abs(pts[:, 0]), np.abs(pts[0, 0]))
     assert on_circle.sum() == 8
-    assert code_orbits(code).d == 4
+    assert code.orbits.d == 4
 
 
 def term_sums(code, p, q):
@@ -286,7 +315,7 @@ def test_subnormal_overlap_with_the_first_point():
     # in the phase-circle count (a RuntimeWarning, an error here).
     code = CodeSpec(name="tiny", logicals=(WeightedConstellation(
         np.array([[1e-160, 0.0], [1e-160, 1.0], [0.0, -1.0]], dtype=complex), np.full(3, 1 / 3)),))
-    assert code_orbits(code).d == 1
+    assert code.orbits.d == 1
     assert resolution(code) == pair_nearest(code.all_points())
 
 
