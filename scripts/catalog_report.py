@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print the parameter table for the reference catalog instances:
-(( n, K, d_E, <t, d, d> )) at unit mean photon number, the verified
-cubature degree, and the point-count bounds.
+(( n, K, d_E, <t, d, d> )) at unit mean photon number, the cubature
+degree d_updown - 1 (the largest degree at which every moment matches),
+and the point-count bounds.
 
 Usage:
     python scripts/catalog_report.py
@@ -18,7 +19,6 @@ from cubacode import (  # noqa: E402
     code_parameters,
     cube_orthoplex_code,
     hypercube_code,
-    moment_match_degree,
     normalize_energy,
     polygon_shell_code,
     resolution,
@@ -48,7 +48,7 @@ def main() -> int:
         normed, _ = normalize_energy(code, 1.0)
         d_e = resolution(normed)
         triple = code_parameters(code, ceiling=ceiling)
-        t = moment_match_degree(code, t_max=(code.claimed_degree or 8) + 2)
+        t = triple.d_updown - 1
         rep = code_size_bounds(code)[0]
         lower = rep.moller_min if rep.moller_min is not None else rep.fisher_min
         params = (

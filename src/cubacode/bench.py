@@ -20,6 +20,9 @@ Each sweep, the rows of a pair comparison and the grid scan of a scale
 search make one batched ``klcheck.loss_fidelities`` call per code; only
 the search's refinement probes, by Brent's method (``grid_brent_max``),
 are evaluated one at a time.
+
+Rows carry numbers only: the CLI names the code of a sweep's rows and
+computes each row's infidelity 1 - F as it formats them.
 """
 
 from __future__ import annotations
@@ -42,16 +45,14 @@ class BenchPoint:
     """One benchmark row.  ``gram_ratio`` is the codeword Gram's min/max
     eigenvalue ratio."""
 
-    code: str
     gamma: float
     scale: float
     nbar: float
     fidelity: float
-    infidelity: float
     gram_ratio: float
 
 
-def _evaluate(code: CodeSpec, label: str, points: Sequence[Tuple[float, float]]) -> List[BenchPoint]:
+def _evaluate(code: CodeSpec, points: Sequence[Tuple[float, float]]) -> List[BenchPoint]:
     """One row per (gamma, scale) point, from one batched call; the first
     point that fails raises its NumericalFailure."""
     energy = float(np.mean([mean_photon_number(c) for c in code.logicals]))
@@ -60,12 +61,10 @@ def _evaluate(code: CodeSpec, label: str, points: Sequence[Tuple[float, float]])
         if isinstance(res, NumericalFailure):
             raise res
         rows.append(BenchPoint(
-            code=label,
             gamma=gamma,
             scale=scale,
             nbar=float(scale**2 * energy),
             fidelity=res.fidelity,
-            infidelity=1.0 - res.fidelity,
             gram_ratio=res.gram_ratio,
         ))
     return rows
@@ -77,9 +76,9 @@ def normalized(code: CodeSpec) -> CodeSpec:
     return out
 
 
-def sweep_alpha(code: CodeSpec, label: str, gamma: float, grid: Sequence[float]) -> List[BenchPoint]:
+def sweep_alpha(code: CodeSpec, gamma: float, grid: Sequence[float]) -> List[BenchPoint]:
     """Fidelity at each amplitude scale in the grid (fixed loss rate)."""
-    return _evaluate(code, label, [(float(gamma), s) for s in _scales(grid)])
+    return _evaluate(code, [(float(gamma), s) for s in _scales(grid)])
 
 
 def _scales(grid: Sequence[float]) -> List[float]:
@@ -229,7 +228,6 @@ def optimal_scale_adaptive(code: CodeSpec, gamma: float, grid: Sequence[float]) 
 
 def sweep_gamma(
     code: CodeSpec,
-    label: str,
     gammas: Sequence[float],
     scale: Optional[float] = None,
     grid: Optional[Sequence[float]] = None,
@@ -239,7 +237,7 @@ def sweep_gamma(
     if scale is None:
         grid = grid if grid is not None else np.linspace(*DEFAULT_GRID)
         scale, _ = optimal_scale_adaptive(code, 0.1, grid)
-    return _evaluate(code, label, [(float(g), float(scale)) for g in gammas])
+    return _evaluate(code, [(float(g), float(scale)) for g in gammas])
 
 
 @dataclass(frozen=True)
@@ -276,8 +274,8 @@ def pair_bench(
     grid = grid if grid is not None else np.linspace(*DEFAULT_GRID)
     opt_multi = optimal_scale_adaptive(multi_shell, 0.1, grid)
     opt_single = optimal_scale_adaptive(single_shell, 0.1, grid)
-    multi = sweep_gamma(multi_shell, "", gammas, scale=opt_multi[0])
-    single = sweep_gamma(single_shell, "", gammas, scale=opt_single[0])
+    multi = sweep_gamma(multi_shell, gammas, scale=opt_multi[0])
+    single = sweep_gamma(single_shell, gammas, scale=opt_single[0])
     rows = [PairPoint(gamma=pm.gamma, f_single=ps.fidelity, f_multi=pm.fidelity,
                       gram_ratio=min(pm.gram_ratio, ps.gram_ratio))
             for pm, ps in zip(multi, single)]

@@ -3,9 +3,11 @@
 Subcommands: catalog, show, params, moments, bounds, kl, stab, bench
 (sweep-alpha / sweep-gamma / pair).  Codes come either from the built-in
 catalog (--catalog NAME plus its numeric flags) or from a JSON definition
-file (--code-file PATH).  Reports go to standard output; CSV artifacts are
-written when --out is given.  Floats are formatted with 12 significant
-digits so identical inputs produce byte-identical output.  Exit status: 0
+file (--code-file PATH).  The library returns numbers; this module alone
+labels and formats them.  Reports go to standard output; CSV artifacts are
+written when --out is given, one %-format string per row.  Floats are
+formatted with 12 significant digits so identical inputs produce
+byte-identical output.  Exit status: 0
 on success, 1 on numerical failure, 2 on validation errors and on
 requests too large for the available memory.
 """
@@ -13,6 +15,7 @@ requests too large for the available memory.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import warnings
@@ -24,7 +27,7 @@ import numpy as np
 # Imported here: what parsing, error handling and building a catalog code
 # need.  Each command imports the rest of what it runs when it runs, so a
 # process loads only the modules its command uses.
-from .catalog import BENCH_ALIASES, CATALOG, build_catalog_code, describe, describe_code
+from .catalog import BENCH_ALIASES, CATALOG, build_catalog_code, describe_code
 from .constellation import (
     GEOM_TOL,
     CodeSpec,
@@ -148,8 +151,8 @@ def _header(args, extra: Optional[dict] = None) -> List[str]:
     return lines
 
 
-def _write_csv(path: Optional[str], header: List[str], rows: List[List[str]]):
-    text = ",".join(header) + "\n" + "".join(",".join(r) + "\n" for r in rows)
+def _write_csv(path: Optional[str], lines: List[str]):
+    text = "".join(line + "\n" for line in lines)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -157,20 +160,20 @@ def _write_csv(path: Optional[str], header: List[str], rows: List[List[str]]):
         sys.stdout.write(text)
 
 
-def _emit(lines: List[str], out: Optional[str], table: Optional[tuple]):
-    """Print a report's lines, then its CSV ``table`` (header, rows) if it
-    has one: to stdout, or to the file ``out``, which is written before any
-    line is printed so that a path that cannot be written leaves stdout
-    empty."""
+def _emit(lines: List[str], out: Optional[str] = None, table: Optional[List[str]] = None):
+    """Print a report's lines, then its CSV ``table`` (header line, then
+    row lines) if it has one: to stdout, or to the file ``out``, which is
+    written before any line is printed so that a path that cannot be
+    written leaves stdout empty."""
     if table is not None and out:
-        _write_csv(out, *table)
+        _write_csv(out, table)
     for line in lines:
         print(line)
     if table is not None:
         if out:
             print(f"wrote {out}")
         else:
-            _write_csv(None, *table)
+            _write_csv(None, table)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +194,9 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_show(args) -> int:
-    if args.code_file:
-        print(describe_code(_load_code(args)))
-    else:
-        print(describe(args.catalog, _catalog_params(args)))
+    code = _load_code(args)
+    entry = CATALOG.get(args.catalog)
+    _emit([describe_code(code, entry.nominal if entry else None)])
     return 0
 
 
@@ -224,13 +226,10 @@ def cmd_params(args) -> int:
         code, _ = normalize_energy(code, args.normalize)
     triple = code_parameters(code, ceiling=args.ceiling, tol=args.tol)
     _refuse_twin_codewords(code)
-    res = resolution(code)
-    for line in _header(args):
-        print(line)
-    print(
-        f"(( {code.modes}, {code.dim}, {_fmt(res)}, "
+    _emit(_header(args) + [
+        f"(( {code.modes}, {code.dim}, {_fmt(resolution(code))}, "
         f"<{triple.t_down},{triple.d_updown},{triple.d_down}> ))"
-    )
+    ])
     return 0
 
 
@@ -264,13 +263,10 @@ def cmd_moments(args) -> int:
         values[:, 1:-1:2] = moms.imag.T
         values[:, -1] = devs
         index = " ".join(["%d"] * n)
-        line = ",".join([index, index] + ["%.12g"] * values.shape[1])
-        rows = [[line % (*pq, *v)] for pq, v in zip(pairs.tolist(), values.tolist())]
-        header = ["p", "q"]
-        for k in range(code.dim):
-            header += [f"moment{k}_re", f"moment{k}_im"]
-        header.append("max_deviation")
-        table = (header, rows)
+        row = ",".join([index, index] + ["%.12g"] * values.shape[1])
+        columns = [f"moment{k}_{part}" for k in range(code.dim) for part in ("re", "im")]
+        table = [",".join(["p", "q", *columns, "max_deviation"])]
+        table += [row % (*pq, *v) for pq, v in zip(pairs.tolist(), values.tolist())]
     _emit(lines, args.out, table)
     return 0
 
@@ -280,17 +276,16 @@ def cmd_bounds(args) -> int:
 
     code = _load_code(args)
     degree = args.degree if args.degree is not None else code.claimed_degree
-    reports = code_size_bounds(code, t=degree)
-    for line in _header(args):
-        print(line)
-    for k, rep in enumerate(reports):
+    lines = _header(args)
+    for k, rep in enumerate(code_size_bounds(code, t=degree)):
         tag = " (conservative: multi-shell support widened to full space)" if rep.conservative else ""
         moller = str(rep.moller_min) if rep.moller_min is not None else "n/a (even degree)"
-        print(
-            f"logical {k}: {rep.actual} points, degree {rep.t} on {rep.domain}({rep.D}){tag}\n"
+        lines += [
+            f"logical {k}: {rep.actual} points, degree {rep.t} on {rep.domain}({rep.D}){tag}",
             f"  lower bound {rep.fisher_min}, odd-degree lower bound {moller}, "
-            f"upper bound {rep.tchakaloff_max}, tight: {rep.tight}"
-        )
+            f"upper bound {rep.tchakaloff_max}, tight: {rep.tight}",
+        ]
+    _emit(lines)
     return 0
 
 
@@ -298,9 +293,10 @@ def cmd_kl(args) -> int:
     from .klcheck import kl_report
 
     code = _load_code(args)
+    _refuse_twin_codewords(code)
     report = kl_report(code, max_loss=args.max_loss, scale=args.scale)
     lines = _header(args) + [
-        f"error set: {report.error_set_label} at scale {_fmt(report.scale)}",
+        f"error set: loss<={report.max_loss} at scale {_fmt(report.scale)}",
         f"off-diagonal max |<C_k|E+E|C_l>|: {_fmt(report.off_diag_max)}",
         f"off-diagonal max (normalized):   {_fmt(report.off_diag_rel)}",
         f"diagonal spread (normalized):    {_fmt(report.diag_spread_max)}",
@@ -308,22 +304,15 @@ def cmd_kl(args) -> int:
     ]
     table = None
     if args.out:
-        header = ["q_mu", "q_nu", "k", "l", "re", "im"]
-        rows = []
-        for (mu, nu), block in sorted(report.matrices.items()):
-            for k in range(block.shape[0]):
-                for l in range(block.shape[1]):
-                    rows.append(
-                        [
-                            " ".join(map(str, mu)),
-                            " ".join(map(str, nu)),
-                            str(k),
-                            str(l),
-                            _fmt(block[k, l].real),
-                            _fmt(block[k, l].imag),
-                        ]
-                    )
-        table = (header, rows)
+        # Blocks (q_mu, q_nu) in lexicographic order of the multi-indices,
+        # each entry (k, l) of a block in row-major order.
+        order = sorted(range(len(report.indices)), key=report.indices.__getitem__)
+        names = [" ".join(map(str, report.indices[i])) for i in order]
+        K = report.blocks.shape[-1]
+        entries = report.blocks[np.ix_(order, order)].reshape(-1).tolist()
+        keys = itertools.product(names, names, range(K), range(K))
+        table = ["q_mu,q_nu,k,l,re,im"]
+        table += ["%s,%s,%d,%d,%.12g,%.12g" % (*key, z.real, z.imag) for key, z in zip(keys, entries)]
     _emit(lines, args.out, table)
     return 0
 
@@ -341,10 +330,10 @@ def cmd_stab(args) -> int:
     else:
         polys = ztype_polynomials(scale_code(code, args.scale))
     residual = verify_ztype(code, args.scale, args.cutoff, polys=polys)
-    for line in _header(args):
-        print(line)
-    print(f"z-type generators: {len(polys)} (degrees {[p.degree() for p in polys]})")
-    print(f"z-type max residual ||F|C_k>||: {_fmt(residual)}")
+    _emit(_header(args) + [
+        f"z-type generators: {len(polys)} (degrees {[p.degree() for p in polys]})",
+        f"z-type max residual ||F|C_k>||: {_fmt(residual)}",
+    ])
     return 0
 
 
@@ -360,30 +349,22 @@ def _bench_pair_codes(args):
     return build_catalog_code(args.qcc), build_catalog_code(args.qsc)
 
 
-# The last three columns keep their names from the truncated-Fock engine
-# and are always 0: there is no Fock cutoff, no dropped weight and no loss
-# order, since every loss order is kept.
-_BENCH_HEADER = [
-    "code", "gamma", "scale", "nbar", "fidelity", "infidelity",
-    "cutoff", "tail_mass", "kraus_lmax",
-]
-
-
-def _bench_rows(points) -> List[List[str]]:
-    return [
-        [
-            p.code, _fmt(p.gamma), _fmt(p.scale), _fmt(p.nbar), _fmt(p.fidelity),
-            _fmt(p.infidelity), "0", "0", "0",
-        ]
+def _bench_table(label: str, points) -> List[str]:
+    """A sweep's CSV: the code's label, each point's numbers and its
+    infidelity 1 - F.  The last three columns keep their names from the
+    truncated-Fock engine and are always 0: there is no Fock cutoff, no
+    dropped weight and no loss order, since every loss order is kept."""
+    return ["code,gamma,scale,nbar,fidelity,infidelity,cutoff,tail_mass,kraus_lmax"] + [
+        "%s,%.12g,%.12g,%.12g,%.12g,%.12g,0,0,0"
+        % (label, p.gamma, p.scale, p.nbar, p.fidelity, 1.0 - p.fidelity)
         for p in points
     ]
 
 
-_PAIR_HEADER = ["gamma", "f_qsc", "f_qcc", "r_infidelity"]
-
-
-def _pair_rows(rows) -> List[List[str]]:
-    return [[_fmt(r.gamma), _fmt(r.f_single), _fmt(r.f_multi), _fmt(r.r_infidelity)] for r in rows]
+def _pair_table(rows) -> List[str]:
+    return ["gamma,f_qsc,f_qcc,r_infidelity"] + [
+        "%.12g,%.12g,%.12g,%.12g" % (r.gamma, r.f_single, r.f_multi, r.r_infidelity) for r in rows
+    ]
 
 
 def _gram_line(rows) -> dict:
@@ -405,23 +386,23 @@ def cmd_bench(args) -> int:
             _parse_gammas(args.gammas), grid=_parse_grid(args.grid),
         )
         extra = {"qcc_alpha_op": _fmt(opt_multi[0]), "qsc_alpha_op": _fmt(opt_single[0])}
-        header, table = _PAIR_HEADER, _pair_rows(rows)
+        table = _pair_table(rows)
     elif args.bench_command in ("sweep-alpha", "sweep-gamma"):
         code = _load_code(args)
-        label = args.catalog or os.path.basename(args.code_file)
+        _refuse_twin_codewords(code)
         norm = bench_mod.normalized(code)
         if args.bench_command == "sweep-alpha":
-            rows = bench_mod.sweep_alpha(norm, label, args.gamma, _parse_grid(args.grid))
+            rows = bench_mod.sweep_alpha(norm, args.gamma, _parse_grid(args.grid))
         else:
             scale = None if args.alpha_op == "auto" else _parse_number(args.alpha_op, "--alpha-op")
             rows = bench_mod.sweep_gamma(
-                norm, label, _parse_gammas(args.gammas), scale=scale,
-                grid=_parse_grid(args.grid),
+                norm, _parse_gammas(args.gammas), scale=scale, grid=_parse_grid(args.grid),
             )
-        extra, header, table = {}, _BENCH_HEADER, _bench_rows(rows)
+        extra = {}
+        table = _bench_table(args.catalog or os.path.basename(args.code_file), rows)
     else:
         raise ValidationError(f"unknown bench command {args.bench_command!r}")
-    _emit(_header(args, {**extra, **_gram_line(rows)}), args.out, (header, table))
+    _emit(_header(args, {**extra, **_gram_line(rows)}), args.out, table)
     return 0
 
 

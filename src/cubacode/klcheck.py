@@ -83,7 +83,7 @@ class KLReport:
     symmetric orthonormalization of the codewords at the given scale.
 
     ``blocks[i, j]`` is the K x K block of (q_i, q_j) for the multi-indices
-    q = ``indices``; ``matrices`` maps (q_mu, q_nu) to the same blocks, in
+    q = ``indices``, every q with |q| <= ``max_loss``; ``matrices`` maps (q_mu, q_nu) to the same blocks, in
     that order, and is built on first access.  ``off_diag_max`` is the
     largest |k != l| entry over all blocks; ``off_diag_rel`` divides each
     block's off-diagonal maximum by max(its largest diagonal magnitude, 1)
@@ -94,7 +94,7 @@ class KLReport:
     of 0/0 noise); ``diag_spread_raw`` is unnormalized.
     """
 
-    error_set_label: str
+    max_loss: int
     indices: tuple
     blocks: np.ndarray
     off_diag_max: float
@@ -222,7 +222,7 @@ def kl_report(code: CodeSpec, max_loss: int, scale: float) -> KLReport:
         off = mag[:, np.concatenate([k * K + l, l * K + k])].max(axis=1)
         spread = np.abs(diag[:, k] - diag[:, l]).max(axis=1)
     return KLReport(
-        error_set_label=f"loss<={max_loss}",
+        max_loss=int(max_loss),
         indices=tuple(qs),
         blocks=flat.reshape(blocks.shape),
         off_diag_max=float(off.max()),
@@ -688,9 +688,6 @@ class ParamTriple:
 
     def astuple(self) -> tuple:
         return (self.t_down, self.d_updown, self.d_down)
-
-    def __str__(self):
-        return f"<{self.t_down},{self.d_updown},{self.d_down}>"
 
 
 # The most work code_parameters takes on, counted in moment evaluations from

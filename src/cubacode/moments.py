@@ -183,8 +183,8 @@ def _check_tol(tol: float):
         raise ValidationError(f"tol must be finite and nonnegative (got {tol!r})")
 
 
-# The pure-loss row streams its levels in blocks of points, each block's
-# level under this many bytes, so one level of every point is held at a time.
+# The pure-loss row streams its levels in blocks of orbits, each block's
+# level under this many bytes, so one level of every orbit is held at a time.
 _STREAM_BYTES = 1 << 20
 
 

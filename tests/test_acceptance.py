@@ -252,7 +252,7 @@ def test_criterion_6_benchmark_structure():
 
     # (c) and (d): unit fidelity at zero loss; monotone decrease in gamma.
     for name, (code, s_op, _) in optima.items():
-        points = sweep_gamma(code, name, np.arange(0.0, 0.2001, 0.02), scale=s_op)
+        points = sweep_gamma(code, np.arange(0.0, 0.2001, 0.02), scale=s_op)
         fids = [p.fidelity for p in points]
         assert abs(fids[0] - 1.0) < 1e-8, name
         assert all(b < a + 1e-12 for a, b in zip(fids, fids[1:])), name

@@ -48,4 +48,4 @@ def test_all_degenerate_grid_raises():
         bench.optimal_scale_adaptive(code, 0.1, [0.1, 0.3, 0.5])
     # A row at an explicit degenerate scale still fails.
     with pytest.raises(DegenerateCodewordsError):
-        bench.sweep_alpha(code, "qsc24", 0.1, [0.5])
+        bench.sweep_alpha(code, 0.1, [0.5])

@@ -102,10 +102,18 @@ def test_show_and_bounds_read_the_shells_from_the_points(shells, tmp_path, capsy
     ]
 
 
-def test_requires_exactly_one_source(capsys):
-    status, _, err = run_cli(capsys, "params")
-    assert status == 2
-    assert "exactly one" in err
+def test_requires_exactly_one_source(tmp_path, capsys):
+    # Every command that takes a code; show used to look up the catalog
+    # code None.
+    path = tmp_path / "code.json"
+    save_code(build_catalog_code("qsc8"), str(path))
+    for command in [("show",), ("params",), ("moments",), ("bounds",), ("kl",), ("stab",),
+                    ("bench", "sweep-alpha"), ("bench", "sweep-gamma")]:
+        for sources in ((), ("--catalog", "qsc8", "--code-file", str(path))):
+            status, out, err = run_cli(capsys, *command, *sources)
+            assert (status, out) == (2, ""), command
+            assert err == ("error: give exactly one code source: --catalog NAME or "
+                           "--code-file PATH\n"), command
 
 
 def test_malformed_code_file_exits_2(tmp_path, capsys):
@@ -178,6 +186,8 @@ def test_kl_csv_written(tmp_path, capsys):
 
 
 def test_kl_builds_the_block_dict_only_for_out(tmp_path, capsys, monkeypatch):
+    # Neither the report nor its --out CSV builds it: the rows come from
+    # report.blocks.
     import cubacode.klcheck as klcheck
 
     reports, kl_report = [], klcheck.kl_report
@@ -187,7 +197,28 @@ def test_kl_builds_the_block_dict_only_for_out(tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, *argv)[0] == 0
     assert "matrices" not in vars(reports[-1])
     assert run_cli(capsys, *argv, "--out", str(tmp_path / "kl.csv"))[0] == 0
-    assert "matrices" in vars(reports[-1])
+    assert "matrices" not in vars(reports[-1])
+
+
+@pytest.mark.parametrize("name, params", [
+    ("cube_orthoplex", {"D": 4}),  # two modes: graded and lexicographic order differ
+    ("cell16_qutrit", {}),  # three codewords
+])
+def test_kl_csv_is_the_block_dict(name, params, tmp_path, capsys):
+    from cubacode.klcheck import kl_report
+
+    out = tmp_path / "kl.csv"
+    flags = [f"--{key}={value}" for key, value in params.items()]
+    status, _, err = run_cli(capsys, "kl", "--catalog", name, *flags, "--scale", "2.5",
+                             "--max-loss", "2", "--out", str(out))
+    assert status == 0, err
+    report = kl_report(build_catalog_code(name, params), max_loss=2, scale=2.5)
+    lines = ["q_mu,q_nu,k,l,re,im"]
+    for (mu, nu), block in sorted(report.matrices.items()):
+        for (k, l), z in np.ndenumerate(block):
+            lines.append(",".join([" ".join(map(str, mu)), " ".join(map(str, nu)), str(k), str(l),
+                                   format(z.real, ".12g"), format(z.imag, ".12g")]))
+    assert out.read_bytes() == "".join(line + "\n" for line in lines).encode()
 
 
 def test_kl_rejects_a_scale_whose_blocks_overflow(capsys):
@@ -361,6 +392,41 @@ def test_bench_sweep_alpha_csv_contract(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "code,gamma,scale,nbar,fidelity,infidelity,cutoff,tail_mass,kraus_lmax"
     assert len(lines) == 4
+
+
+def test_bench_csvs_are_the_library_rows(tmp_path, capsys):
+    from cubacode import bench
+    from cubacode.codefile import load_code
+
+    def cells(*values):
+        return [format(float(x), ".12g") for x in values]
+
+    # A '%' in the label is printed as it is, never read as a format.
+    path = tmp_path / "50%.json"
+    save_code(build_catalog_code("qsc8"), str(path))
+    out = tmp_path / "sweep.csv"
+    status, _, err = run_cli(capsys, "bench", "sweep-alpha", "--code-file", str(path),
+                             "--gamma", "0.1", "--grid", "1,1.5,2", "--out", str(out))
+    assert status == 0, err
+    points = bench.sweep_alpha(bench.normalized(load_code(str(path))), 0.1, [1.0, 1.5, 2.0])
+    lines = ["code,gamma,scale,nbar,fidelity,infidelity,cutoff,tail_mass,kraus_lmax"] + [
+        ",".join(["50%.json", *cells(p.gamma, p.scale, p.nbar, p.fidelity, 1.0 - p.fidelity),
+                  "0", "0", "0"])
+        for p in points
+    ]
+    assert out.read_bytes() == "".join(line + "\n" for line in lines).encode()
+
+    out = tmp_path / "pair.csv"
+    status, _, err = run_cli(capsys, "bench", "pair", "--qcc", "qcc8", "--qsc", "qsc8",
+                             "--gammas", "0.05,0.1", "--grid", "1,1.5,2,2.5", "--out", str(out))
+    assert status == 0, err
+    _, _, rows = bench.pair_bench(bench.normalized(build_catalog_code("qcc8")),
+                                  bench.normalized(build_catalog_code("qsc8")),
+                                  [0.05, 0.1], grid=[1.0, 1.5, 2.0, 2.5])
+    lines = ["gamma,f_qsc,f_qcc,r_infidelity"] + [
+        ",".join(cells(r.gamma, r.f_single, r.f_multi, r.r_infidelity)) for r in rows
+    ]
+    assert out.read_bytes() == "".join(line + "\n" for line in lines).encode()
 
 
 def test_bench_output_is_deterministic(tmp_path, capsys):
@@ -712,10 +778,17 @@ def codeword(*points, weights=None):
     return [{"point": [[z.real, z.imag]], "weight": w} for z, w in zip(points, weights)]
 
 
-@pytest.mark.parametrize("command", [("params",), ("moments",)])
+# The commands that refuse a code with coinciding codewords (bench pair
+# takes only catalog aliases).
+TWIN_COMMANDS = [("params",), ("moments",), ("kl",), ("bench", "sweep-alpha", "--grid", "1,2"),
+                 ("bench", "sweep-gamma")]
+
+
+@pytest.mark.parametrize("command", TWIN_COMMANDS)
 def test_coinciding_codewords_exit_2(command, tmp_path, capsys):
     # Every moment of TWIN matches: params used to print <14,14,14> and
-    # moments a largest deviation of 0, both with exit 0.
+    # moments a largest deviation of 0, both with exit 0; kl and bench
+    # exited 1 on the singular codeword Gram.
     path = tmp_path / "twin.json"
     path.write_text(json.dumps(TWIN))
     status, out, err = run_cli(capsys, *command, "--code-file", str(path))
@@ -724,11 +797,12 @@ def test_coinciding_codewords_exit_2(command, tmp_path, capsys):
                    "encodes nothing\n")
 
 
-@pytest.mark.parametrize("command", ["params", "moments"])
+@pytest.mark.parametrize("command", TWIN_COMMANDS,
+                         ids=["params", "moments", "kl", "bench-sweep-alpha", "bench-sweep-gamma"])
 def test_coinciding_codewords_among_three_exit_2(command, tmp_path, capsys):
     path = tmp_path / "twin3.json"
     path.write_text(json.dumps(TWIN3))
-    status, out, err = run_cli(capsys, command, "--code-file", str(path))
+    status, out, err = run_cli(capsys, *command, "--code-file", str(path))
     assert_one_error_line(status, out, err)
     assert err == ("error: codewords 0 and 1 are the same weighted point set: the code "
                    "encodes nothing\n")
