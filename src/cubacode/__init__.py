@@ -25,7 +25,6 @@ _EXPORTS = {
         "cell8_cell16_qubit_code",
         "cell16_qutrit_code",
         "cube_orthoplex_code",
-        "describe",
         "hypercube_code",
         "orthoplex_code",
         "polygon_shell_code",
@@ -52,14 +51,14 @@ _EXPORTS = {
         "ParamTriple",
         "code_parameters",
         "kl_report",
-        "loss_fidelity",
+        "loss_fidelities",
     ),
     "moments": (
         "BoundsReport",
         "code_size_bounds",
-        "moment_match_degree",
+        "pair_moments",
+        "pairs_match_degree",
         "size_bounds",
-        "weighted_moment",
     ),
     "stabilizer": ("AnnihilationPolynomial", "verify_xtype", "verify_ztype", "ztype_polynomials"),
 }

@@ -2,14 +2,15 @@
 
 Codes are energy-normalized to mean photon number 1, and an amplitude
 scale sweeps the mean photon number.  Every point's transpose-recovery
-fidelity comes from ``klcheck.loss_fidelity``, which works in the span of
+fidelity comes from ``klcheck.loss_fidelities``, which works in the span of
 the coherent states and keeps every loss order: nothing is truncated, so
 codes with energetic outer shells, two- and three-mode codes and large
 scales are all evaluated the same way.
 
 The pair comparison optimizes each code's scale at gamma = 0.1 and then
 reports the relative infidelity R = (1 - F_single) / (1 - F_multi) across
-a list of loss rates with the scales held fixed.
+a list of loss rates with the scales held fixed.  Every scale search takes
+its grid from the caller; the CLI's ``--grid`` holds the default.
 
 Every row carries the codeword Gram's eigenvalue ratio at its scale.  On
 multi-mode codes (qcc24, qsc24, ...), roundoff in the photon-number
@@ -36,9 +37,6 @@ import numpy as np
 from .constellation import CodeSpec, mean_photon_number, normalize_energy
 from .errors import DegenerateCodewordsError, NumericalFailure, ValidationError
 from .klcheck import loss_fidelities
-
-DEFAULT_GRID = (0.8, 3.3, 14)
-
 
 @dataclass(frozen=True)
 class BenchPoint:
@@ -123,7 +121,7 @@ def brent_max(
 
     seeds are (x, f(x)) pairs already evaluated in [a, b]; without them the
     search starts from one golden-section point.  f may return None for a
-    point it cannot evaluate: None ranks below every value, and no parabola
+    point where it has no value: None ranks below every value, and no parabola
     is fitted through it.  The best point moves only on a strict
     improvement.  The search stops once the bracket around the best point
     is shorter than tol (or than a few units in the last place of x) or
@@ -229,13 +227,12 @@ def optimal_scale_adaptive(code: CodeSpec, gamma: float, grid: Sequence[float]) 
 def sweep_gamma(
     code: CodeSpec,
     gammas: Sequence[float],
+    grid: Sequence[float],
     scale: Optional[float] = None,
-    grid: Optional[Sequence[float]] = None,
 ) -> List[BenchPoint]:
     """Fidelity across loss rates at a fixed scale; when no scale is given
     it is optimized at gamma = 0.1 over the grid first."""
     if scale is None:
-        grid = grid if grid is not None else np.linspace(*DEFAULT_GRID)
         scale, _ = optimal_scale_adaptive(code, 0.1, grid)
     return _evaluate(code, [(float(g), float(scale)) for g in gammas])
 
@@ -261,7 +258,7 @@ def pair_bench(
     multi_shell: CodeSpec,
     single_shell: CodeSpec,
     gammas: Sequence[float],
-    grid: Optional[Sequence[float]] = None,
+    grid: Sequence[float],
 ) -> Tuple[Tuple[float, float], Tuple[float, float], List[PairPoint]]:
     """Optimize both codes' scales at gamma = 0.1 and report the relative
     infidelity R = (1 - F_single)/(1 - F_multi) with scales held fixed.
@@ -271,11 +268,10 @@ def pair_bench(
     """
     if multi_shell.dim != single_shell.dim:
         raise ValidationError("paired codes must encode the same number of logical states")
-    grid = grid if grid is not None else np.linspace(*DEFAULT_GRID)
     opt_multi = optimal_scale_adaptive(multi_shell, 0.1, grid)
     opt_single = optimal_scale_adaptive(single_shell, 0.1, grid)
-    multi = sweep_gamma(multi_shell, gammas, scale=opt_multi[0])
-    single = sweep_gamma(single_shell, gammas, scale=opt_single[0])
+    multi = sweep_gamma(multi_shell, gammas, grid, scale=opt_multi[0])
+    single = sweep_gamma(single_shell, gammas, grid, scale=opt_single[0])
     rows = [PairPoint(gamma=pm.gamma, f_single=ps.fidelity, f_multi=pm.fidelity,
                       gram_ratio=min(pm.gram_ratio, ps.gram_ratio))
             for pm, ps in zip(multi, single)]

@@ -401,12 +401,6 @@ def build_catalog_code(name: str, params: Optional[dict] = None) -> CodeSpec:
         raise ValidationError(f"{name!r}: {exc}") from exc
 
 
-def describe(name: str, params: Optional[dict] = None) -> str:
-    """Human-readable summary of a catalog entry instantiated with params."""
-    entry = CATALOG.get(name)
-    return describe_code(build_catalog_code(name, params), entry.nominal if entry else None)
-
-
 def describe_code(code: CodeSpec, nominal: Optional[str] = None) -> str:
     """Human-readable summary of a code; ``nominal`` is a catalog entry's
     nominal-parameters text, printed when given."""

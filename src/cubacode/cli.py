@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("catalog", help="list available catalog codes")
 
-    p_show = sub.add_parser("show", help="describe a code")
+    p_show = sub.add_parser("show", help="summarize a code")
     _add_code_source(p_show)
 
     p_params = sub.add_parser("params", help="print (( n, K, d_E, <t,d,d> ))")

@@ -198,10 +198,6 @@ class Rotation:
         return self.matrix.shape[0]
 
     @classmethod
-    def identity(cls, modes: int) -> "Rotation":
-        return cls(np.eye(modes))
-
-    @classmethod
     def mode_phases(cls, angles: Sequence[float]) -> "Rotation":
         """Per-mode phase rotation alpha_j -> exp(i phi_j) alpha_j."""
         return cls(np.diag(np.exp(1j * np.asarray(angles, dtype=float))))
@@ -360,7 +356,7 @@ def _symmetry(pts: np.ndarray, w: np.ndarray, owner: np.ndarray, images: np.ndar
 # Points match under a phase rotation to this many ulps (``_symmetry``'s
 # rtol): the size of the rounding in the catalog's coordinates (3.2 ulps at
 # most, on qsc12).  The loss engine's sector Grams are those of the rotated
-# first points, so a looser match would evaluate a slightly different code,
+# first points, so a looser match would compute a slightly different code,
 # a difference the inverse Gram ratio amplifies like roundoff in the
 # inputs; a missed match only costs speed.
 _ORBIT_ULPS = 8.0

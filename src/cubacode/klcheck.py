@@ -17,7 +17,7 @@ with the representatives' monomials times the orbit DFT of the weights
 the sum over point pairs.
 
 The same algebra gives the benchmark's transpose-recovery fidelity under
-pure loss (``loss_fidelity``, batched as ``loss_fidelities``): loss maps
+pure loss (``loss_fidelities``, one call per batch of points): loss maps
 each coherent state to a product of a damped coherent state and a coherent
 environment state, so indexing the loss branches by an eigenbasis of the
 environment states' Gram keeps every loss order.  When a phase rotation
@@ -485,9 +485,17 @@ def _codeword_grams(env: np.ndarray, damped: np.ndarray) -> np.ndarray:
     return grams.reshape(env.shape)
 
 
-def loss_fidelity(code: CodeSpec, gamma: float, scale: float) -> LossFidelity:
-    """Entanglement fidelity of transpose (Petz) recovery after pure loss,
-    from coherent-state algebra alone, with every loss order kept.
+def loss_fidelities(
+    code: CodeSpec, points: Sequence[Tuple[float, float]]
+) -> List[Union[LossFidelity, NumericalFailure]]:
+    """Entanglement fidelity of transpose (Petz) recovery after pure loss
+    at each (gamma, scale) point, from coherent-state algebra alone, with
+    every loss order kept, evaluated in batches.
+
+    Each entry is the point's LossFidelity, or the NumericalFailure that
+    point raises (DegenerateCodewordsError where the codewords are
+    degenerate at its scale).  A point gets the same bits in any batch,
+    alone or with others.
 
     Pure loss is a beam splitter onto an environment mode per mode:
     |a> -> |sqrt(1 - gamma) a> |sqrt(gamma) a>.  Its Kraus operators can be
@@ -547,21 +555,6 @@ def loss_fidelity(code: CodeSpec, gamma: float, scale: float) -> LossFidelity:
     space.  Negative eigenvalues of E^[q] and of T S^[s] T^+ are clipped
     to 0 and no relative floor is applied.  ``gram_ratio`` is the
     min/max eigenvalue ratio of sum_c G^(c), the codeword Gram.
-    """
-    res = loss_fidelities(code, [(gamma, scale)])[0]
-    if isinstance(res, NumericalFailure):
-        raise res
-    return res
-
-
-def loss_fidelities(
-    code: CodeSpec, points: Sequence[Tuple[float, float]]
-) -> List[Union[LossFidelity, NumericalFailure]]:
-    """``loss_fidelity`` at each (gamma, scale) point, evaluated in batches.
-
-    Each entry is the point's LossFidelity, or the NumericalFailure that
-    point raises (DegenerateCodewordsError where the codewords are
-    degenerate at its scale).  Entries equal per-point calls bit for bit.
     """
     points = [(float(g), float(s)) for g, s in points]
     orbits = code.orbits
@@ -685,9 +678,6 @@ class ParamTriple:
             raise ValidationError("loss-gain detection cannot exceed pure-loss detection")
         if max(self.t_down, self.d_updown, self.d_down) > self.search_ceiling:
             raise ValidationError("parameters exceed the search ceiling")
-
-    def astuple(self) -> tuple:
-        return (self.t_down, self.d_updown, self.d_down)
 
 
 # The most work code_parameters takes on, counted in moment evaluations from

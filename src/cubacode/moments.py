@@ -6,15 +6,16 @@ The central object is the weighted monomial moment
 
 whose agreement across logical constellations (up to a total degree t)
 is exactly the asymptotic error-correction requirement.  Moments are
-evaluated in stacks: for multi-index stacks p (A x n) and q (B x n),
-``weighted_moment`` returns the A x B matrix (conj(F_p) * w) @ F_q.T,
-where F_u holds one monomial row per multi-index.  Multi-indices are
-enumerated once per (modes, degree) as a box |u| <= degree, and monomial
-tables are built over such a box one level |u| = k at a time, each row
-from a row of the level below times one coordinate.  The parameter
-search, the CLI moment table and the KL blocks all read their monomials
-from these tables; the searches grow theirs only as far as they reach,
-and the pure-loss search streams its levels.
+evaluated in blocks: for multi-index stacks p (A x n) and q (B x n), the
+A x B matrix (conj(F_p) * w) @ F_q.T, where F_u holds one monomial row per
+multi-index.  ``pair_moments`` gives every pair up to a total degree and
+``pairs_match_degree`` reads the match degree off them.  Multi-indices
+are enumerated once per (modes, degree) as a box |u| <= degree, and
+monomial tables are built over such a box one level |u| = k at a time,
+each row from a row of the level below times one coordinate.  The
+parameter search, the CLI moment table and the KL blocks all read their
+monomials from these tables; the searches grow theirs only as far as they
+reach, and the pure-loss search streams its levels.
 
 The codes' moments are summed over orbits (``_BoxMoments``): when the
 phase rotation e^{2 pi i/d} permutes a code's points
@@ -41,12 +42,7 @@ from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .constellation import (
-    GEOM_TOL,
-    CodeSpec,
-    WeightedConstellation,
-    shell_radii,
-)
+from .constellation import GEOM_TOL, CodeSpec, shell_radii
 from .errors import ValidationError, count_text
 
 MultiIndex = Tuple[int, ...]
@@ -146,31 +142,6 @@ def _monomials(z: np.ndarray, degree: int, low: Optional[np.ndarray] = None) -> 
     for k in range(done + 1, degree + 1):
         _next_level(table[_level(n, k - 1)], z, k, out=table[_level(n, k)])
     return table
-
-
-def weighted_moment(c: WeightedConstellation, p, q):
-    """The weighted monomial moment M(p, q) of a constellation.
-
-    With single multi-indices p, q (length = mode count) the moment is a
-    complex number.  With stacks p (A x n) and q (B x n) it is the A x B
-    matrix M[i, j] = M(p_i, q_j) = (conj(F_p) * w) @ F_q.T, where F_u is
-    the monomial table of the points (one row per multi-index); a single
-    index next to a stack counts as a stack of one.
-    """
-    p = np.asarray(p, dtype=int)
-    q = np.asarray(q, dtype=int)
-    if any(u.ndim not in (1, 2) or u.shape[-1] != c.modes for u in (p, q)):
-        raise ValidationError(
-            f"multi-index length must equal the mode count {c.modes} (got {p.shape}, {q.shape})"
-        )
-    if p.min(initial=0) < 0 or q.min(initial=0) < 0:
-        raise ValidationError("multi-index entries must be nonnegative")
-    degree = int(max(p.sum(axis=-1).max(initial=0), q.sum(axis=-1).max(initial=0)))
-    table = _monomials(c.points, degree)
-    row = {u: i for i, u in enumerate(multi_indices_upto(c.modes, degree))}
-    fp, fq = (table[[row[u] for u in map(tuple, s.reshape(-1, c.modes).tolist())]] for s in (p, q))
-    m = (np.conj(fp) * c.weights) @ fq.T
-    return complex(m[0, 0]) if p.ndim == q.ndim == 1 else m
 
 
 def _overflow(degree: int) -> ValidationError:
@@ -363,31 +334,17 @@ def _level_spreads(box: _BoxMoments, t_max: int) -> Iterator[Tuple[int, float]]:
 
 
 def pairs_match_degree(pairs: np.ndarray, moments: np.ndarray, tol: float = 1e-9) -> int:
-    """``moment_match_degree`` read off ``pair_moments(code, t_max)``, whose
-    pairs come in ascending total degree: one block per degree."""
+    """The largest t such that every moment pair (p, q) with total degree
+    |p| + |q| <= t agrees across all logical constellations within tol,
+    read off ``pair_moments(code, t_max)`` (so t <= t_max), whose pairs come
+    in ascending total degree: one block per degree.  Degree 0 always
+    matches."""
     _check_tol(tol)
     degree = pairs.sum(axis=1)
     top = int(degree.max(initial=0))
     starts = np.searchsorted(degree, np.arange(top + 1))
     spreads = np.maximum.reduceat(np.abs(moments - moments[0]).max(axis=0), starts)
     return _match_degree(enumerate(spreads.tolist()), top, tol)
-
-
-def moment_match_degree(code: CodeSpec, t_max: int, tol: float = 1e-9) -> int:
-    """Largest t <= t_max such that every moment pair (p, q) with total
-    degree |p|+|q| <= t agrees across all logical constellations within tol.
-
-    Enumerates multi-index pairs exhaustively, one degree at a time in
-    blocks of fixed |p|, and stops at the first block that fails; degree 0
-    always matches.
-    """
-    if code.dim < 2:
-        raise ValidationError("moment matching needs at least two codewords")
-    if t_max < 0:
-        raise ValidationError(f"maximum degree must be nonnegative (got {t_max})")
-    _check_tol(tol)
-    t_max = int(t_max)
-    return _match_degree(_level_spreads(_BoxMoments(code), t_max), t_max, tol)
 
 
 # ---------------------------------------------------------------------------

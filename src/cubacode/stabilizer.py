@@ -126,13 +126,6 @@ class AnnihilationPolynomial:
             terms=tuple((u, c / big) for u, c in self.terms), modes=self.modes
         )
 
-    def evaluate(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        out = np.zeros(pts.shape[0], dtype=complex)
-        for u, c in self.terms:
-            out += c * np.prod(pts ** np.asarray(u), axis=1)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Z-type generators

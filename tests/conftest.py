@@ -11,7 +11,13 @@ from hypothesis import settings
 
 from cubacode.constellation import CodeSpec, WeightedConstellation
 from cubacode.errors import ValidationError
-from cubacode.moments import _compositions, _index_box, _monomials
+from cubacode.moments import (
+    _compositions,
+    _index_box,
+    _monomials,
+    pair_moments,
+    pairs_match_degree,
+)
 from cubacode.stabilizer import _coherent_rows, _pairwise_overlaps, _product_sum
 
 settings.register_profile("ci", deadline=None, max_examples=50)
@@ -95,6 +101,47 @@ def coherent_fock(point, cutoff: int) -> np.ndarray:
     matching np.kron with mode 0 as the left factor.
     """
     return _product_sum(_coherent_rows(as_amplitude(point), cutoff)[None], np.ones(1))
+
+
+def point_moments(c: WeightedConstellation, p, q) -> np.ndarray:
+    """M[i, j] = M(p_i, q_j), M(p, q) = sum_a w_a prod_m conj(a_m)^p_m a_m^q_m,
+    for multi-index stacks p (A x n) and q (B x n), or single multi-indices
+    (a stack of one), summed one point at a time: the plain reference of
+    the moment tables."""
+    p, q = np.atleast_2d(p), np.atleast_2d(q)
+    m = np.zeros((len(p), len(q)), dtype=complex)
+    for a, w in zip(c.points, c.weights):
+        m += w * np.outer(np.prod(np.conj(a) ** p, axis=1), np.prod(a ** q, axis=1))
+    return m
+
+
+def match_degree(code: CodeSpec, t_max: int, tol: float = 1e-9) -> int:
+    """The moment match degree that ``cubacode moments`` prints: read off
+    the table of every pair (p, q) with |p| + |q| <= t_max."""
+    return pairs_match_degree(*pair_moments(code, t_max), tol)
+
+
+def param_triple(params) -> tuple:
+    """(t_down, d_updown, d_down) of a ParamTriple."""
+    return (params.t_down, params.d_updown, params.d_down)
+
+
+def evaluate_polynomial(poly, points) -> np.ndarray:
+    """An AnnihilationPolynomial's value sum_u c_u prod_j a_j^u_j at each
+    point (one row per point)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=complex))
+    out = np.zeros(pts.shape[0], dtype=complex)
+    for u, c in poly.terms:
+        out += c * np.prod(pts ** np.asarray(u), axis=1)
+    return out
+
+
+def haar_unitary(n, seed):
+    """A Haar-random n x n unitary: the QR factor of a complex Gaussian
+    matrix, its columns' phases fixed by R's diagonal (Mezzadri 2007)."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def multi_indices(n: int, total: int) -> Iterator[tuple]:

@@ -15,7 +15,6 @@ from cubacode import (
     cube_orthoplex_code,
     hypercube_code,
     kl_report,
-    moment_match_degree,
     normalize_energy,
     orthoplex_code,
     polygon_shell_code,
@@ -42,6 +41,8 @@ from conftest import (
     coherent_overlap,
     is_spherical_design,
     ladder_matrix_element,
+    match_degree,
+    param_triple,
     sphere_monomial_integral,
 )
 
@@ -69,7 +70,7 @@ def test_criterion_1_code_parameters():
         (two_shell_24cell_code(2.0), 14, (6, 8, 12)),
     ]
     for code, ceiling, expected in cases:
-        got = code_parameters(code, ceiling=ceiling, tol=1e-9).astuple()
+        got = param_triple(code_parameters(code, ceiling=ceiling, tol=1e-9))
         assert got == expected, f"{code.name}: {got} != {expected}"
     report(1, "code parameters", started, 10.0)
 
@@ -150,7 +151,7 @@ def test_criterion_4_theorem_consistency():
         two_shell_cell_code(1.0, 2.0), two_shell_24cell_code(2.0),
     ]
     for code in catalog_cases:
-        t = moment_match_degree(code, t_max=code.claimed_degree + 2)
+        t = match_degree(code, code.claimed_degree + 2)
         triple = code_parameters(code, ceiling=t + 2)
         assert triple.t_down >= t // 2, code.name
         assert triple.d_updown >= t + 1, code.name
@@ -252,7 +253,7 @@ def test_criterion_6_benchmark_structure():
 
     # (c) and (d): unit fidelity at zero loss; monotone decrease in gamma.
     for name, (code, s_op, _) in optima.items():
-        points = sweep_gamma(code, np.arange(0.0, 0.2001, 0.02), scale=s_op)
+        points = sweep_gamma(code, np.arange(0.0, 0.2001, 0.02), grid, scale=s_op)
         fids = [p.fidelity for p in points]
         assert abs(fids[0] - 1.0) < 1e-8, name
         assert all(b < a + 1e-12 for a, b in zip(fids, fids[1:])), name

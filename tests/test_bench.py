@@ -2,16 +2,17 @@
 against a tight run of the same search, the number of fidelity evaluations
 it makes, and its handling of scales where the codewords are degenerate."""
 
-import numpy as np
 import pytest
 
 from cubacode import bench
 from cubacode.bench import grid_brent_max
 from cubacode.catalog import build_catalog_code
+from cubacode.cli import _parse_grid, build_parser
 from cubacode.errors import DegenerateCodewordsError, NumericalFailure
-from cubacode.klcheck import loss_fidelities, loss_fidelity
+from cubacode.klcheck import loss_fidelities
 
-GRID = [float(s) for s in np.linspace(*bench.DEFAULT_GRID)]
+# The scale grid of the bench commands' --grid default.
+GRID = _parse_grid(build_parser().parse_args(["bench", "pair"]).grid)
 
 
 def unit_code(name):
@@ -23,7 +24,7 @@ def test_optimal_scale_matches_tight_search(name, monkeypatch):
     code = unit_code(name)
 
     def fidelity(s):
-        return loss_fidelity(code, 0.1, s).fidelity
+        return loss_fidelities(code, [(0.1, s)])[0].fidelity
 
     want = grid_brent_max(fidelity, GRID, [fidelity(s) for s in GRID], tol=1e-8, max_iter=200)
     points = []

@@ -3,12 +3,14 @@ import re
 import numpy as np
 import pytest
 
-from cubacode import ValidationError, build_catalog_code, describe, scale_code
+from cubacode import ValidationError, build_catalog_code, scale_code
 from cubacode.catalog import (
+    CATALOG,
     MAX_POINTS,
     cat_code,
     cell24_vertices,
     cube_orthoplex_code,
+    describe_code,
     halfcube_vertices,
     hypercube_vertices,
     orthoplex_code,
@@ -18,7 +20,7 @@ from cubacode.catalog import (
     two_shell_cell_code,
 )
 from cubacode.constellation import _match_points
-from cubacode.moments import moment_match_degree
+from conftest import match_degree
 
 
 def test_cat_two_codewords_are_antipodal_pairs():
@@ -155,7 +157,7 @@ def test_two_shell_cell_code_at_equal_radii_is_the_scaled_cube_orthoplex(r):
 ], ids=str)
 def test_cube_orthoplex_family_matches_its_claimed_degree(name, params, degree):
     code = build_catalog_code(name, params)
-    assert moment_match_degree(code, 9) == degree == code.claimed_degree
+    assert match_degree(code, 9) == degree == code.claimed_degree
 
 
 @pytest.mark.parametrize("build, text", [
@@ -203,13 +205,13 @@ def test_unknown_parameter_rejected():
 
 
 def test_describe_cell16_qutrit():
-    text = describe("cell16_qutrit")
+    text = describe_code(build_catalog_code("cell16_qutrit"), CATALOG["cell16_qutrit"].nominal)
     assert "2 modes" in text and "3 codewords" in text and "8 points each" in text
     assert "single shell" in text
 
 
 def test_describe_cat_eight_points():
-    text = describe("cat", {"m": 8})
+    text = describe_code(build_catalog_code("cat", {"m": 8}), CATALOG["cat"].nominal)
     assert "8 points each" in text
 
 

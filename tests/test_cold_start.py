@@ -10,8 +10,8 @@ import pytest
 PUBLIC = {
     "catalog": [
         "BENCH_ALIASES", "CATALOG", "build_catalog_code", "cat_code", "cell8_cell16_qubit_code",
-        "cell16_qutrit_code", "cube_orthoplex_code", "describe", "hypercube_code",
-        "orthoplex_code", "polygon_shell_code", "two_shell_24cell_code", "two_shell_cell_code",
+        "cell16_qutrit_code", "cube_orthoplex_code", "hypercube_code", "orthoplex_code",
+        "polygon_shell_code", "two_shell_24cell_code", "two_shell_cell_code",
     ],
     "codefile": ["CodeFileError", "load_code", "save_code"],
     "constellation": [
@@ -22,11 +22,10 @@ PUBLIC = {
     "errors": ["DegenerateCodewordsError", "NumericalFailure", "ValidationError"],
     "klcheck": [
         "KLReport", "LossFidelity", "ParamTriple", "code_parameters", "kl_report",
-        "loss_fidelity",
+        "loss_fidelities",
     ],
     "moments": [
-        "BoundsReport", "code_size_bounds", "moment_match_degree", "size_bounds",
-        "weighted_moment",
+        "BoundsReport", "code_size_bounds", "pair_moments", "pairs_match_degree", "size_bounds",
     ],
     "stabilizer": ["AnnihilationPolynomial", "verify_xtype", "verify_ztype", "ztype_polynomials"],
 }

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from scipy.stats import unitary_group
 
 from cubacode import (
     CodeSpec,
@@ -33,7 +32,7 @@ from cubacode.constellation import (
     _pair_scan,
     min_squared_distance,
 )
-from conftest import embed_complex_to_real
+from conftest import embed_complex_to_real, haar_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +133,7 @@ def test_rotation_rejects_invalid_matrix(matrix, match):
 
 def test_identity_rotation_is_noop():
     c = cat_code(3, 1).logicals[0]
-    out = apply_rotation(c, Rotation.identity(1))
+    out = apply_rotation(c, Rotation(np.eye(1)))
     assert np.allclose(out.points, c.points)
     assert np.allclose(out.weights, c.weights)
 
@@ -148,7 +147,7 @@ def test_cat_base_rotated_quarter_turn():
 @given(st.integers(0, 2**32 - 1))
 def test_rotation_preserves_pairwise_distances(seed):
     c = build_catalog_code("cell16_qutrit").logicals[0]
-    rot = Rotation(unitary_group.rvs(2, random_state=seed))
+    rot = Rotation(haar_unitary(2, seed))
     out = apply_rotation(c, rot)
     diff_in = c.points[:, None] - c.points[None, :]
     diff_out = out.points[:, None] - out.points[None, :]
@@ -160,7 +159,7 @@ def test_rotation_preserves_pairwise_distances(seed):
 def test_rotation_dimension_mismatch():
     c = cat_code(2, 1).logicals[0]
     with pytest.raises(ValidationError, match="dimension"):
-        apply_rotation(c, Rotation.identity(2))
+        apply_rotation(c, Rotation(np.eye(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +447,7 @@ def test_scaling_law(lam):
 
 def test_common_rotation_preserves_resolution_and_energy():
     code = build_catalog_code("twoshell_24cell", {"tau": 2.0})
-    rot = Rotation(unitary_group.rvs(2, random_state=99))
+    rot = Rotation(haar_unitary(2, 99))
     rotated = rotate_code(code, rot)
     assert abs(resolution(rotated) - resolution(code)) < 1e-10
     for a, b in zip(code.logicals, rotated.logicals):

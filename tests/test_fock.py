@@ -7,7 +7,7 @@ from cubacode import (
     ValidationError,
     build_catalog_code,
     cat_code,
-    loss_fidelity,
+    loss_fidelities,
     normalize_energy,
     verify_ztype,
 )
@@ -202,7 +202,7 @@ def test_recovery_is_trace_preserving(cat2_unit):
 def test_transpose_beats_projector_decoding(cat2_unit):
     v = code_basis(cat2_unit, 2.0, 40)
     projector = sum(abs(np.trace(v.conj().T @ k @ v)) ** 2 for k in dense_loss_kraus(0.05, 40)) / 4
-    assert loss_fidelity(cat2_unit, 0.05, 2.0).fidelity >= projector
+    assert loss_fidelities(cat2_unit, [(0.05, 2.0)])[0].fidelity >= projector
 
 
 def test_fidelity_is_one_without_loss(cat2_unit):
@@ -224,7 +224,8 @@ def oracle_fidelity(code, gamma, scale, cutoff, l_max=None):
 def test_fidelity_matches_choi_oracle(cat2_unit):
     gamma, scale = 0.08, 1.8
     want = oracle_fidelity(cat2_unit, gamma, scale, 40)
-    assert loss_fidelity(cat2_unit, gamma, scale).fidelity == pytest.approx(want, abs=1e-10)
+    got = loss_fidelities(cat2_unit, [(gamma, scale)])[0].fidelity
+    assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_fidelity_two_mode_structured_path_matches_dense():
@@ -234,7 +235,7 @@ def test_fidelity_two_mode_structured_path_matches_dense():
     code, _ = normalize_energy(build_catalog_code("cell16_qutrit"), 1.0)
     gamma, scale = 0.06, 0.9
     want = oracle_fidelity(code, gamma, scale, 14, l_max=6)
-    assert loss_fidelity(code, gamma, scale).fidelity == pytest.approx(want, abs=1e-9)
+    assert loss_fidelities(code, [(gamma, scale)])[0].fidelity == pytest.approx(want, abs=1e-9)
 
 
 def test_fidelity_bounded(cat2_unit, rng):

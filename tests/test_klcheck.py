@@ -13,7 +13,6 @@ from cubacode import (
     cat_code,
     code_parameters,
     kl_report,
-    moment_match_degree,
     normalize_energy,
     polygon_shell_code,
     WeightedConstellation,
@@ -26,7 +25,9 @@ from conftest import (
     coherent_fock,
     coherent_overlap,
     ladder_matrix_element,
+    match_degree,
     multi_indices,
+    param_triple,
 )
 
 
@@ -198,7 +199,7 @@ def test_tolerance_must_be_finite_and_nonnegative():
         with pytest.raises(ValidationError, match="tol"):
             code_parameters(code, ceiling=5, tol=tol)
         with pytest.raises(ValidationError, match="tol"):
-            moment_match_degree(code, 5, tol=tol)
+            match_degree(code, 5, tol=tol)
     code_parameters(code, ceiling=5, tol=0.0)  # zero is allowed
 
 
@@ -209,24 +210,25 @@ def test_tolerance_must_be_finite_and_nonnegative():
 
 def test_parameters_hexagon_two_shell():
     code = polygon_shell_code(6, 2, (1.0, 2.0))
-    assert code_parameters(code, ceiling=20).astuple() == (7, 8, 18)
+    assert param_triple(code_parameters(code, ceiling=20)) == (7, 8, 18)
 
 
 def test_parameters_cell16_qutrit():
-    assert code_parameters(build_catalog_code("cell16_qutrit"), ceiling=8).astuple() == (2, 4, 4)
+    triple = code_parameters(build_catalog_code("cell16_qutrit"), ceiling=8)
+    assert param_triple(triple) == (2, 4, 4)
 
 
 def test_parameters_square_three_shell():
     code = polygon_shell_code(4, 3, (1.0, 2.0, 3.0))
-    assert code_parameters(code, ceiling=14).astuple() == (6, 8, 12)
+    assert param_triple(code_parameters(code, ceiling=14)) == (6, 8, 12)
 
 
 def test_parameters_scale_invariant():
     from cubacode import scale_code
 
     code = polygon_shell_code(4, 2, (1.0, 2.0))
-    a = code_parameters(code, ceiling=10).astuple()
-    b = code_parameters(scale_code(code, 0.37), ceiling=10).astuple()
+    a = param_triple(code_parameters(code, ceiling=10))
+    b = param_triple(code_parameters(scale_code(code, 0.37), ceiling=10))
     assert a == b
 
 
@@ -245,7 +247,8 @@ def test_param_triple_invariants():
 def test_param_triple_correction_within_loss_gain_detection():
     with pytest.raises(ValidationError, match="correction"):
         ParamTriple(t_down=5, d_updown=4, d_down=6, search_ceiling=10)
-    assert ParamTriple(t_down=4, d_updown=4, d_down=6, search_ceiling=10).astuple() == (4, 4, 6)
+    triple = ParamTriple(t_down=4, d_updown=4, d_down=6, search_ceiling=10)
+    assert param_triple(triple) == (4, 4, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +319,15 @@ REFERENCE_CODES = [
 
 @pytest.mark.parametrize("code, ceiling", REFERENCE_CODES, ids=lambda v: getattr(v, "name", str(v)))
 def test_parameters_and_degree_match_loop_reference(code, ceiling):
-    assert code_parameters(code, ceiling).astuple() == reference_code_parameters(code, ceiling)
-    assert moment_match_degree(code, ceiling) == reference_match_degree(code, ceiling)
+    assert param_triple(code_parameters(code, ceiling)) == reference_code_parameters(code, ceiling)
+    assert match_degree(code, ceiling) == reference_match_degree(code, ceiling)
 
 
 def test_identical_codewords_reach_the_ceiling():
     c = build_catalog_code("orthoplex", {"D": 4}).logicals[0]
     code = CodeSpec(name="twin", logicals=(c, c))
-    assert code_parameters(code, 7).astuple() == reference_code_parameters(code, 7) == (7, 7, 7)
-    assert code_parameters(code, 1).astuple() == (1, 1, 1)
+    assert param_triple(code_parameters(code, 7)) == reference_code_parameters(code, 7) == (7, 7, 7)
+    assert param_triple(code_parameters(code, 1)) == (1, 1, 1)
 
 
 def refuse(*args, **kwargs):
@@ -341,7 +344,7 @@ def test_parameter_search_counts_the_t_down_box_before_that_search(monkeypatch):
     c = build_catalog_code("orthoplex", {"D": 4}).logicals[0]
     code = CodeSpec(name="twin", logicals=(c, c))
     monkeypatch.setattr(klcheck, "_MAX_SEARCH_WORK", 210 + 27 * 1024 + 397)
-    assert code_parameters(code, 7).astuple() == (7, 7, 7)
+    assert param_triple(code_parameters(code, 7)) == (7, 7, 7)
     monkeypatch.setattr(klcheck, "_MAX_SEARCH_WORK", 210 + 27 * 1024 + 396)
     # Refused after the d_updown search, before the t_down search reads a level.
     monkeypatch.setattr(klcheck, "_level", refuse)
@@ -363,7 +366,7 @@ CO8 = normalize_energy(build_catalog_code("cube_orthoplex", {"D": 8}), 1.0)[0]
     (CO8, 1, (1, 1, 1)),
 ], ids=["co8-14", "co8-12", "hexagon-shells-18", "co8-1"])
 def test_streamed_parameters_match_loop_reference(code, ceiling, want):
-    assert code_parameters(code, ceiling).astuple() == want
+    assert param_triple(code_parameters(code, ceiling)) == want
     assert reference_code_parameters(code, ceiling) == want
 
 
@@ -376,7 +379,7 @@ def test_parameter_search_memory_does_not_grow_with_the_ceiling(ceiling):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert triple.astuple() == (5, 6, 12)
+    assert param_triple(triple) == (5, 6, 12)
     assert peak < 8 * 2**20
 
 
@@ -417,8 +420,8 @@ def symmetrized_codes(draw):
 @settings(max_examples=40, deadline=None)
 @given(symmetrized_codes())
 def test_random_codes_match_loop_reference(code):
-    assert code_parameters(code, 7).astuple() == reference_code_parameters(code, 7)
-    assert moment_match_degree(code, 7) == reference_match_degree(code, 7)
+    assert param_triple(code_parameters(code, 7)) == reference_code_parameters(code, 7)
+    assert match_degree(code, 7) == reference_match_degree(code, 7)
 
 
 def reference_kl_block(code, mu, nu, scale) -> np.ndarray:

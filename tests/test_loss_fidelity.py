@@ -1,4 +1,4 @@
-"""The coherent-span fidelity engine (klcheck.loss_fidelity) against two
+"""The coherent-span fidelity engine (klcheck.loss_fidelities) against two
 independent references: transpose recovery computed from Fock coefficients
 (``fock_fidelity``), and an extended-precision mpmath evaluation of the
 closed-form algebra with every loss order kept (``exact_fidelity``).
@@ -31,9 +31,8 @@ from cubacode.klcheck import (
     _sector_grams,
     kl_report,
     loss_fidelities,
-    loss_fidelity,
 )
-from conftest import codeword_gram, coherent_fock
+from conftest import codeword_gram, coherent_fock, haar_unitary
 
 
 def gram_ratio(code, scale):
@@ -165,14 +164,14 @@ def test_matches_fock_oracle(name, scale):
     code = unit_code(name)
     tol = bound(name, code, scale)
     for gamma in (0.05, 0.2):
-        got = loss_fidelity(code, gamma, scale).fidelity
+        got = loss_fidelities(code, [(gamma, scale)])[0].fidelity
         want = fock_fidelity(code, gamma, scale)
         assert abs(got - want) <= tol, (gamma, got - want, tol)
 
 
 def test_three_mode_code_matches_fock_oracle():
     code = unit_code("cube_orthoplex", D=6)
-    got = loss_fidelity(code, 0.1, 0.8).fidelity
+    got = loss_fidelities(code, [(0.1, 0.8)])[0].fidelity
     want = fock_fidelity(code, 0.1, 0.8)
     assert abs(got - want) <= tolerance(EXACT_TOL, gram_ratio(code, 0.8))
 
@@ -181,13 +180,13 @@ def test_three_mode_code_matches_fock_oracle():
 @pytest.mark.parametrize("scale", [0.8, 1.0, 2.0, 3.3])
 def test_no_loss_gives_unit_fidelity(name, scale):
     code = unit_code(name)
-    res = loss_fidelity(code, 0.0, scale)
+    res = loss_fidelities(code, [(0.0, scale)])[0]
     assert abs(res.fidelity - 1.0) <= bound(name, code, scale)
 
 
 def test_fidelity_decreases_with_loss():
     code = unit_code("qcc12")
-    fids = [loss_fidelity(code, g, 1.6).fidelity for g in (0.0, 0.05, 0.1, 0.2, 0.4)]
+    fids = [loss_fidelities(code, [(g, 1.6)])[0].fidelity for g in (0.0, 0.05, 0.1, 0.2, 0.4)]
     assert all(b < a for a, b in zip(fids, fids[1:]))
 
 
@@ -195,13 +194,13 @@ def test_rejects_bad_inputs():
     code = unit_code("qsc8")
     for gamma, scale in ((-0.1, 1.0), (1.0, 1.0), (0.1, 0.0)):
         with pytest.raises(ValidationError):
-            loss_fidelity(code, gamma, scale)
+            loss_fidelities(code, [(gamma, scale)])[0]
     # Scales whose sector series is longer than the term cap, or whose
     # length overflows, are named; at the cap qsc8 at nbar = 1 still runs.
-    assert loss_fidelity(code, 0.1, 260.0).fidelity > 0.0
+    assert loss_fidelities(code, [(0.1, 260.0)])[0].fidelity > 0.0
     for scale in (270.0, 1e10, 1e200):
         with pytest.raises(ValidationError, match=re.escape(f"scale {scale:g} is too large")):
-            loss_fidelity(code, 0.1, scale)
+            loss_fidelities(code, [(0.1, scale)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +210,7 @@ def test_rejects_bad_inputs():
 
 def exact_fidelity(code, gamma, scale, dps=30):
     """Transpose-recovery fidelity from the closed-form Gram of
-    ``loss_fidelity`` with every loss order kept, in mpmath.
+    ``loss_fidelities`` with every loss order kept, in mpmath.
 
     With system states |s_a> = |sqrt(1-gamma) a>, environment states
     |e_a> = |sqrt(gamma) a> and orthonormalized codewords
@@ -305,7 +304,7 @@ def test_matches_extended_precision(name, gamma, scale, frozen):
     exact = exact_fidelity(code, gamma, scale)
     if frozen is not None:
         assert abs(exact - frozen) < 1e-13
-    got = loss_fidelity(code, gamma, scale).fidelity
+    got = loss_fidelities(code, [(gamma, scale)])[0].fidelity
     assert abs(got - exact) <= bound(name, code, scale), got - exact
 
 
@@ -383,7 +382,7 @@ def test_sector_count_needs_codewords_mapped_onto_codewords():
 def test_sectors_match_extended_precision(make, gamma, scale):
     code = make()
     exact = exact_fidelity(code, gamma, scale)
-    got = loss_fidelity(code, gamma, scale).fidelity
+    got = loss_fidelities(code, [(gamma, scale)])[0].fidelity
     assert abs(got - exact) <= tolerance(EXACT_TOL, gram_ratio(code, scale)), got - exact
 
 
@@ -403,7 +402,7 @@ def test_nearly_symmetric_code_gets_one_sector():
     ratio = gram_ratio(code, 1.0)
     assert ratio < 1e-8
     exact = exact_fidelity(code, 0.1, 1.0)
-    got = loss_fidelity(code, 0.1, 1.0).fidelity
+    got = loss_fidelities(code, [(0.1, 1.0)])[0].fidelity
     assert abs(got - exact) <= tolerance(EXACT_TOL, ratio), got - exact
 
 
@@ -429,10 +428,9 @@ def test_batch_equals_single_points_bit_for_bit(make, points, degenerate):
     code = make()
     batch = loss_fidelities(code, points)
     for (gamma, scale), got in zip(points, batch):
-        try:
-            want = loss_fidelity(code, gamma, scale)
-        except DegenerateCodewordsError as exc:
-            assert isinstance(got, DegenerateCodewordsError) and str(got) == str(exc)
+        want = loss_fidelities(code, [(gamma, scale)])[0]
+        if isinstance(want, DegenerateCodewordsError):
+            assert isinstance(got, DegenerateCodewordsError) and str(got) == str(want)
         else:
             assert got == want
     assert any(isinstance(got, DegenerateCodewordsError) for got in batch) == degenerate
@@ -606,14 +604,6 @@ def covariance_reference(name):
     """A unit-energy code and its fidelities at COVARIANCE_POINTS."""
     code = unit_code(name, **COVARIANCE_CODES[name])
     return code, loss_fidelities(code, COVARIANCE_POINTS)
-
-
-def haar_unitary(n, seed):
-    """A Haar-random n x n unitary: the QR factor of a complex Gaussian
-    matrix, its columns' phases fixed by R's diagonal (Mezzadri 2007)."""
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 @settings(derandomize=True, deadline=None)

@@ -12,10 +12,9 @@ from cubacode import (
     ValidationError,
     build_catalog_code,
     cat_code,
-    moment_match_degree,
+    pair_moments,
     polygon_shell_code,
     size_bounds,
-    weighted_moment,
 )
 from cubacode.catalog import orthoplex_vertices
 from cubacode.constellation import Rotation, rotate_code
@@ -26,12 +25,13 @@ from cubacode.moments import (
     _monomials,
     code_size_bounds,
     multi_indices_upto,
-    pair_moments,
 )
 from conftest import (
     design_moment_deviation,
     is_spherical_design,
+    match_degree,
     multi_indices,
+    point_moments,
     sphere_monomial_integral,
     sphere_monomial_integral_exact,
 )
@@ -69,19 +69,24 @@ def monte_carlo_sphere_integral(D, u, n_samples=1_000_000, seed=11):
 
 
 # ---------------------------------------------------------------------------
-# weighted_moment
+# pair_moments
 # ---------------------------------------------------------------------------
 
 
+def moment(code, p, q) -> np.ndarray:
+    """M_k(p, q) of every codeword k, read off ``pair_moments``."""
+    pairs, moms = pair_moments(code, sum(p) + sum(q))
+    return moms[:, pairs.tolist().index([*p, *q])]
+
+
 def test_cat_base_first_moment_vanishes():
-    c = cat_code(2, 1).logicals[0]
-    assert abs(weighted_moment(c, (0,), (1,))) < 1e-15
+    assert abs(moment(cat_code(2, 1), (0,), (1,))[0]) < 1e-15
 
 
 def test_hexagon_two_shell_sixth_moment_cancels():
     # Radial cancellation: w2 r2^6 = w1 r1^6 with opposite shell phases.
-    c = polygon_shell_code(6, 2, (1.0, 2.0)).logicals[0]
-    assert abs(weighted_moment(c, (0,), (6,))) < 1e-12
+    code = polygon_shell_code(6, 2, (1.0, 2.0))
+    assert abs(moment(code, (0,), (6,))[0]) < 1e-12
 
 
 def test_24cell_number_moment_against_brute_force():
@@ -91,21 +96,15 @@ def test_24cell_number_moment_against_brute_force():
     alpha1 = verts[:, 0] + 1j * verts[:, 1]
     brute = float(np.mean(np.abs(alpha1) ** 2))
     assert abs(brute - 0.5) < 1e-12
-    c = build_catalog_code("cube_orthoplex", {"D": 4}).logicals[0]
-    assert weighted_moment(c, (1, 0), (1, 0)) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_moment_multi_index_length_checked():
-    c = cat_code(2, 1).logicals[0]
-    with pytest.raises(ValidationError, match="multi-index"):
-        weighted_moment(c, (0, 0), (1, 0))
+    code = build_catalog_code("cube_orthoplex", {"D": 4})
+    assert moment(code, (1, 0), (1, 0))[0] == pytest.approx(0.5, abs=1e-12)
 
 
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
 def test_moment_conjugation_symmetry(p1, q1, p2, q2):
-    c = build_catalog_code("twoshell_8_16", {"r1": 1.0, "r2": 2.0}).logicals[0]
-    m1 = weighted_moment(c, (p1, p2), (q1, q2))
-    m2 = weighted_moment(c, (q1, q2), (p1, p2))
+    code = build_catalog_code("twoshell_8_16", {"r1": 1.0, "r2": 2.0})
+    m1 = moment(code, (p1, p2), (q1, q2))[0]
+    m2 = moment(code, (q1, q2), (p1, p2))[0]
     assert m1 == pytest.approx(np.conj(m2), abs=1e-13)
 
 
@@ -116,19 +115,19 @@ def test_moment_conjugation_symmetry(p1, q1, p2, q2):
     ("cube_orthoplex", {"D": 6}),
 ], ids=["cat6", "square_shells", "twoshell_8_16", "cube_orthoplex6"])
 def test_stacked_moments_match_scalar_loop(name, params):
-    c = build_catalog_code(name, params).logicals[0]
-    ps = list(multi_indices_upto(c.modes, 2))
-    qs = list(multi_indices_upto(c.modes, 3))
-    stacked = weighted_moment(c, ps, qs)
-    assert stacked.shape == (len(ps), len(qs))
-    for i, p in enumerate(ps):
-        for j, q in enumerate(qs):
-            loop = sum(w * np.prod(np.conj(a) ** np.asarray(p) * a ** np.asarray(q))
-                       for a, w in zip(c.points, c.weights))
-            scalar = weighted_moment(c, p, q)
-            assert isinstance(scalar, complex)
-            for ref in (loop, scalar):
-                assert abs(stacked[i, j] - ref) <= 1e-12 * max(1.0, abs(ref))
+    # The pair table against a scalar loop over points and pairs, on the
+    # pairs |p| <= 2, |q| <= 3.
+    code = build_catalog_code(name, params)
+    n = code.modes
+    pairs, stacked = pair_moments(code, 5)
+    rows = {tuple(pq): i for i, pq in enumerate(pairs.tolist())}
+    for k, c in enumerate(code.logicals):
+        for p in multi_indices_upto(n, 2):
+            for q in multi_indices_upto(n, 3):
+                loop = sum(w * np.prod(np.conj(a) ** np.asarray(p) * a ** np.asarray(q))
+                           for a, w in zip(c.points, c.weights))
+                got = stacked[k, rows[p + q]]
+                assert abs(got - loop) <= 1e-12 * max(1.0, abs(loop))
 
 
 @pytest.mark.parametrize("name, params, degree", [
@@ -148,7 +147,7 @@ def test_pair_moments_match_full_box(name, params, degree):
     at = ([pos[tuple(pq[:n])] for pq in pairs.tolist()],
           [pos[tuple(pq[n:])] for pq in pairs.tolist()])
     for k, c in enumerate(code.logicals):
-        ref = weighted_moment(c, box, box)[at]
+        ref = point_moments(c, box, box)[at]
         assert np.abs(moms[k] - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
     with pytest.raises(ValidationError, match="nonnegative"):
         pair_moments(code, -1)
@@ -184,41 +183,35 @@ def test_monomials_match_power_reference(n, degree, real):
         assert np.array_equal(_monomials(z, degree, _monomials(z, low)), table)
 
 
-def test_stacked_moment_index_length_checked():
-    c = cat_code(2, 1).logicals[0]
-    with pytest.raises(ValidationError, match="multi-index"):
-        weighted_moment(c, [(0,), (1,)], [(0, 1)])
-
-
 # ---------------------------------------------------------------------------
-# moment_match_degree
+# Moment match degree
 # ---------------------------------------------------------------------------
 
 
 def test_match_degree_cat_two():
-    assert moment_match_degree(cat_code(2, 2), t_max=6) == 1
+    assert match_degree(cat_code(2, 2), 6) == 1
 
 
 def test_match_degree_24cell_pair():
-    assert moment_match_degree(build_catalog_code("cube_orthoplex", {"D": 4}), t_max=8) == 5
+    assert match_degree(build_catalog_code("cube_orthoplex", {"D": 4}), 8) == 5
 
 
 def test_match_degree_identical_constellations():
     c = cat_code(4, 1).logicals[0]
     code = CodeSpec(name="twin", logicals=(c, c))
-    assert moment_match_degree(code, t_max=7) == 7
+    assert match_degree(code, 7) == 7
 
 
 def test_match_degree_rejects_negative_degree():
     with pytest.raises(ValidationError, match="nonnegative"):
-        moment_match_degree(cat_code(4, 2), t_max=-1)
-    assert moment_match_degree(cat_code(4, 2), t_max=0) == 0
+        match_degree(cat_code(4, 2), -1)
+    assert match_degree(cat_code(4, 2), 0) == 0
 
 
 def test_match_degree_invariant_under_common_rotation():
     code = cat_code(4, 2)
     rotated = rotate_code(code, Rotation.global_phase(1, 0.37))
-    assert moment_match_degree(code, 9) == moment_match_degree(rotated, 9)
+    assert match_degree(code, 9) == match_degree(rotated, 9)
 
 
 # ---------------------------------------------------------------------------

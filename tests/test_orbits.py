@@ -31,19 +31,19 @@ from cubacode.klcheck import (
     _raw_blocks,
     code_parameters,
     kl_report,
-    loss_fidelity,
+    loss_fidelities,
     lowdin_inverse_sqrt,
 )
 from cubacode.moments import (
     _BoxMoments,
     _level,
-    moment_match_degree,
+    _level_spreads,
+    _match_degree,
     multi_indices_upto,
     pair_moments,
     pairs_match_degree,
-    weighted_moment,
 )
-from conftest import pair_nearest
+from conftest import pair_nearest, param_triple, point_moments
 
 
 def unit_code(name, **params):
@@ -196,8 +196,8 @@ def test_nothing_else_holds_an_orbit_table():
     code = build_catalog_code("qcc8")
     orbits = weakref.ref(code.orbits)
     kl_report(code, 2, 1.0)
-    moment_match_degree(code, 4)
-    loss_fidelity(code, 0.1, 1.0)
+    pair_moments(code, 4)
+    loss_fidelities(code, [(0.1, 1.0)])
     assert {"reps", "x", "half", "b", "b_h", "powers"} <= orbits().__dict__.keys()
     del code
     assert orbits() is None
@@ -231,7 +231,7 @@ def test_orbit_moments_equal_per_point_moments(name):
     for dp in range(degree + 1):
         ps, qs = _level(n, dp), slice(0, comb(n + degree - dp, n))
         got = box.moments(ps, qs)
-        want = np.array([weighted_moment(c, indices[ps], indices[qs]) for c in code.logicals])
+        want = np.array([point_moments(c, indices[ps], indices[qs]) for c in code.logicals])
         assert np.all(np.abs(got - want) <= 1e-12 * term_sums(code, indices[ps], indices[qs]))
 
 
@@ -242,7 +242,7 @@ def test_orbit_pure_loss_search_equals_per_point_search(name):
     level = {}
     for k in range(stop):
         q = np.array(list(multi_indices_upto(n, k)))[_level(n, k)]
-        moms = np.array([weighted_moment(c, np.zeros((1, n), dtype=int), q)[0]
+        moms = np.array([point_moments(c, np.zeros((1, n), dtype=int), q)[0]
                          for c in code.logicals])
         level[k] = np.abs(moms - moms[0]).max()
     want = next((k for k in range(1, stop) if level[k] > 1e-9), stop)
@@ -251,13 +251,15 @@ def test_orbit_pure_loss_search_equals_per_point_search(name):
 
 @pytest.mark.parametrize("name", CODES)
 def test_match_degree_read_off_the_pair_table_equals_the_search(name):
-    # The CLI reads the match degree off the moment table it prints; the
-    # search stops at the first failing block.  Both apply one rule.
+    # The CLI reads the match degree off the moment table it prints;
+    # code_parameters' search stops at the first failing block.  Both apply
+    # one rule.
     code = CODES[name]()
     t_max = {1: 8, 2: 6}.get(code.modes, 4)
     pairs, moms = pair_moments(code, t_max)
     for tol in (1e-9, 1e-3, 0.5):
-        assert pairs_match_degree(pairs, moms, tol) == moment_match_degree(code, t_max, tol)
+        search = _match_degree(_level_spreads(_BoxMoments(code), t_max), t_max, tol)
+        assert pairs_match_degree(pairs, moms, tol) == search
 
 
 def reference_raw_blocks(code, max_loss, scale):
@@ -379,7 +381,7 @@ def test_code_parameters_memory_is_orbit_sized():
     code = unit_code("cube_orthoplex", D=8)
     triple = []
     assert traced_peak(lambda: triple.append(code_parameters(code, 14))) < 2 * 2**20
-    assert triple[0].astuple() == (5, 6, 12)
+    assert param_triple(triple[0]) == (5, 6, 12)
 
 
 def test_kl_report_memory_is_orbit_sized():

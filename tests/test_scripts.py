@@ -17,6 +17,15 @@ def test_catalog_report_script_prints_its_table(fresh_python):
     assert all("((" in line and "))" in line for line in lines[1:])
 
 
+def test_reach_script_lists_unentered_functions(fresh_python):
+    proc = fresh_python(str(SCRIPTS / "reach.py"))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].endswith("functions under src/cubacode never entered:")
+    # Code-file parsing is reached by no README or workload command.
+    assert "  codefile.loads_code" in [line.split(" (line")[0] for line in lines[1:]]
+
+
 def private_imports(source: str) -> list:
     """The `_`-prefixed names (dunders aside) that a script imports from
     cubacode, as dotted paths."""
